@@ -29,7 +29,6 @@ from .detection import (
     TagStream,
     TimeTag,
     read_timetags,
-    sample_event_pair,
     simulate_tags,
     write_timetags,
 )
@@ -58,7 +57,7 @@ from .interferometer import (
     regime_flags,
     umzi_transfer,
 )
-from .source import PairEnsemble, PhotonPair, SpectralModel, sample_pair, sample_pairs
+from .source import PairEnsemble, PhotonPair, SpectralModel, sample_pairs
 
 __all__ = [
     "__version__",
@@ -105,8 +104,6 @@ __all__ = [
     "run_local_scan",
     "run_pump_sweep",
     "run_tau_decay",
-    "sample_event_pair",
-    "sample_pair",
     "sample_pairs",
     "simulate_tags",
     "umzi_transfer",

@@ -65,48 +65,53 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _cmd_fringe_scan(args) -> None:
+def _cmd_fringe_scan(args) -> RunConfig:
     cfg = _load(args)
     result = run_fringe_scan(cfg, mode=args.mode)
     _emit_scan(result, args.out, "fringe-scan")
+    return cfg
 
 
-def _cmd_local_scan(args) -> None:
+def _cmd_local_scan(args) -> RunConfig:
     cfg = _load(args)
     result = run_local_scan(cfg)
     _emit_scan(result, args.out, "local-scan")
+    return cfg
 
 
-def _cmd_crossover(args) -> None:
+def _cmd_crossover(args) -> RunConfig:
     cfg = _load(args)
     result = run_crossover_sweep(cfg)
     _emit_scan(result, args.out, "crossover")
+    return cfg
 
 
-def _cmd_tau_decay(args) -> None:
+def _cmd_tau_decay(args) -> RunConfig:
     cfg = _load(args)
     result = run_tau_decay(cfg, mode=args.mode)
     _emit_scan(result, args.out, "tau-decay")
+    return cfg
 
 
-def _cmd_chsh(args) -> None:
+def _cmd_chsh(args) -> RunConfig:
     cfg = _load(args)
     result = run_chsh(cfg, mode=args.mode)
     _write_json(args.out / "chsh.json", result.to_summary_dict())
+    return cfg
 
 
-def _cmd_timetags(args) -> None:
+def _cmd_timetags(args) -> RunConfig:
     cfg = _load(args)
-    pairs = sample_pairs(
-        cfg.source, args.pairs or cfg.scan.pairs_per_point, cfg.seed, stream=rng_mod.KIND_TIMETAGS
-    )
+    n_pairs = args.pairs if args.pairs is not None else cfg.scan.pairs_per_point
+    pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=rng_mod.KIND_TIMETAGS)
     tags_a, tags_b = simulate_tags(
         pairs, cfg.umzi_a, cfg.umzi_b, cfg.detector, cfg.seed, stream=rng_mod.KIND_TIMETAGS
     )
     write_timetags(args.out / "timetags.dat", tags_a, tags_b, cfg.seed, config_hash(cfg))
+    return cfg
 
 
-def _cmd_correlate(args) -> None:
+def _cmd_correlate(args) -> RunConfig:
     cfg = _load(args)
     tags_a, tags_b, header = read_timetags(args.input)
     cfg_hash = config_hash(cfg)
@@ -136,6 +141,7 @@ def _cmd_correlate(args) -> None:
             "warnings": list(hist.warnings),
         },
     )
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,10 +186,8 @@ def main(argv=None) -> int:
     t_start = time.monotonic()
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        args.func(args)
-        cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.seed
-        _write_meta(args.out, args.command, config_hash(cfg), seed, t_start)
+        cfg = args.func(args)
+        _write_meta(args.out, args.command, config_hash(cfg), cfg.seed, t_start)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
-"""Streaming coincidence correlation of two time-sorted tag streams.
+"""Coincidence correlation of two time-sorted tag streams.
 
-A single forward pass with a sliding window pairs every tag of stream A with
-the stream-B tags inside ``center +- tau_max`` of it, bins the delays
+One vectorized pass pairs every tag of stream A with the stream-B tags inside
+``center +- tau_max`` of it (two binary searches per A tag), bins the delays
 ``tau = t_A - t_B``, and classifies them into the central peak
 (|tau - center| <= w) and the two side peaks (|tau - center -+ side_offset|
-<= w).  The pass examines O(N_A + N_B + matches) candidates and uses only
+<= w).  The pass does O(N_A log N_B + matches) work and uses only
 (party, port, time); diagnostic tag fields never enter.
 
 All times are integer picoseconds.
@@ -20,11 +20,6 @@ import numpy as np
 
 from .detection import TagStream, to_picoseconds
 from .errors import StreamOrderError
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    njit = None
 
 HISTOGRAM_MAGIC = "# franson-histogram v1"
 
@@ -67,8 +62,11 @@ class CoincidenceHistogram:
     """Binned coincidences per port pair plus peak-window totals.
 
     counts[a, b, k]: port indices (0 -> 5, 1 -> 6) and bin index k over
-    [center - tau_max, center + tau_max).  Totals are window sums, not bin
-    sums, so they are exact for any bin geometry.
+    [center - tau_max, center + tau_max]; tau = center + tau_max falls into
+    the last bin.  Totals are window sums, not bin sums, so they are exact
+    for any bin geometry.  n_matches counts the (A, B) tag pairs within
+    tau_max of center; n_comparisons = N_A + n_matches, the number of A tags
+    searched plus the pairs emitted.
     """
 
     window_ps: int
@@ -108,84 +106,22 @@ class CoincidenceHistogram:
         }
 
 
-def _sweep_py(t_a, t_b, tau_lo, tau_hi):
-    """Reference single-pass sweep; returns (ia, ib, candidate comparisons).
-
-    A candidate comparison is one (a, b) pair examined against the window;
-    the two-pointer structure guarantees at most N_A + N_B + matches of them.
-    """
-    n_a, n_b = len(t_a), len(t_b)
-    ia, ib = [], []
-    comparisons = 0
-    lo = 0
-    for i in range(n_a):
-        # tau = t_a - t_b in [tau_lo, tau_hi] means t_b in [t_a - tau_hi, t_a - tau_lo]
-        b_lo = t_a[i] - tau_hi
-        b_hi = t_a[i] - tau_lo
-        while lo < n_b and t_b[lo] < b_lo:
-            lo += 1
-        j = lo
-        while j < n_b:
-            comparisons += 1
-            if t_b[j] > b_hi:
-                break
-            ia.append(i)
-            ib.append(j)
-            j += 1
-    return (
-        np.array(ia, dtype=np.int64),
-        np.array(ib, dtype=np.int64),
-        comparisons,
-    )
-
-
-def _sweep_numba_impl(t_a, t_b, tau_lo, tau_hi, out_a, out_b):
-    n_a = t_a.size
-    n_b = t_b.size
-    comparisons = 0
-    count = 0
-    lo = 0
-    for i in range(n_a):
-        b_lo = t_a[i] - tau_hi
-        b_hi = t_a[i] - tau_lo
-        while lo < n_b and t_b[lo] < b_lo:
-            lo += 1
-        j = lo
-        while j < n_b:
-            comparisons += 1
-            if t_b[j] > b_hi:
-                break
-            if count < out_a.size:
-                out_a[count] = i
-                out_b[count] = j
-            count += 1
-            j += 1
-    return count, comparisons
-
-
-if njit is not None:
-    _sweep_numba = njit(cache=True)(_sweep_numba_impl)
-else:  # pragma: no cover
-    _sweep_numba = None
-
-
 def sweep_matches(t_a: np.ndarray, t_b: np.ndarray, tau_lo: int, tau_hi: int):
     """All index pairs (i, j) with tau_lo <= t_a[i] - t_b[j] <= tau_hi.
 
-    Returns (ia, ib, n_candidate_comparisons).  Inputs must be sorted.
+    Returns (ia, ib, n_comparisons) with the pairs in A-major, then B order,
+    and n_comparisons = N_A + matches.  Inputs must be sorted.
     """
-    t_a = np.ascontiguousarray(t_a, dtype=np.int64)
-    t_b = np.ascontiguousarray(t_b, dtype=np.int64)
-    if _sweep_numba is None:
-        return _sweep_py(t_a, t_b, int(tau_lo), int(tau_hi))
-    capacity = max(16, t_a.size + t_b.size)
-    while True:
-        out_a = np.empty(capacity, dtype=np.int64)
-        out_b = np.empty(capacity, dtype=np.int64)
-        count, comparisons = _sweep_numba(t_a, t_b, int(tau_lo), int(tau_hi), out_a, out_b)
-        if count <= capacity:
-            return out_a[:count], out_b[:count], comparisons
-        capacity = count
+    t_a = np.asarray(t_a, dtype=np.int64)
+    t_b = np.asarray(t_b, dtype=np.int64)
+    # tau = t_a - t_b in [tau_lo, tau_hi] means t_b in [t_a - tau_hi, t_a - tau_lo]
+    first = np.searchsorted(t_b, t_a - tau_hi, side="left")
+    per_a = np.maximum(np.searchsorted(t_b, t_a - tau_lo, side="right") - first, 0)
+    ia = np.repeat(np.arange(t_a.size, dtype=np.int64), per_a)
+    # The k-th pair overall, if it belongs to A tag i, has ib = first[i] + k - run_start[i].
+    run_start = np.cumsum(per_a) - per_a
+    ib = np.arange(ia.size, dtype=np.int64) + np.repeat(first - run_start, per_a)
+    return ia, ib, t_a.size + ia.size
 
 
 def _require_sorted(stream: TagStream, name: str) -> None:
@@ -221,22 +157,19 @@ def correlate(
         stream_a.time_ps, stream_b.time_ps, center_ps - tau_max_ps, center_ps + tau_max_ps
     )
     tau = stream_a.time_ps[ia] - stream_b.time_ps[ib]
-    pa = stream_a.port[ia].astype(np.int64) - 5
-    pb = stream_b.port[ib].astype(np.int64) - 5
+    # Row-major flat index of [port_a - 5, port_b - 5].
+    key = 2 * stream_a.port[ia].astype(np.int64) + stream_b.port[ib] - 15
 
-    counts = np.zeros((2, 2, n_bins), dtype=np.int64)
     bins = np.minimum((tau - (center_ps - tau_max_ps)) // bin_ps, n_bins - 1)
-    np.add.at(counts, (pa, pb, bins), 1)
+    counts = np.bincount(key * n_bins + bins, minlength=4 * n_bins).reshape(2, 2, n_bins)
 
-    central = np.zeros((2, 2), dtype=np.int64)
-    side_plus = np.zeros((2, 2), dtype=np.int64)
-    side_minus = np.zeros((2, 2), dtype=np.int64)
+    def tally(selected):
+        return np.bincount(key[selected], minlength=4).reshape(2, 2)
+
     rel = tau - center_ps
-    np.add.at(central, (pa[np.abs(rel) <= w_ps], pb[np.abs(rel) <= w_ps]), 1)
-    sel_p = np.abs(rel - side_ps) <= w_ps
-    sel_m = np.abs(rel + side_ps) <= w_ps
-    np.add.at(side_plus, (pa[sel_p], pb[sel_p]), 1)
-    np.add.at(side_minus, (pa[sel_m], pb[sel_m]), 1)
+    central = tally(np.abs(rel) <= w_ps)
+    side_plus = tally(np.abs(rel - side_ps) <= w_ps)
+    side_minus = tally(np.abs(rel + side_ps) <= w_ps)
 
     return CoincidenceHistogram(
         window_ps=w_ps,

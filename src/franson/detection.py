@@ -27,8 +27,8 @@ from scipy.special import ndtri
 
 from .correlation import BRANCHES, central_rate_table, SIDE_PROBABILITY
 from .interferometer import UmziConfig
-from .rng import ROLE_DETECTION, item_uniforms, open_uniforms
-from .source import PairEnsemble, PhotonPair
+from .rng import ROLE_DETECTION, item_uniforms
+from .source import PairEnsemble
 
 PS_PER_S = 1e12
 
@@ -132,10 +132,29 @@ def _flat_outcome_table(df, dp, cfg_a, cfg_b, envelope):
     return table.reshape(n, 12)
 
 
-def _assemble_events(pairs_df, pairs_dp, t0_ps, eps_ps, ids, u, cfg_a, cfg_b, det, envelope):
-    """Core sampler shared by the batch and single-pair entry points."""
+def simulate_tags(
+    pairs: PairEnsemble,
+    cfg_a: UmziConfig,
+    cfg_b: UmziConfig,
+    det: DetectorModel,
+    seed: int,
+    stream: int = 0,
+    envelope: float = 1.0,
+    extra_delay_b: float = 0.0,
+) -> tuple[TagStream, TagStream]:
+    """Detect a sampled ensemble; returns one stream per party.
+
+    envelope: central-fringe envelope factor (imposed wavepacket offset
+    and/or pump-side degradations); the path overlaps gamma_A * gamma_B are
+    folded in here as well since first-order coherence between the short and
+    long paths is a prerequisite for the central-peak interference.
+    extra_delay_b: fixed additional delay (s) on party B before detection.
+    """
+    u = item_uniforms(seed, (int(stream), ROLE_DETECTION), len(pairs))
+    t0_ps = to_picoseconds(pairs.t0)
+    eps_ps = to_picoseconds(pairs.eps) + to_picoseconds(extra_delay_b)
     effective = envelope * (cfg_a.gamma * cfg_b.gamma)
-    flat = _flat_outcome_table(pairs_df, pairs_dp, cfg_a, cfg_b, effective)
+    flat = _flat_outcome_table(pairs.df, pairs.dp, cfg_a, cfg_b, effective)
     cell = _sample_outcomes(u[:, 0], flat)
     port_a_idx = cell // 6
     port_b_idx = (cell // 3) % 2
@@ -159,73 +178,16 @@ def _assemble_events(pairs_df, pairs_dp, t0_ps, eps_ps, ids, u, cfg_a, cfg_b, de
         np.where(port_a_idx == 0, 5, 6)[keep_a],
         t_a[keep_a],
         branch[keep_a],
-        ids[keep_a],
+        pairs.ids[keep_a],
     )
     stream_b = TagStream(
         cfg_b.party,
         np.where(port_b_idx == 0, 5, 6)[keep_b],
         t_b[keep_b],
         branch[keep_b],
-        ids[keep_b],
+        pairs.ids[keep_b],
     )
     return stream_a, stream_b
-
-
-def simulate_tags(
-    pairs: PairEnsemble,
-    cfg_a: UmziConfig,
-    cfg_b: UmziConfig,
-    det: DetectorModel,
-    seed: int,
-    stream: int = 0,
-    envelope: float = 1.0,
-    extra_delay_b: float = 0.0,
-) -> tuple[TagStream, TagStream]:
-    """Detect a sampled ensemble; returns one stream per party.
-
-    envelope: central-fringe envelope factor (imposed wavepacket offset
-    and/or pump-side degradations); the path overlaps gamma_A * gamma_B are
-    folded in here as well since first-order coherence between the short and
-    long paths is a prerequisite for the central-peak interference.
-    extra_delay_b: fixed additional delay (s) on party B before detection.
-    """
-    n = len(pairs)
-    u = item_uniforms(seed, (int(stream), ROLE_DETECTION), n)
-    t0_ps = to_picoseconds(pairs.t0)
-    eps_ps = to_picoseconds(pairs.eps) + to_picoseconds(extra_delay_b)
-    return _assemble_events(
-        pairs.df, pairs.dp, t0_ps, eps_ps, pairs.ids, u, cfg_a, cfg_b, det, envelope
-    )
-
-
-def sample_event_pair(
-    pair: PhotonPair,
-    cfg_a: UmziConfig,
-    cfg_b: UmziConfig,
-    det: DetectorModel,
-    rng: np.random.Generator,
-    envelope: float = 1.0,
-) -> tuple[TimeTag, ...]:
-    """Detect a single pair; returns 0, 1 or 2 tags depending on efficiency."""
-    u = open_uniforms(rng, 8).reshape(1, 8)
-    stream_a, stream_b = _assemble_events(
-        np.array([pair.df]),
-        np.array([pair.dp]),
-        to_picoseconds(np.array([pair.t0])),
-        to_picoseconds(np.array([pair.eps])),
-        np.array([pair.id], dtype=np.int64),
-        u,
-        cfg_a,
-        cfg_b,
-        det,
-        envelope,
-    )
-    tags = []
-    if len(stream_a):
-        tags.append(stream_a[0])
-    if len(stream_b):
-        tags.append(stream_b[0])
-    return tuple(tags)
 
 
 def write_timetags(
@@ -265,7 +227,7 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
         first = fh.readline().rstrip("\n")
         if first != TIMETAG_MAGIC:
             raise ValueError(f"not a time-tag dump (bad magic line {first!r})")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -276,6 +238,8 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
                     header[key.strip()] = value.strip()
                 continue
             party, port, time_ps = line.split()
+            if port not in ("5", "6"):
+                raise ValueError(f"{path}:{lineno}: port must be 5 or 6, got {port!r}")
             records[party].append((int(port), int(time_ps)))
 
     def build(party: str) -> TagStream:

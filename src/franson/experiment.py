@@ -179,12 +179,14 @@ def run_fringe_scan(
     """Central-peak rate per port pair against the joint phase phi + psi.
 
     analytic mode evaluates the coincidence algebra over a sampled ensemble;
-    montecarlo mode runs the full tag pipeline and counts window totals.
+    montecarlo mode runs the full tag pipeline and counts window totals.  Both
+    fold the path overlaps gamma_A * gamma_B into the fringe envelope.
     """
     _check_mode(mode)
     theta = _joint_phase_grid(cfg, n_points)
     n_pairs = pairs_per_point or cfg.scan.pairs_per_point
     psi = cfg.umzi_b.phase
+    gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
     rates = {pp: np.zeros(theta.size) for pp in PORT_PAIRS}
     sigmas = {pp: np.zeros(theta.size) for pp in PORT_PAIRS}
 
@@ -199,7 +201,7 @@ def run_fringe_scan(
                 n_pairs,
                 seed=cfg.seed,
                 stream=stream,
-                envelope=envelope,
+                envelope=envelope * gamma2,
             )
             for (pa, pb) in PORT_PAIRS:
                 rates[(pa, pb)][k] = fringe.rate(pa, pb)
@@ -482,7 +484,7 @@ def run_pump_sweep(
         cf_sampled[k] = abs(acc) / n_points
         cf_analytic[k] = local_visibility_oracle(float(lw), t_sl)
 
-    gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma if mode == "montecarlo" else 1.0
+    gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
     result = ScanResult(
         kind="pump-sweep",
         x_label="pump_linewidth_hz",
@@ -541,7 +543,13 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic", pairs_per_setting: int | No
     n_pairs = pairs_per_setting or cfg.scan.pairs_per_point
     if mode == "analytic":
         res = chsh_value(
-            cfg.source, cfg.umzi_a, cfg.umzi_b, settings, n_pairs=n_pairs, seed=cfg.seed
+            cfg.source,
+            cfg.umzi_a,
+            cfg.umzi_b,
+            settings,
+            n_pairs=n_pairs,
+            seed=cfg.seed,
+            envelope=cfg.umzi_a.gamma * cfg.umzi_b.gamma,
         )
         return ChshRun(
             s_value=res.s_value,

@@ -39,11 +39,6 @@ _BLOCKS_PER_ITEM = DRAWS_PER_ITEM // 4
 OPEN_INTERVAL_SHIFT = 2.0 ** -54
 
 
-def make_generator(seed: int, *path: int) -> Generator:
-    """Independent generator for the stream keyed by (seed, *path)."""
-    return Generator(Philox(SeedSequence([int(seed), *map(int, path)])))
-
-
 def item_uniforms(seed: int, path: tuple[int, ...], n_items: int, start: int = 0) -> np.ndarray:
     """(n_items, DRAWS_PER_ITEM) uniforms on (0, 1) for items start..start+n_items.
 
@@ -58,8 +53,3 @@ def item_uniforms(seed: int, path: tuple[int, ...], n_items: int, start: int = 0
     u = Generator(bitgen).random(size=(n_items, DRAWS_PER_ITEM))
     u += OPEN_INTERVAL_SHIFT
     return u
-
-
-def open_uniforms(rng: Generator, n: int) -> np.ndarray:
-    """n uniforms strictly inside (0, 1) from an existing generator."""
-    return rng.random(n) + OPEN_INTERVAL_SHIFT

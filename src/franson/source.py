@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .rng import ROLE_SOURCE, item_uniforms, open_uniforms
+from .rng import ROLE_SOURCE, item_uniforms
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,28 +188,6 @@ def sample_pairs(
     ens = PairEnsemble(model, ids, df, dp, xi, t0, eps, seed=seed, stream=stream)
     _check_finite(ens)
     return ens
-
-
-def sample_pair(
-    model: SpectralModel,
-    rng: np.random.Generator,
-    index: int = 0,
-    t_prev: float = 0.0,
-) -> PhotonPair:
-    """Draw the next pair from an explicit generator (single-pair form)."""
-    u = open_uniforms(rng, 8).reshape(1, 8)
-    df, dp, xi, eps, gaps = _pair_columns(model, u)
-    pair = PhotonPair(
-        id=index,
-        df=float(df[0]),
-        dp=float(dp[0]),
-        xi=float(xi[0]),
-        t0=t_prev + float(gaps[0]),
-        eps=float(eps[0]),
-    )
-    if not all(map(math.isfinite, (pair.df, pair.dp, pair.xi, pair.t0, pair.eps))):
-        raise AssertionError(f"non-finite sample from valid model: {pair}")
-    return pair
 
 
 def _check_finite(ens: PairEnsemble) -> None:

@@ -66,6 +66,11 @@ def test_seed_override_changes_the_data(config_path, tmp_path):
     run(["fringe-scan", "--config", config_path, "--seed", 1, "--out", out1])
     run(["fringe-scan", "--config", config_path, "--seed", 2, "--out", out2])
     assert (out1 / "fringe-scan.csv").read_bytes() != (out2 / "fringe-scan.csv").read_bytes()
+    # the meta file describes the run that was made, override included
+    meta = json.loads((out2 / "fringe-scan.meta.json").read_text())
+    summary = json.loads((out2 / "fringe-scan.json").read_text())
+    assert meta["seed"] == summary["seed"] == 2
+    assert meta["config_hash"] == summary["config_hash"]
 
 
 def test_chsh_json_reports_the_quantum_bound(config_path, tmp_path):
@@ -98,6 +103,15 @@ def test_timetags_then_correlate_matches_the_in_memory_pipeline(config_path, tmp
         if line and not line.startswith("#") and not line.startswith("tau_ps")
     ]
     assert sum(int(r[3]) for r in csv_rows) == expected.counts.sum()
+
+
+def test_zero_pair_dump_correlates_to_an_empty_histogram(config_path, tmp_path):
+    assert run(["timetags", "--config", config_path, "--pairs", 0, "--out", tmp_path]) == 0
+    dump = tmp_path / "timetags.dat"
+    records = [ln for ln in dump.read_text().splitlines() if not ln.startswith("#")]
+    assert records == []
+    assert run(["correlate", "--config", config_path, "--input", dump, "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "correlate.json").read_text())["n_matches"] == 0
 
 
 def test_local_scan_and_crossover_and_tau_decay_run(config_path, tmp_path):

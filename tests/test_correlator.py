@@ -52,6 +52,78 @@ def test_sweep_agrees_with_brute_force(t_a, t_b, tau_lo, width):
     assert got == brute_force_matches(t_a, t_b, tau_lo, tau_hi)
 
 
+# Delays on and just beside every window edge of CFG: +-w, +-side_offset +- w
+# and +-tau_max (ps).
+EDGE_TAUS = [
+    sign * (edge + nudge)
+    for sign in (-1, 1)
+    for edge in (0, 10, 90, 110, 200)
+    for nudge in (-1, 0, 1)
+]
+
+
+def brute_force_histogram(tags_a, tags_b, w, bin_width, tau_max, side, center):
+    """Quadratic all-pairs oracle for correlate's tallies."""
+    n_bins = -((-2 * tau_max) // bin_width)
+    counts = np.zeros((2, 2, n_bins), dtype=np.int64)
+    central = np.zeros((2, 2), dtype=np.int64)
+    side_plus = np.zeros((2, 2), dtype=np.int64)
+    side_minus = np.zeros((2, 2), dtype=np.int64)
+    n_matches = 0
+    for ta, pa in zip(tags_a.time_ps.tolist(), tags_a.port.tolist()):
+        for tb, pb in zip(tags_b.time_ps.tolist(), tags_b.port.tolist()):
+            rel = ta - tb - center
+            if not -tau_max <= rel <= tau_max:
+                continue
+            n_matches += 1
+            # last bin whose lower edge is <= rel; rel == +tau_max lands in the last bin
+            k = max(j for j in range(n_bins) if -tau_max + j * bin_width <= rel)
+            counts[pa - 5, pb - 5, k] += 1
+            if abs(rel) <= w:
+                central[pa - 5, pb - 5] += 1
+            if abs(rel - side) <= w:
+                side_plus[pa - 5, pb - 5] += 1
+            if abs(rel + side) <= w:
+                side_minus[pa - 5, pb - 5] += 1
+    return counts, central, side_plus, side_minus, n_matches
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_b=st.lists(st.integers(0, 600), min_size=0, max_size=25),
+    offsets=st.lists(
+        st.tuples(
+            st.integers(0, 24),
+            st.one_of(st.sampled_from(EDGE_TAUS), st.integers(-260, 260)),
+        ),
+        min_size=0,
+        max_size=25,
+    ),
+    ports=st.lists(st.sampled_from([5, 6]), min_size=50, max_size=50),
+    bin_ps=st.sampled_from([2, 3, 7]),
+    center_ps=st.sampled_from([0, -50]),
+)
+def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, center_ps):
+    # A tags sit at chosen delays from B tags, so edge taus and duplicate
+    # timestamps occur often; every tag gets a random port.
+    t_a = [t_b[j % len(t_b)] + center_ps + tau for j, tau in offsets] if t_b else []
+    tags_a = stream("A", t_a, ports[: len(t_a)])
+    tags_b = stream("B", t_b, ports[25 : 25 + len(t_b)])
+    cfg = CorrelatorConfig(
+        window=10e-12, bin_width=bin_ps * 1e-12, tau_max=200e-12, side_offset=100e-12
+    )
+    hist = correlate(tags_a, tags_b, cfg, center=center_ps * 1e-12)
+    counts, central, side_plus, side_minus, n_matches = brute_force_histogram(
+        tags_a, tags_b, 10, bin_ps, 200, 100, center_ps
+    )
+    assert np.array_equal(hist.counts, counts)
+    assert np.array_equal(hist.central, central)
+    assert np.array_equal(hist.side_plus, side_plus)
+    assert np.array_equal(hist.side_minus, side_minus)
+    assert hist.n_matches == n_matches
+    assert hist.n_comparisons == len(tags_a) + n_matches
+
+
 def test_empty_streams_give_empty_histogram():
     hist = correlate(stream("A", []), stream("B", []), CFG)
     assert hist.counts.sum() == 0

@@ -9,14 +9,12 @@ from franson.detection import (
     DetectorModel,
     branch_from_tau,
     read_timetags,
-    sample_event_pair,
     simulate_tags,
     to_picoseconds,
     write_timetags,
 )
 from franson.interferometer import UmziConfig
-from franson.rng import ROLE_DETECTION, make_generator
-from franson.source import PairEnsemble, PhotonPair, SpectralModel, sample_pairs
+from franson.source import PairEnsemble, SpectralModel, sample_pairs
 
 T_SL = 100e-12
 T_SL_PS = 100
@@ -148,26 +146,13 @@ def test_global_phase_never_reaches_the_tags():
     assert np.array_equal(b1.port, b2.port)
 
 
-def test_single_pair_op_matches_batch_layout():
-    mdl = model()
-    pairs = sample_pairs(mdl, 1, seed=8, stream=3)
-    det = DetectorModel(jitter=2e-12, efficiency=1.0)
-    batch_a, batch_b = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=8, stream=3)
-    rng = make_generator(8, 3, ROLE_DETECTION)
-    tags = sample_event_pair(pairs[0], umzi(), umzi(party="B"), det, rng)
-    assert len(tags) == 2
-    assert tags[0].party == "A" and tags[1].party == "B"
-    assert tags[0].time_ps == batch_a.time_ps[0]
-    assert tags[1].time_ps == batch_b.time_ps[0]
-    assert tags[0].port == batch_a.port[0]
-
-
-def test_single_pair_op_can_drop_tags():
+def test_simulate_tags_can_drop_tags():
     det = DetectorModel(jitter=0.0, efficiency=0.4)
-    p = PhotonPair(id=0, df=0.0, dp=0.0, xi=0.0, t0=1e-6, eps=0.0)
-    rng = make_generator(9, 0, ROLE_DETECTION)
-    counts = [len(sample_event_pair(p, umzi(), umzi(party="B"), det, rng)) for _ in range(400)]
-    assert set(counts) <= {0, 1, 2}
+    tags_a, tags_b = simulate_tags(clean_ensemble(400), umzi(), umzi(party="B"), det, seed=9)
+    _, ids_a = tags_a.diagnostics()
+    _, ids_b = tags_b.diagnostics()
+    counts = np.bincount(ids_a, minlength=400) + np.bincount(ids_b, minlength=400)
+    assert set(counts.tolist()) <= {0, 1, 2}
     assert np.mean(counts) == pytest.approx(2 * 0.4, abs=0.1)
 
 
@@ -193,6 +178,9 @@ def test_read_timetags_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.dat"
     path.write_text("not a dump\n")
     with pytest.raises(ValueError, match="magic"):
+        read_timetags(path)
+    path.write_text("# franson-timetags v1\nA 5 1000\nA 7 1000\n")
+    with pytest.raises(ValueError, match=r"junk.dat:3: port must be 5 or 6"):
         read_timetags(path)
 
 

@@ -158,6 +158,19 @@ def test_chsh_analytic_and_montecarlo():
     assert abs(mc.s_value - ana.s_value) < 4.0 * mc.s_err
 
 
+def test_analytic_runners_apply_the_path_overlaps():
+    cfg = ideal_config(pairs_per_point=2_000)
+    cfg = replace(
+        cfg, umzi_a=replace(cfg.umzi_a, gamma=0.5), umzi_b=replace(cfg.umzi_b, gamma=0.5)
+    )
+    assert fr.run_fringe_scan(cfg, mode="analytic").visibility == pytest.approx(0.25, abs=1e-9)
+    s_value = fr.run_chsh(cfg, mode="analytic").s_value
+    assert s_value == pytest.approx(2.0 * math.sqrt(2.0) * 0.25, abs=1e-6)
+    pump = fr.run_pump_sweep(cfg, mode="analytic", pairs_per_point=2_000)
+    assert pump.columns["visibility"][0] == pytest.approx(0.25, abs=1e-9)
+    np.testing.assert_allclose(pump.columns["visibility"], pump.columns["cf_sampled"], atol=0.01)
+
+
 def test_simulate_point_returns_the_whole_pipeline():
     cfg = ideal_config(pairs_per_point=2_000)
     pairs, tags_a, tags_b, hist = simulate_point(cfg, stream=0, n_pairs=2_000, phase_a=0.0, phase_b=0.0)

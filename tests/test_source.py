@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from franson.rng import ROLE_SOURCE, make_generator
-from franson.source import PhotonPair, SpectralModel, sample_pair, sample_pairs
+from franson.source import SpectralModel, sample_pairs
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))  # FWHM = factor * sigma
 
@@ -113,19 +112,6 @@ def test_pair_sequence_is_defined_by_index_not_batch():
     # emission gaps (not absolute times) are index-addressable as well,
     # up to the prefix-sum rounding of t0
     np.testing.assert_allclose(np.diff(full.t0)[40:], np.diff(tail.t0), rtol=1e-9)
-
-
-def test_single_pair_op_matches_the_batch_layout():
-    model = make_model(pump_linewidth=1e9)
-    batch = sample_pairs(model, 1, seed=21, stream=4)
-    rng = make_generator(21, 4, ROLE_SOURCE)
-    single = sample_pair(model, rng, index=0, t_prev=0.0)
-    assert isinstance(single, PhotonPair)
-    assert single.df == batch.df[0]
-    assert single.dp == batch.dp[0]
-    assert single.xi == batch.xi[0]
-    assert single.eps == batch.eps[0]
-    assert single.t0 == batch.t0[0]
 
 
 @pytest.mark.parametrize(
