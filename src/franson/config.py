@@ -1,9 +1,11 @@
 """Run configuration: parsing, validation, defaults and hashing.
 
-Configs are JSON with one object per module section.  Unknown keys are
-rejected by name; every numeric invariant of the domain types is checked at
-parse time and regime warnings (critical delay condition, narrowband
-assumption) are collected into ``RunConfig.warnings`` for output metadata.
+Configs are JSON with one object per module section.  The section
+dataclasses are the schema: their fields are the keys and their defaults are
+the defaults.  Unknown keys are rejected by name; every numeric invariant of
+the domain types is checked at parse time and regime warnings (critical delay
+condition, narrowband assumption) are collected into ``RunConfig.warnings``
+for output metadata.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .correlator import CorrelatorConfig
@@ -21,31 +23,6 @@ from .interferometer import UmziConfig, default_overlap, regime_flags
 from .source import SpectralModel
 
 SCHEMA_VERSION = "1"
-
-DEFAULTS: dict = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 0,
-    "source": {
-        "f0": 3.7e14,
-        "delta": 1e12,
-        "pump_linewidth": 0.0,
-        "tau_ind": 10e-9,
-        "pair_rate": 1e6,
-    },
-    "umzi_a": {"t_sl": 100e-12, "phase": 0.0, "gamma": None},
-    "umzi_b": {"t_sl": 100e-12, "phase": 0.0, "gamma": None},
-    "detector": {"jitter": 2e-12, "efficiency": 1.0},
-    "correlator": {
-        "window": 10e-12,
-        "bin_width": 2e-12,
-        "tau_max": 200e-12,
-    },
-    "scan": {
-        "n_points": 16,
-        "pairs_per_point": 100_000,
-        "chsh_settings": [0.0, math.pi / 2, -math.pi / 4, math.pi / 4],
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -85,41 +62,29 @@ class RunConfig:
     flags: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "seed": self.seed,
-            "source": {
-                "f0": self.source.f0,
-                "delta": self.source.delta,
-                "pump_linewidth": self.source.pump_linewidth,
-                "tau_ind": self.source.tau_ind,
-                "pair_rate": self.source.pair_rate,
-            },
-            "umzi_a": {
-                "t_sl": self.umzi_a.t_sl,
-                "phase": self.umzi_a.phase,
-                "gamma": self.umzi_a.gamma,
-            },
-            "umzi_b": {
-                "t_sl": self.umzi_b.t_sl,
-                "phase": self.umzi_b.phase,
-                "gamma": self.umzi_b.gamma,
-            },
-            "detector": {
-                "jitter": self.detector.jitter,
-                "efficiency": self.detector.efficiency,
-            },
-            "correlator": {
-                "window": self.correlator.window,
-                "bin_width": self.correlator.bin_width,
-                "tau_max": self.correlator.tau_max,
-            },
-            "scan": {
-                "n_points": self.scan.n_points,
-                "pairs_per_point": self.scan.pairs_per_point,
-                "chsh_settings": list(self.scan.chsh_settings),
-            },
-        }
+        out = {"schema_version": self.schema_version, "seed": self.seed}
+        for section in SECTIONS:
+            obj = getattr(self, section)
+            out[section] = {name: getattr(obj, name) for name in _keys(type(obj))}
+        return out
+
+
+# Each config section and the dataclass it builds; the dataclass defaults are
+# the config defaults.
+SECTIONS = {
+    "source": SpectralModel,
+    "umzi_a": UmziConfig,
+    "umzi_b": UmziConfig,
+    "detector": DetectorModel,
+    "correlator": CorrelatorConfig,
+    "scan": ScanConfig,
+}
+# Fields derived from other sections, never read from a config.
+DERIVED = ("party", "side_offset")
+
+
+def _keys(cls) -> list[str]:
+    return [f.name for f in fields(cls) if f.name not in DERIVED]
 
 
 def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
@@ -129,47 +94,48 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
             raise ConfigError(f"unknown config key: {where!r}")
 
 
-def _merged(section: str, data: dict) -> dict:
+def _section(section: str, data: dict) -> dict:
+    """The keys a config gives for one section, checked against its fields."""
     given = data.get(section, {})
     if not isinstance(given, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    defaults = DEFAULTS[section]
-    _reject_unknown(section, given, set(defaults))
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
+    _reject_unknown(section, given, set(_keys(SECTIONS[section])))
+    return dict(given)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build and validate a RunConfig from a plain dict (defaults applied)."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown("", data, set(DEFAULTS))
+    _reject_unknown("", data, {"schema_version", "seed", *SECTIONS})
 
     version = data.get("schema_version", SCHEMA_VERSION)
     if str(version) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})")
 
-    seed = data.get("seed", DEFAULTS["seed"])
+    seed = data.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     try:
-        src = SpectralModel(**_merged("source", data))
-        det = DetectorModel(**_merged("detector", data))
-        cor = CorrelatorConfig(**_merged("correlator", data), side_offset=0.0)
-        scan_kwargs = _merged("scan", data)
-        scan_kwargs["chsh_settings"] = tuple(scan_kwargs["chsh_settings"])
+        src = SpectralModel(**_section("source", data))
+        det = DetectorModel(**_section("detector", data))
+        scan_kwargs = _section("scan", data)
+        if "chsh_settings" in scan_kwargs:
+            scan_kwargs["chsh_settings"] = tuple(scan_kwargs["chsh_settings"])
         scan = ScanConfig(**scan_kwargs)
 
         umzis = {}
         for section, party in (("umzi_a", "A"), ("umzi_b", "B")):
-            kwargs = _merged(section, data)
-            if kwargs["gamma"] is None:
-                kwargs["gamma"] = default_overlap(kwargs["t_sl"], src.tau_ind)
-            umzis[party] = UmziConfig(party=party, **kwargs)
+            kwargs = _section(section, data)
+            # gamma null or absent: the overlap of a photon delayed by t_sl
+            gamma = kwargs.pop("gamma", None)
+            umzi = UmziConfig(party=party, **kwargs)
+            if gamma is None:
+                gamma = default_overlap(umzi.t_sl, src.tau_ind)
+            umzis[party] = replace(umzi, gamma=gamma)
 
-        cor = replace(cor, side_offset=umzis["A"].t_sl)
+        cor = CorrelatorConfig(**_section("correlator", data), side_offset=umzis["A"].t_sl)
 
         warnings: list[str] = []
         warnings += src.validate()

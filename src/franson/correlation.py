@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import UndefinedCorrelationError
 from .interferometer import UmziConfig
-from .source import PhotonPair, SpectralModel, sample_pairs
+from .source import PairEnsemble, PhotonPair, SpectralModel, sample_pairs
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -176,12 +176,18 @@ def ensemble_fringe(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    pairs = sample_pairs(model, n_pairs, seed, stream=stream)
+    return pair_fringe(sample_pairs(model, n_pairs, seed, stream=stream), cfg_a, cfg_b, envelope)
+
+
+def pair_fringe(
+    pairs: PairEnsemble, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope: float = 1.0
+) -> EnsembleFringe:
+    """Mean central-peak rates over the given pairs, with their standard errors."""
     rates = central_rate_table(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
     return EnsembleFringe(
         rates=rates.mean(axis=-1),
-        stderr=rates.std(axis=-1) / math.sqrt(n_pairs),
-        n_pairs=n_pairs,
+        stderr=rates.std(axis=-1) / math.sqrt(len(pairs)),
+        n_pairs=len(pairs),
     )
 
 
@@ -215,15 +221,8 @@ def chsh_value(
     S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')|; with the sum-phase fringe
     E(x, y) = V cos(x + y), the settings (0, pi/2, -pi/4, pi/4) reach 2*sqrt(2).
     """
-    a, a_prime, b, b_prime = settings
-    combos = {
-        "ab": (a, b),
-        "ab'": (a, b_prime),
-        "a'b": (a_prime, b),
-        "a'b'": (a_prime, b_prime),
-    }
     corr = {}
-    for k, (name, (pa, pb)) in enumerate(combos.items()):
+    for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
         fringe = ensemble_fringe(
             model,
             replace(cfg_a, phase=pa),
@@ -234,8 +233,18 @@ def chsh_value(
             envelope=envelope,
         )
         corr[name] = correlation_coefficient(fringe.rates)
-    s_value = abs(corr["ab"] + corr["ab'"] + corr["a'b"] - corr["a'b'"])
-    return ChshResult(s_value=s_value, correlations=corr, settings=tuple(settings))
+    return ChshResult(s_value=chsh_sum(corr), correlations=corr, settings=tuple(settings))
+
+
+def chsh_combinations(settings) -> dict[str, tuple[float, float]]:
+    """The four (phase_a, phase_b) combinations of the settings (a, a', b, b'), by name."""
+    a, a_prime, b, b_prime = settings
+    return {"ab": (a, b), "ab'": (a, b_prime), "a'b": (a_prime, b), "a'b'": (a_prime, b_prime)}
+
+
+def chsh_sum(corr: dict[str, float]) -> float:
+    """S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')| over the named correlations."""
+    return abs(corr["ab"] + corr["ab'"] + corr["a'b"] - corr["a'b'"])
 
 
 def stream_for_setting(k: int) -> int:

@@ -44,7 +44,7 @@ def to_picoseconds(seconds) -> np.ndarray:
 class DetectorModel:
     """jitter: RMS timing jitter (s); efficiency: detection probability per photon."""
 
-    jitter: float = 0.0
+    jitter: float = 2e-12
     efficiency: float = 1.0
 
     def validate(self) -> list[str]:
@@ -237,10 +237,23 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
                     key, value = body.split("=", 1)
                     header[key.strip()] = value.strip()
                 continue
-            party, port, time_ps = line.split()
+            try:
+                party, port, time_ps = line.split()
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'party port time_ps', got {line!r}"
+                ) from None
+            rows = records.get(party)
+            if rows is None:
+                raise ValueError(f"{path}:{lineno}: party must be A or B, got {party!r}")
             if port not in ("5", "6"):
                 raise ValueError(f"{path}:{lineno}: port must be 5 or 6, got {port!r}")
-            records[party].append((int(port), int(time_ps)))
+            try:
+                rows.append((int(port), int(time_ps)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: time_ps must be an integer, got {time_ps!r}"
+                ) from None
 
     def build(party: str) -> TagStream:
         rows = records[party]

@@ -5,6 +5,11 @@ standard errors, fits the fringe and returns a ScanResult that serializes to
 CSV and a JSON summary.  Every scan point draws from an independent random
 substream keyed by (seed, run kind, point index), so reruns are bit-identical
 and points are uncorrelated.
+
+The runners share one skeleton: :func:`_point` draws a point's pairs once and
+returns them with the point's central-peak rates, :func:`_fit_curves` fits
+and packages the port-pair curves, and :func:`_stamped` builds every result
+with its provenance and validates it.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ import numpy as np
 from . import rng as rng_mod
 from .config import RunConfig, config_hash
 from .correlation import (
-    ensemble_fringe,
+    chsh_combinations,
+    chsh_sum,
     chsh_value,
     correlation_coefficient,
     overlap_envelope,
+    pair_fringe,
     stream_for_setting,
 )
 from .correlator import CoincidenceHistogram, correlate
@@ -113,6 +120,59 @@ class ScanResult:
         }
 
 
+@dataclass
+class ChshRun:
+    """CHSH result with provenance."""
+
+    s_value: float
+    s_err: float
+    correlations: dict[str, float]
+    settings: tuple[float, float, float, float]
+    mode: str
+    seed: int
+    config_hash: str
+    pairs_per_setting: int
+    warnings: list[str] = field(default_factory=list)
+
+    def validate(self) -> None:
+        # |E| <= 1 for every setting pair bounds S by 4 in any theory
+        for name, e_val in self.correlations.items():
+            if not abs(e_val) <= 1.0 + 1e-12:
+                raise AssertionError(f"correlation E({name}) outside [-1, 1]: {e_val}")
+
+    def to_summary_dict(self) -> dict:
+        return {
+            "kind": "chsh",
+            "mode": self.mode,
+            "seed": self.seed,
+            "config_hash": self.config_hash,
+            "pairs_per_setting": self.pairs_per_setting,
+            "s_value": self.s_value,
+            "s_err": self.s_err,
+            "correlations": self.correlations,
+            "settings": list(self.settings),
+            "warnings": list(self.warnings),
+        }
+
+
+def _stamped(cls, cfg: RunConfig, mode: str, warnings=(), **fields):
+    """Build a ScanResult or ChshRun with its provenance and validate it.
+
+    The provenance is the seed, the config hash, the mode, and the config's
+    warnings ahead of the run's own; ``fields`` carries the rest, the pair
+    count included.
+    """
+    result = cls(
+        seed=cfg.seed,
+        config_hash=config_hash(cfg),
+        mode=mode,
+        warnings=[*cfg.warnings, *warnings],
+        **fields,
+    )
+    result.validate()
+    return result
+
+
 def _joint_phase_grid(cfg: RunConfig, n_points: int | None = None) -> np.ndarray:
     n = n_points or cfg.scan.n_points
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
@@ -146,24 +206,62 @@ def simulate_point(
     return pairs, tags_a, tags_b, hist
 
 
-def _central_rate_columns(theta, rates, sigmas):
+def _counted_rates(hist: CoincidenceHistogram, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Central-window counts per pair and their Poisson errors, floored at one
+    count; both (2, 2) over (port_a, port_b)."""
+    return hist.central / n_pairs, np.sqrt(np.maximum(hist.central, 1.0)) / n_pairs
+
+
+def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0, **delays):
+    """One scan point, its pairs drawn once: (pairs, central rates, stderr).
+
+    Rates and errors are (2, 2) over (port_a, port_b).  analytic mode averages
+    the rate algebra over the pairs, with gamma_A * gamma_B folded into the
+    envelope; montecarlo mode counts the central window of the full tag
+    pipeline, where ``delays`` (extra_delay_b, center) apply.
+    """
+    if mode == "analytic":
+        pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
+        cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
+        cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
+        fringe = pair_fringe(pairs, cfg_a, cfg_b, envelope * (cfg.umzi_a.gamma * cfg.umzi_b.gamma))
+        return pairs, fringe.rates, fringe.stderr
+    pairs, _, _, hist = simulate_point(cfg, stream, n_pairs, phase_a, phase_b, envelope, **delays)
+    return (pairs, *_counted_rates(hist, n_pairs))
+
+
+def _fit_curves(port_x, rates, stderr, curves=None) -> tuple[dict, list[str]]:
+    """Fit and package a scan's curves as ScanResult fields.
+
+    Fits each named (x, y) curve in ``curves``, then the four port-pair rate
+    curves against ``port_x`` weighted by their errors.  Returns the fields
+    (rate and stderr columns, fits, and the port-55 fit as the headline
+    visibility and phase) and one warning per fit that failed.
+    """
+    named = {name: (x, y, None) for name, (x, y) in (curves or {}).items()}
     columns = {}
-    for (pa, pb) in PORT_PAIRS:
-        columns[f"rate_{pa}{pb}"] = rates[(pa, pb)]
-        columns[f"stderr_{pa}{pb}"] = sigmas[(pa, pb)]
-    return columns
-
-
-def _fit_port_pairs(theta, rates, sigmas):
-    fits = {}
-    fit_warnings = []
-    for (pa, pb) in PORT_PAIRS:
+    for pa, pb in PORT_PAIRS:
         name = f"{pa}{pb}"
+        columns[f"rate_{name}"] = rates[pa - 5, pb - 5]
+        columns[f"stderr_{name}"] = stderr[pa - 5, pb - 5]
+        named[name] = (port_x, rates[pa - 5, pb - 5], stderr[pa - 5, pb - 5])
+    fits = {}
+    warnings = []
+    for name, (x, y, sigma) in named.items():
         try:
-            fits[name] = fit_cosine(theta, rates[(pa, pb)], sigma=sigmas[(pa, pb)])
+            fits[name] = fit_cosine(x, y, sigma=sigma)
         except FitError as exc:
-            fit_warnings.append(f"fit failed for port pair {name}: {exc}")
-    return fits, fit_warnings
+            what = f"port pair {name}" if name.isdigit() else name
+            warnings.append(f"fit failed for {what}: {exc}")
+    fields = {"columns": columns, "fits": fits}
+    primary = fits.get("55")
+    if primary:
+        fields.update(
+            visibility=primary.visibility,
+            visibility_err=primary.visibility_err,
+            phase_offset=wrap_phase(primary.phase),
+        )
+    return fields, warnings
 
 
 def run_fringe_scan(
@@ -186,61 +284,32 @@ def run_fringe_scan(
     theta = _joint_phase_grid(cfg, n_points)
     n_pairs = pairs_per_point or cfg.scan.pairs_per_point
     psi = cfg.umzi_b.phase
-    gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
-    rates = {pp: np.zeros(theta.size) for pp in PORT_PAIRS}
-    sigmas = {pp: np.zeros(theta.size) for pp in PORT_PAIRS}
-
+    rates = np.zeros((2, 2, theta.size))
+    stderr = np.zeros((2, 2, theta.size))
     for k, th in enumerate(theta):
-        phase_a = th - psi
         stream = _stream(kind_tag, k)
-        if mode == "analytic":
-            fringe = ensemble_fringe(
-                cfg.source,
-                replace(cfg.umzi_a, phase=float(phase_a)),
-                cfg.umzi_b,
-                n_pairs,
-                seed=cfg.seed,
-                stream=stream,
-                envelope=envelope * gamma2,
-            )
-            for (pa, pb) in PORT_PAIRS:
-                rates[(pa, pb)][k] = fringe.rate(pa, pb)
-                sigmas[(pa, pb)][k] = fringe.stderr[pa - 5, pb - 5]
-        else:
-            _, _, _, hist = simulate_point(
-                cfg,
-                stream,
-                n_pairs,
-                phase_a,
-                psi,
-                envelope=envelope,
-                extra_delay_b=extra_delay_b,
-                center=center,
-            )
-            for (pa, pb) in PORT_PAIRS:
-                count = hist.central[pa - 5, pb - 5]
-                rates[(pa, pb)][k] = count / n_pairs
-                sigmas[(pa, pb)][k] = math.sqrt(max(count, 1.0)) / n_pairs
+        # [1:] lets the point's pairs go before the next point draws its own
+        rates[..., k], stderr[..., k] = _point(
+            cfg, mode, stream, n_pairs, th - psi, psi, envelope,
+            extra_delay_b=extra_delay_b, center=center,
+        )[1:]
+    return _fringe_result(cfg, mode, theta, rates, stderr, n_pairs)
 
-    fits, fit_warnings = _fit_port_pairs(theta, rates, sigmas)
-    primary = fits.get("55")
-    result = ScanResult(
+
+def _fringe_result(cfg, mode, theta, rates, stderr, n_pairs) -> ScanResult:
+    """The fringe-scan ScanResult of a joint-phase grid's rates and errors."""
+    fields, fit_warnings = _fit_curves(theta, rates, stderr)
+    return _stamped(
+        ScanResult,
+        cfg,
+        mode,
+        fit_warnings,
         kind="fringe-scan",
         x_label="joint_phase_rad",
         x=theta,
-        columns=_central_rate_columns(theta, rates, sigmas),
-        fits=fits,
-        visibility=primary.visibility if primary else math.nan,
-        visibility_err=primary.visibility_err if primary else math.nan,
-        phase_offset=wrap_phase(primary.phase) if primary else math.nan,
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        mode=mode,
         pairs_per_point=n_pairs,
-        warnings=list(cfg.warnings) + fit_warnings,
+        **fields,
     )
-    result.validate()
-    return result
 
 
 def run_local_scan(
@@ -258,17 +327,17 @@ def run_local_scan(
     """
     theta = _joint_phase_grid(cfg, n_points)
     n_pairs = pairs_per_point or cfg.scan.pairs_per_point
-    model = cfg.source
     local_a = np.zeros(theta.size)
     local_b = np.zeros(theta.size)
     singles_a5 = np.zeros(theta.size)
     singles_b5 = np.zeros(theta.size)
-    rates = {pp: np.zeros(theta.size) for pp in PORT_PAIRS}
-    sigmas = {pp: np.zeros(theta.size) for pp in PORT_PAIRS}
+    rates = np.zeros((2, 2, theta.size))
+    stderr = np.zeros((2, 2, theta.size))
 
     for k, th in enumerate(theta):
         stream = _stream(rng_mod.KIND_LOCAL, k)
         pairs, tags_a, tags_b, hist = simulate_point(cfg, stream, n_pairs, th, th)
+        rates[..., k], stderr[..., k] = _counted_rates(hist, n_pairs)
         angle_a = TWO_PI * (pairs.detuning_signal * cfg.umzi_a.t_sl) + th
         angle_b = TWO_PI * (pairs.detuning_idler * cfg.umzi_b.t_sl) + th
         local_a[k] = local_intensities(angle_a, cfg.umzi_a.gamma)[0].mean()
@@ -277,62 +346,40 @@ def run_local_scan(
         counts_b = tags_b.port_counts()
         singles_a5[k] = counts_a[5] / max(counts_a[5] + counts_a[6], 1)
         singles_b5[k] = counts_b[5] / max(counts_b[5] + counts_b[6], 1)
-        for (pa, pb) in PORT_PAIRS:
-            count = hist.central[pa - 5, pb - 5]
-            rates[(pa, pb)][k] = count / n_pairs
-            sigmas[(pa, pb)][k] = math.sqrt(max(count, 1.0)) / n_pairs
 
-    nonlocal_x = 2.0 * theta
-    fits = {}
-    fit_warnings: list[str] = []
-    for name, ys in (("local_a", local_a), ("local_b", local_b)):
-        try:
-            fits[name] = fit_cosine(theta, ys)
-        except FitError as exc:
-            fit_warnings.append(f"fit failed for {name}: {exc}")
-    for name, ys in (("singles_a5", singles_a5), ("singles_b5", singles_b5)):
-        try:
-            fits[name] = fit_cosine(theta, ys)
-        except FitError as exc:
-            fit_warnings.append(f"fit failed for {name}: {exc}")
-    for (pa, pb) in PORT_PAIRS:
-        name = f"{pa}{pb}"
-        try:
-            fits[name] = fit_cosine(nonlocal_x, rates[(pa, pb)], sigma=sigmas[(pa, pb)])
-        except FitError as exc:
-            fit_warnings.append(f"fit failed for port pair {name}: {exc}")
-
-    columns = _central_rate_columns(theta, rates, sigmas)
-    columns["local_i5_a"] = local_a
-    columns["local_i5_b"] = local_b
-    columns["singles_a5_fraction"] = singles_a5
-    columns["singles_b5_fraction"] = singles_b5
-
-    nonlocal_fit = fits.get("55")
-    result = ScanResult(
+    curves = {
+        "local_a": (theta, local_a),
+        "local_b": (theta, local_b),
+        "singles_a5": (theta, singles_a5),
+        "singles_b5": (theta, singles_b5),
+    }
+    fields, fit_warnings = _fit_curves(2.0 * theta, rates, stderr, curves)
+    fields["columns"].update(
+        local_i5_a=local_a,
+        local_i5_b=local_b,
+        singles_a5_fraction=singles_a5,
+        singles_b5_fraction=singles_b5,
+    )
+    fits = fields["fits"]
+    extras = {
+        "visibility_local_a": fits["local_a"].visibility if "local_a" in fits else math.nan,
+        "visibility_local_b": fits["local_b"].visibility if "local_b" in fits else math.nan,
+        "visibility_singles_a": fits["singles_a5"].visibility if "singles_a5" in fits else math.nan,
+        "visibility_singles_b": fits["singles_b5"].visibility if "singles_b5" in fits else math.nan,
+        "visibility_nonlocal": fields.get("visibility", math.nan),
+    }
+    return _stamped(
+        ScanResult,
+        cfg,
+        "montecarlo",
+        fit_warnings,
         kind="local-scan",
         x_label="phase_rad",
         x=theta,
-        columns=columns,
-        fits=fits,
-        visibility=nonlocal_fit.visibility if nonlocal_fit else math.nan,
-        visibility_err=nonlocal_fit.visibility_err if nonlocal_fit else math.nan,
-        phase_offset=wrap_phase(nonlocal_fit.phase) if nonlocal_fit else math.nan,
-        extras={
-            "visibility_local_a": fits["local_a"].visibility if "local_a" in fits else math.nan,
-            "visibility_local_b": fits["local_b"].visibility if "local_b" in fits else math.nan,
-            "visibility_singles_a": fits["singles_a5"].visibility if "singles_a5" in fits else math.nan,
-            "visibility_singles_b": fits["singles_b5"].visibility if "singles_b5" in fits else math.nan,
-            "visibility_nonlocal": nonlocal_fit.visibility if nonlocal_fit else math.nan,
-        },
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        mode="montecarlo",
+        extras=extras,
         pairs_per_point=n_pairs,
-        warnings=list(cfg.warnings) + fit_warnings,
+        **fields,
     )
-    result.validate()
-    return result
 
 
 def run_crossover_sweep(
@@ -364,21 +411,18 @@ def run_crossover_sweep(
         vis[k] = fringe.visibility
         oracle[k] = cfg.umzi_a.gamma * local_visibility_oracle(model.delta, t_sl)
 
-    result = ScanResult(
+    return _stamped(
+        ScanResult,
+        cfg,
+        "montecarlo",
         kind="crossover",
         x_label="delta_t_sl",
         x=grid,
         columns={"visibility_local": vis, "visibility_oracle": oracle},
         visibility=float(vis[-1]),
         extras={"max_abs_deviation": float(np.max(np.abs(vis - oracle)))},
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        mode="montecarlo",
         pairs_per_point=n_pairs,
-        warnings=list(cfg.warnings),
     )
-    result.validate()
-    return result
 
 
 def run_tau_decay(
@@ -421,7 +465,10 @@ def run_tau_decay(
         vis[k] = sub.visibility
         err[k] = sub.visibility_err
 
-    result = ScanResult(
+    return _stamped(
+        ScanResult,
+        cfg,
+        mode,
         kind="tau-decay",
         x_label="tau_offset_s",
         x=offsets,
@@ -433,14 +480,8 @@ def run_tau_decay(
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
         extras={"half_visibility_scale_s": float(0.6 / delta)},
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        mode=mode,
         pairs_per_point=n_pairs,
-        warnings=list(cfg.warnings),
     )
-    result.validate()
-    return result
 
 
 def run_pump_sweep(
@@ -467,25 +508,31 @@ def run_pump_sweep(
     err = np.zeros(linewidths.size)
     cf_sampled = np.zeros(linewidths.size)
     cf_analytic = np.zeros(linewidths.size)
+    theta = _joint_phase_grid(cfg, n_points)
+    psi = cfg.umzi_b.phase
     for k, lw in enumerate(linewidths):
-        model = replace(cfg.source, pump_linewidth=float(lw))
-        sub_cfg = replace(cfg, source=model)
-        kind_tag = rng_mod.KIND_PUMP * 100 + k
-        sub = run_fringe_scan(
-            sub_cfg, mode=mode, n_points=n_points, pairs_per_point=n_pairs, kind_tag=kind_tag
-        )
+        sub_cfg = replace(cfg, source=replace(cfg.source, pump_linewidth=float(lw)))
+        rates = np.zeros((2, 2, theta.size))
+        stderr = np.zeros((2, 2, theta.size))
+        acc = 0.0 + 0.0j
+        for j, th in enumerate(theta):
+            stream = _stream(rng_mod.KIND_PUMP * 100 + k, j)
+            pairs, rates[..., j], stderr[..., j] = _point(
+                sub_cfg, mode, stream, n_pairs, th - psi, psi
+            )
+            # pooled empirical CF of the very pairs the fringe scan drew
+            acc += np.exp(1j * TWO_PI * pairs.dp * t_sl).mean()
+        sub = _fringe_result(sub_cfg, mode, theta, rates, stderr, n_pairs)
         vis[k] = sub.visibility
         err[k] = sub.visibility_err
-        # Pooled empirical CF of the same substreams the scan consumed.
-        acc = 0.0 + 0.0j
-        for point in range(n_points):
-            pairs = sample_pairs(model, n_pairs, cfg.seed, stream=_stream(kind_tag, point))
-            acc += np.exp(1j * TWO_PI * pairs.dp * t_sl).mean()
         cf_sampled[k] = abs(acc) / n_points
         cf_analytic[k] = local_visibility_oracle(float(lw), t_sl)
 
     gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
-    result = ScanResult(
+    return _stamped(
+        ScanResult,
+        cfg,
+        mode,
         kind="pump-sweep",
         x_label="pump_linewidth_hz",
         x=linewidths,
@@ -497,43 +544,8 @@ def run_pump_sweep(
         },
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        mode=mode,
         pairs_per_point=n_pairs,
-        warnings=list(cfg.warnings),
     )
-    result.validate()
-    return result
-
-
-@dataclass
-class ChshRun:
-    """CHSH result with provenance."""
-
-    s_value: float
-    s_err: float
-    correlations: dict[str, float]
-    settings: tuple[float, float, float, float]
-    mode: str
-    seed: int
-    config_hash: str
-    pairs_per_setting: int
-    warnings: list[str] = field(default_factory=list)
-
-    def to_summary_dict(self) -> dict:
-        return {
-            "kind": "chsh",
-            "mode": self.mode,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "pairs_per_setting": self.pairs_per_setting,
-            "s_value": self.s_value,
-            "s_err": self.s_err,
-            "correlations": self.correlations,
-            "settings": list(self.settings),
-            "warnings": list(self.warnings),
-        }
 
 
 def run_chsh(cfg: RunConfig, mode: str = "analytic", pairs_per_setting: int | None = None) -> ChshRun:
@@ -551,45 +563,32 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic", pairs_per_setting: int | No
             seed=cfg.seed,
             envelope=cfg.umzi_a.gamma * cfg.umzi_b.gamma,
         )
-        return ChshRun(
-            s_value=res.s_value,
-            s_err=0.0,
-            correlations=res.correlations,
-            settings=settings,
-            mode=mode,
-            seed=cfg.seed,
-            config_hash=config_hash(cfg),
-            pairs_per_setting=n_pairs,
-            warnings=list(cfg.warnings),
-        )
-
-    a, a_prime, b, b_prime = settings
-    combos = {"ab": (a, b), "ab'": (a, b_prime), "a'b": (a_prime, b), "a'b'": (a_prime, b_prime)}
-    corr = {}
-    var_sum = 0.0
-    for k, (name, (pa, pb)) in enumerate(combos.items()):
-        stream = _stream(rng_mod.KIND_CHSH, stream_for_setting(k))
-        _, _, _, hist = simulate_point(cfg, stream, n_pairs, pa, pb)
-        counts = hist.central.astype(np.float64)
-        total = counts.sum()
-        if total <= 0:
-            raise UndefinedCorrelationError(
-                f"no central coincidences for setting combination {name}"
-            )
-        e_val = correlation_coefficient(counts)
-        corr[name] = e_val
-        var_sum += max(1.0 - e_val**2, 1.0 / total) / total
-    s_value = abs(corr["ab"] + corr["ab'"] + corr["a'b"] - corr["a'b'"])
-    return ChshRun(
+        corr, s_value, s_err = res.correlations, res.s_value, 0.0
+    else:
+        corr = {}
+        var_sum = 0.0
+        for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
+            stream = _stream(rng_mod.KIND_CHSH, stream_for_setting(k))
+            _, _, _, hist = simulate_point(cfg, stream, n_pairs, pa, pb)
+            counts = hist.central.astype(np.float64)
+            total = counts.sum()
+            if total <= 0:
+                raise UndefinedCorrelationError(
+                    f"no central coincidences for setting combination {name}"
+                )
+            e_val = correlation_coefficient(counts)
+            corr[name] = e_val
+            var_sum += max(1.0 - e_val**2, 1.0 / total) / total
+        s_value, s_err = chsh_sum(corr), math.sqrt(var_sum)
+    return _stamped(
+        ChshRun,
+        cfg,
+        mode,
         s_value=s_value,
-        s_err=math.sqrt(var_sum),
+        s_err=s_err,
         correlations=corr,
         settings=settings,
-        mode=mode,
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
         pairs_per_setting=n_pairs,
-        warnings=list(cfg.warnings),
     )
 
 

@@ -48,7 +48,7 @@ class UmziConfig:
         single-photon interference.
     """
 
-    t_sl: float
+    t_sl: float = 100e-12
     phase: float = 0.0
     party: str = "A"
     gamma: float = 1.0

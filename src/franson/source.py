@@ -39,8 +39,8 @@ class SpectralModel:
     pair_rate: mean pair emission rate (pairs/s).
     """
 
-    f0: float
-    delta: float
+    f0: float = 3.7e14
+    delta: float = 1e12
     pump_linewidth: float = 0.0
     tau_ind: float = 10e-9
     pair_rate: float = 1e6

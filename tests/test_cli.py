@@ -36,6 +36,15 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def strict_json(path):
+    """Parse a data product, rejecting NaN and Infinity as invalid JSON."""
+
+    def reject(name):
+        raise ValueError(f"{path.name}: non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_missing_config_fails_with_nonzero_exit(tmp_path, capsys):
     rc = run(["fringe-scan", "--config", tmp_path / "nope.json", "--out", tmp_path])
     assert rc == 2
@@ -111,17 +120,22 @@ def test_zero_pair_dump_correlates_to_an_empty_histogram(config_path, tmp_path):
     records = [ln for ln in dump.read_text().splitlines() if not ln.startswith("#")]
     assert records == []
     assert run(["correlate", "--config", config_path, "--input", dump, "--out", tmp_path]) == 0
-    assert json.loads((tmp_path / "correlate.json").read_text())["n_matches"] == 0
+    payload = strict_json(tmp_path / "correlate.json")
+    assert payload["n_matches"] == 0
+    assert payload["central_fraction"] is None
 
 
 def test_local_scan_and_crossover_and_tau_decay_run(config_path, tmp_path):
     assert run(["local-scan", "--config", config_path, "--out", tmp_path]) == 0
     assert (tmp_path / "local-scan.csv").exists()
+    strict_json(tmp_path / "local-scan.json")
     assert run(["crossover", "--config", config_path, "--out", tmp_path]) == 0
-    summary = json.loads((tmp_path / "crossover.json").read_text())
+    summary = strict_json(tmp_path / "crossover.json")
     assert summary["extras"]["max_abs_deviation"] < 0.05
+    assert summary["visibility_err"] is None and summary["phase_offset"] is None
     assert run(["tau-decay", "--config", config_path, "--mode", "analytic", "--out", tmp_path]) == 0
     assert (tmp_path / "tau-decay.csv").exists()
+    assert strict_json(tmp_path / "tau-decay.json")["phase_offset"] is None
 
 
 def test_outputs_embed_the_config_hash(config_path, tmp_path):

@@ -2,12 +2,19 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import franson as fr
-from franson.config import DEFAULTS, config_from_dict, default_config
+from franson.config import ScanConfig, config_from_dict, default_config
+from franson.correlator import CorrelatorConfig
+from franson.detection import DetectorModel
 from franson.errors import ConfigError
+from franson.interferometer import UmziConfig, default_overlap
+from franson.source import SpectralModel
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_minimal_config_uses_defaults_and_flags_the_regime():
@@ -91,8 +98,28 @@ def test_correlator_side_offset_follows_the_interferometer_delay():
 
 def test_default_config_matches_defaults_table():
     cfg = default_config()
-    assert cfg.to_dict()["correlator"] == DEFAULTS["correlator"]
+    gamma = default_overlap(UmziConfig().t_sl, SpectralModel().tau_ind)
+    # every section equals its dataclass built with only the derived fields
+    expected = {
+        "source": SpectralModel(),
+        "umzi_a": UmziConfig(party="A", gamma=gamma),
+        "umzi_b": UmziConfig(party="B", gamma=gamma),
+        "detector": DetectorModel(),
+        "correlator": CorrelatorConfig(side_offset=UmziConfig().t_sl),
+        "scan": ScanConfig(),
+    }
+    assert set(expected) == set(cfg.to_dict()) - {"schema_version", "seed"}
+    for section, want in expected.items():
+        assert getattr(cfg, section) == want, section
+    assert cfg.detector.jitter == 2e-12
     assert cfg.scan.pairs_per_point == 100_000
+
+
+def test_config_hash_is_pinned():
+    # the hash goes into every data product; a schema refactor must not move it
+    assert fr.config_hash(default_config()) == "70539f8cd119411e"
+    assert fr.config_hash(fr.load_config(CONFIGS / "ideal.json")) == "e96dabc0dc7dbc0e"
+    assert fr.config_hash(fr.load_config(CONFIGS / "pump_jitter.json")) == "0d89f261748afdf4"
 
 
 def test_scan_validation():

@@ -179,9 +179,15 @@ def test_read_timetags_rejects_foreign_files(tmp_path):
     path.write_text("not a dump\n")
     with pytest.raises(ValueError, match="magic"):
         read_timetags(path)
-    path.write_text("# franson-timetags v1\nA 5 1000\nA 7 1000\n")
-    with pytest.raises(ValueError, match=r"junk.dat:3: port must be 5 or 6"):
-        read_timetags(path)
+    for record, problem in (
+        ("A 7 1000", "port must be 5 or 6"),
+        ("A 5", "expected 'party port time_ps'"),
+        ("C 5 1000", "party must be A or B"),
+        ("A 5 1.5e3", "time_ps must be an integer"),
+    ):
+        path.write_text(f"# franson-timetags v1\nA 5 1000\n{record}\n")
+        with pytest.raises(ValueError, match=rf"junk.dat:3: {problem}"):
+            read_timetags(path)
 
 
 def test_detector_validation():
