@@ -116,6 +116,7 @@ def _cmd_correlate(args) -> RunConfig:
             "seed": cfg.seed,
             "config_hash": cfg_hash,
             "n_matches": hist.n_matches,
+            "n_comparisons": hist.n_comparisons,
             "central": peaks.central.tolist(),
             "side_plus": peaks.side_plus.tolist(),
             "side_minus": peaks.side_minus.tolist(),
@@ -144,6 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="run config JSON path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        p.add_argument(
+            "--debug", action="store_true", help="on error, raise with the full traceback"
+        )
         if mode_choice:
             p.add_argument(
                 "--mode", choices=["analytic", "montecarlo"], default="montecarlo"
@@ -177,6 +181,8 @@ def main(argv=None) -> int:
         cfg = args.func(args)
         _write_meta(args.out, args.command, config_hash(cfg), cfg.seed, t_start)
     except Exception as exc:  # one-line diagnostic, nonzero exit
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

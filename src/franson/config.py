@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .correlator import CorrelatorConfig
 from .detection import DetectorModel
@@ -79,8 +81,14 @@ SECTIONS = {
     "correlator": CorrelatorConfig,
     "scan": ScanConfig,
 }
+# The type of each field of each section, resolved once.
+_FIELD_TYPES = {section: get_type_hints(cls) for section, cls in SECTIONS.items()}
 # Fields derived from other sections, never read from a config.
 DERIVED = ("party", "side_offset")
+# Fields a config may set to null to get their derived default.
+_NULLABLE = ("gamma",)
+# What each numeric field type accepts; never a bool, though bool is an int.
+_NUMBER_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 def _keys(cls) -> list[str]:
@@ -94,12 +102,30 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
             raise ConfigError(f"unknown config key: {where!r}")
 
 
+def _check_type(where: str, value, kind) -> None:
+    """Reject a value that is not of its field's type: a bool or a string for
+    a number, a non-integer for an int, or a non-list for a tuple of numbers."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        for item in value:
+            _check_type(where, item, get_args(kind)[0])
+        return
+    if kind in _NUMBER_KINDS:
+        cls, noun = _NUMBER_KINDS[kind]
+        if isinstance(value, bool) or not isinstance(value, cls):
+            raise ConfigError(f"{where} must be {noun}, got {value!r}")
+
+
 def _section(section: str, data: dict) -> dict:
     """The keys a config gives for one section, checked against its fields."""
     given = data.get(section, {})
     if not isinstance(given, dict):
         raise ConfigError(f"config section {section!r} must be an object")
     _reject_unknown(section, given, set(_keys(SECTIONS[section])))
+    for key, value in given.items():
+        if not (value is None and key in _NULLABLE):
+            _check_type(f"{section}.{key}", value, _FIELD_TYPES[section][key])
     return dict(given)
 
 
@@ -114,7 +140,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})")
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     try:

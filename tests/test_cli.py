@@ -51,6 +51,14 @@ def test_missing_config_fails_with_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_debug_raises_with_the_traceback(tmp_path, capsys):
+    argv = ["timetags", "--config", tmp_path / "nope.json", "--out", tmp_path]
+    with pytest.raises(FileNotFoundError):
+        run(argv + ["--debug"])
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_invalid_config_reports_the_problem(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"source": {"delta": -1}}')
@@ -104,6 +112,7 @@ def test_timetags_then_correlate_matches_the_in_memory_pipeline(config_path, tmp
 
     payload = json.loads((tmp_path / "correlate.json").read_text())
     assert payload["n_matches"] == expected.n_matches
+    assert payload["n_comparisons"] == expected.n_comparisons == len(tags_a) + expected.n_matches
     assert np.array_equal(np.asarray(payload["central"]), expected.central)
 
     csv_rows = [

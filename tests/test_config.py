@@ -66,6 +66,38 @@ def test_seed_must_be_a_non_negative_integer():
         fr.parse_config('{"seed": -1}')
     with pytest.raises(ConfigError, match="seed"):
         fr.parse_config('{"seed": 1.5}')
+    with pytest.raises(ConfigError, match="seed"):
+        fr.parse_config('{"seed": true}')
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"scan": {"n_points": 8.5}}', "scan.n_points must be an integer"),
+        ('{"scan": {"pairs_per_point": 1000.0}}', "scan.pairs_per_point must be an integer"),
+        ('{"scan": {"n_points": true}}', "scan.n_points must be an integer"),
+        ('{"scan": {"n_points": null}}', "scan.n_points must be an integer"),
+        ('{"source": {"delta": true}}', "source.delta must be a number"),
+        ('{"source": {"delta": "1e12"}}', "source.delta must be a number"),
+        ('{"detector": {"efficiency": false}}', "detector.efficiency must be a number"),
+        ('{"umzi_b": {"gamma": "1"}}', "umzi_b.gamma must be a number"),
+        ('{"correlator": {"window": [1e-11]}}', "correlator.window must be a number"),
+        ('{"scan": {"chsh_settings": "abcd"}}', "scan.chsh_settings must be a list"),
+        ('{"scan": {"chsh_settings": [0, 1, 2, "3"]}}', "scan.chsh_settings must be a number"),
+    ],
+)
+def test_values_must_have_their_field_type(text, where):
+    with pytest.raises(ConfigError, match=where):
+        fr.parse_config(text)
+
+
+def test_integers_are_numbers_and_gamma_may_be_null():
+    cfg = fr.parse_config(
+        '{"source": {"pair_rate": 1000000}, "umzi_a": {"gamma": null},'
+        ' "scan": {"chsh_settings": [0, 1, 2, 3]}}'
+    )
+    assert cfg.source.pair_rate == 1e6
+    assert cfg.umzi_a.gamma == default_overlap(cfg.umzi_a.t_sl, cfg.source.tau_ind)
 
 
 def test_schema_version_is_checked():

@@ -1,12 +1,19 @@
 """Detection sampling: time assembly, post-selection split, efficiency."""
 
+import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from franson.cli import main
 from franson.detection import (
     DetectorModel,
+    TagStream,
     branch_from_tau,
     read_timetags,
     simulate_tags,
@@ -18,6 +25,8 @@ from franson.source import PairEnsemble, SpectralModel, sample_pairs
 
 T_SL = 100e-12
 T_SL_PS = 100
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+HEADER = "# franson-timetags v1\n# seed=0\n# config_hash=c0ffee\n# columns: party port time_ps\n"
 
 
 def umzi(phase=0.0, party="A", gamma=1.0):
@@ -184,10 +193,133 @@ def test_read_timetags_rejects_foreign_files(tmp_path):
         ("A 5", "expected 'party port time_ps'"),
         ("C 5 1000", "party must be A or B"),
         ("A 5 1.5e3", "time_ps must be an integer"),
+        ("A 5 12345678901234567890", "time_ps must be an integer"),
+        # only the writer's single-space form is a record
+        ("A\t5\t1000", "expected 'party port time_ps'"),
+        ("A  5 1000", "expected 'party port time_ps'"),
+        (" A 5 1000", "expected 'party port time_ps'"),
+        ("A 5 1000 ", "expected 'party port time_ps'"),
+        ("A 5 +1000", "time_ps must be an integer"),
+        ("A 5 1_000", "time_ps must be an integer"),
+        ("A 5 1:0", "time_ps must be an integer"),  # ':' and '/' flank the digits
+        ("A 5 1/0", "time_ps must be an integer"),
+        ("A 5 1000\r", "time_ps must be an integer"),
+        ("A 5 -", "time_ps must be an integer"),
+        ("A 5 1234567890123456789", "time_ps must be an integer"),
     ):
-        path.write_text(f"# franson-timetags v1\nA 5 1000\n{record}\n")
-        with pytest.raises(ValueError, match=rf"junk.dat:3: {problem}"):
+        path.write_text(f"# franson-timetags v1\nA 5 1000\n{record}\nB 5 1000\n")
+        with pytest.raises(ValueError, match=rf"junk.dat:3: {re.escape(problem)}"):
             read_timetags(path)
+
+
+def hand_stream(party, ports, times):
+    ids = np.arange(len(times))
+    return TagStream(party, np.asarray(ports), np.asarray(times, dtype=np.int64), ids * 0, ids)
+
+
+def test_timetag_dump_round_trips_signs_and_widths(tmp_path):
+    big = 10**18 - 1  # the widest time a record holds: 18 digits
+    tags_a = hand_stream("A", [5, 6, 5, 6, 5, 6], [-big, -10, -1, 0, 9, big])
+    tags_b = hand_stream("B", [6, 5, 6, 5], [-big, 0, 10, 10**17])
+    path = tmp_path / "tags.dat"
+    write_timetags(path, tags_a, tags_b, seed=0, config_hash="c0ffee")
+    text = path.read_text()
+    assert text.startswith(HEADER)
+    assert f"A 5 -{big}\nB 6 -{big}\n" in text and "A 6 0\nB 5 0\n" in text
+    got_a, got_b, _ = read_timetags(path)
+    for got, want in ((got_a, tags_a), (got_b, tags_b)):
+        assert np.array_equal(got.time_ps, want.time_ps)
+        assert np.array_equal(got.port, want.port)
+
+
+def test_empty_dump_and_missing_final_newline_read(tmp_path):
+    path = tmp_path / "tags.dat"
+    write_timetags(path, hand_stream("A", [], []), hand_stream("B", [], []), 0, "c0ffee")
+    assert path.read_text() == HEADER
+    got_a, got_b, header = read_timetags(path)
+    assert len(got_a) == len(got_b) == 0 and header["config_hash"] == "c0ffee"
+    path.write_text("# franson-timetags v1")
+    assert len(read_timetags(path)[0]) == 0
+    path.write_text("# franson-timetags v1\n\n  \nB 6 -7\n  # note=kept\nA 5 12")
+    got_a, got_b, header = read_timetags(path)
+    assert got_a.time_ps.tolist() == [12] and got_b.time_ps.tolist() == [-7]
+    assert got_b.port.tolist() == [6] and header == {"note": "kept"}
+
+
+def test_write_timetags_rejects_records_the_reader_would():
+    with pytest.raises(ValueError, match="ports must be 5 or 6"):
+        write_timetags("unused", hand_stream("A", [7], [0]), hand_stream("B", [], []), 0, "x")
+    with pytest.raises(ValueError, match="parties must be A or B"):
+        write_timetags("unused", hand_stream("AB", [5], [0]), hand_stream("B", [], []), 0, "x")
+
+
+@pytest.mark.parametrize(
+    "config, digest", [("ideal.json", "a4ad32aa6339adbb"), ("pump_jitter.json", "4d28aabfc46d562c")]
+)
+def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
+    # format v1 is a data product: its bytes must not move
+    argv = ["timetags", "--config", str(CONFIGS / config), "--pairs", "20000"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "timetags.dat").read_bytes()).hexdigest()[:16] == digest
+
+
+RECORDS = st.lists(
+    st.tuples(st.sampled_from("AB"), st.sampled_from([5, 6]), st.integers(-(10**18) + 1, 10**18 - 1)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    records=RECORDS,
+    extra=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["", "  ", "# x=1", " #"]))),
+    bad_at=st.integers(0, 10**6),
+    corruption=st.sampled_from(["insert", "insert_in_time", "drop", "widen"]),
+    char=st.sampled_from(list("x+_./:\t\r ")),  # "/" and ":" flank the digits
+    where=st.integers(0, 40),
+    later=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_a_corrupt_record_fails_at_its_own_line(
+    tmp_path_factory, records, extra, bad_at, corruption, char, where, later, final_newline
+):
+    path = tmp_path_factory.mktemp("dumps") / "tags.dat"
+    streams = {
+        p: hand_stream(p, [r[1] for r in records if r[0] == p], [r[2] for r in records if r[0] == p])
+        for p in "AB"
+    }
+    write_timetags(path, streams["A"], streams["B"], 0, "c0ffee")
+    # the writer's bytes equal the one-record-at-a-time rendering
+    order = sorted(range(len(records)), key=lambda i: (records[i][2], records[i][0], i))
+    lines = [f"{records[i][0]} {records[i][1]} {records[i][2]}" for i in order]
+    assert path.read_text() == HEADER + "".join(f"{line}\n" for line in lines)
+    got = read_timetags(path)
+    for stream, want in zip(got, (streams["A"], streams["B"])):
+        assert np.array_equal(stream.time_ps, want.time_ps)
+        assert np.array_equal(stream.port, want.port)
+
+    lines = HEADER.splitlines() + lines
+    for at, text in sorted(extra, reverse=True):
+        lines.insert(1 + at % len(lines), text)  # never before the magic line
+    candidates = [i for i, line in enumerate(lines) if line[:1] in ("A", "B")]
+    k = candidates[bad_at % len(candidates)]
+
+    def corrupt(line):
+        if corruption.startswith("insert"):
+            first = 4 if corruption == "insert_in_time" else 0
+            cut = first + where % (len(line) + 1 - first)
+            return line[:cut] + char + line[cut:]
+        if corruption == "drop":
+            return line.rsplit(" ", 1)[0]
+        return line + "0" * 18  # 19 digits or more
+
+    lines[k] = corrupt(lines[k])
+    if later and k + 1 < len(lines) and lines[-1][:1] in ("A", "B"):
+        lines[-1] = corrupt(lines[-1])
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{k + 1}: "):
+        read_timetags(path)
 
 
 def test_detector_validation():
