@@ -84,7 +84,7 @@ SECTIONS = {
 # The type of each field of each section, resolved once.
 _FIELD_TYPES = {section: get_type_hints(cls) for section, cls in SECTIONS.items()}
 # Fields derived from other sections, never read from a config.
-DERIVED = ("party", "side_offset")
+DERIVED = ("party", "side_offset_a", "side_offset_b")
 # Fields a config may set to null to get their derived default.
 _NULLABLE = ("gamma",)
 # What each numeric field type accepts; never a bool, though bool is an int.
@@ -140,8 +140,8 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})")
 
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
     try:
         src = SpectralModel(**_section("source", data))
@@ -161,7 +161,11 @@ def config_from_dict(data: dict) -> RunConfig:
                 gamma = default_overlap(umzi.t_sl, src.tau_ind)
             umzis[party] = replace(umzi, gamma=gamma)
 
-        cor = CorrelatorConfig(**_section("correlator", data), side_offset=umzis["A"].t_sl)
+        cor = CorrelatorConfig(
+            **_section("correlator", data),
+            side_offset_a=umzis["A"].t_sl,
+            side_offset_b=umzis["B"].t_sl,
+        )
 
         warnings: list[str] = []
         warnings += src.validate()

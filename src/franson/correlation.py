@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import UndefinedCorrelationError
 from .interferometer import UmziConfig
+from .rng import KIND_CHSH
 from .source import PairEnsemble, PhotonPair, SpectralModel, sample_pairs
 
 TWO_PI = 2.0 * math.pi
@@ -165,7 +166,7 @@ def ensemble_fringe(
     cfg_b: UmziConfig,
     n_pairs: int,
     seed: int = 0,
-    stream: int = 0,
+    stream=0,
     envelope: float = 1.0,
 ) -> EnsembleFringe:
     """Average the central-peak rates over n_pairs sampled pairs.
@@ -247,9 +248,9 @@ def chsh_sum(corr: dict[str, float]) -> float:
     return abs(corr["ab"] + corr["ab'"] + corr["a'b"] - corr["a'b'"])
 
 
-def stream_for_setting(k: int) -> int:
-    """Source substream used for the k-th CHSH setting combination."""
-    return 100 + k
+def stream_for_setting(k: int) -> tuple[int, int]:
+    """Key path of the k-th CHSH setting combination's pairs, in either mode."""
+    return (KIND_CHSH, k)
 
 
 def overlap_envelope(tau, delta: float):

@@ -3,8 +3,9 @@
 One vectorized pass pairs every tag of stream A with the stream-B tags inside
 ``center +- tau_max`` of it (two binary searches per A tag), bins the delays
 ``tau = t_A - t_B``, and classifies them into the central peak
-(|tau - center| <= w) and the two side peaks (|tau - center -+ side_offset|
-<= w).  The pass does O(N_A log N_B + matches) work and uses only
+(|tau - center| <= w) and the two side peaks: LS at tau = center + t_sl^A
+(``side_offset_a``) and SL at tau = center - t_sl^B (``side_offset_b``),
+each within w.  The pass does O(N_A log N_B + matches) work and uses only
 (party, port, time); diagnostic tag fields never enter.
 
 All times are integer picoseconds.
@@ -27,32 +28,37 @@ HISTOGRAM_MAGIC = "# franson-histogram v1"
 @dataclass(frozen=True)
 class CorrelatorConfig:
     """window: coincidence half-width w (s); bin_width, tau_max: histogram
-    geometry (s); side_offset: expected side-peak position, normally the
-    interferometer delay t_sl (s)."""
+    geometry (s); side_offset_a, side_offset_b: distances (s) of the LS peak
+    above and the SL peak below the center, normally the interferometer
+    delays t_sl^A and t_sl^B."""
 
     window: float = 10e-12
     bin_width: float = 2e-12
     tau_max: float = 200e-12
-    side_offset: float = 100e-12
+    side_offset_a: float = 100e-12
+    side_offset_b: float = 100e-12
 
     def validate(self) -> list[str]:
         if not self.window > 0:
             raise ValueError(f"window must be > 0, got {self.window}")
         if not self.bin_width > 0:
             raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        if not self.side_offset > 0:
-            raise ValueError(f"side_offset must be > 0, got {self.side_offset}")
-        if self.tau_max < self.side_offset + 5 * self.bin_width:
+        for name in ("side_offset_a", "side_offset_b"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        farthest = max(self.side_offset_a, self.side_offset_b)
+        if self.tau_max < farthest + 5 * self.bin_width:
             raise ValueError(
-                "tau_max must cover the side peaks: need tau_max >= "
-                f"side_offset + 5*bin_width, got {self.tau_max} < "
-                f"{self.side_offset + 5 * self.bin_width}"
+                "tau_max must cover both side peaks: need tau_max >= "
+                f"max(side_offset_a, side_offset_b) + 5*bin_width, got {self.tau_max} < "
+                f"{farthest + 5 * self.bin_width}"
             )
         warnings = []
-        if self.window >= 0.5 * self.side_offset:
+        nearest = min(self.side_offset_a, self.side_offset_b)
+        if self.window >= 0.5 * nearest:
             warnings.append(
-                f"window w = {self.window:g} s >= side_offset/2 = "
-                f"{0.5 * self.side_offset:g} s: peak windows overlap"
+                f"window w = {self.window:g} s >= min(side_offset_a, side_offset_b)/2 = "
+                f"{0.5 * nearest:g} s: peak windows overlap"
             )
         return warnings
 
@@ -72,7 +78,8 @@ class CoincidenceHistogram:
     window_ps: int
     bin_width_ps: int
     tau_max_ps: int
-    side_offset_ps: int
+    side_offset_a_ps: int
+    side_offset_b_ps: int
     center_ps: int
     counts: np.ndarray
     central: np.ndarray
@@ -138,7 +145,8 @@ def correlate(
     """Build the coincidence histogram of tau = t_A - t_B.
 
     center: offset (s) of the analysis window; the central peak is looked
-    for at tau = center and the side peaks at center -+ side_offset.
+    for at tau = center, side_plus (LS) at center + side_offset_a and
+    side_minus (SL) at center - side_offset_b.
     """
     config_warnings = cfg.validate()
     _require_sorted(stream_a, "A")
@@ -147,7 +155,8 @@ def correlate(
     w_ps = int(to_picoseconds(cfg.window))
     bin_ps = int(to_picoseconds(cfg.bin_width))
     tau_max_ps = int(to_picoseconds(cfg.tau_max))
-    side_ps = int(to_picoseconds(cfg.side_offset))
+    side_a_ps = int(to_picoseconds(cfg.side_offset_a))
+    side_b_ps = int(to_picoseconds(cfg.side_offset_b))
     center_ps = int(to_picoseconds(center))
     if w_ps < 1 or bin_ps < 1:
         raise ValueError("window and bin_width must be at least 1 ps")
@@ -168,14 +177,15 @@ def correlate(
 
     rel = tau - center_ps
     central = tally(np.abs(rel) <= w_ps)
-    side_plus = tally(np.abs(rel - side_ps) <= w_ps)
-    side_minus = tally(np.abs(rel + side_ps) <= w_ps)
+    side_plus = tally(np.abs(rel - side_a_ps) <= w_ps)
+    side_minus = tally(np.abs(rel + side_b_ps) <= w_ps)
 
     return CoincidenceHistogram(
         window_ps=w_ps,
         bin_width_ps=bin_ps,
         tau_max_ps=tau_max_ps,
-        side_offset_ps=side_ps,
+        side_offset_a_ps=side_a_ps,
+        side_offset_b_ps=side_b_ps,
         center_ps=center_ps,
         counts=counts,
         central=central,
@@ -183,7 +193,7 @@ def correlate(
         side_minus=side_minus,
         n_matches=int(tau.size),
         n_comparisons=int(comparisons),
-        overlap_warning=w_ps >= side_ps / 2,
+        overlap_warning=w_ps >= min(side_a_ps, side_b_ps) / 2,
         warnings=config_warnings,
     )
 
@@ -222,8 +232,8 @@ def write_histogram_csv(hist: CoincidenceHistogram, path, seed: int, config_hash
         f"# seed={seed}",
         f"# config_hash={config_hash}",
         f"# window_ps={hist.window_ps} bin_width_ps={hist.bin_width_ps} "
-        f"tau_max_ps={hist.tau_max_ps} side_offset_ps={hist.side_offset_ps} "
-        f"center_ps={hist.center_ps}",
+        f"tau_max_ps={hist.tau_max_ps} side_offset_a_ps={hist.side_offset_a_ps} "
+        f"side_offset_b_ps={hist.side_offset_b_ps} center_ps={hist.center_ps}",
         "tau_ps,port_a,port_b,count",
     ]
     centers = hist.bin_centers_ps()

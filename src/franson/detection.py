@@ -1,17 +1,28 @@
 """Stochastic detection: per-pair outcomes to time-tag streams.
 
-For each emitted pair the joint outcome (port_a, port_b, branch) is sampled
-from the coincidence-basis distribution; detection times are assembled as
+Each emitted pair's outcome is drawn in factorized form from its own block
+of uniforms (see :func:`simulate_tags` for the column layout):
+
+* path bits: ``b_A`` and ``b_B`` are independent fair bits.  Equal bits are
+  the central branch, labelled (b, b); (0, 1) is SL and (1, 0) is LS, so each
+  side branch carries 1/4 and the central branch 1/2;
+* port A: a fair bit;
+* port parity: "same ports" with probability (1 + V cos(phi' + psi')) / 2 on
+  the central branch, with V the fringe envelope times gamma_A * gamma_B, and
+  1/2 on a side branch.
+
+Together these give exactly the coincidence-basis distribution of
+:mod:`franson.correlation`: (1/8)(1 + s_a s_b V cos(phi' + psi')) per central
+port pair and 1/16 per side cell.  Detection times are assembled as
 
     t_A = t0 + b_A * t_sl^A + jitter_A
     t_B = t0 + eps + b_B * t_sl^B + jitter_B
 
-where (b_A, b_B) is (0,0) or (1,1) with equal probability for the central
-branch, (0,1) for SL and (1,0) for LS.  The central (b, b) label is pure
-bookkeeping: the two assignments are physically indistinguishable, t0 is
-itself random, and no observable depends on the split.  Branch and pair id
-are carried only as diagnostic fields behind an explicit oracle accessor;
-the correlator-facing view is (party, port, time).
+The central (b, b) label is pure bookkeeping: the two assignments are
+physically indistinguishable, t0 is itself random, and no observable depends
+on the split.  Branch and pair id are carried only as diagnostic fields
+behind an explicit oracle accessor; the correlator-facing view is
+(party, port, time).
 
 All times are quantized component-wise to integer picoseconds, which makes
 histograms, dumps and replays exactly reproducible across platforms.
@@ -25,9 +36,9 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .correlation import BRANCHES, central_rate_table, SIDE_PROBABILITY
+from .correlation import BRANCHES, joint_phase
 from .interferometer import UmziConfig
-from .rng import ROLE_DETECTION, item_uniforms
+from .rng import ROLE_DETECTION, item_uniforms, stream_key
 from .source import PairEnsemble
 
 PS_PER_S = 1e12
@@ -121,72 +132,62 @@ class TagStream:
         return {5: int(np.sum(self.port == 5)), 6: int(np.sum(self.port == 6))}
 
 
-def _sample_outcomes(u_cell, table_flat):
-    """Inverse-CDF sample of the 12-cell outcome index per pair."""
-    cum = np.cumsum(table_flat, axis=1)
-    idx = np.sum(cum < u_cell[:, None], axis=1)
-    return np.minimum(idx, table_flat.shape[1] - 1)
-
-
-def _flat_outcome_table(df, dp, cfg_a, cfg_b, envelope):
-    n = df.size
-    table = np.full((n, 2, 2, 3), SIDE_PROBABILITY)
-    central = central_rate_table(df, dp, cfg_a, cfg_b, envelope)  # (2, 2, n)
-    table[:, :, :, 0] = np.moveaxis(central, -1, 0)
-    return table.reshape(n, 12)
-
-
 def simulate_tags(
     pairs: PairEnsemble,
     cfg_a: UmziConfig,
     cfg_b: UmziConfig,
     det: DetectorModel,
     seed: int,
-    stream: int = 0,
+    stream=0,
     envelope: float = 1.0,
     extra_delay_b: float = 0.0,
 ) -> tuple[TagStream, TagStream]:
     """Detect a sampled ensemble; returns one stream per party.
 
+    stream: the key path of the pairs (an int k is the path (k,)); the
+    detection draws come from its ROLE_DETECTION substream.
     envelope: central-fringe envelope factor (imposed wavepacket offset
     and/or pump-side degradations); the path overlaps gamma_A * gamma_B are
     folded in here as well since first-order coherence between the short and
     long paths is a prerequisite for the central-peak interference.
     extra_delay_b: fixed additional delay (s) on party B before detection.
+
+    Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
+    at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
     """
-    u = item_uniforms(seed, (int(stream), ROLE_DETECTION), len(pairs))
-    t0_ps = to_picoseconds(pairs.t0)
-    eps_ps = to_picoseconds(pairs.eps) + to_picoseconds(extra_delay_b)
-    effective = envelope * (cfg_a.gamma * cfg_b.gamma)
-    flat = _flat_outcome_table(pairs.df, pairs.dp, cfg_a, cfg_b, effective)
-    cell = _sample_outcomes(u[:, 0], flat)
-    port_a_idx = cell // 6
-    port_b_idx = (cell // 3) % 2
-    branch = cell % 3
-
-    # Path bits: central pairs take S-S or L-L with equal probability.
-    central_bit = (u[:, 1] < 0.5).astype(np.int64)
-    b_a = np.where(branch == 0, central_bit, np.where(branch == 1, 0, 1))
-    b_b = np.where(branch == 0, central_bit, np.where(branch == 1, 1, 0))
-
+    if not 0.0 <= envelope <= 1.0:
+        raise ValueError(f"envelope factor must lie in [0, 1], got {envelope}")
+    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs))
+    b_a = u[:, 0] < 0.5
+    b_b = u[:, 1] < 0.5
+    # central 0 for equal bits, SL 1 for (0, 1), LS 2 for (1, 0)
+    branch = (2 * b_a.view(np.int8) + b_b) % 3
+    visibility = envelope * (cfg_a.gamma * cfg_b.gamma)
+    theta = joint_phase(pairs.df, pairs.dp, cfg_a, cfg_b)
+    p_same = 0.5 + (0.5 * visibility) * np.cos(theta) * (branch == 0)
+    port_a = np.uint8(5) + (u[:, 6] < 0.5).view(np.uint8)
+    port_b = port_a ^ (np.uint8(3) * (u[:, 7] >= p_same))  # 5 ^ 3 = 6, 6 ^ 3 = 5
     jitter_a_ps = to_picoseconds(ndtri(u[:, 2]) * det.jitter)
     jitter_b_ps = to_picoseconds(ndtri(u[:, 3]) * det.jitter)
+    keep_a = u[:, 4] < det.efficiency
+    keep_b = u[:, 5] < det.efficiency
+    del u  # the largest array here: free it before the times are assembled
+
+    t0_ps = to_picoseconds(pairs.t0)
+    eps_ps = to_picoseconds(pairs.eps) + to_picoseconds(extra_delay_b)
     t_a = t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
     t_b = t0_ps + eps_ps + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
 
-    keep_a = u[:, 4] < det.efficiency
-    keep_b = u[:, 5] < det.efficiency
-
     stream_a = TagStream(
         cfg_a.party,
-        np.where(port_a_idx == 0, 5, 6)[keep_a],
+        port_a[keep_a],
         t_a[keep_a],
         branch[keep_a],
         pairs.ids[keep_a],
     )
     stream_b = TagStream(
         cfg_b.party,
-        np.where(port_b_idx == 0, 5, 6)[keep_b],
+        port_b[keep_b],
         t_b[keep_b],
         branch[keep_b],
         pairs.ids[keep_b],

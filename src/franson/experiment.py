@@ -3,8 +3,8 @@
 Each runner scans one knob, collects per-point rates with Monte Carlo
 standard errors, fits the fringe and returns a ScanResult that serializes to
 CSV and a JSON summary.  Every scan point draws from an independent random
-substream keyed by (seed, run kind, point index), so reruns are bit-identical
-and points are uncorrelated.
+substream keyed by the seed and a tuple path (run kind, [sweep step,] point
+index), so reruns are bit-identical and points are uncorrelated.
 
 The runners share one skeleton: :func:`_point` draws a point's pairs once and
 returns them with the point's central-peak rates, :func:`_fit_curves` fits
@@ -45,10 +45,6 @@ PORT_PAIRS = ((5, 5), (5, 6), (6, 5), (6, 6))
 def wrap_phase(x: float) -> float:
     """Wrap to (-pi, pi]."""
     return float(-((-x + math.pi) % TWO_PI - math.pi))
-
-
-def _stream(kind: int, point: int) -> int:
-    return kind * 10_000 + point
 
 
 @dataclass
@@ -180,7 +176,7 @@ def _joint_phase_grid(cfg: RunConfig, n_points: int | None = None) -> np.ndarray
 
 def simulate_point(
     cfg: RunConfig,
-    stream: int,
+    stream,
     n_pairs: int,
     phase_a: float,
     phase_b: float,
@@ -188,7 +184,11 @@ def simulate_point(
     extra_delay_b: float = 0.0,
     center: float = 0.0,
 ) -> tuple[PairEnsemble, TagStream, TagStream, CoincidenceHistogram]:
-    """Full source -> detection -> correlator pipeline for one scan point."""
+    """Full source -> detection -> correlator pipeline for one scan point.
+
+    ``stream`` is the point's key path; source and detection draw from its
+    two role substreams.
+    """
     cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
     cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
     pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
@@ -270,7 +270,7 @@ def run_fringe_scan(
     n_points: int | None = None,
     pairs_per_point: int | None = None,
     envelope: float = 1.0,
-    kind_tag: int = rng_mod.KIND_FRINGE,
+    key: tuple[int, ...] = (rng_mod.KIND_FRINGE,),
     extra_delay_b: float = 0.0,
     center: float = 0.0,
 ) -> ScanResult:
@@ -278,7 +278,8 @@ def run_fringe_scan(
 
     analytic mode evaluates the coincidence algebra over a sampled ensemble;
     montecarlo mode runs the full tag pipeline and counts window totals.  Both
-    fold the path overlaps gamma_A * gamma_B into the fringe envelope.
+    fold the path overlaps gamma_A * gamma_B into the fringe envelope.  Point k
+    draws from the stream ``(*key, k)``.
     """
     _check_mode(mode)
     theta = _joint_phase_grid(cfg, n_points)
@@ -287,10 +288,9 @@ def run_fringe_scan(
     rates = np.zeros((2, 2, theta.size))
     stderr = np.zeros((2, 2, theta.size))
     for k, th in enumerate(theta):
-        stream = _stream(kind_tag, k)
         # [1:] lets the point's pairs go before the next point draws its own
         rates[..., k], stderr[..., k] = _point(
-            cfg, mode, stream, n_pairs, th - psi, psi, envelope,
+            cfg, mode, (*key, k), n_pairs, th - psi, psi, envelope,
             extra_delay_b=extra_delay_b, center=center,
         )[1:]
     return _fringe_result(cfg, mode, theta, rates, stderr, n_pairs)
@@ -335,8 +335,7 @@ def run_local_scan(
     stderr = np.zeros((2, 2, theta.size))
 
     for k, th in enumerate(theta):
-        stream = _stream(rng_mod.KIND_LOCAL, k)
-        pairs, tags_a, tags_b, hist = simulate_point(cfg, stream, n_pairs, th, th)
+        pairs, tags_a, tags_b, hist = simulate_point(cfg, (rng_mod.KIND_LOCAL, k), n_pairs, th, th)
         rates[..., k], stderr[..., k] = _counted_rates(hist, n_pairs)
         angle_a = TWO_PI * (pairs.detuning_signal * cfg.umzi_a.t_sl) + th
         angle_b = TWO_PI * (pairs.detuning_idler * cfg.umzi_b.t_sl) + th
@@ -406,7 +405,7 @@ def run_crossover_sweep(
             phases,
             n_pairs=n_pairs,
             seed=cfg.seed,
-            stream=_stream(rng_mod.KIND_CROSSOVER, k),
+            stream=(rng_mod.KIND_CROSSOVER, k),
         )
         vis[k] = fringe.visibility
         oracle[k] = cfg.umzi_a.gamma * local_visibility_oracle(model.delta, t_sl)
@@ -458,7 +457,7 @@ def run_tau_decay(
             n_points=n_points,
             pairs_per_point=n_pairs,
             envelope=float(env),
-            kind_tag=rng_mod.KIND_TAU * 100 + k,
+            key=(rng_mod.KIND_TAU, k),
             extra_delay_b=float(tau),
             center=-float(tau),
         )
@@ -516,9 +515,8 @@ def run_pump_sweep(
         stderr = np.zeros((2, 2, theta.size))
         acc = 0.0 + 0.0j
         for j, th in enumerate(theta):
-            stream = _stream(rng_mod.KIND_PUMP * 100 + k, j)
             pairs, rates[..., j], stderr[..., j] = _point(
-                sub_cfg, mode, stream, n_pairs, th - psi, psi
+                sub_cfg, mode, (rng_mod.KIND_PUMP, k, j), n_pairs, th - psi, psi
             )
             # pooled empirical CF of the very pairs the fringe scan drew
             acc += np.exp(1j * TWO_PI * pairs.dp * t_sl).mean()
@@ -568,8 +566,7 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic", pairs_per_setting: int | No
         corr = {}
         var_sum = 0.0
         for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
-            stream = _stream(rng_mod.KIND_CHSH, stream_for_setting(k))
-            _, _, _, hist = simulate_point(cfg, stream, n_pairs, pa, pb)
+            _, _, _, hist = simulate_point(cfg, stream_for_setting(k), n_pairs, pa, pb)
             counts = hist.central.astype(np.float64)
             total = counts.sum()
             if total <= 0:

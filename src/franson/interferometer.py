@@ -129,7 +129,7 @@ def ensemble_local_fringe(
     phases: np.ndarray,
     n_pairs: int = 20_000,
     seed: int = 0,
-    stream: int = 0,
+    stream=0,
 ) -> LocalFringe:
     """Average the per-pair port-5 intensity over a sampled ensemble.
 

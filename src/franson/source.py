@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .rng import ROLE_SOURCE, item_uniforms
+from .rng import ROLE_SOURCE, item_uniforms, stream_key
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,17 +171,18 @@ def sample_pairs(
     model: SpectralModel,
     n: int,
     seed: int,
-    stream: int = 0,
+    stream=0,
     start: int = 0,
     t_origin: float = 0.0,
 ) -> PairEnsemble:
     """Sample pairs start .. start+n-1 of the stream keyed by (seed, stream).
 
-    Each pair consumes a fixed counter block, so the sequence is defined by
+    ``stream`` is a key path such as ``(KIND_FRINGE, point)``; an int k is
+    the path (k,).  Each pair consumes a fixed counter block, so the sequence is defined by
     the pair index alone and disjoint ranges can be drawn concurrently.
     Emission times accumulate from ``t_origin`` across the sampled range.
     """
-    u = item_uniforms(seed, (int(stream), ROLE_SOURCE), n, start=start)
+    u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, start=start)
     df, dp, xi, eps, gaps = _pair_columns(model, u)
     t0 = t_origin + np.cumsum(gaps)
     ids = np.arange(start, start + n, dtype=np.int64)

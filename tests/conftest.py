@@ -1,6 +1,8 @@
-"""Shared fixtures: configurations used across the suite."""
+"""Shared fixtures: configurations used across the suite, and statistical bounds."""
 
+import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import pytest
 
@@ -41,3 +43,10 @@ def umzi_pair(ideal):
 
 def with_seed(cfg: fr.RunConfig, seed: int) -> fr.RunConfig:
     return replace(cfg, seed=seed)
+
+
+def chi2_quantile(dof: int, alpha: float) -> float:
+    """Upper-alpha quantile of chi^2 with dof degrees of freedom (Wilson-Hilferty)."""
+    z = NormalDist().inv_cdf(1.0 - alpha)
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3

@@ -189,9 +189,19 @@ def test_criterion_7_pump_linewidth_degradation(cfg):
 def test_criterion_8_tau_offset_decay(cfg):
     res = fr.run_tau_decay(cfg, mode="montecarlo", pairs_per_point=20_000)
     vis = res.columns["visibility"]
+    envelope = res.columns["envelope_analytic"]
     delta = cfg.source.delta
     assert vis[0] >= 0.99
-    assert np.all(np.diff(vis) <= 0.0)
+    assert np.all(np.diff(envelope) <= 0.0)
+    # Monotone decay, strict wherever the analytic drop exceeds 5 sigma of the
+    # step.  On the tail (envelope 4e-2 down to 1e-5) the fitted V is noise, so
+    # there a rise must stay within 3 sigma of the step: a false alarm below
+    # 0.14% per step.
+    step_sigma = np.hypot(res.columns["visibility_err"][:-1], res.columns["visibility_err"][1:])
+    resolved = -np.diff(envelope) > 5.0 * step_sigma
+    assert np.count_nonzero(resolved) >= 3
+    assert np.all(np.diff(vis)[resolved] <= 0.0)
+    assert np.all(np.diff(vis)[~resolved] <= 3.0 * step_sigma[~resolved])
     at_inverse_delta = vis[np.argmin(np.abs(res.x - 1.0 / delta))]
     assert at_inverse_delta < 0.5
     at_three = vis[np.argmin(np.abs(res.x - 3.0 / delta))]

@@ -68,6 +68,9 @@ def test_seed_must_be_a_non_negative_integer():
         fr.parse_config('{"seed": 1.5}')
     with pytest.raises(ConfigError, match="seed"):
         fr.parse_config('{"seed": true}')
+    with pytest.raises(ConfigError, match="seed"):
+        fr.parse_config('{"seed": %d}' % 2**128)  # wider than the stream key's entropy
+    assert fr.parse_config('{"seed": %d}' % (2**128 - 1)).seed == 2**128 - 1
 
 
 @pytest.mark.parametrize(
@@ -125,7 +128,7 @@ def test_config_hash_ignores_seed_but_not_physics():
 
 def test_correlator_side_offset_follows_the_interferometer_delay():
     cfg = fr.parse_config('{"umzi_a": {"t_sl": 80e-12}, "umzi_b": {"t_sl": 80e-12}}')
-    assert cfg.correlator.side_offset == 80e-12
+    assert cfg.correlator.side_offset_a == cfg.correlator.side_offset_b == 80e-12
 
 
 def test_default_config_matches_defaults_table():
@@ -137,7 +140,7 @@ def test_default_config_matches_defaults_table():
         "umzi_a": UmziConfig(party="A", gamma=gamma),
         "umzi_b": UmziConfig(party="B", gamma=gamma),
         "detector": DetectorModel(),
-        "correlator": CorrelatorConfig(side_offset=UmziConfig().t_sl),
+        "correlator": CorrelatorConfig(side_offset_a=UmziConfig().t_sl, side_offset_b=UmziConfig().t_sl),
         "scan": ScanConfig(),
     }
     assert set(expected) == set(cfg.to_dict()) - {"schema_version", "seed"}

@@ -1,5 +1,7 @@
 """Coincidence correlator: matching oracle, windows, complexity, blindness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,15 @@ from franson.correlator import (
     sweep_matches,
     write_histogram_csv,
 )
+from franson.config import parse_config
 from franson.detection import DetectorModel, TagStream, simulate_tags
-from franson.errors import StreamOrderError
+from franson.errors import ConfigError, StreamOrderError
+from franson.experiment import simulate_point
 from franson.interferometer import UmziConfig
 from franson.source import SpectralModel, sample_pairs
 
-CFG = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, side_offset=100e-12)
+SIDES = {"side_offset_a": 100e-12, "side_offset_b": 100e-12}
+CFG = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
 
 
 def stream(party, times_ps, ports=None):
@@ -52,17 +57,17 @@ def test_sweep_agrees_with_brute_force(t_a, t_b, tau_lo, width):
     assert got == brute_force_matches(t_a, t_b, tau_lo, tau_hi)
 
 
-# Delays on and just beside every window edge of CFG: +-w, +-side_offset +- w
-# and +-tau_max (ps).
+# Delays on and just beside every window edge: +-w, +-side_offset +- w for side
+# offsets of 100 and 140 ps, and +-tau_max (ps).
 EDGE_TAUS = [
     sign * (edge + nudge)
     for sign in (-1, 1)
-    for edge in (0, 10, 90, 110, 200)
+    for edge in (0, 10, 90, 110, 130, 150, 200)
     for nudge in (-1, 0, 1)
 ]
 
 
-def brute_force_histogram(tags_a, tags_b, w, bin_width, tau_max, side, center):
+def brute_force_histogram(tags_a, tags_b, w, bin_width, tau_max, side_a, side_b, center):
     """Quadratic all-pairs oracle for correlate's tallies."""
     n_bins = -((-2 * tau_max) // bin_width)
     counts = np.zeros((2, 2, n_bins), dtype=np.int64)
@@ -81,9 +86,9 @@ def brute_force_histogram(tags_a, tags_b, w, bin_width, tau_max, side, center):
             counts[pa - 5, pb - 5, k] += 1
             if abs(rel) <= w:
                 central[pa - 5, pb - 5] += 1
-            if abs(rel - side) <= w:
+            if abs(rel - side_a) <= w:
                 side_plus[pa - 5, pb - 5] += 1
-            if abs(rel + side) <= w:
+            if abs(rel + side_b) <= w:
                 side_minus[pa - 5, pb - 5] += 1
     return counts, central, side_plus, side_minus, n_matches
 
@@ -102,19 +107,24 @@ def brute_force_histogram(tags_a, tags_b, w, bin_width, tau_max, side, center):
     ports=st.lists(st.sampled_from([5, 6]), min_size=50, max_size=50),
     bin_ps=st.sampled_from([2, 3, 7]),
     center_ps=st.sampled_from([0, -50]),
+    side_b_ps=st.sampled_from([100, 140]),
 )
-def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, center_ps):
+def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, center_ps, side_b_ps):
     # A tags sit at chosen delays from B tags, so edge taus and duplicate
     # timestamps occur often; every tag gets a random port.
     t_a = [t_b[j % len(t_b)] + center_ps + tau for j, tau in offsets] if t_b else []
     tags_a = stream("A", t_a, ports[: len(t_a)])
     tags_b = stream("B", t_b, ports[25 : 25 + len(t_b)])
     cfg = CorrelatorConfig(
-        window=10e-12, bin_width=bin_ps * 1e-12, tau_max=200e-12, side_offset=100e-12
+        window=10e-12,
+        bin_width=bin_ps * 1e-12,
+        tau_max=200e-12,
+        side_offset_a=100e-12,
+        side_offset_b=side_b_ps * 1e-12,
     )
     hist = correlate(tags_a, tags_b, cfg, center=center_ps * 1e-12)
     counts, central, side_plus, side_minus, n_matches = brute_force_histogram(
-        tags_a, tags_b, 10, bin_ps, 200, 100, center_ps
+        tags_a, tags_b, 10, bin_ps, 200, 100, side_b_ps, center_ps
     )
     assert np.array_equal(hist.counts, counts)
     assert np.array_equal(hist.central, central)
@@ -166,7 +176,7 @@ def test_unsorted_stream_is_a_hard_error():
 
 
 def test_overlap_warning_flag():
-    wide = CorrelatorConfig(window=60e-12, bin_width=2e-12, tau_max=200e-12, side_offset=100e-12)
+    wide = CorrelatorConfig(window=60e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
     hist = correlate(stream("A", [100]), stream("B", [105]), wide)
     assert hist.overlap_warning
     assert any("overlap" in w for w in hist.warnings)
@@ -175,7 +185,27 @@ def test_overlap_warning_flag():
 
 def test_validation_requires_room_for_side_peaks():
     with pytest.raises(ValueError, match="tau_max"):
-        CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=50e-12, side_offset=100e-12).validate()
+        CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=50e-12, **SIDES).validate()
+    # the farther side peak sets the bound, and the nearer one the overlap warning
+    unequal = {"window": 10e-12, "bin_width": 2e-12, "side_offset_a": 100e-12}
+    with pytest.raises(ValueError, match="both side peaks"):
+        CorrelatorConfig(tau_max=150e-12, side_offset_b=145e-12, **unequal).validate()
+    assert CorrelatorConfig(tau_max=160e-12, side_offset_b=145e-12, **unequal).validate() == []
+    assert CorrelatorConfig(tau_max=160e-12, side_offset_b=15e-12, **unequal).validate()
+    with pytest.raises(ConfigError, match="tau_max"):
+        parse_config('{"umzi_b": {"t_sl": 195e-12}}')
+
+
+def test_side_peaks_sit_at_each_partys_delay():
+    # SL lands at tau = -t_sl^B and LS at +t_sl^A: with unequal delays each
+    # side window still holds a quarter of the pairs
+    cfg = parse_config('{"seed": 4, "umzi_b": {"t_sl": 140e-12}, "detector": {"jitter": 0.0}}')
+    n = 50_000
+    _, _, _, hist = simulate_point(cfg, (0,), n, 0.0, 0.0)
+    assert (hist.side_offset_a_ps, hist.side_offset_b_ps) == (100, 140)
+    sigma = math.sqrt(n * 0.25 * 0.75)
+    assert abs(hist.side_plus.sum() - n / 4) <= 4.0 * sigma
+    assert abs(hist.side_minus.sum() - n / 4) <= 4.0 * sigma
 
 
 def _simulated_streams(n=30_000, seed=2, jitter=2e-12):
@@ -191,7 +221,7 @@ def test_counts_are_monotone_in_the_window():
     tags_a, tags_b = _simulated_streams()
     totals = []
     for w in (2e-12, 5e-12, 10e-12, 20e-12, 40e-12):
-        cfg = CorrelatorConfig(window=w, bin_width=2e-12, tau_max=200e-12, side_offset=100e-12)
+        cfg = CorrelatorConfig(window=w, bin_width=2e-12, tau_max=200e-12, **SIDES)
         totals.append(correlate(tags_a, tags_b, cfg).central.sum())
     assert all(a <= b for a, b in zip(totals, totals[1:]))
 
@@ -199,8 +229,8 @@ def test_counts_are_monotone_in_the_window():
 def test_vanishing_window_starves_the_central_peak():
     # with heavy jitter, shrinking w empties the central window
     tags_a, tags_b = _simulated_streams(n=20_000, jitter=20e-12)
-    wide = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, side_offset=100e-12)
-    narrow = CorrelatorConfig(window=1e-12, bin_width=2e-12, tau_max=200e-12, side_offset=100e-12)
+    wide = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
+    narrow = CorrelatorConfig(window=1e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
     n_wide = correlate(tags_a, tags_b, wide).central.sum()
     n_narrow = correlate(tags_a, tags_b, narrow).central.sum()
     assert n_narrow < 0.2 * n_wide
@@ -240,7 +270,7 @@ def test_off_center_window():
     t_b = [1_050, 2_050, 3_050]
     hist = correlate(stream("A", t_a), stream("B", t_b), CFG, center=-50e-12)
     assert hist.central.sum() == 2  # tau = -50 twice
-    assert hist.side_plus.sum() == 1  # tau = +50 = center + side_offset
+    assert hist.side_plus.sum() == 1  # tau = +50 = center + side_offset_a
 
 
 def test_peak_counts_and_fraction():

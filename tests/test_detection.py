@@ -4,13 +4,15 @@ import hashlib
 import math
 import re
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from franson.cli import main
+from franson.correlation import outcome_distribution
 from franson.detection import (
     DetectorModel,
     TagStream,
@@ -22,6 +24,8 @@ from franson.detection import (
 )
 from franson.interferometer import UmziConfig
 from franson.source import PairEnsemble, SpectralModel, sample_pairs
+
+from conftest import chi2_quantile
 
 T_SL = 100e-12
 T_SL_PS = 100
@@ -111,6 +115,61 @@ def test_branch_probabilities_follow_the_joint_phase():
     ports_b = tags_b.port[np.argsort(ids_b)]
     central = branch_labels(tags_a)[np.argsort(ids_a)] == 0
     assert np.all(ports_a[central] == ports_b[central])
+
+
+# False-alarm rate of each statistical check in one example of the oracle test.
+ORACLE_ALPHA = 1e-4
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    phase=st.floats(0.0, 2.0 * math.pi),
+    envelope=st.floats(0.0, 1.0),
+    gamma_a=st.floats(0.0, 1.0),
+    gamma_b=st.floats(0.0, 1.0),
+    t_sl_b_ps=st.sampled_from([60, 100, 140]),
+)
+@example(phase=0.0, envelope=1.0, gamma_a=1.0, gamma_b=1.0, t_sl_b_ps=100)
+@example(phase=math.pi, envelope=1.0, gamma_a=1.0, gamma_b=1.0, t_sl_b_ps=140)
+@example(phase=2.0, envelope=0.6, gamma_a=0.9, gamma_b=0.8, t_sl_b_ps=60)
+def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gamma_b, t_sl_b_ps):
+    # 2**20 pairs with df = dp = 0, so every pair has the joint phase `phase`
+    n = 2**20
+    cfg_a = UmziConfig(t_sl=T_SL, phase=phase, party="A", gamma=gamma_a)
+    cfg_b = UmziConfig(t_sl=t_sl_b_ps * 1e-12, phase=0.0, party="B", gamma=gamma_b)
+    oracle = outcome_distribution(
+        clean_ensemble(1)[0], cfg_a, cfg_b, envelope * gamma_a * gamma_b
+    ).flat()
+    expected = n * oracle
+    # a cell is either impossible or expects at least 5 counts
+    assume(np.all((oracle == 0.0) | (expected >= 5.0)))
+
+    det = DetectorModel(jitter=0.0, efficiency=1.0)
+    tags_a, tags_b = simulate_tags(clean_ensemble(n), cfg_a, cfg_b, det, seed=12, envelope=envelope)
+    (branch_a, ids_a), (branch_b, ids_b) = tags_a.diagnostics(), tags_b.diagnostics()
+    order_a, order_b = np.argsort(ids_a), np.argsort(ids_b)
+    branch = branch_a[order_a]
+    assert np.array_equal(branch, branch_b[order_b])
+    # the branch label is the one the delays show: SL at -t_sl^B, LS at +t_sl^A,
+    # central at 0 (S-S) or t_sl^A - t_sl^B (L-L)
+    tau = tags_a.time_ps[order_a] - tags_b.time_ps[order_b]
+    central = branch == 0
+    assert np.array_equal(tau[~central], np.array([0, -t_sl_b_ps, T_SL_PS])[branch[~central]])
+    assert np.all((tau[central] == 0) | (tau[central] == T_SL_PS - t_sl_b_ps))
+
+    # 12-cell frequencies: index port_a * 6 + port_b * 3 + branch, as in .flat()
+    port_a = tags_a.port[order_a].astype(np.int64) - 5
+    port_b = tags_b.port[order_b].astype(np.int64) - 5
+    counts = np.bincount(port_a * 6 + port_b * 3 + branch, minlength=12)
+    possible = oracle > 0.0
+    assert np.all(counts[~possible] == 0)
+    chi2 = np.sum((counts[possible] - expected[possible]) ** 2 / expected[possible])
+    assert chi2 <= chi2_quantile(int(possible.sum()) - 1, ORACLE_ALPHA)
+
+    # no-signaling: each party's port marginal is 1/2
+    z = NormalDist().inv_cdf(1.0 - ORACLE_ALPHA / 2.0)
+    for ports in (port_a, port_b):
+        assert abs(np.count_nonzero(ports == 0) - n / 2) <= z * math.sqrt(n / 4)
 
 
 def test_efficiency_scales_singles_and_coincidences():
@@ -253,11 +312,22 @@ def test_write_timetags_rejects_records_the_reader_would():
         write_timetags("unused", hand_stream("AB", [5], [0]), hand_stream("B", [], []), 0, "x")
 
 
+def test_timetag_format_bytes_are_pinned_on_hand_built_streams(tmp_path):
+    # format v1 is a data product: its bytes must not move, whatever the sampler
+    times = [(-1) ** k * (7 * 10**k + k) for k in range(18)] + [0, 0, 5, -5]  # every width
+    ports = [5 + (k % 3 == 0) for k in range(len(times))]
+    tags_a = hand_stream("A", ports, times)
+    tags_b = hand_stream("B", ports[::-1], [t // 3 for t in times])  # ties with A at 0
+    path = tmp_path / "tags.dat"
+    write_timetags(path, tags_a, tags_b, seed=7, config_hash="0123456789abcdef")
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "ceb5776a8664d3b7"
+
+
 @pytest.mark.parametrize(
-    "config, digest", [("ideal.json", "a4ad32aa6339adbb"), ("pump_jitter.json", "4d28aabfc46d562c")]
+    "config, digest", [("ideal.json", "79f3345400579811"), ("pump_jitter.json", "5eb52cb5c13a9ad3")]
 )
 def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
-    # format v1 is a data product: its bytes must not move
+    # the simulated dump is pinned too: it moves only with a deliberate stream change
     argv = ["timetags", "--config", str(CONFIGS / config), "--pairs", "20000"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "timetags.dat").read_bytes()).hexdigest()[:16] == digest

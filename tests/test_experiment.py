@@ -2,16 +2,20 @@
 
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import franson as fr
+from franson.correlation import pair_fringe
 from franson.experiment import simulate_point, wrap_phase
 from franson.fitting import fit_cosine
 from franson.errors import FitError
+from franson.rng import KIND_FRINGE
+from franson.source import sample_pairs
 
-from conftest import ideal_config
+from conftest import chi2_quantile, ideal_config
 
 
 def test_wrap_phase():
@@ -52,10 +56,22 @@ def test_montecarlo_matches_analytic_pointwise():
     cfg = ideal_config(pairs_per_point=20_000)
     ana = fr.run_fringe_scan(cfg, mode="analytic")
     mc = fr.run_fringe_scan(cfg, mode="montecarlo")
+    n = cfg.scan.pairs_per_point
+    z = []
     for pp in ("55", "56", "65", "66"):
-        diff = np.abs(mc.columns[f"rate_{pp}"] - ana.columns[f"rate_{pp}"])
-        sigma = np.sqrt(mc.columns[f"stderr_{pp}"] ** 2 + ana.columns[f"stderr_{pp}"] ** 2)
-        assert np.all(diff <= 3.0 * np.maximum(sigma, 1e-4))
+        expected = ana.columns[f"rate_{pp}"]
+        # the counted rate's binomial sigma at the analytic rate, not at the
+        # counted one (which shrinks on low draws), and the analytic error
+        sigma = np.sqrt(expected * (1.0 - expected) / n + ana.columns[f"stderr_{pp}"] ** 2)
+        z.append((mc.columns[f"rate_{pp}"] - expected) / np.maximum(sigma, 1e-4))
+    z = np.concatenate(z)
+    # 16 phases x 4 port pairs = 64 points, each check at a family-wise
+    # false-alarm rate of 0.1%: every |z| within the Sidak bound (4.32), and
+    # sum z^2 within the chi^2 quantile for 64 degrees of freedom (104.8)
+    alpha = 0.001
+    per_point = 1.0 - (1.0 - alpha) ** (1.0 / z.size)
+    assert np.all(np.abs(z) <= NormalDist().inv_cdf(1.0 - per_point / 2.0))
+    assert np.sum(z**2) <= chi2_quantile(z.size, alpha)
 
 
 def test_fringe_scan_determinism_is_byte_level():
@@ -169,6 +185,17 @@ def test_analytic_runners_apply_the_path_overlaps():
     pump = fr.run_pump_sweep(cfg, mode="analytic", pairs_per_point=2_000)
     assert pump.columns["visibility"][0] == pytest.approx(0.25, abs=1e-9)
     np.testing.assert_allclose(pump.columns["visibility"], pump.columns["cf_sampled"], atol=0.01)
+
+
+def test_scan_points_draw_from_tuple_keys():
+    # point k of a fringe scan draws its pairs from the stream (KIND_FRINGE, k)
+    cfg = ideal_config(pairs_per_point=500)
+    cfg = replace(cfg, source=replace(cfg.source, pump_linewidth=2e9))
+    res = fr.run_fringe_scan(cfg, mode="analytic", n_points=8)
+    pairs = sample_pairs(cfg.source, 500, cfg.seed, stream=(KIND_FRINGE, 3))
+    psi = cfg.umzi_b.phase
+    cfg_a, cfg_b = replace(cfg.umzi_a, phase=res.x[3] - psi), replace(cfg.umzi_b, phase=psi)
+    assert res.columns["stderr_55"][3] == pair_fringe(pairs, cfg_a, cfg_b).stderr[0, 0] > 0
 
 
 def test_simulate_point_returns_the_whole_pipeline():

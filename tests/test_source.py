@@ -5,6 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from franson.rng import (
+    KIND_FRINGE,
+    KIND_LOCAL,
+    KIND_PUMP,
+    KIND_TAU,
+    ROLE_DETECTION,
+    ROLE_SOURCE,
+    item_uniforms,
+)
 from franson.source import SpectralModel, sample_pairs
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))  # FWHM = factor * sigma
@@ -112,6 +121,35 @@ def test_pair_sequence_is_defined_by_index_not_batch():
     # emission gaps (not absolute times) are index-addressable as well,
     # up to the prefix-sum rounding of t0
     np.testing.assert_allclose(np.diff(full.t0)[40:], np.diff(tail.t0), rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "path, other",
+    [
+        # a key packed as kind * 10_000 + point would merge these two
+        ((KIND_FRINGE, 10_000), (KIND_LOCAL, 0)),
+        # and a key packed as kind * 100 + step these two
+        ((KIND_TAU, 100, 3), (KIND_PUMP, 0, 3)),
+        # a trailing 0 is part of the key, not padding
+        ((5,), (5, 0)),
+        ((5, ROLE_SOURCE), (5, ROLE_DETECTION)),
+    ],
+)
+def test_distinct_stream_keys_draw_distinct_streams(path, other):
+    assert not np.array_equal(item_uniforms(9, path, 4), item_uniforms(9, other, 4))
+    model = make_model()
+    a, b = sample_pairs(model, 4, seed=9, stream=path), sample_pairs(model, 4, seed=9, stream=other)
+    assert not np.array_equal(a.df, b.df)
+
+
+def test_stream_keys_are_tuples_or_ints_of_bounded_width():
+    model = make_model()
+    assert np.array_equal(sample_pairs(model, 8, 3, stream=7).df, sample_pairs(model, 8, 3, stream=(7,)).df)
+    # entries of 2**32 and up would spill into the next word of the key
+    with pytest.raises(ValueError, match="stream path"):
+        item_uniforms(0, (2**32 + 3,), 1)
+    with pytest.raises(ValueError, match="seed"):
+        item_uniforms(2**128, (0,), 1)
 
 
 @pytest.mark.parametrize(
