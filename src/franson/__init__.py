@@ -12,26 +12,9 @@ and scripted experiment runners behind a CLI.
 __version__ = "0.1.0"
 
 from .config import RunConfig, config_hash, default_config, load_config, parse_config
-from .correlation import (
-    ChshResult,
-    OutcomeDistribution,
-    central_peak_rate,
-    chsh_value,
-    ensemble_fringe,
-    joint_central_amplitude,
-    joint_phase,
-    outcome_distribution,
-    overlap_envelope,
-)
+from .correlation import ChshResult, chsh_value, ensemble_fringe, joint_phase, overlap_envelope
 from .correlator import CoincidenceHistogram, CorrelatorConfig, correlate, peak_counts
-from .detection import (
-    DetectorModel,
-    TagStream,
-    TimeTag,
-    read_timetags,
-    simulate_tags,
-    write_timetags,
-)
+from .detection import DetectorModel, TagStream, read_timetags, simulate_tags, write_timetags
 from .errors import (
     ConfigError,
     FitError,
@@ -49,15 +32,13 @@ from .experiment import (
     run_tau_decay,
 )
 from .interferometer import (
-    PortAmplitudes,
     UmziConfig,
     ensemble_local_fringe,
     local_intensities,
     local_visibility_oracle,
     regime_flags,
-    umzi_transfer,
 )
-from .source import PairEnsemble, PhotonPair, SpectralModel, sample_pairs
+from .source import PairEnsemble, SpectralModel, sample_pairs
 
 __all__ = [
     "__version__",
@@ -68,31 +49,24 @@ __all__ = [
     "CorrelatorConfig",
     "DetectorModel",
     "FitError",
-    "OutcomeDistribution",
     "PairEnsemble",
-    "PhotonPair",
-    "PortAmplitudes",
     "RunConfig",
     "ScanResult",
     "SpectralModel",
     "StreamOrderError",
     "TagStream",
-    "TimeTag",
     "UmziConfig",
     "UndefinedCorrelationError",
-    "central_peak_rate",
     "chsh_value",
     "config_hash",
     "correlate",
     "default_config",
     "ensemble_fringe",
     "ensemble_local_fringe",
-    "joint_central_amplitude",
     "joint_phase",
     "load_config",
     "local_intensities",
     "local_visibility_oracle",
-    "outcome_distribution",
     "overlap_envelope",
     "parse_config",
     "peak_counts",
@@ -106,6 +80,5 @@ __all__ = [
     "run_tau_decay",
     "sample_pairs",
     "simulate_tags",
-    "umzi_transfer",
     "write_timetags",
 ]

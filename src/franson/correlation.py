@@ -1,4 +1,4 @@
-"""Joint two-photon amplitudes and coincidence-selected rates.
+"""Coincidence-selected rates of the two-photon state.
 
 Coincidence detection at equal times keeps only the short-short and long-long
 path products of the two interferometers; their superposition produces the
@@ -26,24 +26,10 @@ import numpy as np
 from .errors import UndefinedCorrelationError
 from .interferometer import UmziConfig
 from .rng import KIND_CHSH
-from .source import PairEnsemble, PhotonPair, SpectralModel, sample_pairs
+from .source import PairEnsemble, SpectralModel, sample_pairs
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
-
-PORTS = (5, 6)
-BRANCHES = ("central", "SL", "LS")
-BRANCH_CENTRAL, BRANCH_SL, BRANCH_LS = 0, 1, 2
-
-SIDE_PROBABILITY = 1.0 / 16.0
-
-
-def port_sign(port: int) -> int:
-    if port == 5:
-        return 1
-    if port == 6:
-        return -1
-    raise ValueError(f"port must be 5 or 6, got {port}")
 
 
 def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
@@ -59,36 +45,12 @@ def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
     return TWO_PI * (det_a * cfg_a.t_sl + det_b * cfg_b.t_sl) + (cfg_a.phase + cfg_b.phase)
 
 
-def joint_central_amplitude(
-    pair: PhotonPair, cfg_a: UmziConfig, cfg_b: UmziConfig, port_a: int, port_b: int
-) -> complex:
-    """Coincidence-selected amplitude (1/4)(s_a s_b + e^{i(phi'+psi')}), up to
-    a global phase; only the short-short and long-long products survive."""
-    sign = port_sign(port_a) * port_sign(port_b)
-    theta = joint_phase(pair.df, pair.dp, cfg_a, cfg_b)
-    return 0.25 * (sign + complex(math.cos(theta), math.sin(theta)))
-
-
-def central_peak_rate(
-    pair: PhotonPair,
-    cfg_a: UmziConfig,
-    cfg_b: UmziConfig,
-    port_a: int,
-    port_b: int,
-    envelope: float = 1.0,
-):
-    """Central-peak coincidence probability (1/8)(1 + s_a s_b V cos(phi'+psi'))."""
-    _check_envelope(envelope)
-    sign = port_sign(port_a) * port_sign(port_b)
-    theta = joint_phase(pair.df, pair.dp, cfg_a, cfg_b)
-    return 0.125 * (1.0 + sign * envelope * np.cos(theta))
-
-
 def central_rate_table(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0) -> np.ndarray:
     """Central-peak rates for all four port pairs; shape (2, 2) + df.shape.
 
     Index 0 is port 5, index 1 is port 6, axes ordered (port_a, port_b).
     """
+    _check_envelope(envelope)
     theta = joint_phase(np.asarray(df, dtype=np.float64), dp, cfg_a, cfg_b)
     fringe = envelope * np.cos(theta)
     same = 0.125 * (1.0 + fringe)
@@ -100,64 +62,12 @@ def central_rate_table(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.
 
 
 @dataclass(frozen=True)
-class OutcomeDistribution:
-    """Joint probability table over (port_a, port_b, branch); 12 entries.
-
-    table[a, b, k]: a, b index ports (0 -> 5, 1 -> 6) and k indexes the
-    branch (0 central, 1 SL, 2 LS).  Every SL/LS entry is exactly 1/16; the
-    central entries carry the whole phase dependence and sum to 1/2.
-    """
-
-    table: np.ndarray
-
-    def prob(self, port_a: int, port_b: int, branch: str) -> float:
-        return float(self.table[PORTS.index(port_a), PORTS.index(port_b), BRANCHES.index(branch)])
-
-    def total(self) -> float:
-        return float(self.table.sum())
-
-    def central_total(self) -> float:
-        return float(self.table[:, :, BRANCH_CENTRAL].sum())
-
-    def marginal_port_a(self) -> np.ndarray:
-        return self.table.sum(axis=(1, 2))
-
-    def marginal_port_b(self) -> np.ndarray:
-        return self.table.sum(axis=(0, 2))
-
-    def flat(self) -> np.ndarray:
-        return self.table.reshape(-1)
-
-    def validate(self, tol: float = 1e-12) -> None:
-        if np.any(self.table < 0):
-            raise AssertionError("negative outcome probability")
-        if abs(self.total() - 1.0) > tol:
-            raise AssertionError(f"outcome table sums to {self.total()!r}, not 1")
-        sides = self.table[:, :, (BRANCH_SL, BRANCH_LS)]
-        if not np.all(sides == SIDE_PROBABILITY):
-            raise AssertionError("side-branch entries must equal 1/16 exactly")
-
-
-def outcome_distribution(
-    pair: PhotonPair, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope: float = 1.0
-) -> OutcomeDistribution:
-    """Per-pair joint outcome table with the given central fringe envelope."""
-    _check_envelope(envelope)
-    table = np.full((2, 2, 3), SIDE_PROBABILITY)
-    table[:, :, BRANCH_CENTRAL] = central_rate_table(pair.df, pair.dp, cfg_a, cfg_b, envelope)
-    return OutcomeDistribution(table=table)
-
-
-@dataclass(frozen=True)
 class EnsembleFringe:
     """Mean central-peak rates over a sampled ensemble."""
 
     rates: np.ndarray  # (2, 2) port-pair means
     stderr: np.ndarray  # (2, 2) standard errors of the means
     n_pairs: int
-
-    def rate(self, port_a: int, port_b: int) -> float:
-        return float(self.rates[PORTS.index(port_a), PORTS.index(port_b)])
 
 
 def ensemble_fringe(
@@ -265,6 +175,5 @@ def overlap_envelope(tau, delta: float):
 
 
 def _check_envelope(envelope: float) -> None:
-    env = np.asarray(envelope)
-    if np.any(env < 0.0) or np.any(env > 1.0):
+    if not 0.0 <= envelope <= 1.0:  # NaN fails too
         raise ValueError(f"envelope factor must lie in [0, 1], got {envelope}")

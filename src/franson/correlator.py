@@ -102,16 +102,6 @@ class CoincidenceHistogram:
         edges = self.bin_edges_ps()
         return (edges[:-1] + edges[1:]) // 2
 
-    def port_pair_counts(self, port_a: int, port_b: int) -> np.ndarray:
-        return self.counts[port_a - 5, port_b - 5]
-
-    def totals(self) -> dict[str, np.ndarray]:
-        return {
-            "central": self.central,
-            "side_plus": self.side_plus,
-            "side_minus": self.side_minus,
-        }
-
 
 def sweep_matches(t_a: np.ndarray, t_b: np.ndarray, tau_lo: int, tau_hi: int):
     """All index pairs (i, j) with tau_lo <= t_a[i] - t_b[j] <= tau_hi.

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .correlation import BRANCHES, joint_phase
+from .correlation import _check_envelope, joint_phase
 from .interferometer import UmziConfig
 from .rng import ROLE_DETECTION, item_uniforms, stream_key
 from .source import PairEnsemble
@@ -70,28 +70,12 @@ class DetectorModel:
         return []
 
 
-@dataclass(frozen=True)
-class TimeTag:
-    """One detection event; diagnostic fields are for test oracles only."""
-
-    party: str
-    port: int
-    time_ps: int
-    diag_branch: str
-    diag_pair_id: int
-
-    @property
-    def time(self) -> float:
-        return self.time_ps / PS_PER_S
-
-
 class TagStream:
     """Time-sorted detection events of one party.
 
     Public arrays: ``port`` and ``time_ps``.  The branch and pair-id arrays
     are diagnostics reachable only through :meth:`diagnostics`; correlator
-    results must not change when they are zeroed (see
-    :meth:`without_diagnostics`).
+    results must not change when they are zeroed.
     """
 
     def __init__(self, party, port, time_ps, diag_branch, diag_pair_id):
@@ -105,28 +89,9 @@ class TagStream:
     def __len__(self) -> int:
         return self.time_ps.size
 
-    def __getitem__(self, i: int) -> TimeTag:
-        return TimeTag(
-            party=self.party,
-            port=int(self.port[i]),
-            time_ps=int(self.time_ps[i]),
-            diag_branch=BRANCHES[self._diag_branch[i]],
-            diag_pair_id=int(self._diag_pair_id[i]),
-        )
-
     def diagnostics(self) -> tuple[np.ndarray, np.ndarray]:
         """Oracle accessor: (branch index, pair id) per tag; tests only."""
         return self._diag_branch.copy(), self._diag_pair_id.copy()
-
-    def without_diagnostics(self) -> "TagStream":
-        """Copy with diagnostic fields zeroed; correlator output must match."""
-        return TagStream(
-            self.party,
-            self.port.copy(),
-            self.time_ps.copy(),
-            np.zeros_like(self._diag_branch),
-            np.zeros_like(self._diag_pair_id),
-        )
 
     def port_counts(self) -> dict[int, int]:
         return {5: int(np.sum(self.port == 5)), 6: int(np.sum(self.port == 6))}
@@ -155,8 +120,7 @@ def simulate_tags(
     Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
     """
-    if not 0.0 <= envelope <= 1.0:
-        raise ValueError(f"envelope factor must lie in [0, 1], got {envelope}")
+    _check_envelope(envelope)
     u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs))
     b_a = u[:, 0] < 0.5
     b_b = u[:, 1] < 0.5
@@ -347,11 +311,3 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
 
     return build("A", _A), build("B", _B), header
 
-
-def branch_from_tau(tau_ps: int, t_sl_ps: int) -> str:
-    """Recover the branch label from an exact coincidence delay (jitter-free,
-    eps-free streams only); used by diagnostic tests."""
-    mapping = {0: "central", -t_sl_ps: "SL", t_sl_ps: "LS"}
-    if tau_ps not in mapping:
-        raise ValueError(f"tau = {tau_ps} ps is not one of 0, +-{t_sl_ps} ps")
-    return mapping[tau_ps]

@@ -22,6 +22,7 @@ import numpy as np
 from . import rng as rng_mod
 from .config import RunConfig, config_hash
 from .correlation import (
+    _check_envelope,
     chsh_combinations,
     chsh_sum,
     chsh_value,
@@ -169,8 +170,17 @@ def _stamped(cls, cfg: RunConfig, mode: str, warnings=(), **fields):
     return result
 
 
+def _count(name: str, value: int | None, default: int, minimum: int = 1) -> int:
+    """A runner's count argument: None takes the default, and a count below
+    ``minimum`` is an error naming the argument."""
+    count = default if value is None else value
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
 def _joint_phase_grid(cfg: RunConfig, n_points: int | None = None) -> np.ndarray:
-    n = n_points or cfg.scan.n_points
+    n = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
@@ -221,6 +231,7 @@ def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0, **delays)
     pipeline, where ``delays`` (extra_delay_b, center) apply.
     """
     if mode == "analytic":
+        _check_envelope(envelope)  # before the overlaps shrink it
         pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
         cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
         cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
@@ -283,7 +294,7 @@ def run_fringe_scan(
     """
     _check_mode(mode)
     theta = _joint_phase_grid(cfg, n_points)
-    n_pairs = pairs_per_point or cfg.scan.pairs_per_point
+    n_pairs = _count("pairs_per_point", pairs_per_point, cfg.scan.pairs_per_point)
     psi = cfg.umzi_b.phase
     rates = np.zeros((2, 2, theta.size))
     stderr = np.zeros((2, 2, theta.size))
@@ -326,7 +337,7 @@ def run_local_scan(
     singles fractions are reported alongside as a cross-check.
     """
     theta = _joint_phase_grid(cfg, n_points)
-    n_pairs = pairs_per_point or cfg.scan.pairs_per_point
+    n_pairs = _count("pairs_per_point", pairs_per_point, cfg.scan.pairs_per_point)
     local_a = np.zeros(theta.size)
     local_b = np.zeros(theta.size)
     singles_a5 = np.zeros(theta.size)
@@ -392,7 +403,7 @@ def run_crossover_sweep(
     if grid is None:
         grid = np.geomspace(0.01, 100.0, 10)
     grid = np.asarray(grid, dtype=np.float64)
-    n_pairs = pairs_per_point or min(cfg.scan.pairs_per_point, 50_000)
+    n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 50_000))
     t_sl = cfg.umzi_a.t_sl
     phases = np.linspace(0.0, TWO_PI, n_phases, endpoint=False)
     vis = np.zeros(grid.size)
@@ -442,7 +453,8 @@ def run_tau_decay(
     if offsets is None:
         offsets = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) / delta
     offsets = np.asarray(offsets, dtype=np.float64)
-    n_pairs = pairs_per_point or min(cfg.scan.pairs_per_point, 30_000)
+    n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 30_000))
+    n_points = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
     gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
     envelope = overlap_envelope(offsets, delta)
     vis = np.zeros(offsets.size)
@@ -501,7 +513,7 @@ def run_pump_sweep(
     if linewidths is None:
         linewidths = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) / t_sl
     linewidths = np.asarray(linewidths, dtype=np.float64)
-    n_pairs = pairs_per_point or min(cfg.scan.pairs_per_point, 20_000)
+    n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 20_000))
 
     vis = np.zeros(linewidths.size)
     err = np.zeros(linewidths.size)
@@ -523,7 +535,7 @@ def run_pump_sweep(
         sub = _fringe_result(sub_cfg, mode, theta, rates, stderr, n_pairs)
         vis[k] = sub.visibility
         err[k] = sub.visibility_err
-        cf_sampled[k] = abs(acc) / n_points
+        cf_sampled[k] = abs(acc) / theta.size
         cf_analytic[k] = local_visibility_oracle(float(lw), t_sl)
 
     gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
@@ -550,7 +562,7 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic", pairs_per_setting: int | No
     """Four-setting CHSH sum; S = 2*sqrt(2) for the ideal configuration."""
     _check_mode(mode)
     settings = cfg.scan.chsh_settings
-    n_pairs = pairs_per_setting or cfg.scan.pairs_per_point
+    n_pairs = _count("pairs_per_setting", pairs_per_setting, cfg.scan.pairs_per_point)
     if mode == "analytic":
         res = chsh_value(
             cfg.source,

@@ -3,7 +3,8 @@
 Each party's interferometer splits the photon over a short (S) and a long (L)
 path with delay difference ``t_sl`` and recombines them on a symmetric
 beam splitter, (1/sqrt 2) [[1, i], [i, 1]].  The photon leaves through port 5
-or port 6 with path-basis coefficients that depend on the accumulated phase
+with probability (1/2)(1 + gamma cos phi') and through port 6 otherwise,
+where gamma is the path overlap and phi' the accumulated phase
 
     phi' = 2*pi * detuning * t_sl + phase
 
@@ -71,39 +72,6 @@ def regime_flags(cfg: UmziConfig, model: SpectralModel) -> dict[str, bool]:
         "incoherent_ensemble": model.delta * cfg.t_sl > INCOHERENT_ENSEMBLE_MIN,
         "individually_coherent": cfg.t_sl < INDIVIDUAL_COHERENT_MAX * model.tau_ind,
     }
-
-
-@dataclass(frozen=True)
-class PortAmplitudes:
-    """Path-basis coefficients (c_s, c_l) of the two output ports."""
-
-    phi_prime: float
-    port5: tuple[complex, complex]
-    port6: tuple[complex, complex]
-
-    def norm(self) -> float:
-        return sum(abs(c) ** 2 for c in (*self.port5, *self.port6))
-
-    def intensities(self, gamma: float) -> tuple[float, float]:
-        return local_intensities(self.phi_prime, gamma)
-
-
-def accumulated_phase(detuning, cfg: UmziConfig):
-    """phi' = 2*pi * detuning * t_sl + phase; vectorizes over detuning."""
-    return TWO_PI * (detuning * cfg.t_sl) + cfg.phase
-
-
-def umzi_transfer(detuning: float, cfg: UmziConfig) -> PortAmplitudes:
-    """Output amplitudes for a photon of the given detuning (Hz, signed)."""
-    if not math.isfinite(detuning):
-        raise ValueError(f"detuning must be finite, got {detuning}")
-    phi = float(accumulated_phase(detuning, cfg))
-    rot = complex(math.cos(phi), math.sin(phi))
-    return PortAmplitudes(
-        phi_prime=phi,
-        port5=(0.5 + 0.0j, 0.5 * rot),
-        port6=(0.5j, -0.5j * rot),
-    )
 
 
 def local_intensities(phi_prime, gamma):

@@ -71,48 +71,14 @@ class SpectralModel:
         return warnings
 
 
-@dataclass(frozen=True)
-class PhotonPair:
-    """One emission event.
-
-    df: signal detuning (Hz); the idler carries -df.
-    dp: pump frequency jitter (Hz), shared as +dp/2 on both photons.
-    xi: global phase (rad), uniform on [0, 2*pi); never observable.
-    t0: emission time (s).
-    eps: signal-idler relative delay (s).
-    """
-
-    id: int
-    df: float
-    dp: float
-    xi: float
-    t0: float
-    eps: float
-
-    @property
-    def detuning_signal(self) -> float:
-        return self.df + 0.5 * self.dp
-
-    @property
-    def detuning_idler(self) -> float:
-        return 0.5 * self.dp - self.df
-
-    def frequencies(self, f0: float) -> tuple[float, float]:
-        """(signal, idler) absolute frequencies.
-
-        The idler is computed as (2*f0 + dp) - f_signal so the pair sum is
-        exact in floating point: with dp = 0, f_s + f_i == 2*f0 bitwise.
-        """
-        f_signal = f0 + (0.5 * self.dp + self.df)
-        f_idler = (2.0 * f0 + self.dp) - f_signal
-        return f_signal, f_idler
-
-
 class PairEnsemble:
     """A sampled sequence of photon pairs, stored column-wise.
 
-    Pair ``j`` is a pure function of (model, seed, stream, start + j); see
-    :func:`sample_pairs`.
+    Columns, one entry per pair: ids; df, the signal detuning (Hz, the idler
+    carries -df); dp, the pump jitter (Hz, +dp/2 on both photons); xi, the
+    never-observable global phase (rad); t0, the emission time (s); eps, the
+    signal-idler delay (s).  Pair ``j`` is a pure function of (model, seed,
+    stream, start + j); see :func:`sample_pairs`.
     """
 
     def __init__(self, model: SpectralModel, ids, df, dp, xi, t0, eps, seed=None, stream=0):
@@ -128,19 +94,6 @@ class PairEnsemble:
 
     def __len__(self) -> int:
         return self.df.size
-
-    def __getitem__(self, j: int) -> PhotonPair:
-        return PhotonPair(
-            id=int(self.ids[j]),
-            df=float(self.df[j]),
-            dp=float(self.dp[j]),
-            xi=float(self.xi[j]),
-            t0=float(self.t0[j]),
-            eps=float(self.eps[j]),
-        )
-
-    def __iter__(self):
-        return (self[j] for j in range(len(self)))
 
     @property
     def detuning_signal(self) -> np.ndarray:

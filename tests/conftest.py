@@ -1,10 +1,9 @@
-"""Shared fixtures: configurations used across the suite, and statistical bounds."""
+"""Shared helpers: the configuration used across the suite, and statistical bounds."""
 
 import math
-from dataclasses import replace
 from statistics import NormalDist
 
-import pytest
+import numpy as np
 
 import franson as fr
 
@@ -26,23 +25,10 @@ def ideal_config(seed: int = 1, n_points: int = 16, pairs_per_point: int = 20_00
     )
 
 
-@pytest.fixture
-def ideal():
-    return ideal_config()
-
-
-@pytest.fixture
-def model(ideal):
-    return ideal.source
-
-
-@pytest.fixture
-def umzi_pair(ideal):
-    return ideal.umzi_a, ideal.umzi_b
-
-
-def with_seed(cfg: fr.RunConfig, seed: int) -> fr.RunConfig:
-    return replace(cfg, seed=seed)
+def blinded(stream: fr.TagStream) -> fr.TagStream:
+    """Copy of a tag stream with its diagnostic fields (branch, pair id) zeroed."""
+    zeros = np.zeros(len(stream), dtype=np.int64)
+    return fr.TagStream(stream.party, stream.port, stream.time_ps, zeros, zeros)
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:

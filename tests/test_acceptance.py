@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import franson as fr
-from franson.correlation import central_rate_table, outcome_distribution
+from franson.correlation import central_rate_table, pair_fringe
 from franson.correlator import correlate, peak_counts, sweep_matches, write_histogram_csv
 from franson.detection import simulate_tags
 from franson.experiment import simulate_point
 from franson.interferometer import local_intensities
-from franson.source import PhotonPair, sample_pairs
+from franson.source import PairEnsemble, sample_pairs
 
-from conftest import ideal_config
+from conftest import blinded, ideal_config
 
 ACCEPT_SEED = 20260810
 
@@ -215,31 +215,25 @@ def test_criterion_8_tau_offset_decay(cfg):
 
 
 def test_criterion_9_structural_invariants(cfg, tmp_path):
-    # probability conservation and no-signaling at 1e-12 over a setting grid
-    pair_grid = [
-        PhotonPair(id=i, df=df, dp=dp, xi=xi, t0=0.0, eps=0.0)
-        for i, (df, dp, xi) in enumerate(
-            (df, dp, xi)
-            for df in (-3e11, 0.0, 7e11)
-            for dp in (0.0, 2e9)
-            for xi in (0.0, 2.5)
+    # probability conservation and no-signaling at 1e-12 over a setting grid:
+    # beside the eight side cells of 1/16, the central cells carry 1/2 and
+    # each party's port marginal of them 1/4, whatever the remote phase
+    df, dp = (grid.ravel() for grid in np.meshgrid([-3e11, 0.0, 7e11], [0.0, 2e9]))
+    for phase_b in (0.0, 0.4, 2.0):
+        rates = central_rate_table(
+            df, dp, cfg.umzi_a, replace(cfg.umzi_b, phase=phase_b), envelope=0.9
         )
-    ]
-    for p in pair_grid:
-        for phase_b in (0.0, 0.4, 2.0):
-            dist = outcome_distribution(
-                p, cfg.umzi_a, replace(cfg.umzi_b, phase=phase_b), envelope=0.9
-            )
-            assert abs(dist.total() - 1.0) <= 1e-12
-            np.testing.assert_allclose(dist.marginal_port_a(), 0.5, atol=1e-12)
-            np.testing.assert_allclose(dist.marginal_port_b(), 0.5, atol=1e-12)
+        np.testing.assert_allclose(rates.sum(axis=(0, 1)), 0.5, atol=1e-12)
+        np.testing.assert_allclose(rates.sum(axis=1), 0.25, atol=1e-12)
+        np.testing.assert_allclose(rates.sum(axis=0), 0.25, atol=1e-12)
 
     # global-phase immunity is exact (bitwise)
-    base = outcome_distribution(pair_grid[0], cfg.umzi_a, cfg.umzi_b)
-    shifted = outcome_distribution(
-        replace(pair_grid[0], xi=1.234), cfg.umzi_a, cfg.umzi_b
+    pairs = sample_pairs(cfg.source, 2_000, seed=ACCEPT_SEED)
+    shifted = PairEnsemble(
+        pairs.model, pairs.ids, pairs.df, pairs.dp, pairs.xi + 1.234, pairs.t0, pairs.eps
     )
-    assert np.array_equal(base.table, shifted.table)
+    base = pair_fringe(pairs, cfg.umzi_a, cfg.umzi_b).rates
+    assert np.array_equal(base, pair_fringe(shifted, cfg.umzi_a, cfg.umzi_b).rates)
 
     # I5 + I6 = 1 to 1e-12 across settings and overlaps
     for phi in np.linspace(-7.0, 7.0, 41):
@@ -259,7 +253,7 @@ def test_criterion_9_structural_invariants(cfg, tmp_path):
         pairs, cfg.umzi_a, cfg.umzi_b, cfg.detector, seed=ACCEPT_SEED, stream=55
     )
     h1 = correlate(tags_a, tags_b, cfg.correlator)
-    h2 = correlate(tags_a.without_diagnostics(), tags_b.without_diagnostics(), cfg.correlator)
+    h2 = correlate(blinded(tags_a), blinded(tags_b), cfg.correlator)
     f1, f2 = tmp_path / "h1.csv", tmp_path / "h2.csv"
     write_histogram_csv(h1, f1, ACCEPT_SEED, "x")
     write_histogram_csv(h2, f2, ACCEPT_SEED, "x")

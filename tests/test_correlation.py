@@ -5,33 +5,29 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from franson.correlation import (
-    central_peak_rate,
     central_rate_table,
     chsh_value,
     correlation_coefficient,
     ensemble_fringe,
-    joint_central_amplitude,
     joint_phase,
-    outcome_distribution,
     overlap_envelope,
+    pair_fringe,
 )
 from franson.errors import UndefinedCorrelationError
 from franson.interferometer import UmziConfig
-from franson.source import PhotonPair, SpectralModel, sample_pairs
+from franson.source import PairEnsemble, SpectralModel, sample_pairs
+
+from oracles import PORTS, joint_amplitude, outcome_table
 
 T_SL = 100e-12
 
 
 def umzi(phase=0.0, party="A", t_sl=T_SL):
     return UmziConfig(t_sl=t_sl, phase=phase, party=party, gamma=1.0)
-
-
-def pair(df=0.0, dp=0.0, xi=0.0, eps=0.0, pid=0):
-    return PhotonPair(id=pid, df=df, dp=dp, xi=xi, t0=0.0, eps=eps)
 
 
 def model(delta=1e12, pump=0.0):
@@ -117,28 +113,45 @@ def test_joint_phase_carries_pump_jitter():
 
 def test_central_amplitude_examples():
     cfg_a, cfg_b = umzi(0.0), umzi(0.0, "B")
-    amp55 = joint_central_amplitude(pair(), cfg_a, cfg_b, 5, 5)
+    amp55 = joint_amplitude(0.0, 0.0, cfg_a, cfg_b, 5, 5)
     assert abs(amp55) ** 2 == pytest.approx(0.25, abs=1e-12)
-    amp56 = joint_central_amplitude(pair(), cfg_a, cfg_b, 5, 6)
+    amp56 = joint_amplitude(0.0, 0.0, cfg_a, cfg_b, 5, 6)
     assert abs(amp56) ** 2 == pytest.approx(0.0, abs=1e-12)
-    amp66 = joint_central_amplitude(pair(), umzi(math.pi), cfg_b, 6, 6)
+    amp66 = joint_amplitude(0.0, 0.0, umzi(math.pi), cfg_b, 6, 6)
     assert abs(amp66) ** 2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_central_peak_rate_examples():
     cfg_a, cfg_b = umzi(0.0), umzi(0.0, "B")
-    assert central_peak_rate(pair(), cfg_a, cfg_b, 5, 5) == pytest.approx(0.25, abs=1e-12)
-    assert central_peak_rate(pair(), umzi(math.pi), cfg_b, 5, 5) == pytest.approx(0.0, abs=1e-12)
-    for ports in ((5, 5), (5, 6), (6, 5), (6, 6)):
-        assert central_peak_rate(pair(), cfg_a, cfg_b, *ports, envelope=0.0) == 0.125
+    assert central_rate_table(0.0, 0.0, cfg_a, cfg_b)[0, 0] == pytest.approx(0.25, abs=1e-12)
+    assert central_rate_table(0.0, 0.0, umzi(math.pi), cfg_b)[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert np.all(central_rate_table(0.0, 0.0, cfg_a, cfg_b, envelope=0.0) == 0.125)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    df=st.floats(-2e12, 2e12),
+    dp=st.floats(-5e9, 5e9),
+    phase_a=st.floats(-7.0, 7.0),
+    phase_b=st.floats(-7.0, 7.0),
+    t_sl_a=st.floats(20e-12, 200e-12),
+    t_sl_b=st.floats(20e-12, 200e-12),
+)
+def test_central_rate_table_matches_the_joint_amplitude(df, dp, phase_a, phase_b, t_sl_a, t_sl_b):
+    # the rate law against |SS + LL|^2 of the port amplitudes, unequal delays
+    assume(t_sl_a != t_sl_b)
+    cfg_a, cfg_b = umzi(phase_a, "A", t_sl_a), umzi(phase_b, "B", t_sl_b)
+    rates = central_rate_table(df, dp, cfg_a, cfg_b)
+    for a, port_a in enumerate(PORTS):
+        for b, port_b in enumerate(PORTS):
+            amp = joint_amplitude(df, dp, cfg_a, cfg_b, port_a, port_b)
+            assert rates[a, b] == pytest.approx(abs(amp) ** 2, abs=1e-12)
 
 
 def test_rate_depends_on_ports_only_through_the_sign_product():
-    p = pair(df=2.3e11)
-    cfg_a, cfg_b = umzi(0.3), umzi(1.1, "B")
-    r = {pp: central_peak_rate(p, cfg_a, cfg_b, *pp) for pp in ((5, 5), (5, 6), (6, 5), (6, 6))}
-    assert r[(5, 5)] == r[(6, 6)]
-    assert r[(5, 6)] == r[(6, 5)]
+    r = central_rate_table(2.3e11, 0.0, umzi(0.3), umzi(1.1, "B"))
+    assert r[0, 0] == r[1, 1]
+    assert r[0, 1] == r[1, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,29 +163,25 @@ def test_rate_depends_on_ports_only_through_the_sign_product():
     envelope=st.floats(0.0, 1.0),
 )
 def test_outcome_distribution_invariants(df, dp, phase_a, phase_b, envelope):
-    dist = outcome_distribution(pair(df=df, dp=dp), umzi(phase_a), umzi(phase_b, "B"), envelope)
-    dist.validate(tol=1e-12)
-    assert dist.total() == pytest.approx(1.0, abs=1e-12)
-    assert dist.central_total() == pytest.approx(0.5, abs=1e-12)
+    table = outcome_table(df, dp, umzi(phase_a), umzi(phase_b, "B"), envelope)
+    assert np.all(table >= 0.0)
+    assert np.all(table[:, :, 1:] == 1.0 / 16.0)
+    assert table.sum() == pytest.approx(1.0, abs=1e-12)
+    assert table[:, :, 0].sum() == pytest.approx(0.5, abs=1e-12)
     # no-signaling: either party's port marginal is half, whatever the remote phase
-    np.testing.assert_allclose(dist.marginal_port_a(), 0.5, atol=1e-12)
-    np.testing.assert_allclose(dist.marginal_port_b(), 0.5, atol=1e-12)
+    np.testing.assert_allclose(table.sum(axis=(1, 2)), 0.5, atol=1e-12)
+    np.testing.assert_allclose(table.sum(axis=(0, 2)), 0.5, atol=1e-12)
 
 
 def test_outcome_distribution_at_zero_joint_phase():
-    dist = outcome_distribution(pair(), umzi(0.0), umzi(0.0, "B"), envelope=1.0)
-    assert dist.prob(5, 5, "central") == pytest.approx(0.25, abs=1e-12)
-    assert dist.prob(6, 6, "central") == pytest.approx(0.25, abs=1e-12)
-    assert dist.prob(5, 6, "central") == pytest.approx(0.0, abs=1e-12)
-    assert dist.prob(6, 5, "central") == pytest.approx(0.0, abs=1e-12)
-    for ports in ((5, 5), (5, 6), (6, 5), (6, 6)):
-        assert dist.prob(*ports, "SL") == 1.0 / 16.0
-        assert dist.prob(*ports, "LS") == 1.0 / 16.0
+    table = outcome_table(0.0, 0.0, umzi(0.0), umzi(0.0, "B"), envelope=1.0)
+    np.testing.assert_allclose(table[:, :, 0], [[0.25, 0.0], [0.0, 0.25]], atol=1e-12)
+    assert np.all(table[:, :, 1:] == 1.0 / 16.0)
 
 
 def test_envelope_outside_unit_interval_is_rejected():
     with pytest.raises(ValueError, match="envelope"):
-        outcome_distribution(pair(), umzi(), umzi(party="B"), envelope=1.2)
+        central_rate_table(0.0, 0.0, umzi(), umzi(party="B"), envelope=1.2)
 
 
 def test_detuning_immunity_is_bitwise_across_pairs():
@@ -185,23 +194,25 @@ def test_detuning_immunity_is_bitwise_across_pairs():
 
 
 def test_global_phase_never_enters_rates():
-    base, shifted = pair(df=1e11, xi=0.0), pair(df=1e11, xi=2.5)
-    cfg_a, cfg_b = umzi(0.2), umzi(0.3, "B")
-    assert np.array_equal(
-        outcome_distribution(base, cfg_a, cfg_b).table,
-        outcome_distribution(shifted, cfg_a, cfg_b).table,
+    pairs = sample_pairs(model(pump=2e9), 1_000, seed=2)
+    shifted = PairEnsemble(
+        pairs.model, pairs.ids, pairs.df, pairs.dp, pairs.xi + 2.5, pairs.t0, pairs.eps
     )
+    cfg_a, cfg_b = umzi(0.2), umzi(0.3, "B")
+    fringe, fringe_shifted = pair_fringe(pairs, cfg_a, cfg_b), pair_fringe(shifted, cfg_a, cfg_b)
+    assert np.array_equal(fringe.rates, fringe_shifted.rates)
+    assert np.array_equal(fringe.stderr, fringe_shifted.stderr)
 
 
 def test_ensemble_fringe_is_exact_without_pump_jitter():
     fringe = ensemble_fringe(model(), umzi(0.0), umzi(0.0, "B"), n_pairs=2_000, seed=9)
-    assert fringe.rate(5, 5) == 0.25
-    assert fringe.rate(6, 6) == 0.25
-    assert fringe.rate(5, 6) == 0.0
+    assert fringe.rates[0, 0] == 0.25
+    assert fringe.rates[1, 1] == 0.25
+    assert fringe.rates[0, 1] == 0.0
     quadrature = ensemble_fringe(
         model(delta=5e12), umzi(0.0), umzi(math.pi / 2, "B"), n_pairs=2_000, seed=9
     )
-    assert quadrature.rate(5, 5) == pytest.approx(0.125, abs=1e-12)
+    assert quadrature.rates[0, 0] == pytest.approx(0.125, abs=1e-12)
 
 
 def test_ensemble_fringe_visibility_tracks_sampled_pump_jitter():
@@ -210,7 +221,7 @@ def test_ensemble_fringe_visibility_tracks_sampled_pump_jitter():
     rates, oracles = [], []
     for k, th in enumerate(phases):
         fr = ensemble_fringe(mdl, umzi(th), umzi(0.0, "B"), n_pairs=5_000, seed=3, stream=k)
-        rates.append(fr.rate(5, 5))
+        rates.append(fr.rates[0, 0])
         pairs = sample_pairs(mdl, 5_000, 3, stream=k)
         oracles.append(np.exp(1j * 2 * math.pi * pairs.dp * T_SL).mean())
     from franson.fitting import fit_cosine

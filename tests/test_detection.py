@@ -12,11 +12,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from franson.cli import main
-from franson.correlation import outcome_distribution
 from franson.detection import (
     DetectorModel,
     TagStream,
-    branch_from_tau,
     read_timetags,
     simulate_tags,
     to_picoseconds,
@@ -26,6 +24,7 @@ from franson.interferometer import UmziConfig
 from franson.source import PairEnsemble, SpectralModel, sample_pairs
 
 from conftest import chi2_quantile
+from oracles import BRANCHES, branch_from_tau, outcome_table
 
 T_SL = 100e-12
 T_SL_PS = 100
@@ -69,7 +68,7 @@ def test_central_branch_has_zero_delay_without_jitter():
     assert np.all(tau[branches == 1] == -T_SL_PS)  # short at A, long at B
     assert np.all(tau[branches == 2] == +T_SL_PS)
     for t, b in zip(tau[:100], branches[:100]):
-        assert branch_from_tau(int(t), T_SL_PS) == ("central", "SL", "LS")[b]
+        assert branch_from_tau(int(t), T_SL_PS) == BRANCHES[b]
 
 
 def test_side_branch_delay_includes_eps():
@@ -137,9 +136,7 @@ def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gam
     n = 2**20
     cfg_a = UmziConfig(t_sl=T_SL, phase=phase, party="A", gamma=gamma_a)
     cfg_b = UmziConfig(t_sl=t_sl_b_ps * 1e-12, phase=0.0, party="B", gamma=gamma_b)
-    oracle = outcome_distribution(
-        clean_ensemble(1)[0], cfg_a, cfg_b, envelope * gamma_a * gamma_b
-    ).flat()
+    oracle = outcome_table(0.0, 0.0, cfg_a, cfg_b, envelope * gamma_a * gamma_b).ravel()
     expected = n * oracle
     # a cell is either impossible or expects at least 5 counts
     assume(np.all((oracle == 0.0) | (expected >= 5.0)))
@@ -157,7 +154,7 @@ def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gam
     assert np.array_equal(tau[~central], np.array([0, -t_sl_b_ps, T_SL_PS])[branch[~central]])
     assert np.all((tau[central] == 0) | (tau[central] == T_SL_PS - t_sl_b_ps))
 
-    # 12-cell frequencies: index port_a * 6 + port_b * 3 + branch, as in .flat()
+    # 12-cell frequencies: index port_a * 6 + port_b * 3 + branch, as in .ravel()
     port_a = tags_a.port[order_a].astype(np.int64) - 5
     port_b = tags_b.port[order_b].astype(np.int64) - 5
     counts = np.bincount(port_a * 6 + port_b * 3 + branch, minlength=12)

@@ -223,3 +223,39 @@ def test_invalid_mode_is_rejected():
     cfg = ideal_config(pairs_per_point=100)
     with pytest.raises(ValueError, match="mode"):
         fr.run_fringe_scan(cfg, mode="magic")
+
+
+@pytest.mark.parametrize("envelope", [-0.1, 1.04, 1.5, math.nan])
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_envelope_outside_unit_interval_fails_alike_in_both_modes(gamma, mode, envelope):
+    # checked before the path overlaps shrink it: 1.04 * 0.5**2 would pass
+    cfg = ideal_config(pairs_per_point=100)
+    cfg = replace(
+        cfg, umzi_a=replace(cfg.umzi_a, gamma=gamma), umzi_b=replace(cfg.umzi_b, gamma=gamma)
+    )
+    with pytest.raises(ValueError, match=r"envelope factor must lie in \[0, 1\]"):
+        fr.run_fringe_scan(cfg, mode=mode, envelope=envelope)
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs",
+    [
+        (fr.run_fringe_scan, {"pairs_per_point": 0}),
+        (fr.run_fringe_scan, {"n_points": 0}),
+        (fr.run_fringe_scan, {"n_points": 7}),
+        (fr.run_local_scan, {"pairs_per_point": -1}),
+        (fr.run_local_scan, {"n_points": 0}),
+        (fr.run_crossover_sweep, {"pairs_per_point": 0}),
+        (fr.run_tau_decay, {"pairs_per_point": 0}),
+        (fr.run_tau_decay, {"n_points": 0, "mode": "analytic"}),
+        (fr.run_pump_sweep, {"pairs_per_point": 0}),
+        (fr.run_pump_sweep, {"n_points": 0}),
+        (fr.run_chsh, {"pairs_per_setting": 0}),
+    ],
+)
+def test_counts_below_their_minimum_are_rejected(runner, kwargs):
+    # zero is a count, not "use the default"; n_points needs the fit's 8 points
+    name = next(key for key in kwargs if key != "mode")
+    with pytest.raises(ValueError, match=rf"^{name} must be >= "):
+        runner(ideal_config(pairs_per_point=100), **kwargs)
