@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .config import RunConfig, config_hash, default_config, load_config, parse_config
 from .correlation import ChshResult, chsh_value, ensemble_fringe, joint_phase, overlap_envelope
-from .correlator import CoincidenceHistogram, CorrelatorConfig, correlate, peak_counts
+from .correlator import CoincidenceHistogram, CorrelatorConfig, correlate
 from .detection import DetectorModel, TagStream, read_timetags, simulate_tags, write_timetags
 from .errors import (
     ConfigError,
@@ -69,7 +69,6 @@ __all__ = [
     "local_visibility_oracle",
     "overlap_envelope",
     "parse_config",
-    "peak_counts",
     "read_timetags",
     "regime_flags",
     "run_chsh",

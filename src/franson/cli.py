@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from . import rng as rng_mod
 from .config import RunConfig, config_hash, load_config
-from .correlator import correlate, peak_counts, write_histogram_csv
+from .correlator import correlate, write_histogram_csv
 from .detection import read_timetags, simulate_tags, write_timetags
 from .experiment import (
     ScanResult,
@@ -84,6 +84,8 @@ def _cmd_scan(args) -> RunConfig:
 
 
 def _cmd_timetags(args) -> RunConfig:
+    if args.pairs is not None and args.pairs < 0:
+        raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     cfg = _load(args)
     n_pairs = args.pairs if args.pairs is not None else cfg.scan.pairs_per_point
     pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=rng_mod.KIND_TIMETAGS)
@@ -108,7 +110,6 @@ def _cmd_correlate(args) -> RunConfig:
     for w in hist.warnings:
         print(f"warning: {w}", file=sys.stderr)
     write_histogram_csv(hist, args.out / "histogram.csv", cfg.seed, cfg_hash)
-    peaks = peak_counts(hist)
     _write_json(
         args.out / "correlate.json",
         {
@@ -117,10 +118,10 @@ def _cmd_correlate(args) -> RunConfig:
             "config_hash": cfg_hash,
             "n_matches": hist.n_matches,
             "n_comparisons": hist.n_comparisons,
-            "central": peaks.central.tolist(),
-            "side_plus": peaks.side_plus.tolist(),
-            "side_minus": peaks.side_minus.tolist(),
-            "central_fraction": peaks.central_fraction,
+            "central": hist.central.tolist(),
+            "side_plus": hist.side_plus.tolist(),
+            "side_minus": hist.side_minus.tolist(),
+            "central_fraction": hist.central_fraction,
             "overlap_warning": hist.overlap_warning,
             "warnings": list(hist.warnings),
         },

@@ -67,7 +67,6 @@ class EnsembleFringe:
 
     rates: np.ndarray  # (2, 2) port-pair means
     stderr: np.ndarray  # (2, 2) standard errors of the means
-    n_pairs: int
 
 
 def ensemble_fringe(
@@ -98,7 +97,6 @@ def pair_fringe(
     return EnsembleFringe(
         rates=rates.mean(axis=-1),
         stderr=rates.std(axis=-1) / math.sqrt(len(pairs)),
-        n_pairs=len(pairs),
     )
 
 

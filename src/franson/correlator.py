@@ -1,12 +1,12 @@
 """Coincidence correlation of two time-sorted tag streams.
 
 One vectorized pass pairs every tag of stream A with the stream-B tags inside
-``center +- tau_max`` of it (two binary searches per A tag), bins the delays
-``tau = t_A - t_B``, and classifies them into the central peak
-(|tau - center| <= w) and the two side peaks: LS at tau = center + t_sl^A
-(``side_offset_a``) and SL at tau = center - t_sl^B (``side_offset_b``),
-each within w.  The pass does O(N_A log N_B + matches) work and uses only
-(party, port, time); diagnostic tag fields never enter.
+``+-tau_max`` of it (two binary searches per A tag), bins the delays
+``tau = t_A - t_B``, and classifies them into the central peak (|tau| <= w,
+the window is centred at tau = 0) and the two side peaks: LS at
+tau = +t_sl^A (``side_offset_a``) and SL at tau = -t_sl^B
+(``side_offset_b``), each within w.  The pass does O(N_A log N_B + matches)
+work and uses only (party, port, time); diagnostic tag fields never enter.
 
 All times are integer picoseconds.
 """
@@ -29,8 +29,8 @@ HISTOGRAM_MAGIC = "# franson-histogram v1"
 class CorrelatorConfig:
     """window: coincidence half-width w (s); bin_width, tau_max: histogram
     geometry (s); side_offset_a, side_offset_b: distances (s) of the LS peak
-    above and the SL peak below the center, normally the interferometer
-    delays t_sl^A and t_sl^B."""
+    above and the SL peak below tau = 0, normally the interferometer delays
+    t_sl^A and t_sl^B."""
 
     window: float = 10e-12
     bin_width: float = 2e-12
@@ -53,14 +53,21 @@ class CorrelatorConfig:
                 f"max(side_offset_a, side_offset_b) + 5*bin_width, got {self.tau_max} < "
                 f"{farthest + 5 * self.bin_width}"
             )
-        warnings = []
-        nearest = min(self.side_offset_a, self.side_offset_b)
-        if self.window >= 0.5 * nearest:
-            warnings.append(
-                f"window w = {self.window:g} s >= min(side_offset_a, side_offset_b)/2 = "
-                f"{0.5 * nearest:g} s: peak windows overlap"
-            )
-        return warnings
+        w_ps, side_a_ps, side_b_ps = (
+            int(to_picoseconds(v)) for v in (self.window, self.side_offset_a, self.side_offset_b)
+        )
+        if _windows_overlap(w_ps, side_a_ps, side_b_ps):
+            return [
+                f"window w = {w_ps} ps >= min(side_offset_a, side_offset_b)/2 = "
+                f"{min(side_a_ps, side_b_ps) / 2:g} ps: peak windows overlap"
+            ]
+        return []
+
+
+def _windows_overlap(w_ps: int, side_a_ps: int, side_b_ps: int) -> bool:
+    """Whether the central window [-w, w] shares a delay with the nearer side
+    window [s - w, s + w]: 2w >= s on the integer picoseconds the windows use."""
+    return 2 * w_ps >= min(side_a_ps, side_b_ps)
 
 
 @dataclass
@@ -68,11 +75,11 @@ class CoincidenceHistogram:
     """Binned coincidences per port pair plus peak-window totals.
 
     counts[a, b, k]: port indices (0 -> 5, 1 -> 6) and bin index k over
-    [center - tau_max, center + tau_max]; tau = center + tau_max falls into
-    the last bin.  Totals are window sums, not bin sums, so they are exact
-    for any bin geometry.  n_matches counts the (A, B) tag pairs within
-    tau_max of center; n_comparisons = N_A + n_matches, the number of A tags
-    searched plus the pairs emitted.
+    [-tau_max, tau_max]; tau = tau_max falls into the last bin.  Totals are
+    window sums, not bin sums, so they are exact for any bin geometry.
+    n_matches counts the (A, B) tag pairs with |tau| <= tau_max;
+    n_comparisons = N_A + n_matches, the number of A tags searched plus the
+    pairs emitted.
     """
 
     window_ps: int
@@ -80,7 +87,6 @@ class CoincidenceHistogram:
     tau_max_ps: int
     side_offset_a_ps: int
     side_offset_b_ps: int
-    center_ps: int
     counts: np.ndarray
     central: np.ndarray
     side_plus: np.ndarray
@@ -94,13 +100,16 @@ class CoincidenceHistogram:
     def n_bins(self) -> int:
         return self.counts.shape[2]
 
-    def bin_edges_ps(self) -> np.ndarray:
-        start = self.center_ps - self.tau_max_ps
-        return start + self.bin_width_ps * np.arange(self.n_bins + 1, dtype=np.int64)
-
     def bin_centers_ps(self) -> np.ndarray:
-        edges = self.bin_edges_ps()
+        edges = self.bin_width_ps * np.arange(self.n_bins + 1, dtype=np.int64) - self.tau_max_ps
         return (edges[:-1] + edges[1:]) // 2
+
+    @property
+    def central_fraction(self) -> float:
+        """Central-window share of all peak-window events, about 1/2 (NaN if none)."""
+        central = int(self.central.sum())
+        total = central + int(self.side_plus.sum() + self.side_minus.sum())
+        return central / total if total else math.nan
 
 
 def sweep_matches(t_a: np.ndarray, t_b: np.ndarray, tau_lo: int, tau_hi: int):
@@ -127,16 +136,12 @@ def _require_sorted(stream: TagStream, name: str) -> None:
 
 
 def correlate(
-    stream_a: TagStream,
-    stream_b: TagStream,
-    cfg: CorrelatorConfig,
-    center: float = 0.0,
+    stream_a: TagStream, stream_b: TagStream, cfg: CorrelatorConfig
 ) -> CoincidenceHistogram:
     """Build the coincidence histogram of tau = t_A - t_B.
 
-    center: offset (s) of the analysis window; the central peak is looked
-    for at tau = center, side_plus (LS) at center + side_offset_a and
-    side_minus (SL) at center - side_offset_b.
+    The central peak is looked for at tau = 0, side_plus (LS) at
+    +side_offset_a and side_minus (SL) at -side_offset_b.
     """
     config_warnings = cfg.validate()
     _require_sorted(stream_a, "A")
@@ -147,28 +152,24 @@ def correlate(
     tau_max_ps = int(to_picoseconds(cfg.tau_max))
     side_a_ps = int(to_picoseconds(cfg.side_offset_a))
     side_b_ps = int(to_picoseconds(cfg.side_offset_b))
-    center_ps = int(to_picoseconds(center))
     if w_ps < 1 or bin_ps < 1:
         raise ValueError("window and bin_width must be at least 1 ps")
 
     n_bins = -((-2 * tau_max_ps) // bin_ps)
-    ia, ib, comparisons = sweep_matches(
-        stream_a.time_ps, stream_b.time_ps, center_ps - tau_max_ps, center_ps + tau_max_ps
-    )
+    ia, ib, comparisons = sweep_matches(stream_a.time_ps, stream_b.time_ps, -tau_max_ps, tau_max_ps)
     tau = stream_a.time_ps[ia] - stream_b.time_ps[ib]
     # Row-major flat index of [port_a - 5, port_b - 5].
     key = 2 * stream_a.port[ia].astype(np.int64) + stream_b.port[ib] - 15
 
-    bins = np.minimum((tau - (center_ps - tau_max_ps)) // bin_ps, n_bins - 1)
+    bins = np.minimum((tau + tau_max_ps) // bin_ps, n_bins - 1)
     counts = np.bincount(key * n_bins + bins, minlength=4 * n_bins).reshape(2, 2, n_bins)
 
     def tally(selected):
         return np.bincount(key[selected], minlength=4).reshape(2, 2)
 
-    rel = tau - center_ps
-    central = tally(np.abs(rel) <= w_ps)
-    side_plus = tally(np.abs(rel - side_a_ps) <= w_ps)
-    side_minus = tally(np.abs(rel + side_b_ps) <= w_ps)
+    central = tally(np.abs(tau) <= w_ps)
+    side_plus = tally(np.abs(tau - side_a_ps) <= w_ps)
+    side_minus = tally(np.abs(tau + side_b_ps) <= w_ps)
 
     return CoincidenceHistogram(
         window_ps=w_ps,
@@ -176,54 +177,30 @@ def correlate(
         tau_max_ps=tau_max_ps,
         side_offset_a_ps=side_a_ps,
         side_offset_b_ps=side_b_ps,
-        center_ps=center_ps,
         counts=counts,
         central=central,
         side_plus=side_plus,
         side_minus=side_minus,
         n_matches=int(tau.size),
         n_comparisons=int(comparisons),
-        overlap_warning=w_ps >= min(side_a_ps, side_b_ps) / 2,
+        overlap_warning=_windows_overlap(w_ps, side_a_ps, side_b_ps),
         warnings=config_warnings,
     )
 
 
-@dataclass(frozen=True)
-class PeakCounts:
-    """Window totals per port pair and pooled, plus the post-selection ratio."""
-
-    central: np.ndarray
-    side_plus: np.ndarray
-    side_minus: np.ndarray
-    central_total: int
-    side_total: int
-
-    @property
-    def central_fraction(self) -> float:
-        total = self.central_total + self.side_total
-        return self.central_total / total if total else math.nan
-
-
-def peak_counts(hist: CoincidenceHistogram) -> PeakCounts:
-    """The three window totals; centrals are about half of all peak events."""
-    return PeakCounts(
-        central=hist.central.copy(),
-        side_plus=hist.side_plus.copy(),
-        side_minus=hist.side_minus.copy(),
-        central_total=int(hist.central.sum()),
-        side_total=int(hist.side_plus.sum() + hist.side_minus.sum()),
-    )
-
-
 def write_histogram_csv(hist: CoincidenceHistogram, path, seed: int, config_hash: str) -> None:
-    """CSV dump: tau_ps (bin center), port_a, port_b, count."""
+    """CSV dump: tau_ps (bin center), port_a, port_b, count.
+
+    The header's center_ps is always 0: format v1 keeps the field, and the
+    window is centred at tau = 0.
+    """
     lines = [
         HISTOGRAM_MAGIC,
         f"# seed={seed}",
         f"# config_hash={config_hash}",
         f"# window_ps={hist.window_ps} bin_width_ps={hist.bin_width_ps} "
         f"tau_max_ps={hist.tau_max_ps} side_offset_a_ps={hist.side_offset_a_ps} "
-        f"side_offset_b_ps={hist.side_offset_b_ps} center_ps={hist.center_ps}",
+        f"side_offset_b_ps={hist.side_offset_b_ps} center_ps=0",
         "tau_ps,port_a,port_b,count",
     ]
     centers = hist.bin_centers_ps()

@@ -105,7 +105,6 @@ def simulate_tags(
     seed: int,
     stream=0,
     envelope: float = 1.0,
-    extra_delay_b: float = 0.0,
 ) -> tuple[TagStream, TagStream]:
     """Detect a sampled ensemble; returns one stream per party.
 
@@ -115,7 +114,6 @@ def simulate_tags(
     and/or pump-side degradations); the path overlaps gamma_A * gamma_B are
     folded in here as well since first-order coherence between the short and
     long paths is a prerequisite for the central-peak interference.
-    extra_delay_b: fixed additional delay (s) on party B before detection.
 
     Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
@@ -138,9 +136,8 @@ def simulate_tags(
     del u  # the largest array here: free it before the times are assembled
 
     t0_ps = to_picoseconds(pairs.t0)
-    eps_ps = to_picoseconds(pairs.eps) + to_picoseconds(extra_delay_b)
     t_a = t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
-    t_b = t0_ps + eps_ps + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
+    t_b = t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
 
     stream_a = TagStream(
         cfg_a.party,

@@ -191,8 +191,6 @@ def simulate_point(
     phase_a: float,
     phase_b: float,
     envelope: float = 1.0,
-    extra_delay_b: float = 0.0,
-    center: float = 0.0,
 ) -> tuple[PairEnsemble, TagStream, TagStream, CoincidenceHistogram]:
     """Full source -> detection -> correlator pipeline for one scan point.
 
@@ -203,16 +201,9 @@ def simulate_point(
     cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
     pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
     tags_a, tags_b = simulate_tags(
-        pairs,
-        cfg_a,
-        cfg_b,
-        cfg.detector,
-        cfg.seed,
-        stream=stream,
-        envelope=envelope,
-        extra_delay_b=extra_delay_b,
+        pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=stream, envelope=envelope
     )
-    hist = correlate(tags_a, tags_b, cfg.correlator, center=center)
+    hist = correlate(tags_a, tags_b, cfg.correlator)
     return pairs, tags_a, tags_b, hist
 
 
@@ -222,13 +213,13 @@ def _counted_rates(hist: CoincidenceHistogram, n_pairs: int) -> tuple[np.ndarray
     return hist.central / n_pairs, np.sqrt(np.maximum(hist.central, 1.0)) / n_pairs
 
 
-def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0, **delays):
+def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0):
     """One scan point, its pairs drawn once: (pairs, central rates, stderr).
 
     Rates and errors are (2, 2) over (port_a, port_b).  analytic mode averages
     the rate algebra over the pairs, with gamma_A * gamma_B folded into the
     envelope; montecarlo mode counts the central window of the full tag
-    pipeline, where ``delays`` (extra_delay_b, center) apply.
+    pipeline.
     """
     if mode == "analytic":
         _check_envelope(envelope)  # before the overlaps shrink it
@@ -237,7 +228,7 @@ def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0, **delays)
         cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
         fringe = pair_fringe(pairs, cfg_a, cfg_b, envelope * (cfg.umzi_a.gamma * cfg.umzi_b.gamma))
         return pairs, fringe.rates, fringe.stderr
-    pairs, _, _, hist = simulate_point(cfg, stream, n_pairs, phase_a, phase_b, envelope, **delays)
+    pairs, _, _, hist = simulate_point(cfg, stream, n_pairs, phase_a, phase_b, envelope)
     return (pairs, *_counted_rates(hist, n_pairs))
 
 
@@ -282,8 +273,6 @@ def run_fringe_scan(
     pairs_per_point: int | None = None,
     envelope: float = 1.0,
     key: tuple[int, ...] = (rng_mod.KIND_FRINGE,),
-    extra_delay_b: float = 0.0,
-    center: float = 0.0,
 ) -> ScanResult:
     """Central-peak rate per port pair against the joint phase phi + psi.
 
@@ -301,8 +290,7 @@ def run_fringe_scan(
     for k, th in enumerate(theta):
         # [1:] lets the point's pairs go before the next point draws its own
         rates[..., k], stderr[..., k] = _point(
-            cfg, mode, (*key, k), n_pairs, th - psi, psi, envelope,
-            extra_delay_b=extra_delay_b, center=center,
+            cfg, mode, (*key, k), n_pairs, th - psi, psi, envelope
         )[1:]
     return _fringe_result(cfg, mode, theta, rates, stderr, n_pairs)
 
@@ -396,21 +384,20 @@ def run_crossover_sweep(
     cfg: RunConfig,
     grid: np.ndarray | None = None,
     pairs_per_point: int | None = None,
-    n_phases: int = 16,
 ) -> ScanResult:
-    """Local visibility against delta * t_sl, with the closed-form Gaussian
-    characteristic-function curve alongside."""
+    """Local visibility against delta * t_sl, fitted over 16 phase settings,
+    with the closed-form Gaussian characteristic-function curve alongside."""
     if grid is None:
         grid = np.geomspace(0.01, 100.0, 10)
     grid = np.asarray(grid, dtype=np.float64)
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 50_000))
     t_sl = cfg.umzi_a.t_sl
-    phases = np.linspace(0.0, TWO_PI, n_phases, endpoint=False)
+    phases = np.linspace(0.0, TWO_PI, 16, endpoint=False)
     vis = np.zeros(grid.size)
     oracle = np.zeros(grid.size)
     for k, x in enumerate(grid):
         model = replace(cfg.source, delta=x / t_sl)
-        fringe = ensemble_local_fringe(
+        vis[k] = ensemble_local_fringe(
             model,
             cfg.umzi_a,
             phases,
@@ -418,7 +405,6 @@ def run_crossover_sweep(
             seed=cfg.seed,
             stream=(rng_mod.KIND_CROSSOVER, k),
         )
-        vis[k] = fringe.visibility
         oracle[k] = cfg.umzi_a.gamma * local_visibility_oracle(model.delta, t_sl)
 
     return _stamped(
@@ -444,9 +430,12 @@ def run_tau_decay(
 ) -> ScanResult:
     """Nonlocal visibility against an imposed coincidence offset tau.
 
-    The offset displaces party B's wavepackets by tau (extra delay before
-    detection); the coincidence window follows the displaced central peak and
-    the pair-overlap envelope suppresses the fringe on the 1/delta scale.
+    The offset acts only through the pair-overlap envelope
+    ``overlap_envelope(tau, delta)``, which suppresses the fringe on the
+    1/delta scale.  Displacing party B's wavepackets by tau and centring the
+    coincidence window on the displaced peak cancel exactly on the
+    integer-picosecond grid, so montecarlo step k is the fringe scan at that
+    envelope, drawn from the stream ``(KIND_TAU, k)``.
     """
     _check_mode(mode)
     delta = cfg.source.delta
@@ -459,7 +448,7 @@ def run_tau_decay(
     envelope = overlap_envelope(offsets, delta)
     vis = np.zeros(offsets.size)
     err = np.zeros(offsets.size)
-    for k, (tau, env) in enumerate(zip(offsets, envelope)):
+    for k, env in enumerate(envelope):
         if mode == "analytic":
             vis[k] = gamma2 * env
             continue
@@ -470,8 +459,6 @@ def run_tau_decay(
             pairs_per_point=n_pairs,
             envelope=float(env),
             key=(rng_mod.KIND_TAU, k),
-            extra_delay_b=float(tau),
-            center=-float(tau),
         )
         vis[k] = sub.visibility
         err[k] = sub.visibility_err

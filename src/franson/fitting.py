@@ -24,7 +24,6 @@ class CosineFit:
     phase: float
     visibility: float
     visibility_err: float
-    phase_err: float
     residual_rms: float
     visibility_maxmin: float
 
@@ -79,11 +78,8 @@ def fit_cosine(x, y, sigma=None) -> CosineFit:
             [-amplitude / c0**2, c1 / (amplitude * abs(c0)), c2 / (amplitude * abs(c0))]
         )
         var_v = float(grad @ cov @ grad)
-        grad_p = np.array([0.0, c2 / amplitude**2, -c1 / amplitude**2])
-        var_p = float(grad_p @ cov @ grad_p)
     else:
         var_v = float(cov[1, 1] + cov[2, 2]) / c0**2
-        var_p = math.inf
     span = float(np.max(y) + np.min(y))
     vis_maxmin = float((np.max(y) - np.min(y)) / span) if span > 0 else 0.0
     return CosineFit(
@@ -92,7 +88,6 @@ def fit_cosine(x, y, sigma=None) -> CosineFit:
         phase=float(phase),
         visibility=float(visibility),
         visibility_err=math.sqrt(max(var_v, 0.0)),
-        phase_err=math.sqrt(max(var_p, 0.0)) if math.isfinite(var_p) else math.inf,
         residual_rms=residual_rms,
         visibility_maxmin=vis_maxmin,
     )

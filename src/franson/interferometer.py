@@ -80,17 +80,6 @@ def local_intensities(phi_prime, gamma):
     return 0.5 + fringe, 0.5 - fringe
 
 
-@dataclass(frozen=True)
-class LocalFringe:
-    """Ensemble-averaged port-5 intensity against the phase setting."""
-
-    phases: np.ndarray
-    mean_i5: np.ndarray
-    visibility: float
-    phase_offset: float
-    n_pairs: int
-
-
 def ensemble_local_fringe(
     model: SpectralModel,
     cfg: UmziConfig,
@@ -98,11 +87,12 @@ def ensemble_local_fringe(
     n_pairs: int = 20_000,
     seed: int = 0,
     stream=0,
-) -> LocalFringe:
-    """Average the per-pair port-5 intensity over a sampled ensemble.
+) -> float:
+    """Visibility of the per-pair port-5 intensity averaged over a sampled
+    ensemble and fitted over the phase settings.
 
-    The returned visibility equals gamma times the magnitude of the detuning
-    distribution's characteristic function at lag t_sl, up to sampling error.
+    It equals gamma times the magnitude of the detuning distribution's
+    characteristic function at lag t_sl, up to sampling error.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.size < 8:
@@ -114,14 +104,7 @@ def ensemble_local_fringe(
     cos_mean = np.cos(angle).mean()
     sin_mean = np.sin(angle).mean()
     curve = 0.5 * (1.0 + cfg.gamma * (cos_mean * np.cos(phases) - sin_mean * np.sin(phases)))
-    fit = fit_cosine(phases, curve)
-    return LocalFringe(
-        phases=phases,
-        mean_i5=curve,
-        visibility=fit.visibility,
-        phase_offset=fit.phase,
-        n_pairs=n_pairs,
-    )
+    return fit_cosine(phases, curve).visibility
 
 
 def local_visibility_oracle(delta: float, t_sl: float) -> float:

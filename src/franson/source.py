@@ -81,7 +81,7 @@ class PairEnsemble:
     stream, start + j); see :func:`sample_pairs`.
     """
 
-    def __init__(self, model: SpectralModel, ids, df, dp, xi, t0, eps, seed=None, stream=0):
+    def __init__(self, model: SpectralModel, ids, df, dp, xi, t0, eps):
         self.model = model
         self.ids = np.asarray(ids, dtype=np.int64)
         self.df = np.asarray(df, dtype=np.float64)
@@ -89,8 +89,6 @@ class PairEnsemble:
         self.xi = np.asarray(xi, dtype=np.float64)
         self.t0 = np.asarray(t0, dtype=np.float64)
         self.eps = np.asarray(eps, dtype=np.float64)
-        self.seed = seed
-        self.stream = stream
 
     def __len__(self) -> int:
         return self.df.size
@@ -120,26 +118,18 @@ def _pair_columns(model: SpectralModel, u: np.ndarray):
     return df, dp, xi, eps, gaps
 
 
-def sample_pairs(
-    model: SpectralModel,
-    n: int,
-    seed: int,
-    stream=0,
-    start: int = 0,
-    t_origin: float = 0.0,
-) -> PairEnsemble:
+def sample_pairs(model: SpectralModel, n: int, seed: int, stream=0, start: int = 0) -> PairEnsemble:
     """Sample pairs start .. start+n-1 of the stream keyed by (seed, stream).
 
     ``stream`` is a key path such as ``(KIND_FRINGE, point)``; an int k is
     the path (k,).  Each pair consumes a fixed counter block, so the sequence is defined by
     the pair index alone and disjoint ranges can be drawn concurrently.
-    Emission times accumulate from ``t_origin`` across the sampled range.
+    Emission times accumulate from 0 across the sampled range.
     """
     u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, start=start)
     df, dp, xi, eps, gaps = _pair_columns(model, u)
-    t0 = t_origin + np.cumsum(gaps)
     ids = np.arange(start, start + n, dtype=np.int64)
-    ens = PairEnsemble(model, ids, df, dp, xi, t0, eps, seed=seed, stream=stream)
+    ens = PairEnsemble(model, ids, df, dp, xi, np.cumsum(gaps), eps)
     _check_finite(ens)
     return ens
 

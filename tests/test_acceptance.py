@@ -15,7 +15,7 @@ import pytest
 
 import franson as fr
 from franson.correlation import central_rate_table, pair_fringe
-from franson.correlator import correlate, peak_counts, sweep_matches, write_histogram_csv
+from franson.correlator import correlate, sweep_matches, write_histogram_csv
 from franson.detection import simulate_tags
 from franson.experiment import simulate_point
 from franson.interferometer import local_intensities
@@ -145,11 +145,10 @@ def test_criterion_4_coincidence_selection(cfg, phase_points):
 def test_criterion_5_post_selection_keeps_half(cfg, phase_points):
     fractions = []
     for _, _, _, hist in phase_points:
-        peaks = peak_counts(hist)
-        total = peaks.central_total + peaks.side_total
+        total = hist.central.sum() + hist.side_plus.sum() + hist.side_minus.sum()
         sigma = 0.5 / math.sqrt(total)
-        assert abs(peaks.central_fraction - 0.5) < 3.0 * sigma
-        fractions.append(peaks.central_fraction)
+        assert abs(hist.central_fraction - 0.5) < 3.0 * sigma
+        fractions.append(hist.central_fraction)
     report(
         5,
         f"central fraction of triple-peak coincidences = "

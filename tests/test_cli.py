@@ -59,6 +59,13 @@ def test_debug_raises_with_the_traceback(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_pairs_is_rejected_by_its_flag_name(config_path, tmp_path, capsys):
+    rc = run(["timetags", "--config", config_path, "--pairs", "-5", "--out", tmp_path])
+    assert rc == 2
+    assert "error: --pairs must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "timetags.dat").exists()
+
+
 def test_invalid_config_reports_the_problem(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"source": {"delta": -1}}')

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from franson.correlator import (
     CorrelatorConfig,
     correlate,
-    peak_counts,
     sweep_matches,
     write_histogram_csv,
 )
@@ -113,10 +112,13 @@ def brute_force_histogram(tags_a, tags_b, w, bin_width, tau_max, side_a, side_b,
 )
 def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, center_ps, side_b_ps):
     # A tags sit at chosen delays from B tags, so edge taus and duplicate
-    # timestamps occur often; every tag gets a random port.
+    # timestamps occur often; every tag gets a random port.  The oracle looks
+    # for the peaks around tau = center; correlate sees the B stream shifted
+    # by center instead, which gives the same matches.
     t_a = [t_b[j % len(t_b)] + center_ps + tau for j, tau in offsets] if t_b else []
     tags_a = stream("A", t_a, ports[: len(t_a)])
     tags_b = stream("B", t_b, ports[25 : 25 + len(t_b)])
+    shifted_b = stream("B", [t + center_ps for t in t_b], ports[25 : 25 + len(t_b)])
     cfg = CorrelatorConfig(
         window=10e-12,
         bin_width=bin_ps * 1e-12,
@@ -124,7 +126,7 @@ def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, c
         side_offset_a=100e-12,
         side_offset_b=side_b_ps * 1e-12,
     )
-    hist = correlate(tags_a, tags_b, cfg, center=center_ps * 1e-12)
+    hist = correlate(tags_a, shifted_b, cfg)
     counts, central, side_plus, side_minus, n_matches = brute_force_histogram(
         tags_a, tags_b, 10, bin_ps, 200, 100, side_b_ps, center_ps
     )
@@ -183,6 +185,13 @@ def test_overlap_warning_flag():
     assert hist.overlap_warning
     assert any("overlap" in w for w in hist.warnings)
     assert not correlate(stream("A", [100]), stream("B", [105]), CFG).overlap_warning
+    # the rule holds on the rounded picoseconds the windows use: 49.6 ps is a
+    # 50 ps window, so [-50, 50] and the LS window [50, 150] share tau = 50
+    for window, overlaps in ((49.6e-12, True), (49.4e-12, False)):
+        cfg = CorrelatorConfig(window=window, bin_width=2e-12, tau_max=200e-12, **SIDES)
+        hist = correlate(stream("A", [100]), stream("B", [105]), cfg)
+        assert hist.overlap_warning is overlaps
+        assert any("overlap" in w for w in hist.warnings) is overlaps
 
 
 def test_validation_requires_room_for_side_peaks():
@@ -267,19 +276,24 @@ def test_determinism():
 
 
 def test_off_center_window():
-    # delaying B by d shifts the peak structure to tau = -d
+    # delaying B by d shifts the peak structure to tau = -d, out of every
+    # window; taking d off the B stream brings it back
     t_a = [1_000, 2_000, 3_100]
     t_b = [1_050, 2_050, 3_050]
-    hist = correlate(stream("A", t_a), stream("B", t_b), CFG, center=-50e-12)
-    assert hist.central.sum() == 2  # tau = -50 twice
-    assert hist.side_plus.sum() == 1  # tau = +50 = center + side_offset_a
+    delayed = correlate(stream("A", t_a), stream("B", t_b), CFG)
+    assert delayed.n_matches == 3  # tau = -50 twice, +50 once
+    assert delayed.central.sum() + delayed.side_plus.sum() + delayed.side_minus.sum() == 0
+    hist = correlate(stream("A", t_a), stream("B", [t - 50 for t in t_b]), CFG)
+    assert hist.central.sum() == 2  # tau = 0 twice
+    assert hist.side_plus.sum() == 1  # tau = +100 = side_offset_a
 
 
 def test_peak_counts_and_fraction():
     tags_a, tags_b = _simulated_streams(n=30_000)
-    peaks = peak_counts(correlate(tags_a, tags_b, CFG))
-    assert peaks.central_total == peaks.central.sum()
-    assert 0.45 < peaks.central_fraction < 0.55
+    hist = correlate(tags_a, tags_b, CFG)
+    central = hist.central.sum()
+    assert hist.central_fraction == central / (central + hist.side_plus.sum() + hist.side_minus.sum())
+    assert 0.45 < hist.central_fraction < 0.55
 
 
 def test_histogram_csv_format(tmp_path):

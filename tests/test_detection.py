@@ -324,10 +324,24 @@ def test_timetag_format_bytes_are_pinned_on_hand_built_streams(tmp_path):
     "config, digest", [("ideal.json", "79f3345400579811"), ("pump_jitter.json", "5eb52cb5c13a9ad3")]
 )
 def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
-    # the simulated dump is pinned too: it moves only with a deliberate stream change
-    argv = ["timetags", "--config", str(CONFIGS / config), "--pairs", "20000"]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / "timetags.dat").read_bytes()).hexdigest()[:16] == digest
+    # the simulated dump is pinned too: it moves only with a deliberate stream
+    # change; so are the correlator's products of it, which hold integer counts
+    # and one ratio of two integers
+    argv = ["--config", str(CONFIGS / config), "--out", str(tmp_path)]
+    assert main(["timetags", *argv, "--pairs", "20000"]) == 0
+    assert main(["correlate", *argv, "--input", str(tmp_path / "timetags.dat")]) == 0
+    got = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+        for name in ("timetags.dat", "histogram.csv", "correlate.json")
+    ]
+    assert got == [digest, *CORRELATE_PINS[config]]
+
+
+# sha256 prefixes of (histogram.csv, correlate.json) from the pinned dumps
+CORRELATE_PINS = {
+    "ideal.json": ("833132f208c7afa2", "52b79ec37fd1909e"),
+    "pump_jitter.json": ("b380bb4195b20651", "3638cc3ac1ef669a"),
+}
 
 
 RECORDS = st.lists(

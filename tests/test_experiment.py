@@ -2,20 +2,23 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import franson as fr
-from franson.correlation import pair_fringe
+from franson.correlation import overlap_envelope, pair_fringe
 from franson.experiment import simulate_point, wrap_phase
 from franson.fitting import fit_cosine
 from franson.errors import FitError
-from franson.rng import KIND_FRINGE
+from franson.rng import KIND_FRINGE, KIND_TAU
 from franson.source import sample_pairs
 
 from conftest import chi2_quantile, ideal_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_wrap_phase():
@@ -152,6 +155,26 @@ def test_tau_decay_analytic_and_montecarlo():
     assert mc.columns["visibility"][idx_1] < 0.5
     idx_3 = int(np.argmin(np.abs(mc.x - 3.0 / delta)))
     assert mc.columns["visibility"][idx_3] < 0.1
+
+
+@pytest.mark.parametrize("config", ["ideal.json", "pump_jitter.json"])
+def test_tau_decay_offset_acts_only_through_the_envelope(config):
+    # Displacing party B by tau and centring the window on the displaced peak
+    # cancel on the integer-picosecond grid, so step k of the decay is a plain
+    # fringe scan at the overlap envelope of its offset.
+    cfg = fr.load_config(CONFIGS / config)
+    decay = fr.run_tau_decay(cfg, mode="montecarlo", pairs_per_point=3_000)
+    for k, env in enumerate(overlap_envelope(decay.x, cfg.source.delta)):
+        scan = fr.run_fringe_scan(
+            cfg,
+            mode="montecarlo",
+            n_points=12,
+            pairs_per_point=3_000,
+            envelope=float(env),
+            key=(KIND_TAU, k),
+        )
+        assert decay.columns["visibility"][k] == scan.visibility
+        assert decay.columns["visibility_err"][k] == scan.visibility_err
 
 
 def test_pump_sweep_degrades_with_linewidth():
