@@ -106,9 +106,8 @@ def _cmd_correlate(args) -> RunConfig:
             f"correlating under {cfg_hash}",
             file=sys.stderr,
         )
+    # hist.warnings are the correlator's config warnings, which _load printed
     hist = correlate(tags_a, tags_b, cfg.correlator)
-    for w in hist.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     write_histogram_csv(hist, args.out / "histogram.csv", cfg.seed, cfg_hash)
     _write_json(
         args.out / "correlate.json",

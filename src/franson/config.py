@@ -84,7 +84,7 @@ SECTIONS = {
 # The type of each field of each section, resolved once.
 _FIELD_TYPES = {section: get_type_hints(cls) for section, cls in SECTIONS.items()}
 # Fields derived from other sections, never read from a config.
-DERIVED = ("party", "side_offset_a", "side_offset_b")
+DERIVED = ("side_offset_a", "side_offset_b")
 # Fields a config may set to null to get their derived default.
 _NULLABLE = ("gamma",)
 # What each numeric field type accepts; never a bool, though bool is an int.
@@ -104,7 +104,8 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
 
 def _check_type(where: str, value, kind) -> None:
     """Reject a value that is not of its field's type: a bool or a string for
-    a number, a non-integer for an int, or a non-list for a tuple of numbers."""
+    a number, a non-integer for an int, or a non-list for a tuple of numbers;
+    and a non-finite number (NaN, Infinity, or an overflow such as 1e400)."""
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -115,6 +116,8 @@ def _check_type(where: str, value, kind) -> None:
         cls, noun = _NUMBER_KINDS[kind]
         if isinstance(value, bool) or not isinstance(value, cls):
             raise ConfigError(f"{where} must be {noun}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
 
 
 def _section(section: str, data: dict) -> dict:
@@ -156,7 +159,7 @@ def config_from_dict(data: dict) -> RunConfig:
             kwargs = _section(section, data)
             # gamma null or absent: the overlap of a photon delayed by t_sl
             gamma = kwargs.pop("gamma", None)
-            umzi = UmziConfig(party=party, **kwargs)
+            umzi = UmziConfig(**kwargs)
             if gamma is None:
                 gamma = default_overlap(umzi.t_sl, src.tau_ind)
             umzis[party] = replace(umzi, gamma=gamma)

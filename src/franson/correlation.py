@@ -12,8 +12,10 @@ long-short products land in time-shifted side peaks with flat probability
 phase phi' + psi' reduces to the sum of the two local settings plus a pump
 jitter term: the fringe is immune to the per-pair detuning.
 
-``V`` is an explicit envelope factor in [0, 1]; pump jitter enters through
-the joint phase instead, so the two degradation channels stay orthogonal.
+``V`` is an envelope factor in [0, 1] times the path overlaps gamma_A gamma_B
+of the two interferometers, folded together in one place,
+:func:`fringe_visibility`; pump jitter enters through the joint phase
+instead, so the two degradation channels stay orthogonal.
 """
 
 from __future__ import annotations
@@ -45,14 +47,28 @@ def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
     return TWO_PI * (det_a * cfg_a.t_sl + det_b * cfg_b.t_sl) + (cfg_a.phase + cfg_b.phase)
 
 
+def fringe_visibility(envelope, cfg_a: UmziConfig, cfg_b: UmziConfig):
+    """The rate law's V: the envelope factor (a number or an array) times the
+    path overlaps gamma_A * gamma_B.
+
+    The envelope must lie in [0, 1]; it is checked before the overlaps shrink
+    it, so a factor of 1.04 fails at any gamma.
+    """
+    factor = np.asarray(envelope)
+    if not np.all((factor >= 0.0) & (factor <= 1.0)):  # NaN fails too
+        raise ValueError(f"envelope factor must lie in [0, 1], got {envelope}")
+    return envelope * (cfg_a.gamma * cfg_b.gamma)
+
+
 def central_rate_table(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0) -> np.ndarray:
     """Central-peak rates for all four port pairs; shape (2, 2) + df.shape.
 
-    Index 0 is port 5, index 1 is port 6, axes ordered (port_a, port_b).
+    Index 0 is port 5, index 1 is port 6, axes ordered (port_a, port_b).  The
+    fringe visibility is ``fringe_visibility(envelope, cfg_a, cfg_b)``.
     """
-    _check_envelope(envelope)
+    visibility = fringe_visibility(envelope, cfg_a, cfg_b)
     theta = joint_phase(np.asarray(df, dtype=np.float64), dp, cfg_a, cfg_b)
-    fringe = envelope * np.cos(theta)
+    fringe = visibility * np.cos(theta)
     same = 0.125 * (1.0 + fringe)
     diff = 0.125 * (1.0 - fringe)
     return np.stack(
@@ -170,8 +186,3 @@ def overlap_envelope(tau, delta: float):
     ensemble bandwidth.
     """
     return np.exp(-2.0 * LN2 * np.square(np.asarray(tau, dtype=np.float64) * delta))
-
-
-def _check_envelope(envelope: float) -> None:
-    if not 0.0 <= envelope <= 1.0:  # NaN fails too
-        raise ValueError(f"envelope factor must lie in [0, 1], got {envelope}")

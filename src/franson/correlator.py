@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import TagStream, to_picoseconds
+from .detection import PS_PER_S, TagStream, to_picoseconds
 from .errors import StreamOrderError
 
 HISTOGRAM_MAGIC = "# franson-histogram v1"
@@ -46,6 +46,11 @@ class CorrelatorConfig:
         for name in ("side_offset_a", "side_offset_b"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        # the picosecond grid is int64; tau_max, checked below to exceed both
+        # side offsets, keeps them on it too
+        for name in ("window", "bin_width", "tau_max"):
+            if not getattr(self, name) * PS_PER_S < 2.0**63:
+                raise ValueError(f"{name} must be below 2**63 ps, got {getattr(self, name)}")
         farthest = max(self.side_offset_a, self.side_offset_b)
         if self.tau_max < farthest + 5 * self.bin_width:
             raise ValueError(
@@ -53,9 +58,13 @@ class CorrelatorConfig:
                 f"max(side_offset_a, side_offset_b) + 5*bin_width, got {self.tau_max} < "
                 f"{farthest + 5 * self.bin_width}"
             )
-        w_ps, side_a_ps, side_b_ps = (
-            int(to_picoseconds(v)) for v in (self.window, self.side_offset_a, self.side_offset_b)
+        w_ps, bin_ps, side_a_ps, side_b_ps = (
+            int(to_picoseconds(v))
+            for v in (self.window, self.bin_width, self.side_offset_a, self.side_offset_b)
         )
+        for name, ps in (("window", w_ps), ("bin_width", bin_ps)):
+            if ps < 1:
+                raise ValueError(f"{name} must be at least 1 ps, got {getattr(self, name)}")
         if _windows_overlap(w_ps, side_a_ps, side_b_ps):
             return [
                 f"window w = {w_ps} ps >= min(side_offset_a, side_offset_b)/2 = "
@@ -152,8 +161,6 @@ def correlate(
     tau_max_ps = int(to_picoseconds(cfg.tau_max))
     side_a_ps = int(to_picoseconds(cfg.side_offset_a))
     side_b_ps = int(to_picoseconds(cfg.side_offset_b))
-    if w_ps < 1 or bin_ps < 1:
-        raise ValueError("window and bin_width must be at least 1 ps")
 
     n_bins = -((-2 * tau_max_ps) // bin_ps)
     ia, ib, comparisons = sweep_matches(stream_a.time_ps, stream_b.time_ps, -tau_max_ps, tau_max_ps)

@@ -8,8 +8,8 @@ of uniforms (see :func:`simulate_tags` for the column layout):
   side branch carries 1/4 and the central branch 1/2;
 * port A: a fair bit;
 * port parity: "same ports" with probability (1 + V cos(phi' + psi')) / 2 on
-  the central branch, with V the fringe envelope times gamma_A * gamma_B, and
-  1/2 on a side branch.
+  the central branch, with V the rate law's visibility
+  (:func:`franson.correlation.fringe_visibility`), and 1/2 on a side branch.
 
 Together these give exactly the coincidence-basis distribution of
 :mod:`franson.correlation`: (1/8)(1 + s_a s_b V cos(phi' + psi')) per central
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .correlation import _check_envelope, joint_phase
+from .correlation import fringe_visibility, joint_phase
 from .interferometer import UmziConfig
 from .rng import ROLE_DETECTION, item_uniforms, stream_key
 from .source import PairEnsemble
@@ -45,8 +45,10 @@ PS_PER_S = 1e12
 
 TIMETAG_MAGIC = "# franson-timetags v1"
 
-# Bytes of the dump's record text, and the powers of ten that count digits.
+# Bytes of the dump's record text, the party byte of each stream position,
+# and the powers of ten that count digits.
 _NEWLINE, _SPACE, _HASH, _MINUS, _ZERO, _A, _B = b"\n #-0AB"
+_PARTIES = np.array([_A, _B], dtype=np.uint8)
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
@@ -71,16 +73,16 @@ class DetectorModel:
 
 
 class TagStream:
-    """Time-sorted detection events of one party.
+    """Time-sorted detection events of one party; which party is the
+    stream's position, A first, wherever streams are passed or returned.
 
     Public arrays: ``port`` and ``time_ps``.  The branch and pair-id arrays
     are diagnostics reachable only through :meth:`diagnostics`; correlator
     results must not change when they are zeroed.
     """
 
-    def __init__(self, party, port, time_ps, diag_branch, diag_pair_id):
+    def __init__(self, port, time_ps, diag_branch, diag_pair_id):
         order = np.lexsort((np.asarray(diag_pair_id), np.asarray(time_ps)))
-        self.party = party
         self.port = np.asarray(port, dtype=np.uint8)[order]
         self.time_ps = np.asarray(time_ps, dtype=np.int64)[order]
         self._diag_branch = np.asarray(diag_branch, dtype=np.int8)[order]
@@ -106,25 +108,24 @@ def simulate_tags(
     stream=0,
     envelope: float = 1.0,
 ) -> tuple[TagStream, TagStream]:
-    """Detect a sampled ensemble; returns one stream per party.
+    """Detect a sampled ensemble; returns the streams of party A (the signal
+    photons, through ``cfg_a``) and party B (the idlers, through ``cfg_b``).
 
     stream: the key path of the pairs (an int k is the path (k,)); the
     detection draws come from its ROLE_DETECTION substream.
     envelope: central-fringe envelope factor (imposed wavepacket offset
-    and/or pump-side degradations); the path overlaps gamma_A * gamma_B are
-    folded in here as well since first-order coherence between the short and
-    long paths is a prerequisite for the central-peak interference.
+    and/or pump-side degradations); the fringe visibility is
+    ``fringe_visibility(envelope, cfg_a, cfg_b)``.
 
     Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
     """
-    _check_envelope(envelope)
+    visibility = fringe_visibility(envelope, cfg_a, cfg_b)
     u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs))
     b_a = u[:, 0] < 0.5
     b_b = u[:, 1] < 0.5
     # central 0 for equal bits, SL 1 for (0, 1), LS 2 for (1, 0)
     branch = (2 * b_a.view(np.int8) + b_b) % 3
-    visibility = envelope * (cfg_a.gamma * cfg_b.gamma)
     theta = joint_phase(pairs.df, pairs.dp, cfg_a, cfg_b)
     p_same = 0.5 + (0.5 * visibility) * np.cos(theta) * (branch == 0)
     port_a = np.uint8(5) + (u[:, 6] < 0.5).view(np.uint8)
@@ -139,20 +140,8 @@ def simulate_tags(
     t_a = t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
     t_b = t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
 
-    stream_a = TagStream(
-        cfg_a.party,
-        port_a[keep_a],
-        t_a[keep_a],
-        branch[keep_a],
-        pairs.ids[keep_a],
-    )
-    stream_b = TagStream(
-        cfg_b.party,
-        port_b[keep_b],
-        t_b[keep_b],
-        branch[keep_b],
-        pairs.ids[keep_b],
-    )
+    stream_a = TagStream(port_a[keep_a], t_a[keep_a], branch[keep_a], pairs.ids[keep_a])
+    stream_b = TagStream(port_b[keep_b], t_b[keep_b], branch[keep_b], pairs.ids[keep_b])
     return stream_a, stream_b
 
 
@@ -160,14 +149,12 @@ def write_timetags(
     path, stream_a: TagStream, stream_b: TagStream, seed: int, config_hash: str
 ) -> None:
     """Dump both streams, merged and time-sorted: one ``party port time_ps``
-    record per line; the header carries the seed and the config hash.
+    record per line, party ``A`` for ``stream_a`` and ``B`` for ``stream_b``;
+    the header carries the seed and the config hash.
 
     The records are laid out as one byte buffer, whole array at a time.
     Diagnostic fields are deliberately not serialized.
     """
-    names = stream_a.party + stream_b.party
-    if not {stream_a.party, stream_b.party} <= {"A", "B"}:
-        raise ValueError(f"parties must be A or B, got {stream_a.party!r}, {stream_b.party!r}")
     parties = np.concatenate(
         [np.zeros(len(stream_a), dtype=np.int8), np.ones(len(stream_b), dtype=np.int8)]
     )
@@ -187,7 +174,7 @@ def write_timetags(
     ends = np.cumsum(lengths)
     starts = ends - lengths
     buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    buf[starts] = np.frombuffer(names.encode("ascii"), dtype=np.uint8)[parties[order]]
+    buf[starts] = _PARTIES[parties[order]]
     buf[starts + 1] = _SPACE
     buf[starts + 2] = _ZERO + ports[order]
     buf[starts + 3] = _SPACE
@@ -301,10 +288,10 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
             key, value = entry.split("=", 1)
             header[key.strip()] = value.strip()
 
-    def build(name: str, code: int) -> TagStream:
+    def build(code: int) -> TagStream:
         mine = party == code
         zeros = np.zeros(np.count_nonzero(mine), dtype=np.int64)
-        return TagStream(name, port[mine], time_ps[mine], zeros, zeros)
+        return TagStream(port[mine], time_ps[mine], zeros, zeros)
 
-    return build("A", _A), build("B", _B), header
+    return build(_A), build(_B), header
 

@@ -6,10 +6,12 @@ CSV and a JSON summary.  Every scan point draws from an independent random
 substream keyed by the seed and a tuple path (run kind, [sweep step,] point
 index), so reruns are bit-identical and points are uncorrelated.
 
-The runners share one skeleton: :func:`_point` draws a point's pairs once and
-returns them with the point's central-peak rates, :func:`_fit_curves` fits
-and packages the port-pair curves, and :func:`_stamped` builds every result
-with its provenance and validates it.
+Scan sizes come from ``cfg.scan``; only the pump and crossover sweeps take
+theirs as arguments.  The runners share one skeleton: :func:`_point` draws a
+point's pairs once and returns them with the point's central-peak rates,
+:func:`_fringe` runs it over a joint-phase grid, :func:`_fit_curves` fits and
+packages the port-pair curves, and :func:`_stamped` builds every result with
+its provenance and validates it.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import numpy as np
 from . import rng as rng_mod
 from .config import RunConfig, config_hash
 from .correlation import (
-    _check_envelope,
     chsh_combinations,
     chsh_sum,
     chsh_value,
     correlation_coefficient,
+    fringe_visibility,
     overlap_envelope,
     pair_fringe,
     stream_for_setting,
@@ -41,6 +43,11 @@ from .source import PairEnsemble, sample_pairs
 TWO_PI = 2.0 * math.pi
 
 PORT_PAIRS = ((5, 5), (5, 6), (6, 5), (6, 6))
+
+# tau-decay: the imposed offsets in units of 1/delta, and the joint-phase
+# points of each Monte Carlo step's fringe scan
+TAU_OFFSETS_DELTA = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+TAU_POINTS = 12
 
 
 def wrap_phase(x: float) -> float:
@@ -171,17 +178,16 @@ def _stamped(cls, cfg: RunConfig, mode: str, warnings=(), **fields):
 
 
 def _count(name: str, value: int | None, default: int, minimum: int = 1) -> int:
-    """A runner's count argument: None takes the default, and a count below
-    ``minimum`` is an error naming the argument."""
+    """A pump or crossover sweep's count argument: None takes the default, and
+    a count below ``minimum`` is an error naming the argument."""
     count = default if value is None else value
     if count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
 
 
-def _joint_phase_grid(cfg: RunConfig, n_points: int | None = None) -> np.ndarray:
-    n = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
-    return np.linspace(0.0, TWO_PI, n, endpoint=False)
+def _joint_phase_grid(n_points: int) -> np.ndarray:
+    return np.linspace(0.0, TWO_PI, n_points, endpoint=False)
 
 
 def simulate_point(
@@ -217,16 +223,15 @@ def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0):
     """One scan point, its pairs drawn once: (pairs, central rates, stderr).
 
     Rates and errors are (2, 2) over (port_a, port_b).  analytic mode averages
-    the rate algebra over the pairs, with gamma_A * gamma_B folded into the
-    envelope; montecarlo mode counts the central window of the full tag
-    pipeline.
+    the rate algebra over the pairs; montecarlo mode counts the central window
+    of the full tag pipeline.  Both take the fringe visibility from
+    ``fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)``.
     """
     if mode == "analytic":
-        _check_envelope(envelope)  # before the overlaps shrink it
         pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
         cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
         cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
-        fringe = pair_fringe(pairs, cfg_a, cfg_b, envelope * (cfg.umzi_a.gamma * cfg.umzi_b.gamma))
+        fringe = pair_fringe(pairs, cfg_a, cfg_b, envelope)
         return pairs, fringe.rates, fringe.stderr
     pairs, _, _, hist = simulate_point(cfg, stream, n_pairs, phase_a, phase_b, envelope)
     return (pairs, *_counted_rates(hist, n_pairs))
@@ -266,24 +271,22 @@ def _fit_curves(port_x, rates, stderr, curves=None) -> tuple[dict, list[str]]:
     return fields, warnings
 
 
-def run_fringe_scan(
-    cfg: RunConfig,
-    mode: str = "analytic",
-    n_points: int | None = None,
-    pairs_per_point: int | None = None,
-    envelope: float = 1.0,
-    key: tuple[int, ...] = (rng_mod.KIND_FRINGE,),
-) -> ScanResult:
+def run_fringe_scan(cfg: RunConfig, mode: str = "analytic") -> ScanResult:
     """Central-peak rate per port pair against the joint phase phi + psi.
 
     analytic mode evaluates the coincidence algebra over a sampled ensemble;
-    montecarlo mode runs the full tag pipeline and counts window totals.  Both
-    fold the path overlaps gamma_A * gamma_B into the fringe envelope.  Point k
-    draws from the stream ``(*key, k)``.
+    montecarlo mode runs the full tag pipeline and counts window totals.
+    Point k draws from the stream ``(KIND_FRINGE, k)``.
     """
     _check_mode(mode)
-    theta = _joint_phase_grid(cfg, n_points)
-    n_pairs = _count("pairs_per_point", pairs_per_point, cfg.scan.pairs_per_point)
+    scan = cfg.scan
+    return _fringe(cfg, mode, (rng_mod.KIND_FRINGE,), scan.n_points, scan.pairs_per_point)
+
+
+def _fringe(cfg, mode, key, n_points, n_pairs, envelope=1.0) -> ScanResult:
+    """A fringe scan of ``n_points`` joint phases at ``n_pairs`` pairs each
+    and the given envelope factor; point k draws from the stream ``(*key, k)``."""
+    theta = _joint_phase_grid(n_points)
     psi = cfg.umzi_b.phase
     rates = np.zeros((2, 2, theta.size))
     stderr = np.zeros((2, 2, theta.size))
@@ -311,11 +314,7 @@ def _fringe_result(cfg, mode, theta, rates, stderr, n_pairs) -> ScanResult:
     )
 
 
-def run_local_scan(
-    cfg: RunConfig,
-    n_points: int | None = None,
-    pairs_per_point: int | None = None,
-) -> ScanResult:
+def run_local_scan(cfg: RunConfig) -> ScanResult:
     """Scan both local phases together: flat local intensities, fringing
     coincidences.
 
@@ -324,8 +323,8 @@ def run_local_scan(
     same simulated tag streams (joint phase 2*theta), and the tag-stream
     singles fractions are reported alongside as a cross-check.
     """
-    theta = _joint_phase_grid(cfg, n_points)
-    n_pairs = _count("pairs_per_point", pairs_per_point, cfg.scan.pairs_per_point)
+    theta = _joint_phase_grid(cfg.scan.n_points)
+    n_pairs = cfg.scan.pairs_per_point
     local_a = np.zeros(theta.size)
     local_b = np.zeros(theta.size)
     singles_a5 = np.zeros(theta.size)
@@ -421,47 +420,30 @@ def run_crossover_sweep(
     )
 
 
-def run_tau_decay(
-    cfg: RunConfig,
-    offsets: np.ndarray | None = None,
-    mode: str = "montecarlo",
-    n_points: int = 12,
-    pairs_per_point: int | None = None,
-) -> ScanResult:
-    """Nonlocal visibility against an imposed coincidence offset tau.
+def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
+    """Nonlocal visibility against an imposed coincidence offset tau, at the
+    offsets ``TAU_OFFSETS_DELTA`` / delta.
 
     The offset acts only through the pair-overlap envelope
     ``overlap_envelope(tau, delta)``, which suppresses the fringe on the
     1/delta scale.  Displacing party B's wavepackets by tau and centring the
     coincidence window on the displaced peak cancel exactly on the
-    integer-picosecond grid, so montecarlo step k is the fringe scan at that
-    envelope, drawn from the stream ``(KIND_TAU, k)``.
+    integer-picosecond grid, so montecarlo step k is a ``TAU_POINTS``-point
+    fringe scan at that envelope, drawn from the stream ``(KIND_TAU, k)``.
     """
     _check_mode(mode)
     delta = cfg.source.delta
-    if offsets is None:
-        offsets = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) / delta
-    offsets = np.asarray(offsets, dtype=np.float64)
-    n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 30_000))
-    n_points = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
-    gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
+    offsets = np.array(TAU_OFFSETS_DELTA) / delta
+    n_pairs = min(cfg.scan.pairs_per_point, 30_000)
     envelope = overlap_envelope(offsets, delta)
-    vis = np.zeros(offsets.size)
+    expected = fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)
+    vis = expected.copy()  # analytic mode's answer; montecarlo fits each step
     err = np.zeros(offsets.size)
-    for k, env in enumerate(envelope):
-        if mode == "analytic":
-            vis[k] = gamma2 * env
-            continue
-        sub = run_fringe_scan(
-            cfg,
-            mode="montecarlo",
-            n_points=n_points,
-            pairs_per_point=n_pairs,
-            envelope=float(env),
-            key=(rng_mod.KIND_TAU, k),
-        )
-        vis[k] = sub.visibility
-        err[k] = sub.visibility_err
+    if mode == "montecarlo":
+        for k, env in enumerate(envelope):
+            sub = _fringe(cfg, mode, (rng_mod.KIND_TAU, k), TAU_POINTS, n_pairs, float(env))
+            vis[k] = sub.visibility
+            err[k] = sub.visibility_err
 
     return _stamped(
         ScanResult,
@@ -473,7 +455,7 @@ def run_tau_decay(
         columns={
             "visibility": vis,
             "visibility_err": err,
-            "envelope_analytic": gamma2 * envelope,
+            "envelope_analytic": expected,
         },
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
@@ -506,7 +488,7 @@ def run_pump_sweep(
     err = np.zeros(linewidths.size)
     cf_sampled = np.zeros(linewidths.size)
     cf_analytic = np.zeros(linewidths.size)
-    theta = _joint_phase_grid(cfg, n_points)
+    theta = _joint_phase_grid(_count("n_points", n_points, cfg.scan.n_points, minimum=8))
     psi = cfg.umzi_b.phase
     for k, lw in enumerate(linewidths):
         sub_cfg = replace(cfg, source=replace(cfg.source, pump_linewidth=float(lw)))
@@ -525,7 +507,6 @@ def run_pump_sweep(
         cf_sampled[k] = abs(acc) / theta.size
         cf_analytic[k] = local_visibility_oracle(float(lw), t_sl)
 
-    gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
     return _stamped(
         ScanResult,
         cfg,
@@ -536,8 +517,8 @@ def run_pump_sweep(
         columns={
             "visibility": vis,
             "visibility_err": err,
-            "cf_sampled": gamma2 * cf_sampled,
-            "cf_analytic": gamma2 * cf_analytic,
+            "cf_sampled": fringe_visibility(cf_sampled, cfg.umzi_a, cfg.umzi_b),
+            "cf_analytic": fringe_visibility(cf_analytic, cfg.umzi_a, cfg.umzi_b),
         },
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
@@ -545,20 +526,15 @@ def run_pump_sweep(
     )
 
 
-def run_chsh(cfg: RunConfig, mode: str = "analytic", pairs_per_setting: int | None = None) -> ChshRun:
-    """Four-setting CHSH sum; S = 2*sqrt(2) for the ideal configuration."""
+def run_chsh(cfg: RunConfig, mode: str = "analytic") -> ChshRun:
+    """Four-setting CHSH sum at ``scan.pairs_per_point`` pairs per setting;
+    S = 2*sqrt(2) for the ideal configuration."""
     _check_mode(mode)
     settings = cfg.scan.chsh_settings
-    n_pairs = _count("pairs_per_setting", pairs_per_setting, cfg.scan.pairs_per_point)
+    n_pairs = cfg.scan.pairs_per_point
     if mode == "analytic":
         res = chsh_value(
-            cfg.source,
-            cfg.umzi_a,
-            cfg.umzi_b,
-            settings,
-            n_pairs=n_pairs,
-            seed=cfg.seed,
-            envelope=cfg.umzi_a.gamma * cfg.umzi_b.gamma,
+            cfg.source, cfg.umzi_a, cfg.umzi_b, settings, n_pairs=n_pairs, seed=cfg.seed
         )
         corr, s_value, s_err = res.correlations, res.s_value, 0.0
     else:

@@ -44,14 +44,12 @@ class UmziConfig:
 
     t_sl: long-minus-short delay (s).
     phase: controllable phase setting (rad).
-    party: 'A' or 'B' (label used in tag streams and outputs).
     gamma: path overlap <S|L> in [0, 1]; visibility of this party's
         single-photon interference.
     """
 
     t_sl: float = 100e-12
     phase: float = 0.0
-    party: str = "A"
     gamma: float = 1.0
 
     def validate(self) -> list[str]:
@@ -59,8 +57,6 @@ class UmziConfig:
             raise ValueError(f"t_sl must be > 0, got {self.t_sl}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.party not in ("A", "B"):
-            raise ValueError(f"party must be 'A' or 'B', got {self.party!r}")
         if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
         return []
@@ -88,8 +84,9 @@ def ensemble_local_fringe(
     seed: int = 0,
     stream=0,
 ) -> float:
-    """Visibility of the per-pair port-5 intensity averaged over a sampled
-    ensemble and fitted over the phase settings.
+    """Visibility of the per-pair port-5 intensity of the signal photons
+    through ``cfg``, averaged over a sampled ensemble and fitted over the
+    phase settings.
 
     It equals gamma times the magnitude of the detuning distribution's
     characteristic function at lag t_sl, up to sampling error.
@@ -98,9 +95,8 @@ def ensemble_local_fringe(
     if phases.size < 8:
         raise ValueError(f"phase grid needs at least 8 points, got {phases.size}")
     pairs = sample_pairs(model, n_pairs, seed, stream=stream)
-    detuning = pairs.detuning_signal if cfg.party == "A" else pairs.detuning_idler
     # mean over pairs of 1/2 (1 + gamma cos(2 pi detuning t_sl + phase))
-    angle = TWO_PI * (detuning * cfg.t_sl)
+    angle = TWO_PI * (pairs.detuning_signal * cfg.t_sl)
     cos_mean = np.cos(angle).mean()
     sin_mean = np.sin(angle).mean()
     curve = 0.5 * (1.0 + cfg.gamma * (cos_mean * np.cos(phases) - sin_mean * np.sin(phases)))

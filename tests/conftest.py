@@ -28,7 +28,7 @@ def ideal_config(seed: int = 1, n_points: int = 16, pairs_per_point: int = 20_00
 def blinded(stream: fr.TagStream) -> fr.TagStream:
     """Copy of a tag stream with its diagnostic fields (branch, pair id) zeroed."""
     zeros = np.zeros(len(stream), dtype=np.int64)
-    return fr.TagStream(stream.party, stream.port, stream.time_ps, zeros, zeros)
+    return fr.TagStream(stream.port, stream.time_ps, zeros, zeros)
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:

@@ -186,7 +186,8 @@ def test_criterion_7_pump_linewidth_degradation(cfg):
 
 
 def test_criterion_8_tau_offset_decay(cfg):
-    res = fr.run_tau_decay(cfg, mode="montecarlo", pairs_per_point=20_000)
+    small = replace(cfg, scan=replace(cfg.scan, pairs_per_point=20_000))
+    res = fr.run_tau_decay(small, mode="montecarlo")
     vis = res.columns["visibility"]
     envelope = res.columns["envelope_analytic"]
     delta = cfg.source.delta
@@ -267,7 +268,7 @@ def test_criterion_9_structural_invariants(cfg, tmp_path):
 def test_criterion_10_chsh(cfg):
     analytic = fr.run_chsh(cfg, mode="analytic")
     assert abs(analytic.s_value - 2.0 * math.sqrt(2.0)) < 1e-6
-    mc = fr.run_chsh(cfg, mode="montecarlo", pairs_per_setting=100_000)
+    mc = fr.run_chsh(cfg, mode="montecarlo")
     assert mc.s_value > 2.7
     report(
         10,

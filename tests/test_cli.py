@@ -161,6 +161,18 @@ def test_outputs_embed_the_config_hash(config_path, tmp_path):
     assert json.loads((tmp_path / "fringe-scan.json").read_text())["config_hash"] == cfg_hash
 
 
+def test_correlate_prints_each_config_warning_once(config_path, tmp_path, capsys):
+    # a 49.6 ps window rounds to 50 ps, half the 100 ps side offset: windows overlap
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**json.loads(IDEAL), "correlator": {"window": 49.6e-12}}))
+    assert run(["timetags", "--config", wide, "--pairs", 50, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    dump = tmp_path / "timetags.dat"
+    assert run(["correlate", "--config", wide, "--input", dump, "--out", tmp_path]) == 0
+    assert capsys.readouterr().err.count("peak windows overlap") == 1
+    assert any("overlap" in w for w in strict_json(tmp_path / "correlate.json")["warnings"])
+
+
 def test_config_warnings_are_surfaced(config_path, tmp_path, capsys):
     cfg = tmp_path / "warn.json"
     cfg.write_text('{"source": {"delta": 1e10}, "scan": {"pairs_per_point": 500}}')

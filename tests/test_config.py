@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,38 @@ def test_values_must_have_their_field_type(text, where):
         fr.parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"detector": {"jitter": NaN}}', "detector.jitter must be finite, got nan"),
+        ('{"detector": {"jitter": Infinity}}', "detector.jitter must be finite, got inf"),
+        ('{"source": {"delta": -Infinity}}', "source.delta must be finite, got -inf"),
+        ('{"umzi_a": {"t_sl": 1e400}}', "umzi_a.t_sl must be finite, got inf"),
+        ('{"correlator": {"window": NaN}}', "correlator.window must be finite"),
+        ('{"scan": {"chsh_settings": [0, 1, NaN, 3]}}', "scan.chsh_settings must be finite"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_by_key(text, where):
+    with pytest.raises(ConfigError, match=where):
+        fr.parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "section, where",
+    [
+        ({"window": 1e-13}, "window must be at least 1 ps, got 1e-13"),
+        ({"bin_width": 4e-13}, "bin_width must be at least 1 ps, got 4e-13"),
+        ({"tau_max": 1e300}, "tau_max must be below 2**63 ps, got 1e+300"),
+        ({"window": 1e7}, "window must be below 2**63 ps, got 10000000.0"),
+    ],
+)
+def test_correlator_times_must_fit_the_picosecond_grid(section, where):
+    # rounded to whole picoseconds in int64: a window of 0 ps counts nothing,
+    # and a time past 2**63 ps wraps
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        config_from_dict({"correlator": section})
+
+
 def test_integers_are_numbers_and_gamma_may_be_null():
     cfg = fr.parse_config(
         '{"source": {"pair_rate": 1000000}, "umzi_a": {"gamma": null},'
@@ -137,8 +170,8 @@ def test_default_config_matches_defaults_table():
     # every section equals its dataclass built with only the derived fields
     expected = {
         "source": SpectralModel(),
-        "umzi_a": UmziConfig(party="A", gamma=gamma),
-        "umzi_b": UmziConfig(party="B", gamma=gamma),
+        "umzi_a": UmziConfig(gamma=gamma),
+        "umzi_b": UmziConfig(gamma=gamma),
         "detector": DetectorModel(),
         "correlator": CorrelatorConfig(side_offset_a=UmziConfig().t_sl, side_offset_b=UmziConfig().t_sl),
         "scan": ScanConfig(),
@@ -158,7 +191,12 @@ def test_config_hash_is_pinned():
 
 
 def test_scan_validation():
+    # the runners take their scan sizes from here, so these are their only check
     with pytest.raises(ConfigError, match="n_points"):
         fr.parse_config('{"scan": {"n_points": 4}}')
+    with pytest.raises(ConfigError, match="scan.n_points must be >= 8, got 7"):
+        fr.parse_config('{"scan": {"n_points": 7}}')
+    with pytest.raises(ConfigError, match="scan.pairs_per_point must be >= 1, got 0"):
+        fr.parse_config('{"scan": {"pairs_per_point": 0}}')
     with pytest.raises(ConfigError, match="chsh_settings"):
         fr.parse_config('{"scan": {"chsh_settings": [0.0, 1.0]}}')

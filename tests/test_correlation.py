@@ -13,6 +13,7 @@ from franson.correlation import (
     chsh_value,
     correlation_coefficient,
     ensemble_fringe,
+    fringe_visibility,
     joint_phase,
     overlap_envelope,
     pair_fringe,
@@ -26,8 +27,8 @@ from oracles import PORTS, joint_amplitude, outcome_table
 T_SL = 100e-12
 
 
-def umzi(phase=0.0, party="A", t_sl=T_SL):
-    return UmziConfig(t_sl=t_sl, phase=phase, party=party, gamma=1.0)
+def umzi(phase=0.0, t_sl=T_SL, gamma=1.0):
+    return UmziConfig(t_sl=t_sl, phase=phase, gamma=gamma)
 
 
 def model(delta=1e12, pump=0.0):
@@ -102,17 +103,17 @@ def test_symbolic_sum_over_central_products_is_one_half():
 )
 def test_joint_phase_cancels_detuning_exactly(df, phase_a, phase_b):
     # +df at A, -df at B, equal delays: bitwise equality, not approximate
-    cfg_a, cfg_b = umzi(phase_a, "A"), umzi(phase_b, "B")
+    cfg_a, cfg_b = umzi(phase_a), umzi(phase_b)
     assert joint_phase(df, 0.0, cfg_a, cfg_b) == phase_a + phase_b
 
 
 def test_joint_phase_carries_pump_jitter():
-    got = joint_phase(3.7e11, 2e9, umzi(0.3), umzi(0.4, "B"))
+    got = joint_phase(3.7e11, 2e9, umzi(0.3), umzi(0.4))
     assert got == pytest.approx(2 * math.pi * 2e9 * T_SL + 0.7, rel=1e-12)
 
 
 def test_central_amplitude_examples():
-    cfg_a, cfg_b = umzi(0.0), umzi(0.0, "B")
+    cfg_a, cfg_b = umzi(0.0), umzi(0.0)
     amp55 = joint_amplitude(0.0, 0.0, cfg_a, cfg_b, 5, 5)
     assert abs(amp55) ** 2 == pytest.approx(0.25, abs=1e-12)
     amp56 = joint_amplitude(0.0, 0.0, cfg_a, cfg_b, 5, 6)
@@ -122,7 +123,7 @@ def test_central_amplitude_examples():
 
 
 def test_central_peak_rate_examples():
-    cfg_a, cfg_b = umzi(0.0), umzi(0.0, "B")
+    cfg_a, cfg_b = umzi(0.0), umzi(0.0)
     assert central_rate_table(0.0, 0.0, cfg_a, cfg_b)[0, 0] == pytest.approx(0.25, abs=1e-12)
     assert central_rate_table(0.0, 0.0, umzi(math.pi), cfg_b)[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert np.all(central_rate_table(0.0, 0.0, cfg_a, cfg_b, envelope=0.0) == 0.125)
@@ -140,7 +141,7 @@ def test_central_peak_rate_examples():
 def test_central_rate_table_matches_the_joint_amplitude(df, dp, phase_a, phase_b, t_sl_a, t_sl_b):
     # the rate law against |SS + LL|^2 of the port amplitudes, unequal delays
     assume(t_sl_a != t_sl_b)
-    cfg_a, cfg_b = umzi(phase_a, "A", t_sl_a), umzi(phase_b, "B", t_sl_b)
+    cfg_a, cfg_b = umzi(phase_a, t_sl_a), umzi(phase_b, t_sl_b)
     rates = central_rate_table(df, dp, cfg_a, cfg_b)
     for a, port_a in enumerate(PORTS):
         for b, port_b in enumerate(PORTS):
@@ -149,7 +150,7 @@ def test_central_rate_table_matches_the_joint_amplitude(df, dp, phase_a, phase_b
 
 
 def test_rate_depends_on_ports_only_through_the_sign_product():
-    r = central_rate_table(2.3e11, 0.0, umzi(0.3), umzi(1.1, "B"))
+    r = central_rate_table(2.3e11, 0.0, umzi(0.3), umzi(1.1))
     assert r[0, 0] == r[1, 1]
     assert r[0, 1] == r[1, 0]
 
@@ -163,7 +164,7 @@ def test_rate_depends_on_ports_only_through_the_sign_product():
     envelope=st.floats(0.0, 1.0),
 )
 def test_outcome_distribution_invariants(df, dp, phase_a, phase_b, envelope):
-    table = outcome_table(df, dp, umzi(phase_a), umzi(phase_b, "B"), envelope)
+    table = outcome_table(df, dp, umzi(phase_a), umzi(phase_b), envelope)
     assert np.all(table >= 0.0)
     assert np.all(table[:, :, 1:] == 1.0 / 16.0)
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
@@ -174,20 +175,29 @@ def test_outcome_distribution_invariants(df, dp, phase_a, phase_b, envelope):
 
 
 def test_outcome_distribution_at_zero_joint_phase():
-    table = outcome_table(0.0, 0.0, umzi(0.0), umzi(0.0, "B"), envelope=1.0)
+    table = outcome_table(0.0, 0.0, umzi(0.0), umzi(0.0), envelope=1.0)
     np.testing.assert_allclose(table[:, :, 0], [[0.25, 0.0], [0.0, 0.25]], atol=1e-12)
     assert np.all(table[:, :, 1:] == 1.0 / 16.0)
 
 
+def test_central_rate_table_folds_in_the_path_overlaps():
+    # V = envelope * gamma_A * gamma_B: overlaps of 1/2 each act as an envelope of 1/4
+    half = umzi(0.3, gamma=0.5), umzi(1.1, gamma=0.5)
+    pairs = sample_pairs(model(pump=2e9), 200, seed=3)
+    folded = central_rate_table(pairs.df, pairs.dp, *half)
+    assert np.array_equal(folded, central_rate_table(pairs.df, pairs.dp, umzi(0.3), umzi(1.1), 0.25))
+    assert fringe_visibility(np.array([1.0, 0.5]), *half).tolist() == [0.25, 0.125]
+
+
 def test_envelope_outside_unit_interval_is_rejected():
     with pytest.raises(ValueError, match="envelope"):
-        central_rate_table(0.0, 0.0, umzi(), umzi(party="B"), envelope=1.2)
+        central_rate_table(0.0, 0.0, umzi(), umzi(), envelope=1.2)
 
 
 def test_detuning_immunity_is_bitwise_across_pairs():
     # pump off: every pair's central rate must be the same float
     pairs = sample_pairs(model(), 4_000, seed=1)
-    rates = central_rate_table(pairs.df, pairs.dp, umzi(0.4), umzi(0.9, "B"))
+    rates = central_rate_table(pairs.df, pairs.dp, umzi(0.4), umzi(0.9))
     for a in (0, 1):
         for b in (0, 1):
             assert np.unique(rates[a, b]).size == 1
@@ -198,19 +208,19 @@ def test_global_phase_never_enters_rates():
     shifted = PairEnsemble(
         pairs.model, pairs.ids, pairs.df, pairs.dp, pairs.xi + 2.5, pairs.t0, pairs.eps
     )
-    cfg_a, cfg_b = umzi(0.2), umzi(0.3, "B")
+    cfg_a, cfg_b = umzi(0.2), umzi(0.3)
     fringe, fringe_shifted = pair_fringe(pairs, cfg_a, cfg_b), pair_fringe(shifted, cfg_a, cfg_b)
     assert np.array_equal(fringe.rates, fringe_shifted.rates)
     assert np.array_equal(fringe.stderr, fringe_shifted.stderr)
 
 
 def test_ensemble_fringe_is_exact_without_pump_jitter():
-    fringe = ensemble_fringe(model(), umzi(0.0), umzi(0.0, "B"), n_pairs=2_000, seed=9)
+    fringe = ensemble_fringe(model(), umzi(0.0), umzi(0.0), n_pairs=2_000, seed=9)
     assert fringe.rates[0, 0] == 0.25
     assert fringe.rates[1, 1] == 0.25
     assert fringe.rates[0, 1] == 0.0
     quadrature = ensemble_fringe(
-        model(delta=5e12), umzi(0.0), umzi(math.pi / 2, "B"), n_pairs=2_000, seed=9
+        model(delta=5e12), umzi(0.0), umzi(math.pi / 2), n_pairs=2_000, seed=9
     )
     assert quadrature.rates[0, 0] == pytest.approx(0.125, abs=1e-12)
 
@@ -220,7 +230,7 @@ def test_ensemble_fringe_visibility_tracks_sampled_pump_jitter():
     phases = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     rates, oracles = [], []
     for k, th in enumerate(phases):
-        fr = ensemble_fringe(mdl, umzi(th), umzi(0.0, "B"), n_pairs=5_000, seed=3, stream=k)
+        fr = ensemble_fringe(mdl, umzi(th), umzi(0.0), n_pairs=5_000, seed=3, stream=k)
         rates.append(fr.rates[0, 0])
         pairs = sample_pairs(mdl, 5_000, 3, stream=k)
         oracles.append(np.exp(1j * 2 * math.pi * pairs.dp * T_SL).mean())
@@ -233,18 +243,18 @@ def test_ensemble_fringe_visibility_tracks_sampled_pump_jitter():
 
 def test_chsh_reaches_the_quantum_bound_for_ideal_settings():
     settings_ = (0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
-    res = chsh_value(model(), umzi(), umzi(party="B"), settings_, n_pairs=2_000, seed=4)
+    res = chsh_value(model(), umzi(), umzi(), settings_, n_pairs=2_000, seed=4)
     assert res.s_value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
 
 
 def test_chsh_vanishes_with_zero_envelope():
     settings_ = (0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
-    res = chsh_value(model(), umzi(), umzi(party="B"), settings_, n_pairs=500, seed=4, envelope=0.0)
+    res = chsh_value(model(), umzi(), umzi(), settings_, n_pairs=500, seed=4, envelope=0.0)
     assert res.s_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chsh_degenerate_settings_give_two():
-    res = chsh_value(model(), umzi(), umzi(party="B"), (0.0, 0.0, 0.0, 0.0), n_pairs=500, seed=4)
+    res = chsh_value(model(), umzi(), umzi(), (0.0, 0.0, 0.0, 0.0), n_pairs=500, seed=4)
     assert res.s_value == pytest.approx(2.0, abs=1e-12)
 
 

@@ -26,11 +26,11 @@ SIDES = {"side_offset_a": 100e-12, "side_offset_b": 100e-12}
 CFG = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
 
 
-def stream(party, times_ps, ports=None):
+def stream(times_ps, ports=None):
     n = len(times_ps)
     ports = ports if ports is not None else [5] * n
     zeros = np.zeros(n, dtype=np.int64)
-    return TagStream(party, np.asarray(ports), np.asarray(times_ps, dtype=np.int64), zeros, zeros)
+    return TagStream(np.asarray(ports), np.asarray(times_ps, dtype=np.int64), zeros, zeros)
 
 
 def brute_force_matches(t_a, t_b, tau_lo, tau_hi):
@@ -116,9 +116,9 @@ def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, c
     # for the peaks around tau = center; correlate sees the B stream shifted
     # by center instead, which gives the same matches.
     t_a = [t_b[j % len(t_b)] + center_ps + tau for j, tau in offsets] if t_b else []
-    tags_a = stream("A", t_a, ports[: len(t_a)])
-    tags_b = stream("B", t_b, ports[25 : 25 + len(t_b)])
-    shifted_b = stream("B", [t + center_ps for t in t_b], ports[25 : 25 + len(t_b)])
+    tags_a = stream(t_a, ports[: len(t_a)])
+    tags_b = stream(t_b, ports[25 : 25 + len(t_b)])
+    shifted_b = stream([t + center_ps for t in t_b], ports[25 : 25 + len(t_b)])
     cfg = CorrelatorConfig(
         window=10e-12,
         bin_width=bin_ps * 1e-12,
@@ -139,7 +139,7 @@ def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, c
 
 
 def test_empty_streams_give_empty_histogram():
-    hist = correlate(stream("A", []), stream("B", []), CFG)
+    hist = correlate(stream([]), stream([]), CFG)
     assert hist.counts.sum() == 0
     assert hist.central.sum() == 0
     assert hist.n_matches == 0
@@ -151,7 +151,7 @@ def test_known_delays_land_in_their_windows():
     t_b = [1_000, 2_100, 3_000, 4_000]
     ports_a = [5, 5, 6, 6]
     ports_b = [5, 6, 5, 6]
-    hist = correlate(stream("A", t_a, ports_a), stream("B", t_b, ports_b), CFG)
+    hist = correlate(stream(t_a, ports_a), stream(t_b, ports_b), CFG)
     assert hist.n_matches == 4
     assert hist.central[0, 0] == 1  # (5,5) at tau 0
     assert hist.side_minus[0, 1] == 1  # (5,6) at tau -100
@@ -162,34 +162,33 @@ def test_known_delays_land_in_their_windows():
 
 
 def test_window_totals_are_window_sums_not_bin_sums():
-    hist = correlate(stream("A", [1000]), stream("B", [1009]), CFG)
+    hist = correlate(stream([1000]), stream([1009]), CFG)
     assert hist.central[0, 0] == 1  # tau = -9 inside w = 10
-    hist2 = correlate(stream("A", [1000]), stream("B", [1011]), CFG)
+    hist2 = correlate(stream([1000]), stream([1011]), CFG)
     assert hist2.central.sum() == 0  # tau = -11 outside
 
 
 def test_unsorted_stream_is_a_hard_error():
     bad = TagStream.__new__(TagStream)
-    bad.party = "A"
     bad.port = np.array([5, 5], dtype=np.uint8)
     bad.time_ps = np.array([10, 5], dtype=np.int64)
     bad._diag_branch = np.zeros(2, dtype=np.int8)
     bad._diag_pair_id = np.zeros(2, dtype=np.int64)
     with pytest.raises(StreamOrderError):
-        correlate(bad, stream("B", [1, 2]), CFG)
+        correlate(bad, stream([1, 2]), CFG)
 
 
 def test_overlap_warning_flag():
     wide = CorrelatorConfig(window=60e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
-    hist = correlate(stream("A", [100]), stream("B", [105]), wide)
+    hist = correlate(stream([100]), stream([105]), wide)
     assert hist.overlap_warning
     assert any("overlap" in w for w in hist.warnings)
-    assert not correlate(stream("A", [100]), stream("B", [105]), CFG).overlap_warning
+    assert not correlate(stream([100]), stream([105]), CFG).overlap_warning
     # the rule holds on the rounded picoseconds the windows use: 49.6 ps is a
     # 50 ps window, so [-50, 50] and the LS window [50, 150] share tau = 50
     for window, overlaps in ((49.6e-12, True), (49.4e-12, False)):
         cfg = CorrelatorConfig(window=window, bin_width=2e-12, tau_max=200e-12, **SIDES)
-        hist = correlate(stream("A", [100]), stream("B", [105]), cfg)
+        hist = correlate(stream([100]), stream([105]), cfg)
         assert hist.overlap_warning is overlaps
         assert any("overlap" in w for w in hist.warnings) is overlaps
 
@@ -223,8 +222,8 @@ def _simulated_streams(n=30_000, seed=2, jitter=2e-12):
     model = SpectralModel(f0=3.7e14, delta=1e12, tau_ind=10e-9, pair_rate=1e6)
     pairs = sample_pairs(model, n, seed=seed)
     det = DetectorModel(jitter=jitter, efficiency=1.0)
-    cfg_a = UmziConfig(t_sl=100e-12, phase=0.0, party="A", gamma=1.0)
-    cfg_b = UmziConfig(t_sl=100e-12, phase=0.0, party="B", gamma=1.0)
+    cfg_a = UmziConfig(t_sl=100e-12, phase=0.0, gamma=1.0)
+    cfg_b = UmziConfig(t_sl=100e-12, phase=0.0, gamma=1.0)
     return simulate_tags(pairs, cfg_a, cfg_b, det, seed=seed)
 
 
@@ -254,7 +253,7 @@ def test_candidate_comparisons_stay_linear():
     t_b = np.sort(rng.integers(0, 50_000, 20_000)).astype(np.int64)
     ia, ib, comparisons = sweep_matches(t_a, t_b, -200, 200)
     assert comparisons <= t_a.size + t_b.size + ia.size
-    hist = correlate(stream("A", t_a), stream("B", t_b), CFG)
+    hist = correlate(stream(t_a), stream(t_b), CFG)
     assert hist.n_comparisons <= len(t_a) + len(t_b) + hist.n_matches
 
 
@@ -280,10 +279,10 @@ def test_off_center_window():
     # window; taking d off the B stream brings it back
     t_a = [1_000, 2_000, 3_100]
     t_b = [1_050, 2_050, 3_050]
-    delayed = correlate(stream("A", t_a), stream("B", t_b), CFG)
+    delayed = correlate(stream(t_a), stream(t_b), CFG)
     assert delayed.n_matches == 3  # tau = -50 twice, +50 once
     assert delayed.central.sum() + delayed.side_plus.sum() + delayed.side_minus.sum() == 0
-    hist = correlate(stream("A", t_a), stream("B", [t - 50 for t in t_b]), CFG)
+    hist = correlate(stream(t_a), stream([t - 50 for t in t_b]), CFG)
     assert hist.central.sum() == 2  # tau = 0 twice
     assert hist.side_plus.sum() == 1  # tau = +100 = side_offset_a
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -32,8 +33,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 HEADER = "# franson-timetags v1\n# seed=0\n# config_hash=c0ffee\n# columns: party port time_ps\n"
 
 
-def umzi(phase=0.0, party="A", gamma=1.0):
-    return UmziConfig(t_sl=T_SL, phase=phase, party=party, gamma=gamma)
+def umzi(phase=0.0, gamma=1.0):
+    return UmziConfig(t_sl=T_SL, phase=phase, gamma=gamma)
 
 
 def model(delta=1e12):
@@ -56,7 +57,7 @@ def branch_labels(stream):
 def test_central_branch_has_zero_delay_without_jitter():
     pairs = clean_ensemble(2_000)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=1)
+    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), det, seed=1)
     assert len(tags_a) == len(tags_b) == 2_000
     # align by pair id
     _, ids_a = tags_a.diagnostics()
@@ -78,7 +79,7 @@ def test_side_branch_delay_includes_eps():
     ens = PairEnsemble(mdl, np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n),
                        1e-6 * (1.0 + np.arange(n)), eps)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(ens, umzi(), umzi(party="B"), det, seed=2)
+    tags_a, tags_b = simulate_tags(ens, umzi(), umzi(), det, seed=2)
     _, ids_a = tags_a.diagnostics()
     _, ids_b = tags_b.diagnostics()
     tau = tags_a.time_ps[np.argsort(ids_a)] - tags_b.time_ps[np.argsort(ids_b)]
@@ -92,7 +93,7 @@ def test_half_of_all_pairs_are_centrally_coincident():
     mdl = model()
     pairs = sample_pairs(mdl, 100_000, seed=3)
     det = DetectorModel(jitter=2e-12, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=3)
+    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), det, seed=3)
     _, ids_a = tags_a.diagnostics()
     _, ids_b = tags_b.diagnostics()
     tau = tags_a.time_ps[np.argsort(ids_a)] - tags_b.time_ps[np.argsort(ids_b)]
@@ -106,7 +107,7 @@ def test_branch_probabilities_follow_the_joint_phase():
     # at joint phase 0 all central events sit in the equal-port pairs
     pairs = clean_ensemble(20_000)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(pairs, umzi(0.0), umzi(0.0, party="B"), det, seed=4)
+    tags_a, tags_b = simulate_tags(pairs, umzi(0.0), umzi(0.0), det, seed=4)
     branches = branch_labels(tags_a)
     _, ids_a = tags_a.diagnostics()
     _, ids_b = tags_b.diagnostics()
@@ -134,9 +135,12 @@ ORACLE_ALPHA = 1e-4
 def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gamma_b, t_sl_b_ps):
     # 2**20 pairs with df = dp = 0, so every pair has the joint phase `phase`
     n = 2**20
-    cfg_a = UmziConfig(t_sl=T_SL, phase=phase, party="A", gamma=gamma_a)
-    cfg_b = UmziConfig(t_sl=t_sl_b_ps * 1e-12, phase=0.0, party="B", gamma=gamma_b)
-    oracle = outcome_table(0.0, 0.0, cfg_a, cfg_b, envelope * gamma_a * gamma_b).ravel()
+    cfg_a = UmziConfig(t_sl=T_SL, phase=phase, gamma=gamma_a)
+    cfg_b = UmziConfig(t_sl=t_sl_b_ps * 1e-12, phase=0.0, gamma=gamma_b)
+    # the oracle gets the visibility the test states, V = envelope gamma_A gamma_B,
+    # and unit-overlap configs, so the package's own folding is what is checked
+    unit_a, unit_b = replace(cfg_a, gamma=1.0), replace(cfg_b, gamma=1.0)
+    oracle = outcome_table(0.0, 0.0, unit_a, unit_b, envelope * gamma_a * gamma_b).ravel()
     expected = n * oracle
     # a cell is either impossible or expects at least 5 counts
     assume(np.all((oracle == 0.0) | (expected >= 5.0)))
@@ -173,7 +177,7 @@ def test_efficiency_scales_singles_and_coincidences():
     pairs = clean_ensemble(40_000)
     eta = 0.6
     det = DetectorModel(jitter=0.0, efficiency=eta)
-    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=5)
+    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), det, seed=5)
     n = len(pairs)
     sigma_singles = math.sqrt(n * eta * (1 - eta))
     assert abs(len(tags_a) - eta * n) < 3.0 * sigma_singles
@@ -188,8 +192,8 @@ def test_efficiency_scales_singles_and_coincidences():
 def test_streams_are_time_sorted_and_deterministic():
     pairs = sample_pairs(model(), 10_000, seed=6)
     det = DetectorModel(jitter=2e-12, efficiency=0.8)
-    a1, b1 = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=6)
-    a2, b2 = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=6)
+    a1, b1 = simulate_tags(pairs, umzi(), umzi(), det, seed=6)
+    a2, b2 = simulate_tags(pairs, umzi(), umzi(), det, seed=6)
     assert np.all(np.diff(a1.time_ps) >= 0)
     assert np.array_equal(a1.time_ps, a2.time_ps)
     assert np.array_equal(a1.port, a2.port)
@@ -204,8 +208,8 @@ def test_global_phase_never_reaches_the_tags():
         pairs.t0, pairs.eps,
     )
     det = DetectorModel(jitter=2e-12, efficiency=1.0)
-    a1, b1 = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=7)
-    a2, b2 = simulate_tags(scrambled, umzi(), umzi(party="B"), det, seed=7)
+    a1, b1 = simulate_tags(pairs, umzi(), umzi(), det, seed=7)
+    a2, b2 = simulate_tags(scrambled, umzi(), umzi(), det, seed=7)
     assert np.array_equal(a1.time_ps, a2.time_ps)
     assert np.array_equal(a1.port, a2.port)
     assert np.array_equal(b1.port, b2.port)
@@ -213,7 +217,7 @@ def test_global_phase_never_reaches_the_tags():
 
 def test_simulate_tags_can_drop_tags():
     det = DetectorModel(jitter=0.0, efficiency=0.4)
-    tags_a, tags_b = simulate_tags(clean_ensemble(400), umzi(), umzi(party="B"), det, seed=9)
+    tags_a, tags_b = simulate_tags(clean_ensemble(400), umzi(), umzi(), det, seed=9)
     _, ids_a = tags_a.diagnostics()
     _, ids_b = tags_b.diagnostics()
     counts = np.bincount(ids_a, minlength=400) + np.bincount(ids_b, minlength=400)
@@ -224,7 +228,7 @@ def test_simulate_tags_can_drop_tags():
 def test_timetag_dump_round_trips_exactly(tmp_path):
     pairs = sample_pairs(model(), 5_000, seed=10)
     det = DetectorModel(jitter=2e-12, efficiency=0.9)
-    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(party="B"), det, seed=10)
+    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), det, seed=10)
     path = tmp_path / "tags.dat"
     write_timetags(path, tags_a, tags_b, seed=10, config_hash="cafe0123")
     got_a, got_b, header = read_timetags(path)
@@ -268,15 +272,28 @@ def test_read_timetags_rejects_foreign_files(tmp_path):
             read_timetags(path)
 
 
-def hand_stream(party, ports, times):
+def hand_stream(ports, times):
     ids = np.arange(len(times))
-    return TagStream(party, np.asarray(ports), np.asarray(times, dtype=np.int64), ids * 0, ids)
+    return TagStream(np.asarray(ports), np.asarray(times, dtype=np.int64), ids * 0, ids)
+
+
+def test_the_party_of_a_dumped_stream_is_its_position(tmp_path):
+    # one interferometer config for both photons still dumps a B stream
+    pairs = sample_pairs(SpectralModel(), 3, seed=11)
+    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), DetectorModel(), seed=11)
+    path = tmp_path / "tags.dat"
+    write_timetags(path, tags_a, tags_b, seed=11, config_hash="c0ffee")
+    parties = [line[0] for line in path.read_text().splitlines() if line[0] != "#"]
+    assert sorted(parties) == ["A"] * 3 + ["B"] * 3
+    got_a, got_b, _ = read_timetags(path)
+    assert len(got_a) == len(got_b) == 3
+    assert np.array_equal(got_b.time_ps, tags_b.time_ps)
 
 
 def test_timetag_dump_round_trips_signs_and_widths(tmp_path):
     big = 10**18 - 1  # the widest time a record holds: 18 digits
-    tags_a = hand_stream("A", [5, 6, 5, 6, 5, 6], [-big, -10, -1, 0, 9, big])
-    tags_b = hand_stream("B", [6, 5, 6, 5], [-big, 0, 10, 10**17])
+    tags_a = hand_stream([5, 6, 5, 6, 5, 6], [-big, -10, -1, 0, 9, big])
+    tags_b = hand_stream([6, 5, 6, 5], [-big, 0, 10, 10**17])
     path = tmp_path / "tags.dat"
     write_timetags(path, tags_a, tags_b, seed=0, config_hash="c0ffee")
     text = path.read_text()
@@ -290,7 +307,7 @@ def test_timetag_dump_round_trips_signs_and_widths(tmp_path):
 
 def test_empty_dump_and_missing_final_newline_read(tmp_path):
     path = tmp_path / "tags.dat"
-    write_timetags(path, hand_stream("A", [], []), hand_stream("B", [], []), 0, "c0ffee")
+    write_timetags(path, hand_stream([], []), hand_stream([], []), 0, "c0ffee")
     assert path.read_text() == HEADER
     got_a, got_b, header = read_timetags(path)
     assert len(got_a) == len(got_b) == 0 and header["config_hash"] == "c0ffee"
@@ -304,17 +321,15 @@ def test_empty_dump_and_missing_final_newline_read(tmp_path):
 
 def test_write_timetags_rejects_records_the_reader_would():
     with pytest.raises(ValueError, match="ports must be 5 or 6"):
-        write_timetags("unused", hand_stream("A", [7], [0]), hand_stream("B", [], []), 0, "x")
-    with pytest.raises(ValueError, match="parties must be A or B"):
-        write_timetags("unused", hand_stream("AB", [5], [0]), hand_stream("B", [], []), 0, "x")
+        write_timetags("unused", hand_stream([7], [0]), hand_stream([], []), 0, "x")
 
 
 def test_timetag_format_bytes_are_pinned_on_hand_built_streams(tmp_path):
     # format v1 is a data product: its bytes must not move, whatever the sampler
     times = [(-1) ** k * (7 * 10**k + k) for k in range(18)] + [0, 0, 5, -5]  # every width
     ports = [5 + (k % 3 == 0) for k in range(len(times))]
-    tags_a = hand_stream("A", ports, times)
-    tags_b = hand_stream("B", ports[::-1], [t // 3 for t in times])  # ties with A at 0
+    tags_a = hand_stream(ports, times)
+    tags_b = hand_stream(ports[::-1], [t // 3 for t in times])  # ties with A at 0
     path = tmp_path / "tags.dat"
     write_timetags(path, tags_a, tags_b, seed=7, config_hash="0123456789abcdef")
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "ceb5776a8664d3b7"
@@ -367,7 +382,7 @@ def test_a_corrupt_record_fails_at_its_own_line(
 ):
     path = tmp_path_factory.mktemp("dumps") / "tags.dat"
     streams = {
-        p: hand_stream(p, [r[1] for r in records if r[0] == p], [r[2] for r in records if r[0] == p])
+        p: hand_stream([r[1] for r in records if r[0] == p], [r[2] for r in records if r[0] == p])
         for p in "AB"
     }
     write_timetags(path, streams["A"], streams["B"], 0, "c0ffee")

@@ -10,7 +10,7 @@ import pytest
 
 import franson as fr
 from franson.correlation import overlap_envelope, pair_fringe
-from franson.experiment import simulate_point, wrap_phase
+from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
 from franson.fitting import fit_cosine
 from franson.errors import FitError
 from franson.rng import KIND_FRINGE, KIND_TAU
@@ -148,7 +148,7 @@ def test_tau_decay_analytic_and_montecarlo():
     ana = fr.run_tau_decay(cfg, mode="analytic")
     assert ana.columns["visibility"][0] == pytest.approx(1.0)
     assert np.all(np.diff(ana.columns["visibility"]) < 0)
-    mc = fr.run_tau_decay(cfg, mode="montecarlo", pairs_per_point=10_000)
+    mc = fr.run_tau_decay(cfg, mode="montecarlo")
     assert mc.visibility >= 0.99  # tau = 0
     delta = cfg.source.delta
     idx_1 = int(np.argmin(np.abs(mc.x - 1.0 / delta)))
@@ -163,16 +163,10 @@ def test_tau_decay_offset_acts_only_through_the_envelope(config):
     # cancel on the integer-picosecond grid, so step k of the decay is a plain
     # fringe scan at the overlap envelope of its offset.
     cfg = fr.load_config(CONFIGS / config)
-    decay = fr.run_tau_decay(cfg, mode="montecarlo", pairs_per_point=3_000)
+    cfg = replace(cfg, scan=replace(cfg.scan, pairs_per_point=3_000))
+    decay = fr.run_tau_decay(cfg, mode="montecarlo")
     for k, env in enumerate(overlap_envelope(decay.x, cfg.source.delta)):
-        scan = fr.run_fringe_scan(
-            cfg,
-            mode="montecarlo",
-            n_points=12,
-            pairs_per_point=3_000,
-            envelope=float(env),
-            key=(KIND_TAU, k),
-        )
+        scan = _fringe(cfg, "montecarlo", (KIND_TAU, k), TAU_POINTS, 3_000, float(env))
         assert decay.columns["visibility"][k] == scan.visibility
         assert decay.columns["visibility_err"][k] == scan.visibility_err
 
@@ -191,7 +185,7 @@ def test_chsh_analytic_and_montecarlo():
     cfg = ideal_config(pairs_per_point=20_000)
     ana = fr.run_chsh(cfg, mode="analytic")
     assert ana.s_value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
-    mc = fr.run_chsh(cfg, mode="montecarlo", pairs_per_setting=20_000)
+    mc = fr.run_chsh(cfg, mode="montecarlo")
     assert mc.s_value > 2.7
     assert mc.s_err < 0.05
     assert abs(mc.s_value - ana.s_value) < 4.0 * mc.s_err
@@ -212,9 +206,9 @@ def test_analytic_runners_apply_the_path_overlaps():
 
 def test_scan_points_draw_from_tuple_keys():
     # point k of a fringe scan draws its pairs from the stream (KIND_FRINGE, k)
-    cfg = ideal_config(pairs_per_point=500)
+    cfg = ideal_config(n_points=8, pairs_per_point=500)
     cfg = replace(cfg, source=replace(cfg.source, pump_linewidth=2e9))
-    res = fr.run_fringe_scan(cfg, mode="analytic", n_points=8)
+    res = fr.run_fringe_scan(cfg, mode="analytic")
     pairs = sample_pairs(cfg.source, 500, cfg.seed, stream=(KIND_FRINGE, 3))
     psi = cfg.umzi_b.phase
     cfg_a, cfg_b = replace(cfg.umzi_a, phase=res.x[3] - psi), replace(cfg.umzi_b, phase=psi)
@@ -258,27 +252,21 @@ def test_envelope_outside_unit_interval_fails_alike_in_both_modes(gamma, mode, e
         cfg, umzi_a=replace(cfg.umzi_a, gamma=gamma), umzi_b=replace(cfg.umzi_b, gamma=gamma)
     )
     with pytest.raises(ValueError, match=r"envelope factor must lie in \[0, 1\]"):
-        fr.run_fringe_scan(cfg, mode=mode, envelope=envelope)
+        _fringe(cfg, mode, (KIND_FRINGE,), 8, 100, envelope)
 
 
 @pytest.mark.parametrize(
     "runner, kwargs",
     [
-        (fr.run_fringe_scan, {"pairs_per_point": 0}),
-        (fr.run_fringe_scan, {"n_points": 0}),
-        (fr.run_fringe_scan, {"n_points": 7}),
-        (fr.run_local_scan, {"pairs_per_point": -1}),
-        (fr.run_local_scan, {"n_points": 0}),
         (fr.run_crossover_sweep, {"pairs_per_point": 0}),
-        (fr.run_tau_decay, {"pairs_per_point": 0}),
-        (fr.run_tau_decay, {"n_points": 0, "mode": "analytic"}),
         (fr.run_pump_sweep, {"pairs_per_point": 0}),
         (fr.run_pump_sweep, {"n_points": 0}),
-        (fr.run_chsh, {"pairs_per_setting": 0}),
+        (fr.run_pump_sweep, {"n_points": 7}),
     ],
 )
 def test_counts_below_their_minimum_are_rejected(runner, kwargs):
     # zero is a count, not "use the default"; n_points needs the fit's 8 points
-    name = next(key for key in kwargs if key != "mode")
+    # (every other scan takes its sizes from the config, checked at parse time)
+    (name,) = kwargs
     with pytest.raises(ValueError, match=rf"^{name} must be >= "):
         runner(ideal_config(pairs_per_point=100), **kwargs)

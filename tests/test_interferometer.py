@@ -22,8 +22,8 @@ from oracles import port_amplitudes
 PHASES_16 = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
 
-def umzi(t_sl=100e-12, phase=0.0, gamma=1.0, party="A"):
-    return UmziConfig(t_sl=t_sl, phase=phase, gamma=gamma, party=party)
+def umzi(t_sl=100e-12, phase=0.0, gamma=1.0):
+    return UmziConfig(t_sl=t_sl, phase=phase, gamma=gamma)
 
 
 def model_with(delta_t_sl: float, t_sl=100e-12) -> SpectralModel:
@@ -166,7 +166,6 @@ def test_default_overlap_decays_with_delay():
         (dict(t_sl=0.0), "t_sl"),
         (dict(gamma=1.5), "gamma"),
         (dict(gamma=-0.1), "gamma"),
-        (dict(party="C"), "party"),
         (dict(phase=math.inf), "phase"),
     ],
 )
