@@ -24,6 +24,9 @@ from .errors import StreamOrderError
 
 HISTOGRAM_MAGIC = "# franson-histogram v1"
 
+# The most bins a histogram may have per port pair (four int64 counts each).
+MAX_BINS = 2**22
+
 
 @dataclass(frozen=True)
 class CorrelatorConfig:
@@ -58,19 +61,30 @@ class CorrelatorConfig:
                 f"max(side_offset_a, side_offset_b) + 5*bin_width, got {self.tau_max} < "
                 f"{farthest + 5 * self.bin_width}"
             )
-        w_ps, bin_ps, side_a_ps, side_b_ps = (
-            int(to_picoseconds(v))
-            for v in (self.window, self.bin_width, self.side_offset_a, self.side_offset_b)
+        w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = (
+            int(to_picoseconds(getattr(self, name)))
+            for name in ("window", "bin_width", "tau_max", "side_offset_a", "side_offset_b")
         )
         for name, ps in (("window", w_ps), ("bin_width", bin_ps)):
             if ps < 1:
                 raise ValueError(f"{name} must be at least 1 ps, got {getattr(self, name)}")
+        n_bins = _bin_count(tau_max_ps, bin_ps)
+        if n_bins > MAX_BINS:
+            raise ValueError(
+                "correlator.tau_max and correlator.bin_width give 2 * tau_max / bin_width = "
+                f"{n_bins} histogram bins, more than the limit of 2**22 = {MAX_BINS}"
+            )
         if _windows_overlap(w_ps, side_a_ps, side_b_ps):
             return [
                 f"window w = {w_ps} ps >= min(side_offset_a, side_offset_b)/2 = "
                 f"{min(side_a_ps, side_b_ps) / 2:g} ps: peak windows overlap"
             ]
         return []
+
+
+def _bin_count(tau_max_ps: int, bin_ps: int) -> int:
+    """Bins of width bin_ps that cover [-tau_max, tau_max]."""
+    return -((-2 * tau_max_ps) // bin_ps)
 
 
 def _windows_overlap(w_ps: int, side_a_ps: int, side_b_ps: int) -> bool:
@@ -162,7 +176,7 @@ def correlate(
     side_a_ps = int(to_picoseconds(cfg.side_offset_a))
     side_b_ps = int(to_picoseconds(cfg.side_offset_b))
 
-    n_bins = -((-2 * tau_max_ps) // bin_ps)
+    n_bins = _bin_count(tau_max_ps, bin_ps)
     ia, ib, comparisons = sweep_matches(stream_a.time_ps, stream_b.time_ps, -tau_max_ps, tau_max_ps)
     tau = stream_a.time_ps[ia] - stream_b.time_ps[ib]
     # Row-major flat index of [port_a - 5, port_b - 5].

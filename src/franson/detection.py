@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .correlation import fringe_visibility, joint_phase
 from .interferometer import UmziConfig
-from .rng import ROLE_DETECTION, item_uniforms, stream_key
+from .rng import MAX_ABS_NORMAL, ROLE_DETECTION, item_uniforms, normal_quantile, stream_key
 from .source import PairEnsemble
 
 PS_PER_S = 1e12
@@ -67,6 +66,11 @@ class DetectorModel:
     def validate(self) -> list[str]:
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not self.jitter * MAX_ABS_NORMAL * PS_PER_S < 2.0**63:
+            raise ValueError(
+                f"detector.jitter must keep its largest draw, {MAX_ABS_NORMAL} sigma, "
+                f"below 2**63 ps, got {self.jitter}"
+            )
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         return []
@@ -130,8 +134,8 @@ def simulate_tags(
     p_same = 0.5 + (0.5 * visibility) * np.cos(theta) * (branch == 0)
     port_a = np.uint8(5) + (u[:, 6] < 0.5).view(np.uint8)
     port_b = port_a ^ (np.uint8(3) * (u[:, 7] >= p_same))  # 5 ^ 3 = 6, 6 ^ 3 = 5
-    jitter_a_ps = to_picoseconds(ndtri(u[:, 2]) * det.jitter)
-    jitter_b_ps = to_picoseconds(ndtri(u[:, 3]) * det.jitter)
+    jitter_a_ps = to_picoseconds(normal_quantile(u[:, 2]) * det.jitter)
+    jitter_b_ps = to_picoseconds(normal_quantile(u[:, 3]) * det.jitter)
     keep_a = u[:, 4] < det.efficiency
     keep_b = u[:, 5] < det.efficiency
     del u  # the largest array here: free it before the times are assembled

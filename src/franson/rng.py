@@ -14,6 +14,8 @@ Samplers that need per-item addressability draw a fixed block of
 ``DRAWS_PER_ITEM`` uniforms per item.  One Philox counter step yields four
 64-bit draws, so item ``j`` starts at counter offset ``2 * j`` and ranges of
 items can be generated concurrently without generating their predecessors.
+Every draw lies strictly inside (0, 1), and :func:`normal_quantile` maps
+draws to standard normal deviates.
 """
 
 from __future__ import annotations
@@ -37,10 +39,15 @@ KIND_TIMETAGS = 7
 DRAWS_PER_ITEM = 8
 _BLOCKS_PER_ITEM = DRAWS_PER_ITEM // 4
 
-# Shifts a 2**-53-grid uniform from [0, 1) to the open interval (0, 1),
-# keeping it symmetric about 1/2 so inverse-CDF transforms stay unbiased
-# and finite.
+# Shifts a 2**-53-grid uniform on [0, 1) off 0.  Below 1/2 the shifted draw
+# is exact; above it the shift is half an ulp, so the sum ties and rounds to
+# even, and the largest draw would round up to 1.0 without the clamp below.
 OPEN_INTERVAL_SHIFT = 2.0 ** -54
+# The largest double below 1.
+BELOW_ONE = 1.0 - 2.0 ** -53
+# Every normal_quantile of a draw on [2**-54, BELOW_ONE] lies within this
+# bound: the extremes are z(2**-54) = -8.29 and z(BELOW_ONE) = +8.21.
+MAX_ABS_NORMAL = 8.3
 
 
 def stream_key(stream) -> tuple:
@@ -64,6 +71,84 @@ def item_uniforms(seed: int, path: tuple[int, ...], n_items: int, start: int = 0
     bitgen = Philox(SeedSequence(int(seed), spawn_key=path))
     if start:
         bitgen.advance(_BLOCKS_PER_ITEM * start)
-    u = Generator(bitgen).random(size=(n_items, DRAWS_PER_ITEM))
+    return _open_unit_interval(Generator(bitgen).random(size=(n_items, DRAWS_PER_ITEM)))
+
+
+def _open_unit_interval(u: np.ndarray) -> np.ndarray:
+    """Map 2**-53-grid uniforms on [0, 1) into [2**-54, BELOW_ONE], in place,
+    so that inverse-CDF transforms stay finite and ``u < 1`` always holds."""
     u += OPEN_INTERVAL_SHIFT
+    np.minimum(u, BELOW_ONE, out=u)
     return u
+
+
+# Wichura's AS241 (PPND16; Applied Statistics 37:477, 1988), the algorithm of
+# statistics.NormalDist.inv_cdf.  Each polynomial lists its coefficients from
+# the highest power down.
+_CENTRAL_NUM = (
+    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+    1.3314166789178437745e2, 3.3871328727963666080e0,
+)
+_CENTRAL_DEN = (
+    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+    4.2313330701600911252e1, 1.0,
+)
+_NEAR_TAIL_NUM = (
+    7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+    1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+    4.6303378461565452959e0, 1.4234371107496835773e0,
+)
+_NEAR_TAIL_DEN = (
+    1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+    1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+    2.0531916266377588219e0, 1.0,
+)
+_FAR_TAIL_NUM = (
+    2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+    2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+    5.4637849111641143699e0, 6.6579046435011037772e0,
+)
+_FAR_TAIL_DEN = (
+    2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+    7.8686913114561325910e-4, 1.4875361290850614852e-2, 1.3692988092273580531e-1,
+    5.9983220655588793769e-1, 1.0,
+)
+
+
+def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
+    acc = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coeffs[-1]
+    return acc
+
+
+def normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile z(p) of each p in (0, 1), by AS241.
+
+    The central rational (|p - 1/2| <= 0.425) runs on every draw; the tail
+    rationals only on the draws beyond it, in r = sqrt(-log(min(p, 1 - p))),
+    which keeps full relative precision in the far tails.
+    """
+    q = np.subtract(p, 0.5)
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    z = _horner(_CENTRAL_NUM, r)
+    z *= q
+    z /= _horner(_CENTRAL_DEN, r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        p_tail = np.asarray(p)[tail]
+        r = np.sqrt(-np.log(np.minimum(p_tail, 1.0 - p_tail)))
+        x = np.empty_like(r)
+        for sel, shift, num, den in (
+            (r <= 5.0, 1.6, _NEAR_TAIL_NUM, _NEAR_TAIL_DEN),
+            (r > 5.0, 5.0, _FAR_TAIL_NUM, _FAR_TAIL_DEN),
+        ):
+            s = r[sel] - shift
+            x[sel] = _horner(num, s) / _horner(den, s)
+        z[tail] = np.copysign(x, q[tail])
+    return z

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .rng import ROLE_SOURCE, item_uniforms, stream_key
+from .rng import ROLE_SOURCE, item_uniforms, normal_quantile, stream_key
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,15 +102,18 @@ class PairEnsemble:
 
 
 def _gaussian_from_uniform(u: np.ndarray, fwhm: float) -> np.ndarray:
-    # fwhm == 0 collapses to exact zeros (degenerate distribution).
-    return ndtri(u) * (fwhm * FWHM_TO_SIGMA)
+    if fwhm == 0:
+        return np.zeros(u.shape)  # degenerate distribution: no draw needed
+    z = normal_quantile(u)
+    z *= fwhm * FWHM_TO_SIGMA
+    return z
 
 
 def _pair_columns(model: SpectralModel, u: np.ndarray):
     """Map one block of uniforms (n, 8) to pair fields; fixed column layout."""
     df = _gaussian_from_uniform(u[:, 0], model.delta)
     dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
-    xi = TWO_PI * u[:, 2] % TWO_PI
+    xi = TWO_PI * u[:, 2]  # below TWO_PI: TWO_PI * BELOW_ONE rounds down
     eps_fwhm = 1.0 / model.delta if model.delta > 0 else 0.0
     eps = _gaussian_from_uniform(u[:, 3], eps_fwhm)
     gaps = -np.log(u[:, 4]) / model.pair_rate

@@ -127,6 +127,26 @@ def test_correlator_times_must_fit_the_picosecond_grid(section, where):
         config_from_dict({"correlator": section})
 
 
+def test_jitter_draws_must_fit_the_picosecond_grid():
+    # the largest draw, |z| <= 8.3 sigma, would wrap the int64 picosecond tags
+    with pytest.raises(ConfigError, match=re.escape("detector.jitter must keep its largest draw")):
+        fr.parse_config('{"detector": {"jitter": 1e300}}')
+    with pytest.raises(ConfigError, match="detector.jitter"):
+        fr.parse_config('{"detector": {"jitter": 1.2e6}}')
+    assert fr.parse_config('{"detector": {"jitter": 1.1e6}}').detector.jitter == 1.1e6
+
+
+def test_histogram_size_is_bounded():
+    where = "correlator.tau_max and correlator.bin_width give"
+    with pytest.raises(ConfigError, match=re.escape(f"{where} 2 * tau_max / bin_width = 10")):
+        fr.parse_config('{"correlator": {"tau_max": 1.0}}')
+    # 2 ps bins: 2**22 of them reach tau_max = 2**21 * 2 ps, and no further
+    limit = 2**21 * 2e-12
+    assert config_from_dict({"correlator": {"tau_max": limit}}).correlator.tau_max == limit
+    with pytest.raises(ConfigError, match=re.escape(f"= {2**22 + 1} histogram bins")):
+        config_from_dict({"correlator": {"tau_max": limit + 1e-12}})
+
+
 def test_integers_are_numbers_and_gamma_may_be_null():
     cfg = fr.parse_config(
         '{"source": {"pair_rate": 1000000}, "umzi_a": {"gamma": null},'
