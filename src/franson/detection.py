@@ -166,8 +166,8 @@ def write_timetags(
     if not np.all((ports == 5) | (ports == 6)):
         raise ValueError("ports must be 5 or 6")
     times = np.concatenate([stream_a.time_ps, stream_b.time_ps])
-    pair_ids = np.concatenate([stream_a._diag_pair_id, stream_b._diag_pair_id])
-    order = np.lexsort((pair_ids, parties, times))
+    # Each stream is already sorted by (time, pair id), and lexsort is stable.
+    order = np.lexsort((parties, times))
     times = times[order]
 
     # Record layout: party, space, port, space, optional '-', digits, newline.
