@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import PS_PER_S, TagStream, to_picoseconds
+from .detection import TagStream
 from .errors import StreamOrderError
+from .source import MAX_TIME_PS, PS_PER_S, to_picoseconds
 
 HISTOGRAM_MAGIC = "# franson-histogram v1"
 
@@ -49,11 +50,10 @@ class CorrelatorConfig:
         for name in ("side_offset_a", "side_offset_b"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        # the picosecond grid is int64; tau_max, checked below to exceed both
-        # side offsets, keeps them on it too
+        # tau_max, checked below to exceed both side offsets, bounds them too
         for name in ("window", "bin_width", "tau_max"):
-            if not getattr(self, name) * PS_PER_S < 2.0**63:
-                raise ValueError(f"{name} must be below 2**63 ps, got {getattr(self, name)}")
+            if not getattr(self, name) * PS_PER_S < MAX_TIME_PS:
+                raise ValueError(f"{name} must be below 2**60 ps, got {getattr(self, name)}")
         farthest = max(self.side_offset_a, self.side_offset_b)
         if self.tau_max < farthest + 5 * self.bin_width:
             raise ValueError(

@@ -24,8 +24,8 @@ on the split.  Branch and pair id are carried only as diagnostic fields
 behind an explicit oracle accessor; the correlator-facing view is
 (party, port, time).
 
-All times are quantized component-wise to integer picoseconds, which makes
-histograms, dumps and replays exactly reproducible across platforms.
+Emission times arrive in int64 picoseconds and every other term is rounded
+onto that grid, so histograms, dumps and replays reproduce on any platform.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ import numpy as np
 from .correlation import fringe_visibility, joint_phase
 from .interferometer import UmziConfig
 from .rng import MAX_ABS_NORMAL, ROLE_DETECTION, item_uniforms, normal_quantile, stream_key
-from .source import PairEnsemble
-
-PS_PER_S = 1e12
+from .source import MAX_TIME_PS, PS_PER_S, PairEnsemble, to_picoseconds
 
 TIMETAG_MAGIC = "# franson-timetags v1"
 
@@ -49,11 +47,6 @@ TIMETAG_MAGIC = "# franson-timetags v1"
 _NEWLINE, _SPACE, _HASH, _MINUS, _ZERO, _A, _B = b"\n #-0AB"
 _PARTIES = np.array([_A, _B], dtype=np.uint8)
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
-
-
-def to_picoseconds(seconds) -> np.ndarray:
-    """Round seconds to the integer-picosecond grid."""
-    return np.rint(np.asarray(seconds, dtype=np.float64) * PS_PER_S).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -66,10 +59,10 @@ class DetectorModel:
     def validate(self) -> list[str]:
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if not self.jitter * MAX_ABS_NORMAL * PS_PER_S < 2.0**63:
+        if not self.jitter * MAX_ABS_NORMAL * PS_PER_S < MAX_TIME_PS:
             raise ValueError(
                 f"detector.jitter must keep its largest draw, {MAX_ABS_NORMAL} sigma, "
-                f"below 2**63 ps, got {self.jitter}"
+                f"below 2**60 ps, got {self.jitter}"
             )
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
@@ -125,7 +118,7 @@ def simulate_tags(
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
     """
     visibility = fringe_visibility(envelope, cfg_a, cfg_b)
-    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs))
+    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 8)
     b_a = u[:, 0] < 0.5
     b_b = u[:, 1] < 0.5
     # central 0 for equal bits, SL 1 for (0, 1), LS 2 for (1, 0)
@@ -140,9 +133,8 @@ def simulate_tags(
     keep_b = u[:, 5] < det.efficiency
     del u  # the largest array here: free it before the times are assembled
 
-    t0_ps = to_picoseconds(pairs.t0)
-    t_a = t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
-    t_b = t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
+    t_a = pairs.t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
+    t_b = pairs.t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
 
     stream_a = TagStream(port_a[keep_a], t_a[keep_a], branch[keep_a], pairs.ids[keep_a])
     stream_b = TagStream(port_b[keep_b], t_b[keep_b], branch[keep_b], pairs.ids[keep_b])

@@ -11,9 +11,11 @@ Philox is counter based and splittable, so every stream is independent and a
 sampled sequence is a pure function of its key.
 
 Samplers that need per-item addressability draw a fixed block of
-``DRAWS_PER_ITEM`` uniforms per item.  One Philox counter step yields four
-64-bit draws, so item ``j`` starts at counter offset ``2 * j`` and ranges of
-items can be generated concurrently without generating their predecessors.
+``n_draws`` uniforms per item, a multiple of 4 that each caller states (the
+source draws 4 per pair, detection 8).  One Philox counter step yields four
+64-bit draws, so item ``j`` starts at counter offset ``n_draws / 4 * j`` and
+ranges of items can be generated concurrently without generating their
+predecessors.
 Every draw lies strictly inside (0, 1), and :func:`normal_quantile` maps
 draws to standard normal deviates.
 """
@@ -36,9 +38,6 @@ KIND_PUMP = 5
 KIND_CHSH = 6
 KIND_TIMETAGS = 7
 
-DRAWS_PER_ITEM = 8
-_BLOCKS_PER_ITEM = DRAWS_PER_ITEM // 4
-
 # Shifts a 2**-53-grid uniform on [0, 1) off 0.  Below 1/2 the shifted draw
 # is exact; above it the shift is half an ulp, so the sum ties and rounds to
 # even, and the largest draw would round up to 1.0 without the clamp below.
@@ -55,14 +54,16 @@ def stream_key(stream) -> tuple:
     return stream if isinstance(stream, tuple) else (stream,)
 
 
-def item_uniforms(seed: int, path: tuple[int, ...], n_items: int, start: int = 0) -> np.ndarray:
-    """(n_items, DRAWS_PER_ITEM) uniforms on (0, 1) for items start..start+n_items.
+def item_uniforms(seed: int, path: tuple, n_items: int, n_draws: int, start: int = 0) -> np.ndarray:
+    """(n_items, n_draws) uniforms on (0, 1) for items start..start+n_items.
 
-    Row ``i`` depends only on the key and on ``start + i``, never on
+    Row ``i`` depends only on the key, ``n_draws`` and ``start + i``, never on
     ``n_items`` or on previous calls.
     """
     if n_items < 0 or start < 0:
         raise ValueError("n_items and start must be non-negative")
+    if n_draws < 4 or n_draws % 4:
+        raise ValueError(f"n_draws must be a positive multiple of 4, got {n_draws}")
     path = tuple(map(int, path))
     if not 0 <= int(seed) < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
@@ -70,8 +71,8 @@ def item_uniforms(seed: int, path: tuple[int, ...], n_items: int, start: int = 0
         raise ValueError(f"stream path entries must lie in [0, 2**32), got {path}")
     bitgen = Philox(SeedSequence(int(seed), spawn_key=path))
     if start:
-        bitgen.advance(_BLOCKS_PER_ITEM * start)
-    return _open_unit_interval(Generator(bitgen).random(size=(n_items, DRAWS_PER_ITEM)))
+        bitgen.advance(n_draws // 4 * start)
+    return _open_unit_interval(Generator(bitgen).random(size=(n_items, n_draws)))
 
 
 def _open_unit_interval(u: np.ndarray) -> np.ndarray:

@@ -4,12 +4,13 @@ Models a cw-pumped down-conversion source emitting frequency-anticorrelated
 photon pairs.  Pair ``j`` carries a signal detuning ``+df_j`` and an idler
 detuning ``-df_j`` around the center frequency ``f0``, a shared pump-frequency
 jitter ``dp_j`` (which shifts both photons by ``dp_j / 2`` so only the sum
-frequency jitters), a uniformly random global phase, a Poisson emission time,
-and a small signal-idler relative delay ``eps_j``.
+frequency jitters), a Poisson emission time, and a small signal-idler
+relative delay ``eps_j``.  No global phase is drawn: it enters no observable.
 
 All spectral widths are full widths at half maximum (FWHM).  The single-photon
 detuning distribution has FWHM ``delta``; the pair relative delay has FWHM
 ``1 / delta`` (the pair correlation time set by the ensemble bandwidth).
+Times are int64 picoseconds from the emission time on, below ``MAX_TIME_PS``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,21 @@ import numpy as np
 
 from .rng import ROLE_SOURCE, item_uniforms, normal_quantile, stream_key
 
-TWO_PI = 2.0 * math.pi
+PS_PER_S = 1e12
+
+# The bound (~13 days) on every time quantity: an emission time plus its pair
+# delay, an interferometer delay, a jitter draw, a correlator time, a dumped
+# (18-digit) time.  A tag sums three and a correlator delay differences two
+# tags, or a tag and tau_max, so neither can leave int64 (2**63 ps).
+MAX_TIME_PS = 2**60
 
 # sigma = FWHM / (2 sqrt(2 ln 2)) for a Gaussian.
 FWHM_TO_SIGMA = 0.5 / math.sqrt(2.0 * math.log(2.0))
+
+
+def to_picoseconds(seconds) -> np.ndarray:
+    """Round seconds to the integer-picosecond grid."""
+    return np.rint(np.asarray(seconds, dtype=np.float64) * PS_PER_S).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -74,19 +86,17 @@ class PairEnsemble:
     """A sampled sequence of photon pairs, stored column-wise.
 
     Columns, one entry per pair: ids; df, the signal detuning (Hz, the idler
-    carries -df); dp, the pump jitter (Hz, +dp/2 on both photons); xi, the
-    never-observable global phase (rad); t0, the emission time (s); eps, the
-    signal-idler delay (s).  Pair ``j`` is a pure function of (model, seed,
-    stream, start + j); see :func:`sample_pairs`.
+    carries -df); dp, the pump jitter (Hz, +dp/2 on both photons); t0_ps, the
+    emission time (int64 picoseconds); eps, the signal-idler delay (s).  Pair
+    ``j`` is a pure function of (model, seed, stream, start + j).
     """
 
-    def __init__(self, model: SpectralModel, ids, df, dp, xi, t0, eps):
+    def __init__(self, model: SpectralModel, ids, df, dp, t0_ps, eps):
         self.model = model
         self.ids = np.asarray(ids, dtype=np.int64)
         self.df = np.asarray(df, dtype=np.float64)
         self.dp = np.asarray(dp, dtype=np.float64)
-        self.xi = np.asarray(xi, dtype=np.float64)
-        self.t0 = np.asarray(t0, dtype=np.float64)
+        self.t0_ps = np.asarray(t0_ps, dtype=np.int64)
         self.eps = np.asarray(eps, dtype=np.float64)
 
     def __len__(self) -> int:
@@ -109,35 +119,31 @@ def _gaussian_from_uniform(u: np.ndarray, fwhm: float) -> np.ndarray:
     return z
 
 
-def _pair_columns(model: SpectralModel, u: np.ndarray):
-    """Map one block of uniforms (n, 8) to pair fields; fixed column layout."""
-    df = _gaussian_from_uniform(u[:, 0], model.delta)
-    dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
-    xi = TWO_PI * u[:, 2]  # below TWO_PI: TWO_PI * BELOW_ONE rounds down
-    eps_fwhm = 1.0 / model.delta if model.delta > 0 else 0.0
-    eps = _gaussian_from_uniform(u[:, 3], eps_fwhm)
-    gaps = -np.log(u[:, 4]) / model.pair_rate
-    return df, dp, xi, eps, gaps
-
-
 def sample_pairs(model: SpectralModel, n: int, seed: int, stream=0, start: int = 0) -> PairEnsemble:
     """Sample pairs start .. start+n-1 of the stream keyed by (seed, stream).
 
     ``stream`` is a key path such as ``(KIND_FRINGE, point)``; an int k is
-    the path (k,).  Each pair consumes a fixed counter block, so the sequence is defined by
-    the pair index alone and disjoint ranges can be drawn concurrently.
-    Emission times accumulate from 0 across the sampled range.
+    the path (k,).  Pair j takes item j's 4 uniforms (df, dp, eps, gap), so
+    disjoint ranges can be drawn apart.  Emission times sum whole-picosecond
+    gaps from 0 across the range; a range whose times and pair delays would
+    reach ``MAX_TIME_PS`` is rejected before any int cast.
     """
-    u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, start=start)
-    df, dp, xi, eps, gaps = _pair_columns(model, u)
-    ids = np.arange(start, start + n, dtype=np.int64)
-    ens = PairEnsemble(model, ids, df, dp, xi, np.cumsum(gaps), eps)
-    _check_finite(ens)
-    return ens
-
-
-def _check_finite(ens: PairEnsemble) -> None:
-    for name in ("df", "dp", "xi", "t0", "eps"):
-        col = getattr(ens, name)
-        if not np.all(np.isfinite(col)):
-            raise AssertionError(f"non-finite {name} sampled from model {ens.model}")
+    u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, 4, start=start)
+    with np.errstate(over="ignore"):  # what overflows to inf is rejected below
+        df = _gaussian_from_uniform(u[:, 0], model.delta)
+        dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
+        eps = _gaussian_from_uniform(u[:, 2], 1.0 / model.delta if model.delta > 0 else 0.0)
+        gaps_ps = np.log(u[:, 3])
+        gaps_ps *= -PS_PER_S / model.pair_rate
+        reach_ps = gaps_ps.sum() + np.abs(eps).max(initial=0.0) * PS_PER_S
+    if not (np.isfinite(df).all() and np.isfinite(dp).all()):
+        raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
+    if not reach_ps < MAX_TIME_PS:
+        raise ValueError(
+            f"source.pair_rate = {model.pair_rate:g} and source.delta = {model.delta:g} carry "
+            f"{n} pairs' emission times and delays to {reach_ps:.3g} ps, past 2**60 ps: "
+            "raise the rate or the bandwidth, or draw fewer pairs"
+        )
+    t0_ps = np.rint(gaps_ps, out=gaps_ps).astype(np.int64)
+    np.cumsum(t0_ps, out=t0_ps)
+    return PairEnsemble(model, np.arange(start, start + n, dtype=np.int64), df, dp, t0_ps, eps)

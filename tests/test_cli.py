@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ def test_negative_pairs_is_rejected_by_its_flag_name(config_path, tmp_path, caps
     rc = run(["timetags", "--config", config_path, "--pairs", "-5", "--out", tmp_path])
     assert rc == 2
     assert "error: --pairs must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "timetags.dat").exists()
+
+
+@pytest.mark.parametrize(
+    "source", [{"pair_rate": 1e-3}, {"delta": 1e-9, "tau_ind": 1e10}, {"pair_rate": 1e-296}]
+)
+def test_emission_reach_past_the_grid_fails_before_any_tag(source, tmp_path, capsys):
+    # 20 000 pairs at 1e-3 pairs/s span ~2e19 ps, and a pair delay of 1e9 s
+    # FWHM reaches ~1e21 ps: both past the 2**60 ps grid bound, where a tag
+    # time would wrap in int64.  At 1e-296 pairs/s a gap overflows the floats.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"source": source}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(["timetags", "--config", path, "--pairs", 20_000, "--out", tmp_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "source.pair_rate" in err and "source.delta" in err and "carry 20000 pairs" in err
     assert not (tmp_path / "timetags.dat").exists()
 
 

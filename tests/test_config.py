@@ -116,13 +116,14 @@ def test_non_finite_numbers_are_rejected_by_key(text, where):
     [
         ({"window": 1e-13}, "window must be at least 1 ps, got 1e-13"),
         ({"bin_width": 4e-13}, "bin_width must be at least 1 ps, got 4e-13"),
-        ({"tau_max": 1e300}, "tau_max must be below 2**63 ps, got 1e+300"),
-        ({"window": 1e7}, "window must be below 2**63 ps, got 10000000.0"),
+        ({"tau_max": 1e300}, "tau_max must be below 2**60 ps, got 1e+300"),
+        ({"window": 1e7}, "window must be below 2**60 ps, got 10000000.0"),
+        ({"window": 2e6}, "window must be below 2**60 ps, got 2000000.0"),
     ],
 )
 def test_correlator_times_must_fit_the_picosecond_grid(section, where):
     # rounded to whole picoseconds in int64: a window of 0 ps counts nothing,
-    # and a time past 2**63 ps wraps
+    # and a time past the 2**60 ps grid bound could wrap a tag or a delay
     with pytest.raises(ConfigError, match=re.escape(where)):
         config_from_dict({"correlator": section})
 
@@ -132,8 +133,8 @@ def test_jitter_draws_must_fit_the_picosecond_grid():
     with pytest.raises(ConfigError, match=re.escape("detector.jitter must keep its largest draw")):
         fr.parse_config('{"detector": {"jitter": 1e300}}')
     with pytest.raises(ConfigError, match="detector.jitter"):
-        fr.parse_config('{"detector": {"jitter": 1.2e6}}')
-    assert fr.parse_config('{"detector": {"jitter": 1.1e6}}').detector.jitter == 1.1e6
+        fr.parse_config('{"detector": {"jitter": 1.4e5}}')
+    assert fr.parse_config('{"detector": {"jitter": 1.38e5}}').detector.jitter == 1.38e5
 
 
 def test_histogram_size_is_bounded():

@@ -16,11 +16,10 @@ from franson.correlation import (
     fringe_visibility,
     joint_phase,
     overlap_envelope,
-    pair_fringe,
 )
 from franson.errors import UndefinedCorrelationError
 from franson.interferometer import UmziConfig
-from franson.source import PairEnsemble, SpectralModel, sample_pairs
+from franson.source import SpectralModel, sample_pairs
 
 from oracles import PORTS, joint_amplitude, outcome_table
 
@@ -201,17 +200,6 @@ def test_detuning_immunity_is_bitwise_across_pairs():
     for a in (0, 1):
         for b in (0, 1):
             assert np.unique(rates[a, b]).size == 1
-
-
-def test_global_phase_never_enters_rates():
-    pairs = sample_pairs(model(pump=2e9), 1_000, seed=2)
-    shifted = PairEnsemble(
-        pairs.model, pairs.ids, pairs.df, pairs.dp, pairs.xi + 2.5, pairs.t0, pairs.eps
-    )
-    cfg_a, cfg_b = umzi(0.2), umzi(0.3)
-    fringe, fringe_shifted = pair_fringe(pairs, cfg_a, cfg_b), pair_fringe(shifted, cfg_a, cfg_b)
-    assert np.array_equal(fringe.rates, fringe_shifted.rates)
-    assert np.array_equal(fringe.stderr, fringe_shifted.stderr)
 
 
 def test_ensemble_fringe_is_exact_without_pump_jitter():

@@ -18,11 +18,10 @@ from franson.detection import (
     TagStream,
     read_timetags,
     simulate_tags,
-    to_picoseconds,
     write_timetags,
 )
 from franson.interferometer import UmziConfig
-from franson.source import PairEnsemble, SpectralModel, sample_pairs
+from franson.source import PairEnsemble, SpectralModel, sample_pairs, to_picoseconds
 
 from conftest import chi2_quantile
 from oracles import BRANCHES, branch_from_tau, outcome_table
@@ -45,8 +44,8 @@ def clean_ensemble(n, joint="zero"):
     """Pairs with eps = 0 and spaced emission times; exact tau arithmetic."""
     mdl = model()
     zeros = np.zeros(n)
-    t0 = 1e-6 * (1.0 + np.arange(n))
-    return PairEnsemble(mdl, np.arange(n), zeros, zeros, zeros, t0, zeros)
+    t0_ps = 10**6 * (1 + np.arange(n))
+    return PairEnsemble(mdl, np.arange(n), zeros, zeros, t0_ps, zeros)
 
 
 def branch_labels(stream):
@@ -76,8 +75,7 @@ def test_side_branch_delay_includes_eps():
     mdl = model()
     n = 500
     eps = np.full(n, 3e-12)
-    ens = PairEnsemble(mdl, np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n),
-                       1e-6 * (1.0 + np.arange(n)), eps)
+    ens = PairEnsemble(mdl, np.arange(n), np.zeros(n), np.zeros(n), 10**6 * (1 + np.arange(n)), eps)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
     tags_a, tags_b = simulate_tags(ens, umzi(), umzi(), det, seed=2)
     _, ids_a = tags_a.diagnostics()
@@ -198,21 +196,6 @@ def test_streams_are_time_sorted_and_deterministic():
     assert np.array_equal(a1.time_ps, a2.time_ps)
     assert np.array_equal(a1.port, a2.port)
     assert np.array_equal(b1.time_ps, b2.time_ps)
-
-
-def test_global_phase_never_reaches_the_tags():
-    pairs = sample_pairs(model(), 5_000, seed=7)
-    scrambled = PairEnsemble(
-        pairs.model, pairs.ids, pairs.df, pairs.dp,
-        np.random.default_rng(0).uniform(0, 2 * math.pi, len(pairs)),
-        pairs.t0, pairs.eps,
-    )
-    det = DetectorModel(jitter=2e-12, efficiency=1.0)
-    a1, b1 = simulate_tags(pairs, umzi(), umzi(), det, seed=7)
-    a2, b2 = simulate_tags(scrambled, umzi(), umzi(), det, seed=7)
-    assert np.array_equal(a1.time_ps, a2.time_ps)
-    assert np.array_equal(a1.port, a2.port)
-    assert np.array_equal(b1.port, b2.port)
 
 
 def test_simulate_tags_can_drop_tags():
@@ -336,7 +319,9 @@ def test_timetag_format_bytes_are_pinned_on_hand_built_streams(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config, digest", [("ideal.json", "79f3345400579811"), ("pump_jitter.json", "5eb52cb5c13a9ad3")]
+    "config, digest",
+    [("ideal.json", "5b85a9a723ce2d88"), ("pump_jitter.json", "055ef94297187777")],
+    ids=["ideal.json", "pump_jitter.json"],  # a re-pin keeps the test ids
 )
 def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
     # the simulated dump is pinned too: it moves only with a deliberate stream
@@ -354,8 +339,8 @@ def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
 
 # sha256 prefixes of (histogram.csv, correlate.json) from the pinned dumps
 CORRELATE_PINS = {
-    "ideal.json": ("833132f208c7afa2", "52b79ec37fd1909e"),
-    "pump_jitter.json": ("b380bb4195b20651", "3638cc3ac1ef669a"),
+    "ideal.json": ("c609a7b02cb4e8d6", "cbcc4e73a0f3cdc6"),
+    "pump_jitter.json": ("290a7a8411ad64c6", "da57038b398559ef"),
 }
 
 

@@ -51,8 +51,23 @@ def test_open_unit_interval_on_extreme_grid_values(grid, expected):
     assert 0.0 < u[0] < 1.0
 
 
+@pytest.mark.parametrize("n_draws", [4, 8])
+def test_item_rows_are_addressed_by_index(n_draws):
+    # row i of a range that starts at item k is row k + i of the whole
+    whole = item_uniforms(5, (2, 1), 40, n_draws)
+    assert whole.shape == (40, n_draws)
+    for k in (1, 17, 39, 40):
+        assert np.array_equal(item_uniforms(5, (2, 1), 40 - k, n_draws, start=k), whole[k:])
+
+
+@pytest.mark.parametrize("n_draws", [0, -4, 6])
+def test_draw_count_is_a_positive_multiple_of_four(n_draws):
+    with pytest.raises(ValueError, match="n_draws must be a positive multiple of 4"):
+        item_uniforms(5, (2, 1), 3, n_draws)
+
+
 def test_quantile_matches_the_stdlib_on_random_draws():
-    p = item_uniforms(11, (3,), 20_000).ravel()
+    p = item_uniforms(11, (3,), 20_000, 8).ravel()
     assert_within_ulps(normal_quantile(p), stdlib_quantile(p))
 
 
@@ -104,7 +119,7 @@ def test_quantile_is_finite_and_bounded_at_the_extreme_draws():
 
 
 def test_quantile_of_a_strided_column_equals_that_of_its_copy():
-    u = item_uniforms(2, (9,), 5_000)
+    u = item_uniforms(2, (9,), 5_000, 8)
     assert np.array_equal(normal_quantile(u[:, 3]), normal_quantile(u[:, 3].copy()))
 
 

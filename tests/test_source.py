@@ -1,9 +1,12 @@
 """Source sampling: distribution moments, exact symmetries, reproducibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from franson.rng import (
     KIND_FRINGE,
@@ -14,7 +17,7 @@ from franson.rng import (
     ROLE_SOURCE,
     item_uniforms,
 )
-from franson.source import SpectralModel, sample_pairs
+from franson.source import PS_PER_S, SpectralModel, sample_pairs
 
 from oracles import pair_frequencies
 
@@ -80,43 +83,53 @@ def test_distribution_moments():
     fwhm_eps = FWHM_FACTOR * pairs.eps.std()
     assert fwhm_eps == pytest.approx(1.0 / model.delta, rel=0.03)
 
-    gaps = np.diff(pairs.t0)
-    assert gaps.mean() == pytest.approx(1.0 / model.pair_rate, rel=0.05)
+    gaps = np.diff(pairs.t0_ps)
+    assert gaps.mean() == pytest.approx(PS_PER_S / model.pair_rate, rel=0.05)
 
 
-def test_global_phase_is_uniform_on_the_circle():
-    pairs = sample_pairs(make_model(), 50_000, seed=9)
-    assert np.all(pairs.xi >= 0.0)
-    assert np.all(pairs.xi < 2.0 * math.pi)
-    # circular mean of a uniform phase vanishes
-    assert abs(np.exp(1j * pairs.xi).mean()) < 5.0 / math.sqrt(50_000)
-
-
-def test_emission_times_strictly_increase():
-    pairs = sample_pairs(make_model(), 50_000, seed=2)
-    assert np.all(np.diff(pairs.t0) > 0.0)
+def test_emission_times_never_decrease():
+    # gaps are whole picoseconds: at a mean gap of 2 ps many round to 0
+    n = 50_000
+    pairs = sample_pairs(make_model(pair_rate=5e11), n, seed=2)
+    assert pairs.t0_ps.dtype == np.int64
+    gaps = np.diff(pairs.t0_ps)
+    assert gaps.min() == 0
+    # a rounded exponential gap of mean m has mean exp(1/(2m)) / (exp(1/m) - 1)
+    m = PS_PER_S / 5e11
+    expected = math.exp(0.5 / m) / math.expm1(1.0 / m)
+    assert abs(gaps.mean() - expected) < 5.0 * gaps.std() / math.sqrt(n)
 
 
 def test_same_seed_reproduces_the_same_sequence():
     model = make_model(pump_linewidth=1e9)
     a = sample_pairs(model, 1_000, seed=42)
     b = sample_pairs(model, 1_000, seed=42)
-    for name in ("df", "dp", "xi", "t0", "eps"):
+    for name in ("df", "dp", "t0_ps", "eps"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     c = sample_pairs(model, 1_000, seed=43)
     assert not np.array_equal(a.df, c.df)
 
 
-def test_pair_sequence_is_defined_by_index_not_batch():
-    # pair j is the same whether sampled in one batch or from an offset range
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 500), n_tail=st.integers(0, 500), seed=st.integers(0, 2**64))
+def test_pair_sequence_is_defined_by_index_not_batch(k, n_tail, seed):
+    # pair j is the same whether sampled in one batch or from an offset range,
+    # and a range's emission times continue exactly from the carried time
     model = make_model(pump_linewidth=1e9)
-    full = sample_pairs(model, 64, seed=13)
-    tail = sample_pairs(model, 24, seed=13, start=40)
-    for name in ("df", "dp", "xi", "eps"):
-        assert np.array_equal(getattr(full, name)[40:], getattr(tail, name))
-    # emission gaps (not absolute times) are index-addressable as well,
-    # up to the prefix-sum rounding of t0
-    np.testing.assert_allclose(np.diff(full.t0)[40:], np.diff(tail.t0), rtol=1e-9)
+    full = sample_pairs(model, k + n_tail, seed=seed)
+    tail = sample_pairs(model, n_tail, seed=seed, start=k)
+    for name in ("ids", "df", "dp", "eps"):
+        assert np.array_equal(getattr(full, name)[k:], getattr(tail, name))
+    assert np.array_equal(full.t0_ps[k:], full.t0_ps[k - 1] + tail.t0_ps)
+
+
+def test_detunings_past_the_float_range_are_rejected_by_name():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # sigma = 0.42 FWHM: a draw past 2.5 sigma overflows
+        for overrides in ({"delta": 1.7e308}, {"pump_linewidth": 1.7e308}):
+            with pytest.raises(ValueError, match="source.delta or source.pump_linewidth"):
+                sample_pairs(make_model(**overrides), 2_000, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -132,7 +145,7 @@ def test_pair_sequence_is_defined_by_index_not_batch():
     ],
 )
 def test_distinct_stream_keys_draw_distinct_streams(path, other):
-    assert not np.array_equal(item_uniforms(9, path, 4), item_uniforms(9, other, 4))
+    assert not np.array_equal(item_uniforms(9, path, 4, 4), item_uniforms(9, other, 4, 4))
     model = make_model()
     a, b = sample_pairs(model, 4, seed=9, stream=path), sample_pairs(model, 4, seed=9, stream=other)
     assert not np.array_equal(a.df, b.df)
@@ -143,9 +156,9 @@ def test_stream_keys_are_tuples_or_ints_of_bounded_width():
     assert np.array_equal(sample_pairs(model, 8, 3, stream=7).df, sample_pairs(model, 8, 3, stream=(7,)).df)
     # entries of 2**32 and up would spill into the next word of the key
     with pytest.raises(ValueError, match="stream path"):
-        item_uniforms(0, (2**32 + 3,), 1)
+        item_uniforms(0, (2**32 + 3,), 1, 4)
     with pytest.raises(ValueError, match="seed"):
-        item_uniforms(2**128, (0,), 1)
+        item_uniforms(2**128, (0,), 1, 4)
 
 
 @pytest.mark.parametrize(
