@@ -26,12 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from .interferometer import UmziConfig
+from .interferometer import LN2, TWO_PI, UmziConfig
 from .rng import KIND_CHSH
 from .source import PairEnsemble, SpectralModel, sample_pairs
-
-TWO_PI = 2.0 * math.pi
-LN2 = math.log(2.0)
 
 
 def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
@@ -60,28 +57,18 @@ def fringe_visibility(envelope, cfg_a: UmziConfig, cfg_b: UmziConfig):
     return envelope * (cfg_a.gamma * cfg_b.gamma)
 
 
-def central_rate_table(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0) -> np.ndarray:
-    """Central-peak rates for all four port pairs; shape (2, 2) + df.shape.
-
-    Index 0 is port 5, index 1 is port 6, axes ordered (port_a, port_b).  The
-    fringe visibility is ``fringe_visibility(envelope, cfg_a, cfg_b)``.
-    """
+def fringe_term(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
+    """V cos(phi' + psi') per pair, V = ``fringe_visibility(envelope, cfg_a, cfg_b)``;
+    the central rate of port pair (a, b) is (1/8)(1 + s_a s_b V cos(phi' + psi'))."""
     visibility = fringe_visibility(envelope, cfg_a, cfg_b)
-    theta = joint_phase(np.asarray(df, dtype=np.float64), dp, cfg_a, cfg_b)
-    fringe = visibility * np.cos(theta)
-    same = 0.125 * (1.0 + fringe)
-    diff = 0.125 * (1.0 - fringe)
-    return np.stack(
-        [np.stack([same, diff], axis=0), np.stack([diff, same], axis=0)],
-        axis=0,
-    )
+    return visibility * np.cos(joint_phase(np.asarray(df, dtype=np.float64), dp, cfg_a, cfg_b))
 
 
 @dataclass(frozen=True)
 class EnsembleFringe:
     """Mean central-peak rates over a sampled ensemble."""
 
-    rates: np.ndarray  # (2, 2) port-pair means
+    rates: np.ndarray  # (2, 2) port-pair means over (port_a, port_b); index 0 is port 5
     stderr: np.ndarray  # (2, 2) standard errors of the means
 
 
@@ -109,11 +96,12 @@ def pair_fringe(
     pairs: PairEnsemble, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope: float = 1.0
 ) -> EnsembleFringe:
     """Mean central-peak rates over the given pairs, with their standard errors."""
-    rates = central_rate_table(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
-    return EnsembleFringe(
-        rates=rates.mean(axis=-1),
-        stderr=rates.std(axis=-1) / math.sqrt(len(pairs)),
-    )
+    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
+    same = 0.125 * (1.0 + fringe)
+    diff = 0.125 * (1.0 - fringe)
+    mean = np.array([same.mean(), diff.mean()])
+    stderr = np.array([same.std(), diff.std()]) / math.sqrt(len(pairs))
+    return EnsembleFringe(np.array([mean, mean[::-1]]), np.array([stderr, stderr[::-1]]))
 
 
 def correlation_coefficient(rates: np.ndarray) -> float:

@@ -8,8 +8,8 @@ of uniforms (see :func:`simulate_tags` for the column layout):
   side branch carries 1/4 and the central branch 1/2;
 * port A: a fair bit;
 * port parity: "same ports" with probability (1 + V cos(phi' + psi')) / 2 on
-  the central branch, with V the rate law's visibility
-  (:func:`franson.correlation.fringe_visibility`), and 1/2 on a side branch.
+  the central branch, with V cos(phi' + psi') the rate law's fringe term
+  (:func:`franson.correlation.fringe_term`), and 1/2 on a side branch.
 
 Together these give exactly the coincidence-basis distribution of
 :mod:`franson.correlation`: (1/8)(1 + s_a s_b V cos(phi' + psi')) per central
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import fringe_visibility, joint_phase
+from .correlation import fringe_term
 from .interferometer import UmziConfig
 from .rng import MAX_ABS_NORMAL, ROLE_DETECTION, item_uniforms, normal_quantile, stream_key
 from .source import MAX_TIME_PS, PS_PER_S, PairEnsemble, to_picoseconds
@@ -117,14 +117,14 @@ def simulate_tags(
     Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
     """
-    visibility = fringe_visibility(envelope, cfg_a, cfg_b)
+    # before any draw, so that a bad envelope fails first
+    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
     u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 8)
     b_a = u[:, 0] < 0.5
     b_b = u[:, 1] < 0.5
     # central 0 for equal bits, SL 1 for (0, 1), LS 2 for (1, 0)
     branch = (2 * b_a.view(np.int8) + b_b) % 3
-    theta = joint_phase(pairs.df, pairs.dp, cfg_a, cfg_b)
-    p_same = 0.5 + (0.5 * visibility) * np.cos(theta) * (branch == 0)
+    p_same = 0.5 + 0.5 * fringe * (branch == 0)
     port_a = np.uint8(5) + (u[:, 6] < 0.5).view(np.uint8)
     port_b = port_a ^ (np.uint8(3) * (u[:, 7] >= p_same))  # 5 ^ 3 = 6, 6 ^ 3 = 5
     jitter_a_ps = to_picoseconds(normal_quantile(u[:, 2]) * det.jitter)

@@ -38,9 +38,8 @@ from .detection import TagStream, simulate_tags
 from .errors import FitError, UndefinedCorrelationError
 from .fitting import CosineFit, fit_cosine
 from .interferometer import ensemble_local_fringe, local_intensities, local_visibility_oracle
+from .interferometer import TWO_PI, sampled_cf
 from .source import PairEnsemble, sample_pairs
-
-TWO_PI = 2.0 * math.pi
 
 PORT_PAIRS = ((5, 5), (5, 6), (6, 5), (6, 6))
 
@@ -184,6 +183,13 @@ def _count(name: str, value: int | None, default: int, minimum: int = 1) -> int:
     if count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def _check_sweep(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Reject a pump or crossover sweep's values unless ``ok`` holds for all
+    (a NaN fails any rule), naming the argument and the first bad value."""
+    if not ok.all():
+        raise ValueError(f"{name} must be {rule}, got {values[~ok][0]:g}")
 
 
 def _joint_phase_grid(n_points: int) -> np.ndarray:
@@ -384,25 +390,20 @@ def run_crossover_sweep(
     grid: np.ndarray | None = None,
     pairs_per_point: int | None = None,
 ) -> ScanResult:
-    """Local visibility against delta * t_sl, fitted over 16 phase settings,
-    with the closed-form Gaussian characteristic-function curve alongside."""
+    """Local visibility gamma |cf(t_sl)| of the sampled detunings against
+    delta * t_sl, with the closed-form Gaussian curve alongside."""
     if grid is None:
         grid = np.geomspace(0.01, 100.0, 10)
     grid = np.asarray(grid, dtype=np.float64)
+    _check_sweep("grid", grid, grid > 0.0, "> 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 50_000))
     t_sl = cfg.umzi_a.t_sl
-    phases = np.linspace(0.0, TWO_PI, 16, endpoint=False)
     vis = np.zeros(grid.size)
     oracle = np.zeros(grid.size)
     for k, x in enumerate(grid):
         model = replace(cfg.source, delta=x / t_sl)
         vis[k] = ensemble_local_fringe(
-            model,
-            cfg.umzi_a,
-            phases,
-            n_pairs=n_pairs,
-            seed=cfg.seed,
-            stream=(rng_mod.KIND_CROSSOVER, k),
+            model, cfg.umzi_a, n_pairs=n_pairs, seed=cfg.seed, stream=(rng_mod.KIND_CROSSOVER, k)
         )
         oracle[k] = cfg.umzi_a.gamma * local_visibility_oracle(model.delta, t_sl)
 
@@ -482,6 +483,7 @@ def run_pump_sweep(
     if linewidths is None:
         linewidths = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) / t_sl
     linewidths = np.asarray(linewidths, dtype=np.float64)
+    _check_sweep("linewidths", linewidths, linewidths >= 0.0, ">= 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 20_000))
 
     vis = np.zeros(linewidths.size)
@@ -500,7 +502,7 @@ def run_pump_sweep(
                 sub_cfg, mode, (rng_mod.KIND_PUMP, k, j), n_pairs, th - psi, psi
             )
             # pooled empirical CF of the very pairs the fringe scan drew
-            acc += np.exp(1j * TWO_PI * pairs.dp * t_sl).mean()
+            acc += sampled_cf(pairs.dp, t_sl)
         sub = _fringe_result(sub_cfg, mode, theta, rates, stderr, n_pairs)
         vis[k] = sub.visibility
         err[k] = sub.visibility_err

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import fit_cosine
 from .source import SpectralModel, sample_pairs
 
 TWO_PI = 2.0 * math.pi
@@ -76,31 +75,24 @@ def local_intensities(phi_prime, gamma):
     return 0.5 + fringe, 0.5 - fringe
 
 
+def sampled_cf(freqs, lag: float) -> complex:
+    """Empirical characteristic function <exp(i 2 pi freqs lag)> of the
+    sampled frequencies at the given lag."""
+    return np.exp(1j * TWO_PI * freqs * lag).mean()
+
+
 def ensemble_local_fringe(
     model: SpectralModel,
     cfg: UmziConfig,
-    phases: np.ndarray,
     n_pairs: int = 20_000,
     seed: int = 0,
     stream=0,
 ) -> float:
-    """Visibility of the per-pair port-5 intensity of the signal photons
-    through ``cfg``, averaged over a sampled ensemble and fitted over the
-    phase settings.
-
-    It equals gamma times the magnitude of the detuning distribution's
-    characteristic function at lag t_sl, up to sampling error.
-    """
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.size < 8:
-        raise ValueError(f"phase grid needs at least 8 points, got {phases.size}")
+    """Visibility of the signal photons' ensemble-mean port-5 intensity through
+    ``cfg``: the mean of (1/2)(1 + gamma cos(2 pi detuning t_sl + phase)) is a
+    cosine in the phase of amplitude gamma |sampled_cf(detunings, t_sl)|."""
     pairs = sample_pairs(model, n_pairs, seed, stream=stream)
-    # mean over pairs of 1/2 (1 + gamma cos(2 pi detuning t_sl + phase))
-    angle = TWO_PI * (pairs.detuning_signal * cfg.t_sl)
-    cos_mean = np.cos(angle).mean()
-    sin_mean = np.sin(angle).mean()
-    curve = 0.5 * (1.0 + cfg.gamma * (cos_mean * np.cos(phases) - sin_mean * np.sin(phases)))
-    return fit_cosine(phases, curve).visibility
+    return float(cfg.gamma * abs(sampled_cf(pairs.detuning_signal, cfg.t_sl)))
 
 
 def local_visibility_oracle(delta: float, t_sl: float) -> float:

@@ -91,8 +91,7 @@ class PairEnsemble:
     ``j`` is a pure function of (model, seed, stream, start + j).
     """
 
-    def __init__(self, model: SpectralModel, ids, df, dp, t0_ps, eps):
-        self.model = model
+    def __init__(self, ids, df, dp, t0_ps, eps):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.df = np.asarray(df, dtype=np.float64)
         self.dp = np.asarray(dp, dtype=np.float64)
@@ -146,4 +145,4 @@ def sample_pairs(model: SpectralModel, n: int, seed: int, stream=0, start: int =
         )
     t0_ps = np.rint(gaps_ps, out=gaps_ps).astype(np.int64)
     np.cumsum(t0_ps, out=t0_ps)
-    return PairEnsemble(model, np.arange(start, start + n, dtype=np.int64), df, dp, t0_ps, eps)
+    return PairEnsemble(np.arange(start, start + n, dtype=np.int64), df, dp, t0_ps, eps)

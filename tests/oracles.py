@@ -1,17 +1,13 @@
 """Scalar reference implementations the vectorized package is tested against.
 
 Each function treats one photon, one pair or one delay at a time, written
-from the physics rather than from the package's fast paths.  The one
-exception, :func:`outcome_table`, takes its central cells from the package's
-rate law, which the tests check against :func:`joint_amplitude`.
+from the physics rather than from the package's fast paths.
 """
 
 import cmath
 import math
 
 import numpy as np
-
-from franson.correlation import central_rate_table
 
 PORTS = (5, 6)
 BRANCHES = ("central", "SL", "LS")
@@ -43,11 +39,18 @@ def joint_amplitude(df: float, dp: float, cfg_a, cfg_b, port_a: int, port_b: int
 def outcome_table(df: float, dp: float, cfg_a, cfg_b, envelope: float = 1.0) -> np.ndarray:
     """One pair's joint outcome probabilities table[port_a, port_b, branch].
 
-    Ports index (5, 6) and branches index BRANCHES.  The central cells are
-    the rate law; every SL and LS cell is 1/16, whatever the phases.
+    Ports index (5, 6) and branches index BRANCHES.  A central cell mixes the
+    coherent |SS + LL|^2 of the joint amplitude with weight V and the flat
+    1/8 of a fully distinguishable pair with weight 1 - V, where
+    V = envelope * gamma_A * gamma_B; every SL and LS cell is 1/16, whatever
+    the phases.
     """
+    visibility = envelope * cfg_a.gamma * cfg_b.gamma
     table = np.full((2, 2, 3), 1.0 / 16.0)
-    table[:, :, 0] = central_rate_table(df, dp, cfg_a, cfg_b, envelope)
+    for a, port_a in enumerate(PORTS):
+        for b, port_b in enumerate(PORTS):
+            amp = joint_amplitude(df, dp, cfg_a, cfg_b, port_a, port_b)
+            table[a, b, 0] = (1.0 - visibility) / 8.0 + visibility * abs(amp) ** 2
     return table
 
 

@@ -9,17 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from franson.correlation import (
-    central_rate_table,
     chsh_value,
     correlation_coefficient,
     ensemble_fringe,
+    fringe_term,
     fringe_visibility,
     joint_phase,
     overlap_envelope,
+    pair_fringe,
 )
 from franson.errors import UndefinedCorrelationError
 from franson.interferometer import UmziConfig
-from franson.source import SpectralModel, sample_pairs
+from franson.source import PairEnsemble, SpectralModel, sample_pairs
 
 from oracles import PORTS, joint_amplitude, outcome_table
 
@@ -32,6 +33,11 @@ def umzi(phase=0.0, t_sl=T_SL, gamma=1.0):
 
 def model(delta=1e12, pump=0.0):
     return SpectralModel(f0=3.7e14, delta=delta, pump_linewidth=pump, tau_ind=10e-9, pair_rate=1e6)
+
+
+def one_pair_rates(df, dp, cfg_a, cfg_b, envelope=1.0):
+    """The (2, 2) central rates of the single pair (df, dp)."""
+    return pair_fringe(PairEnsemble([0], [df], [dp], [0], [0.0]), cfg_a, cfg_b, envelope).rates
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +129,12 @@ def test_central_amplitude_examples():
 
 def test_central_peak_rate_examples():
     cfg_a, cfg_b = umzi(0.0), umzi(0.0)
-    assert central_rate_table(0.0, 0.0, cfg_a, cfg_b)[0, 0] == pytest.approx(0.25, abs=1e-12)
-    assert central_rate_table(0.0, 0.0, umzi(math.pi), cfg_b)[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert np.all(central_rate_table(0.0, 0.0, cfg_a, cfg_b, envelope=0.0) == 0.125)
+    assert fringe_term(0.0, 0.0, cfg_a, cfg_b) == 1.0
+    assert fringe_term(0.0, 0.0, umzi(math.pi), cfg_b) == pytest.approx(-1.0, abs=1e-12)
+    assert fringe_term(0.0, 0.0, cfg_a, cfg_b, envelope=0.0) == 0.0
+    assert one_pair_rates(0.0, 0.0, cfg_a, cfg_b)[0, 0] == pytest.approx(0.25, abs=1e-12)
+    assert one_pair_rates(0.0, 0.0, umzi(math.pi), cfg_b)[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert np.all(one_pair_rates(0.0, 0.0, cfg_a, cfg_b, envelope=0.0) == 0.125)
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,11 +146,11 @@ def test_central_peak_rate_examples():
     t_sl_a=st.floats(20e-12, 200e-12),
     t_sl_b=st.floats(20e-12, 200e-12),
 )
-def test_central_rate_table_matches_the_joint_amplitude(df, dp, phase_a, phase_b, t_sl_a, t_sl_b):
+def test_pair_fringe_matches_the_joint_amplitude(df, dp, phase_a, phase_b, t_sl_a, t_sl_b):
     # the rate law against |SS + LL|^2 of the port amplitudes, unequal delays
     assume(t_sl_a != t_sl_b)
     cfg_a, cfg_b = umzi(phase_a, t_sl_a), umzi(phase_b, t_sl_b)
-    rates = central_rate_table(df, dp, cfg_a, cfg_b)
+    rates = one_pair_rates(df, dp, cfg_a, cfg_b)
     for a, port_a in enumerate(PORTS):
         for b, port_b in enumerate(PORTS):
             amp = joint_amplitude(df, dp, cfg_a, cfg_b, port_a, port_b)
@@ -149,9 +158,11 @@ def test_central_rate_table_matches_the_joint_amplitude(df, dp, phase_a, phase_b
 
 
 def test_rate_depends_on_ports_only_through_the_sign_product():
-    r = central_rate_table(2.3e11, 0.0, umzi(0.3), umzi(1.1))
-    assert r[0, 0] == r[1, 1]
-    assert r[0, 1] == r[1, 0]
+    pairs = sample_pairs(model(pump=2e9), 500, seed=2)
+    fringe = pair_fringe(pairs, umzi(0.3), umzi(1.1))
+    for table in (fringe.rates, fringe.stderr):
+        assert table[0, 0] == table[1, 1]
+        assert table[0, 1] == table[1, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,27 +190,24 @@ def test_outcome_distribution_at_zero_joint_phase():
     assert np.all(table[:, :, 1:] == 1.0 / 16.0)
 
 
-def test_central_rate_table_folds_in_the_path_overlaps():
+def test_fringe_term_folds_in_the_path_overlaps():
     # V = envelope * gamma_A * gamma_B: overlaps of 1/2 each act as an envelope of 1/4
     half = umzi(0.3, gamma=0.5), umzi(1.1, gamma=0.5)
     pairs = sample_pairs(model(pump=2e9), 200, seed=3)
-    folded = central_rate_table(pairs.df, pairs.dp, *half)
-    assert np.array_equal(folded, central_rate_table(pairs.df, pairs.dp, umzi(0.3), umzi(1.1), 0.25))
+    folded = fringe_term(pairs.df, pairs.dp, *half)
+    assert np.array_equal(folded, fringe_term(pairs.df, pairs.dp, umzi(0.3), umzi(1.1), 0.25))
     assert fringe_visibility(np.array([1.0, 0.5]), *half).tolist() == [0.25, 0.125]
 
 
 def test_envelope_outside_unit_interval_is_rejected():
     with pytest.raises(ValueError, match="envelope"):
-        central_rate_table(0.0, 0.0, umzi(), umzi(), envelope=1.2)
+        fringe_term(0.0, 0.0, umzi(), umzi(), envelope=1.2)
 
 
 def test_detuning_immunity_is_bitwise_across_pairs():
-    # pump off: every pair's central rate must be the same float
+    # pump off: every pair's fringe term, and so its central rates, must be the same float
     pairs = sample_pairs(model(), 4_000, seed=1)
-    rates = central_rate_table(pairs.df, pairs.dp, umzi(0.4), umzi(0.9))
-    for a in (0, 1):
-        for b in (0, 1):
-            assert np.unique(rates[a, b]).size == 1
+    assert np.unique(fringe_term(pairs.df, pairs.dp, umzi(0.4), umzi(0.9))).size == 1
 
 
 def test_ensemble_fringe_is_exact_without_pump_jitter():

@@ -40,12 +40,11 @@ def model(delta=1e12):
     return SpectralModel(f0=3.7e14, delta=delta, tau_ind=10e-9, pair_rate=1e6)
 
 
-def clean_ensemble(n, joint="zero"):
+def clean_ensemble(n):
     """Pairs with eps = 0 and spaced emission times; exact tau arithmetic."""
-    mdl = model()
     zeros = np.zeros(n)
     t0_ps = 10**6 * (1 + np.arange(n))
-    return PairEnsemble(mdl, np.arange(n), zeros, zeros, t0_ps, zeros)
+    return PairEnsemble(np.arange(n), zeros, zeros, t0_ps, zeros)
 
 
 def branch_labels(stream):
@@ -72,10 +71,9 @@ def test_central_branch_has_zero_delay_without_jitter():
 
 
 def test_side_branch_delay_includes_eps():
-    mdl = model()
     n = 500
     eps = np.full(n, 3e-12)
-    ens = PairEnsemble(mdl, np.arange(n), np.zeros(n), np.zeros(n), 10**6 * (1 + np.arange(n)), eps)
+    ens = PairEnsemble(np.arange(n), np.zeros(n), np.zeros(n), 10**6 * (1 + np.arange(n)), eps)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
     tags_a, tags_b = simulate_tags(ens, umzi(), umzi(), det, seed=2)
     _, ids_a = tags_a.diagnostics()
@@ -140,8 +138,11 @@ def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gam
     unit_a, unit_b = replace(cfg_a, gamma=1.0), replace(cfg_b, gamma=1.0)
     oracle = outcome_table(0.0, 0.0, unit_a, unit_b, envelope * gamma_a * gamma_b).ravel()
     expected = n * oracle
-    # a cell is either impossible or expects at least 5 counts
-    assume(np.all((oracle == 0.0) | (expected >= 5.0)))
+    # a cell either expects at least 5 counts or is impossible: built from
+    # amplitudes, an impossible cell carries a rounding residue, and one count
+    # in a cell that expects below ORACLE_ALPHA fails it at that rate
+    impossible = expected < ORACLE_ALPHA
+    assume(np.all(impossible | (expected >= 5.0)))
 
     det = DetectorModel(jitter=0.0, efficiency=1.0)
     tags_a, tags_b = simulate_tags(clean_ensemble(n), cfg_a, cfg_b, det, seed=12, envelope=envelope)
@@ -160,8 +161,8 @@ def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gam
     port_a = tags_a.port[order_a].astype(np.int64) - 5
     port_b = tags_b.port[order_b].astype(np.int64) - 5
     counts = np.bincount(port_a * 6 + port_b * 3 + branch, minlength=12)
-    possible = oracle > 0.0
-    assert np.all(counts[~possible] == 0)
+    possible = ~impossible
+    assert np.all(counts[impossible] == 0)
     chi2 = np.sum((counts[possible] - expected[possible]) ** 2 / expected[possible])
     assert chi2 <= chi2_quantile(int(possible.sum()) - 1, ORACLE_ALPHA)
 

@@ -1,6 +1,7 @@
 """Experiment runners: fringe law, agreement, decay laws, determinism."""
 
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import franson as fr
+from franson import experiment, interferometer
 from franson.correlation import overlap_envelope, pair_fringe
 from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
 from franson.fitting import fit_cosine
@@ -270,3 +272,25 @@ def test_counts_below_their_minimum_are_rejected(runner, kwargs):
     (name,) = kwargs
     with pytest.raises(ValueError, match=rf"^{name} must be >= "):
         runner(ideal_config(pairs_per_point=100), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs, message",
+    [
+        (fr.run_pump_sweep, {"linewidths": [-5e9, 0.0]}, "linewidths must be >= 0, got -5e+09"),
+        (fr.run_pump_sweep, {"linewidths": [0.0, math.nan]}, "linewidths must be >= 0, got nan"),
+        (fr.run_crossover_sweep, {"grid": [-1.0, 0.0, 1.0]}, "grid must be > 0, got -1"),
+        (fr.run_crossover_sweep, {"grid": [1.0, 0.0]}, "grid must be > 0, got 0"),
+        (fr.run_crossover_sweep, {"grid": [math.nan, 1.0]}, "grid must be > 0, got nan"),
+    ],
+)
+def test_sweep_values_the_config_rejects_fail_before_any_draw(runner, kwargs, message, monkeypatch):
+    # a negative pump linewidth or a non-positive delta * t_sl fails to parse
+    # as a config value, so a sweep must not run it either
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(experiment, "sample_pairs", no_draws)
+    monkeypatch.setattr(interferometer, "sample_pairs", no_draws)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        runner(ideal_config(pairs_per_point=100), pairs_per_point=100, **kwargs)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from franson.fitting import fit_cosine
 from franson.interferometer import (
     UmziConfig,
     default_overlap,
@@ -18,8 +19,6 @@ from franson.interferometer import (
 from franson.source import SpectralModel, sample_pairs
 
 from oracles import port_amplitudes
-
-PHASES_16 = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
 
 def umzi(t_sl=100e-12, phase=0.0, gamma=1.0):
@@ -100,25 +99,25 @@ def test_dephased_ensemble_mean_intensity_is_flat():
 
 
 def test_local_fringe_vanishes_in_the_dephased_regime():
-    vis = ensemble_local_fringe(model_with(100.0), umzi(), PHASES_16, n_pairs=50_000, seed=4)
+    vis = ensemble_local_fringe(model_with(100.0), umzi(), n_pairs=50_000, seed=4)
     assert vis < 0.01
 
 
 def test_local_fringe_survives_in_the_coherent_regime():
-    vis = ensemble_local_fringe(model_with(0.01), umzi(), PHASES_16, n_pairs=50_000, seed=4)
+    vis = ensemble_local_fringe(model_with(0.01), umzi(), n_pairs=50_000, seed=4)
     assert vis > 0.99
 
 
 def test_local_fringe_matches_characteristic_function_oracle():
     model = model_with(1.0)
-    vis = ensemble_local_fringe(model, umzi(), PHASES_16, n_pairs=100_000, seed=5)
+    vis = ensemble_local_fringe(model, umzi(), n_pairs=100_000, seed=5)
     oracle = local_visibility_oracle(model.delta, 100e-12)
     assert vis == pytest.approx(oracle, abs=0.02)
 
 
 def test_local_fringe_scales_with_gamma():
     model = model_with(0.01)
-    half = ensemble_local_fringe(model, umzi(gamma=0.5), PHASES_16, n_pairs=20_000, seed=6)
+    half = ensemble_local_fringe(model, umzi(gamma=0.5), n_pairs=20_000, seed=6)
     assert half == pytest.approx(0.5, abs=0.02)
 
 
@@ -131,15 +130,24 @@ def test_local_visibility_oracle_is_monotone_non_increasing():
 def test_sampled_local_visibility_is_monotone_within_noise():
     grid = np.geomspace(0.01, 100.0, 8)
     vis = [
-        ensemble_local_fringe(model_with(x), umzi(), PHASES_16, n_pairs=20_000, seed=7)
+        ensemble_local_fringe(model_with(x), umzi(), n_pairs=20_000, seed=7)
         for x in grid
     ]
     assert np.all(np.diff(vis) <= 0.01)
 
 
-def test_small_phase_grid_is_rejected():
-    with pytest.raises(ValueError, match="8"):
-        ensemble_local_fringe(model_with(1.0), umzi(), np.linspace(0, 6.28, 7), n_pairs=100)
+@pytest.mark.parametrize("delta_t_sl, gamma", [(0.01, 1.0), (0.5, 0.7), (1.0, 1.0), (3.0, 0.4)])
+def test_local_fringe_equals_the_fitted_phase_curve(delta_t_sl, gamma):
+    # the reference: the ensemble-mean port-5 intensity at 16 phase settings,
+    # fitted with a cosine; its visibility is the local fringe
+    model, cfg = model_with(delta_t_sl), umzi(gamma=gamma)
+    pairs = sample_pairs(model, 2_000, seed=8, stream=3)
+    phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    angle = 2.0 * math.pi * (pairs.detuning_signal * cfg.t_sl)
+    curve = [local_intensities(angle + phase, cfg.gamma)[0].mean() for phase in phases]
+    reference = fit_cosine(phases, np.asarray(curve)).visibility
+    vis = ensemble_local_fringe(model, cfg, n_pairs=2_000, seed=8, stream=3)
+    assert vis == pytest.approx(reference, abs=1e-12)
 
 
 def test_regime_flags():
