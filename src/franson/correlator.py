@@ -1,12 +1,16 @@
 """Coincidence correlation of two time-sorted tag streams.
 
-One vectorized pass pairs every tag of stream A with the stream-B tags inside
-``+-tau_max`` of it (two binary searches per A tag), bins the delays
-``tau = t_A - t_B``, and classifies them into the central peak (|tau| <= w,
-the window is centred at tau = 0) and the two side peaks: LS at
-tau = +t_sl^A (``side_offset_a``) and SL at tau = -t_sl^B
-(``side_offset_b``), each within w.  The pass does O(N_A log N_B + matches)
-work and uses only (party, port, time); diagnostic tag fields never enter.
+Every tag of stream A is paired with the stream-B tags inside ``+-tau_max``
+of it (two binary searches per A tag give its run of B tags), the delays
+``tau = t_A - t_B`` are binned, and they are classified into the central
+peak (|tau| <= w, the window is centred at tau = 0) and the two side peaks:
+LS at tau = +t_sl^A (``side_offset_a``) and SL at tau = -t_sl^B
+(``side_offset_b``), each within w.  The pairs come in rank passes: pass d
+pairs each A tag with the d-th B tag of its run, and the histogram and the
+window tallies are accumulated pass by pass.  With the A tags taken a block
+at a time, this holds O(SWEEP_BATCH) memory whatever the number of tags and
+matches, and does O(N_A log N_B + matches) work.  Only (party, port, time)
+are used; diagnostic tag fields never enter.
 
 All times are integer picoseconds.
 """
@@ -15,18 +19,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .detection import TagStream
+from .detection import TagStream, text_rows
 from .errors import StreamOrderError
 from .source import MAX_TIME_PS, PS_PER_S, to_picoseconds
 
 HISTOGRAM_MAGIC = "# franson-histogram v1"
+_COMMA = ord(",")
 
 # The most bins a histogram may have per port pair (four int64 counts each).
 MAX_BINS = 2**22
+
+# A tags per block of the match sweep, and the most index pairs one of its
+# batches holds.
+SWEEP_BATCH = 2**16
+
+# Histogram bins, four CSV rows each, laid out per write.
+CSV_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -136,25 +147,58 @@ class CoincidenceHistogram:
 
 
 def sweep_matches(t_a: np.ndarray, t_b: np.ndarray, tau_lo: int, tau_hi: int):
-    """All index pairs (i, j) with tau_lo <= t_a[i] - t_b[j] <= tau_hi.
+    """Yield all index pairs (ia, ib) with tau_lo <= t_a[ia] - t_b[ib] <= tau_hi,
+    in batches of at most ``SWEEP_BATCH`` pairs.  Inputs must be sorted and
+    tau_lo <= tau_hi.
 
-    Returns (ia, ib, n_comparisons) with the pairs in A-major, then B order,
-    and n_comparisons = N_A + matches.  Inputs must be sorted.
+    The A tags are taken ``SWEEP_BATCH`` at a time.  Two binary searches give
+    each of them the run of B tags inside its window, and rank passes pair
+    them up: pass d pairs every tag whose run is longer than d with the d-th
+    B tag of its run, then drops the tags whose run ends there.  A pass
+    takes the next ``SWEEP_BATCH // live`` ranks of each tag at once, which
+    is more than one once at most half a block is live, so long runs take
+    few passes; and it takes all the rest once that fits in one batch.
+    Memory is O(SWEEP_BATCH), whatever the number of tags and matches; work
+    is O(N_A log N_B + matches).
     """
     t_a = np.asarray(t_a, dtype=np.int64)
     t_b = np.asarray(t_b, dtype=np.int64)
-    # tau = t_a - t_b in [tau_lo, tau_hi] means t_b in [t_a - tau_hi, t_a - tau_lo]
-    first = np.searchsorted(t_b, t_a - tau_hi, side="left")
-    per_a = np.maximum(np.searchsorted(t_b, t_a - tau_lo, side="right") - first, 0)
-    ia = np.repeat(np.arange(t_a.size, dtype=np.int64), per_a)
-    # The k-th pair overall, if it belongs to A tag i, has ib = first[i] + k - run_start[i].
-    run_start = np.cumsum(per_a) - per_a
-    ib = np.arange(ia.size, dtype=np.int64) + np.repeat(first - run_start, per_a)
-    return ia, ib, t_a.size + ia.size
+    for lo in range(0, t_a.size, SWEEP_BATCH):
+        block = t_a[lo : lo + SWEEP_BATCH]
+        # tau in [tau_lo, tau_hi] means t_b in [t_a - tau_hi, t_a - tau_lo]
+        first = np.searchsorted(t_b, block - tau_hi, side="left")
+        run = np.searchsorted(t_b, block - tau_lo, side="right")
+        run -= first
+        live = np.arange(lo, lo + block.size)
+        d = 0  # the rank every live tag has reached
+        while True:
+            keep = run > d
+            if not keep.all():
+                live, first, run = live[keep], first[keep], run[keep]
+            if not live.size:
+                break
+            left = run - d
+            rest = left.sum() <= SWEEP_BATCH  # the rest fits in one batch
+            ranks = int(left.max()) if rest else SWEEP_BATCH // live.size
+            if ranks == 1:
+                yield live, first + d
+            else:
+                per_a = np.minimum(left, ranks, out=left)
+                # The k-th pair of the pass, if it belongs to live tag i, has
+                # ib = first[i] + d + k - (the pass's pairs before tag i's).
+                offset = np.cumsum(per_a)
+                offset -= per_a + d
+                ib = np.repeat(first - offset, per_a)
+                ib += np.arange(ib.size)
+                yield np.repeat(live, per_a), ib
+            if rest:
+                break
+            d += ranks
 
 
 def _require_sorted(stream: TagStream, name: str) -> None:
-    if stream.time_ps.size > 1 and np.any(np.diff(stream.time_ps) < 0):
+    t = stream.time_ps
+    if np.any(t[1:] < t[:-1]):
         raise StreamOrderError(f"stream {name} is not sorted by time")
 
 
@@ -164,7 +208,9 @@ def correlate(
     """Build the coincidence histogram of tau = t_A - t_B.
 
     The central peak is looked for at tau = 0, side_plus (LS) at
-    +side_offset_a and side_minus (SL) at -side_offset_b.
+    +side_offset_a and side_minus (SL) at -side_offset_b.  The matches of
+    each batch of :func:`sweep_matches` are binned and tallied before the
+    next batch, so no array holds one entry per match.
     """
     config_warnings = cfg.validate()
     _require_sorted(stream_a, "A")
@@ -177,20 +223,25 @@ def correlate(
     side_b_ps = int(to_picoseconds(cfg.side_offset_b))
 
     n_bins = _bin_count(tau_max_ps, bin_ps)
-    ia, ib, comparisons = sweep_matches(stream_a.time_ps, stream_b.time_ps, -tau_max_ps, tau_max_ps)
-    tau = stream_a.time_ps[ia] - stream_b.time_ps[ib]
-    # Row-major flat index of [port_a - 5, port_b - 5].
-    key = 2 * stream_a.port[ia].astype(np.int64) + stream_b.port[ib] - 15
-
-    bins = np.minimum((tau + tau_max_ps) // bin_ps, n_bins - 1)
-    counts = np.bincount(key * n_bins + bins, minlength=4 * n_bins).reshape(2, 2, n_bins)
-
-    def tally(selected):
-        return np.bincount(key[selected], minlength=4).reshape(2, 2)
-
-    central = tally(np.abs(tau) <= w_ps)
-    side_plus = tally(np.abs(tau - side_a_ps) <= w_ps)
-    side_minus = tally(np.abs(tau + side_b_ps) <= w_ps)
+    counts = np.zeros(4 * n_bins, dtype=np.int64)
+    # Row-major flat offset of [port_a - 5, port_b - 5] in counts.
+    port_offset = n_bins * np.arange(4, dtype=np.int64)
+    central, side_plus, side_minus = (np.zeros(4, dtype=np.int64) for _ in range(3))
+    n_matches = 0
+    for ia, ib in sweep_matches(stream_a.time_ps, stream_b.time_ps, -tau_max_ps, tau_max_ps):
+        tau = stream_a.time_ps[ia]
+        tau -= stream_b.time_ps[ib]
+        key = 2 * stream_a.port[ia] + stream_b.port[ib] - 15  # uint8, 0 to 3
+        for totals, center in ((central, 0), (side_plus, side_a_ps), (side_minus, -side_b_ps)):
+            near = (tau >= center - w_ps) & (tau <= center + w_ps)
+            totals += np.bincount(key[near], minlength=4)
+        # tau becomes its flat histogram index in place
+        tau += tau_max_ps
+        tau //= bin_ps
+        np.minimum(tau, n_bins - 1, out=tau)
+        tau += port_offset[key]
+        np.add.at(counts, tau, 1)
+        n_matches += tau.size
 
     return CoincidenceHistogram(
         window_ps=w_ps,
@@ -198,12 +249,12 @@ def correlate(
         tau_max_ps=tau_max_ps,
         side_offset_a_ps=side_a_ps,
         side_offset_b_ps=side_b_ps,
-        counts=counts,
-        central=central,
-        side_plus=side_plus,
-        side_minus=side_minus,
-        n_matches=int(tau.size),
-        n_comparisons=int(comparisons),
+        counts=counts.reshape(2, 2, n_bins),
+        central=central.reshape(2, 2),
+        side_plus=side_plus.reshape(2, 2),
+        side_minus=side_minus.reshape(2, 2),
+        n_matches=n_matches,
+        n_comparisons=len(stream_a) + n_matches,
         overlap_warning=_windows_overlap(w_ps, side_a_ps, side_b_ps),
         warnings=config_warnings,
     )
@@ -213,9 +264,10 @@ def write_histogram_csv(hist: CoincidenceHistogram, path, seed: int, config_hash
     """CSV dump: tau_ps (bin center), port_a, port_b, count.
 
     The header's center_ps is always 0: format v1 keeps the field, and the
-    window is centred at tau = 0.
+    window is centred at tau = 0.  Rows run over bins, then port A, then
+    port B; they are laid out and written ``CSV_CHUNK`` bins at a time.
     """
-    lines = [
+    header = [
         HISTOGRAM_MAGIC,
         f"# seed={seed}",
         f"# config_hash={config_hash}",
@@ -225,8 +277,14 @@ def write_histogram_csv(hist: CoincidenceHistogram, path, seed: int, config_hash
         "tau_ps,port_a,port_b,count",
     ]
     centers = hist.bin_centers_ps()
-    for k in range(hist.n_bins):
-        for a in (0, 1):
-            for b in (0, 1):
-                lines.append(f"{centers[k]},{a + 5},{b + 5},{hist.counts[a, b, k]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    port_bytes = np.frombuffer(b"5566", dtype=np.uint8), np.frombuffer(b"5656", dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{line}\n" for line in header).encode("ascii"))
+        for lo in range(0, hist.n_bins, CSV_CHUNK):
+            chunk = centers[lo : lo + CSV_CHUNK]
+            columns = (
+                np.repeat(chunk, 4),
+                *(np.tile(port, chunk.size) for port in port_bytes),
+                hist.counts[:, :, lo : lo + chunk.size].transpose(2, 0, 1).ravel(),
+            )
+            fh.write(text_rows(columns, _COMMA))

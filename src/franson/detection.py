@@ -31,7 +31,6 @@ onto that grid, so histograms, dumps and replays reproduce on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +46,11 @@ TIMETAG_MAGIC = "# franson-timetags v1"
 _NEWLINE, _SPACE, _HASH, _MINUS, _ZERO, _A, _B = b"\n #-0AB"
 _PARTIES = np.array([_A, _B], dtype=np.uint8)
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+# Records laid out per write, and bytes per read: the dump I/O's working
+# memory is bounded by these, not by the file.
+WRITE_CHUNK = 2**16
+READ_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,54 @@ def simulate_tags(
     return stream_a, stream_b
 
 
+def text_rows(columns, sep: int) -> np.ndarray:
+    """Lay out text rows as one uint8 buffer, whole columns at a time.
+
+    Each row holds its entry of every column, joined by the byte ``sep`` and
+    ended by a newline.  A uint8 column is one raw byte per row; any other
+    column is an int64 written in decimal, with a leading ``-`` when negative.
+    """
+    cells = []  # per column: its bytes, or its ('-' mask, magnitude, digit count)
+    lengths = np.full(len(columns[0]), len(columns), dtype=np.int64)  # a byte after each cell
+    for col in columns:
+        if col.dtype == np.uint8:
+            cells.append(col)
+            lengths += 1
+            continue
+        col = np.asarray(col, dtype=np.int64)
+        neg = col < 0
+        mag = np.abs(col).view(np.uint64)  # |INT64_MIN| wraps to 2**63: still right
+        n_digits = 1 + np.searchsorted(_POW10, mag, side="right")
+        cells.append((neg, mag, n_digits))
+        lengths += neg
+        lengths += n_digits
+    ends = np.cumsum(lengths)
+    buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    pos = ends - lengths  # where each row's next cell starts
+    for i, cell in enumerate(cells):
+        if isinstance(cell, np.ndarray):
+            buf[pos] = cell
+            pos += 1
+        else:
+            neg, mag, n_digits = cell
+            buf[pos[neg]] = _MINUS
+            pos += neg
+            pos += n_digits
+            at = pos - 1  # each cell's last digit; digits are written right to left
+            for k in range(int(n_digits.max(initial=0))):
+                live = n_digits > k
+                if not live.all():
+                    at, mag, n_digits = at[live], mag[live], n_digits[live]
+                quotient = mag // np.uint64(10)  # faster than divmod: a division by a constant
+                digit = mag - np.uint64(10) * quotient
+                buf[at] = _ZERO + digit.astype(np.uint8)  # a uint8 scatter is twice as fast
+                mag = quotient
+                at -= 1
+        buf[pos] = sep if i + 1 < len(cells) else _NEWLINE
+        pos += 1
+    return buf
+
+
 def write_timetags(
     path, stream_a: TagStream, stream_b: TagStream, seed: int, config_hash: str
 ) -> None:
@@ -148,8 +200,9 @@ def write_timetags(
     record per line, party ``A`` for ``stream_a`` and ``B`` for ``stream_b``;
     the header carries the seed and the config hash.
 
-    The records are laid out as one byte buffer, whole array at a time.
-    Diagnostic fields are deliberately not serialized.
+    The merged order is computed once; the records are then laid out and
+    written ``WRITE_CHUNK`` at a time, whole arrays per chunk.  Diagnostic
+    fields are deliberately not serialized.
     """
     parties = np.concatenate(
         [np.zeros(len(stream_a), dtype=np.int8), np.ones(len(stream_b), dtype=np.int8)]
@@ -160,30 +213,6 @@ def write_timetags(
     times = np.concatenate([stream_a.time_ps, stream_b.time_ps])
     # Each stream is already sorted by (time, pair id), and lexsort is stable.
     order = np.lexsort((parties, times))
-    times = times[order]
-
-    # Record layout: party, space, port, space, optional '-', digits, newline.
-    neg = times < 0
-    mag = np.abs(times).view(np.uint64)  # |INT64_MIN| wraps to 2**63: still right
-    n_digits = 1 + np.searchsorted(_POW10, mag, side="right")
-    lengths = 5 + neg + n_digits
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    buf[starts] = _PARTIES[parties[order]]
-    buf[starts + 1] = _SPACE
-    buf[starts + 2] = _ZERO + ports[order]
-    buf[starts + 3] = _SPACE
-    buf[starts[neg] + 4] = _MINUS
-    buf[ends - 1] = _NEWLINE
-    pos = ends - 2  # each record's last digit; digits are written right to left
-    for k in range(int(n_digits.max(initial=0))):
-        live = n_digits > k
-        if not live.all():
-            pos, mag, n_digits = pos[live], mag[live], n_digits[live]
-        mag, digit = np.divmod(mag, np.uint64(10))
-        buf[pos] = _ZERO + digit.astype(np.uint8)  # a uint8 scatter is twice as fast
-        pos -= 1
 
     header = "\n".join(
         [
@@ -195,7 +224,10 @@ def write_timetags(
     )
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode("ascii"))
-        fh.write(buf)
+        for lo in range(0, order.size, WRITE_CHUNK):
+            rows = order[lo : lo + WRITE_CHUNK]
+            columns = (_PARTIES[parties[rows]], _ZERO + ports[rows], times[rows])
+            fh.write(text_rows(columns, _SPACE))
 
 
 def _record_problem(line: str) -> str:
@@ -218,22 +250,58 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     ``6``, one space, then ``time_ps`` as an optional ``-`` and 1 to 18
     digits.  Blank lines and ``#`` lines may appear anywhere; ``# key=value``
     lines fill the header.  The earliest line that is none of these fails
-    with ``path:line``.  Records are parsed as whole arrays: every array has
+    with ``path:line``.
+
+    The file is read ``READ_BLOCK`` bytes at a time and parsed one block of
+    whole lines at a time, the partial last line carried into the next
+    block.  Each block's records are parsed as whole arrays: every array has
     one entry per line, never one per byte.
 
     Loaded streams carry zeroed diagnostics: a dump is correlator-facing.
     """
-    data = Path(path).read_bytes()
-    magic_end = data.find(b"\n")
-    if magic_end < 0:  # a magic line alone, without its newline
-        magic_end = len(data)
-    first = data[:magic_end].decode("ascii", "replace")
-    if first != TIMETAG_MAGIC:
-        raise ValueError(f"not a time-tag dump (bad magic line {first!r})")
+    header: dict[str, str] = {}
+    # (port, time_ps) per block, for each party
+    parts = {code: [(np.empty(0, np.uint8), np.empty(0, np.int64))] for code in (_A, _B)}
+    pending = bytearray()  # bytes read but not parsed: at most one partial line
+    line = 1  # the number of the first pending line
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(READ_BLOCK)
+            seen = len(pending)
+            pending += block
+            # whole lines only, until the end of the file hands over the rest
+            cut = pending.rfind(b"\n", seen) + 1 if block else len(pending)
+            if cut or not block:
+                data = bytes(pending[:cut])
+                del pending[:cut]
+                body = 0
+                if line == 1:
+                    body = data.find(b"\n")
+                    if body < 0:  # a magic line alone, without its newline
+                        body = len(data)
+                    first = data[:body].decode("ascii", "replace")
+                    if first != TIMETAG_MAGIC:
+                        raise ValueError(f"not a time-tag dump (bad magic line {first!r})")
+                    body, line = body + 1, 2
+                line += _parse_lines(path, data, body, line, header, parts)
+            if not block:
+                break
 
-    # Lines after the magic one, as (start, end) byte offsets without the newline.
+    def build(code: int) -> TagStream:
+        port, time_ps = (np.concatenate(column) for column in zip(*parts.pop(code)))
+        zeros = np.zeros(time_ps.size, dtype=np.int64)
+        return TagStream(port, time_ps, zeros, zeros)
+
+    return build(_A), build(_B), header
+
+
+def _parse_lines(path, data: bytes, body: int, first_line: int, header: dict, parts: dict) -> int:
+    """Parse the whole lines of ``data`` from byte ``body`` on, the first of
+    them line number ``first_line`` of ``path``: ``# key=value`` lines go into
+    ``header`` and each party's records into ``parts``.  Returns the number
+    of lines parsed."""
+    # Lines as (start, end) byte offsets without the newline.
     buf = np.frombuffer(data, dtype=np.uint8)
-    body = magic_end + 1
     ends = body + np.flatnonzero(buf[body:] == _NEWLINE)
     if not data.endswith(b"\n") and body < len(data):
         ends = np.append(ends, len(data))  # last line without a newline
@@ -244,7 +312,7 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     rec_start, rec_len = starts[is_record], lengths[is_record]
     last = len(data) - 1
 
-    def at(offset):  # one byte per record line, clipped at the end of the file
+    def at(offset):  # one byte per record line, clipped at the end of the data
         return buf[np.minimum(rec_start + offset, last)]
 
     party = at(0)
@@ -270,7 +338,6 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
         time_ps = np.where(live, time_ps * 10 + digit, time_ps)
     np.negative(time_ps, out=time_ps, where=neg)
 
-    header: dict[str, str] = {}
     bad = np.flatnonzero(is_record)[~ok]
     for i in np.union1d(np.flatnonzero(~is_record), bad):
         line = data[starts[i] : ends[i]].decode("ascii", "replace")
@@ -278,16 +345,13 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
         if not text:
             continue
         if not text.startswith("#"):
-            raise ValueError(f"{path}:{i + 2}: {_record_problem(line)}")
+            raise ValueError(f"{path}:{first_line + i}: {_record_problem(line)}")
         entry = text.lstrip("# ")
         if "=" in entry:
             key, value = entry.split("=", 1)
             header[key.strip()] = value.strip()
 
-    def build(code: int) -> TagStream:
+    for code, blocks in parts.items():
         mine = party == code
-        zeros = np.zeros(np.count_nonzero(mine), dtype=np.int64)
-        return TagStream(port[mine], time_ps[mine], zeros, zeros)
-
-    return build(_A), build(_B), header
-
+        blocks.append((port[mine], time_ps[mine]))
+    return ends.size

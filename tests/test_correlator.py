@@ -1,12 +1,14 @@
 """Coincidence correlator: matching oracle, windows, complexity, blindness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from franson import correlator
 from franson.correlator import (
     CorrelatorConfig,
     correlate,
@@ -43,19 +45,33 @@ def brute_force_matches(t_a, t_b, tau_lo, tau_hi):
     return sorted(out)
 
 
+def batches(t_a, t_b, tau_lo, tau_hi, batch):
+    """The sweep's batches, with SWEEP_BATCH set to ``batch``."""
+    t_a, t_b = (np.asarray(t, dtype=np.int64) for t in (t_a, t_b))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlator, "SWEEP_BATCH", batch)
+        return list(sweep_matches(t_a, t_b, tau_lo, tau_hi))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     t_a=st.lists(st.integers(0, 400), min_size=0, max_size=40),
     t_b=st.lists(st.integers(0, 400), min_size=0, max_size=40),
     tau_lo=st.integers(-60, 20),
     width=st.integers(0, 80),
+    batch=st.sampled_from([1, 2, 3, 7, 2**16]),
 )
-def test_sweep_agrees_with_brute_force(t_a, t_b, tau_lo, width):
+# three A tags with runs of 17, 13 and 6 B tags in one block of 7: passes of 2 and 3 ranks
+@example(t_a=[100, 355, 390], t_b=list(range(0, 400, 5)), tau_lo=-60, width=80, batch=7)
+def test_sweep_agrees_with_brute_force(t_a, t_b, tau_lo, width, batch):
+    # small batches split the A tags into blocks and force one-rank passes,
+    # large ones take several ranks per pass
     t_a, t_b = sorted(t_a), sorted(t_b)
     tau_hi = tau_lo + width
-    ia, ib, _ = sweep_matches(np.asarray(t_a, np.int64), np.asarray(t_b, np.int64), tau_lo, tau_hi)
-    got = sorted(zip(ia.tolist(), ib.tolist()))
+    passes = batches(t_a, t_b, tau_lo, tau_hi, batch)
+    got = sorted(pair for ia, ib in passes for pair in zip(ia.tolist(), ib.tolist()))
     assert got == brute_force_matches(t_a, t_b, tau_lo, tau_hi)
+    assert all(0 < ia.size == ib.size <= batch for ia, ib in passes)
 
 
 # Delays on and just beside every window edge: +-w, +-side_offset +- w for side
@@ -94,6 +110,16 @@ def brute_force_histogram(tags_a, tags_b, w, bin_width, tau_max, side_a, side_b,
     return counts, central, side_plus, side_minus, n_matches
 
 
+def assert_equals_oracle(hist, oracle, n_a):
+    counts, central, side_plus, side_minus, n_matches = oracle
+    assert np.array_equal(hist.counts, counts)
+    assert np.array_equal(hist.central, central)
+    assert np.array_equal(hist.side_plus, side_plus)
+    assert np.array_equal(hist.side_minus, side_minus)
+    assert hist.n_matches == n_matches
+    assert hist.n_comparisons == n_a + n_matches
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     t_b=st.lists(st.integers(0, 600), min_size=0, max_size=25),
@@ -127,15 +153,42 @@ def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, c
         side_offset_b=side_b_ps * 1e-12,
     )
     hist = correlate(tags_a, shifted_b, cfg)
-    counts, central, side_plus, side_minus, n_matches = brute_force_histogram(
-        tags_a, tags_b, 10, bin_ps, 200, 100, side_b_ps, center_ps
-    )
-    assert np.array_equal(hist.counts, counts)
-    assert np.array_equal(hist.central, central)
-    assert np.array_equal(hist.side_plus, side_plus)
-    assert np.array_equal(hist.side_minus, side_minus)
-    assert hist.n_matches == n_matches
-    assert hist.n_comparisons == len(tags_a) + n_matches
+    oracle = brute_force_histogram(tags_a, tags_b, 10, bin_ps, 200, 100, side_b_ps, center_ps)
+    assert_equals_oracle(hist, oracle, len(tags_a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_b=st.lists(st.integers(0, 100), min_size=1, max_size=50),
+    offsets=st.lists(
+        st.tuples(st.integers(0, 49), st.one_of(st.sampled_from(EDGE_TAUS), st.integers(-60, 60))),
+        min_size=0,
+        max_size=20,
+    ),
+    ports=st.lists(st.sampled_from([5, 6]), min_size=70, max_size=70),
+    batch=st.sampled_from([1, 5, 64, 2**16]),
+)
+@example(
+    t_b=list(range(0, 100, 2)), offsets=[(j, 0) for j in range(20)], ports=[5, 6] * 35, batch=5
+)
+# runs of 26 to 50 B tags, 20 A tags in one block of 64: passes of 3 ranks
+@example(
+    t_b=list(range(0, 100, 2)),
+    offsets=[(j, 15 * j - 150) for j in range(20)],
+    ports=[5, 6] * 35,
+    batch=64,
+)
+def test_correlate_tallies_agree_with_brute_force_on_dense_streams(t_b, offsets, ports, batch):
+    # up to 50 B tags within 100 ps: an A tag near them matches up to 50 of
+    # them, so the sweep runs many rank passes, or a few wide ones
+    t_a = [t_b[j % len(t_b)] + tau for j, tau in offsets]
+    tags_a = stream(t_a, ports[: len(t_a)])
+    tags_b = stream(t_b, ports[20 : 20 + len(t_b)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlator, "SWEEP_BATCH", batch)
+        hist = correlate(tags_a, tags_b, CFG)
+    oracle = brute_force_histogram(tags_a, tags_b, 10, 2, 200, 100, 100, 0)
+    assert_equals_oracle(hist, oracle, len(tags_a))
 
 
 def test_empty_streams_give_empty_histogram():
@@ -251,10 +304,10 @@ def test_candidate_comparisons_stay_linear():
     rng = np.random.default_rng(5)
     t_a = np.sort(rng.integers(0, 50_000, 20_000)).astype(np.int64)
     t_b = np.sort(rng.integers(0, 50_000, 20_000)).astype(np.int64)
-    ia, ib, comparisons = sweep_matches(t_a, t_b, -200, 200)
-    assert comparisons <= t_a.size + t_b.size + ia.size
+    matches = sum(ia.size for ia, _ in sweep_matches(t_a, t_b, -200, 200))
     hist = correlate(stream(t_a), stream(t_b), CFG)
-    assert hist.n_comparisons <= len(t_a) + len(t_b) + hist.n_matches
+    assert hist.n_matches == matches
+    assert hist.n_comparisons == t_a.size + matches <= len(t_a) + len(t_b) + hist.n_matches
 
 
 def test_correlator_is_blind_to_diagnostics():
@@ -309,3 +362,54 @@ def test_histogram_csv_format(tmp_path):
     assert len(rows) == hist.n_bins * 4
     total = sum(int(r[3]) for r in rows)
     assert total == hist.counts.sum()
+
+
+def _traced(fn, *args):
+    """The return value of one call and its traced peak (bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_correlate_memory_does_not_grow_with_matches():
+    # the same 200 000 A tags, 2 ns apart on average; B holds each one's
+    # partner plus k - 1 accidentals inside +-tau_max of a random A tag, so
+    # there are about k matches per A tag
+    rng = np.random.default_rng(8)
+    n = 200_000
+    tags_a = stream(np.sort(rng.integers(0, 2_000 * n, n)))
+
+    def peak(k):
+        m = (k - 1) * n
+        near = tags_a.time_ps[rng.integers(0, n, m)] + rng.integers(-190, 191, m)
+        partners = tags_a.time_ps + rng.integers(-5, 6, n)
+        tags_b = stream(np.sort(np.concatenate([partners, near])))
+        hist, peak = _traced(correlate, tags_a, tags_b, CFG)
+        assert hist.n_matches >= 0.9 * k * n
+        return peak
+
+    assert peak(5) <= 1.5 * peak(1)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 2**14])
+def test_histogram_csv_bytes_equal_the_row_by_row_rendering(tmp_path, monkeypatch, chunk):
+    # counts of every width from 1 to 19 digits, over bins below, at and above tau = 0
+    hist = correlate(stream([1000]), stream([1000]), CFG)
+    rng = np.random.default_rng(3)
+    shape = hist.counts.shape
+    hist.counts = rng.integers(0, 2**63 - 1, shape) // 10 ** rng.integers(0, 19, shape)
+    monkeypatch.setattr(correlator, "CSV_CHUNK", chunk)
+    path = tmp_path / "hist.csv"
+    write_histogram_csv(hist, path, seed=2, config_hash="beef")
+    centers = hist.bin_centers_ps()
+    rows = [
+        f"{centers[k]},{a + 5},{b + 5},{hist.counts[a, b, k]}\n"
+        for k in range(hist.n_bins)
+        for a in (0, 1)
+        for b in (0, 1)
+    ]
+    header = path.read_text().split("tau_ps,port_a,port_b,count\n")[0]
+    assert header.startswith("# franson-histogram v1\n# seed=2\n# config_hash=beef\n")
+    assert path.read_text() == header + "tau_ps,port_a,port_b,count\n" + "".join(rows)

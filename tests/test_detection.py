@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from franson import correlator, detection
 from franson.cli import main
 from franson.detection import (
     DetectorModel,
@@ -308,15 +309,22 @@ def test_write_timetags_rejects_records_the_reader_would():
         write_timetags("unused", hand_stream([7], [0]), hand_stream([], []), 0, "x")
 
 
-def test_timetag_format_bytes_are_pinned_on_hand_built_streams(tmp_path):
-    # format v1 is a data product: its bytes must not move, whatever the sampler
+HAND_BUILT_PIN = "ceb5776a8664d3b7"
+
+
+def write_pinned_hand_built_dump(path):
     times = [(-1) ** k * (7 * 10**k + k) for k in range(18)] + [0, 0, 5, -5]  # every width
     ports = [5 + (k % 3 == 0) for k in range(len(times))]
     tags_a = hand_stream(ports, times)
     tags_b = hand_stream(ports[::-1], [t // 3 for t in times])  # ties with A at 0
-    path = tmp_path / "tags.dat"
     write_timetags(path, tags_a, tags_b, seed=7, config_hash="0123456789abcdef")
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "ceb5776a8664d3b7"
+
+
+def test_timetag_format_bytes_are_pinned_on_hand_built_streams(tmp_path):
+    # format v1 is a data product: its bytes must not move, whatever the sampler
+    path = tmp_path / "tags.dat"
+    write_pinned_hand_built_dump(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == HAND_BUILT_PIN
 
 
 @pytest.mark.parametrize(
@@ -338,6 +346,15 @@ def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
     assert got == [digest, *CORRELATE_PINS[config]]
 
 
+def test_pinned_dump_and_products_hold_in_small_chunks(tmp_path, monkeypatch):
+    # 40 000 records written 1000 at a time and read in 4 KiB blocks, the
+    # histogram written 7 bins at a time: every pin holds
+    monkeypatch.setattr(detection, "WRITE_CHUNK", 1000)
+    monkeypatch.setattr(detection, "READ_BLOCK", 4096)
+    monkeypatch.setattr(correlator, "CSV_CHUNK", 7)
+    test_timetags_dump_bytes_are_pinned(tmp_path, "ideal.json", "5b85a9a723ce2d88")
+
+
 # sha256 prefixes of (histogram.csv, correlate.json) from the pinned dumps
 CORRELATE_PINS = {
     "ideal.json": ("c609a7b02cb4e8d6", "cbcc4e73a0f3cdc6"),
@@ -350,6 +367,93 @@ RECORDS = st.lists(
     min_size=1,
     max_size=30,
 )
+# Records per write and bytes per read: a few, or the defaults.
+CHUNKS = st.one_of(st.integers(1, 8), st.just(detection.WRITE_CHUNK))
+BLOCKS = st.one_of(st.integers(1, 64), st.just(detection.READ_BLOCK))
+
+
+def streams_of(records):
+    return [
+        hand_stream([r[1] for r in records if r[0] == p], [r[2] for r in records if r[0] == p])
+        for p in "AB"
+    ]
+
+
+def read_outcome(path):
+    """What read_timetags makes of a file: its streams and header, or its error."""
+    try:
+        got_a, got_b, header = read_timetags(path)
+    except ValueError as err:
+        return str(err)
+    return [(s.port.tolist(), s.time_ps.tolist()) for s in (got_a, got_b)], header
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=RECORDS, chunk=CHUNKS)
+def test_chunked_writes_equal_the_one_shot_bytes(tmp_path_factory, records, chunk):
+    path = tmp_path_factory.mktemp("dumps") / "tags.dat"
+    write_timetags(path, *streams_of(records), 0, "c0ffee")
+    one_shot = path.read_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "WRITE_CHUNK", chunk)
+        write_timetags(path, *streams_of(records), 0, "c0ffee")
+        assert path.read_bytes() == one_shot
+        pin_path = path.with_name("pinned.dat")
+        write_pinned_hand_built_dump(pin_path)
+        assert hashlib.sha256(pin_path.read_bytes()).hexdigest()[:16] == HAND_BUILT_PIN
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    records=RECORDS,
+    extra=st.lists(
+        st.tuples(
+            st.integers(0, 40), st.sampled_from(["", "  ", "# x=1", " #", "# run=b=2", "#seed=9"])
+        )
+    ),
+    final_newline=st.booleans(),
+    block=st.integers(1, 64),
+)
+def test_blocked_reads_equal_the_one_shot_parse(
+    tmp_path_factory, records, extra, final_newline, block
+):
+    # header, comment and blank lines anywhere, so that some land in later
+    # blocks and the later of two equal keys wins across blocks
+    path = tmp_path_factory.mktemp("dumps") / "tags.dat"
+    write_timetags(path, *streams_of(records), 0, "c0ffee")
+    lines = path.read_text().splitlines()
+    for at, text in sorted(extra, reverse=True):
+        lines.insert(1 + at % len(lines), text)
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+    want = read_outcome(path)
+    assert not isinstance(want, str)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "READ_BLOCK", block)
+        assert read_outcome(path) == want
+
+
+def test_every_block_edge_reads_like_the_one_shot_parse(tmp_path, monkeypatch):
+    # every cut: records split across two blocks, header lines in a later
+    # block, a final line without a newline, and the magic line's own cases
+    path = tmp_path / "tags.dat"
+    texts = [
+        "# franson-timetags v1\nA 5 1000\n# run=7\nB 6 -20\n\n# run=8\nA 6 123456",
+        "# franson-timetags v1\nA 5 1000\nB 6 -20\nA 7 5\nB 5 1\n",
+        "# franson-timetags v1\n",
+        "# franson-timetags v1",
+        "# franson-timetags v2\nA 5 1\n",
+        "not a dump",
+        "",
+    ]
+    for text in texts:
+        path.write_text(text)
+        want = read_outcome(path)
+        for block in range(1, len(text) + 2):
+            monkeypatch.setattr(detection, "READ_BLOCK", block)
+            assert read_outcome(path) == want, (text, block)
+        monkeypatch.undo()
+    path.write_text(texts[0])
+    assert read_outcome(path) == ([([5, 6], [1000, 123456]), ([6], [-20])], {"run": "8"})
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,8 +466,32 @@ RECORDS = st.lists(
     where=st.integers(0, 40),
     later=st.booleans(),
     final_newline=st.booleans(),
+    chunk=CHUNKS,
+    block=BLOCKS,
 )
 def test_a_corrupt_record_fails_at_its_own_line(
+    tmp_path_factory,
+    records,
+    extra,
+    bad_at,
+    corruption,
+    char,
+    where,
+    later,
+    final_newline,
+    chunk,
+    block,
+):
+    # the dump is written `chunk` records and read `block` bytes at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "WRITE_CHUNK", chunk)
+        mp.setattr(detection, "READ_BLOCK", block)
+        check_corrupt_record(
+            tmp_path_factory, records, extra, bad_at, corruption, char, where, later, final_newline
+        )
+
+
+def check_corrupt_record(
     tmp_path_factory, records, extra, bad_at, corruption, char, where, later, final_newline
 ):
     path = tmp_path_factory.mktemp("dumps") / "tags.dat"
