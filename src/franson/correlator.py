@@ -5,12 +5,11 @@ of it (two binary searches per A tag give its run of B tags), the delays
 ``tau = t_A - t_B`` are binned, and they are classified into the central
 peak (|tau| <= w, the window is centred at tau = 0) and the two side peaks:
 LS at tau = +t_sl^A (``side_offset_a``) and SL at tau = -t_sl^B
-(``side_offset_b``), each within w.  The pairs come in rank passes: pass d
-pairs each A tag with the d-th B tag of its run, and the histogram and the
-window tallies are accumulated pass by pass.  With the A tags taken a block
-at a time, this holds O(SWEEP_BATCH) memory whatever the number of tags and
-matches, and does O(N_A log N_B + matches) work.  Only (party, port, time)
-are used; diagnostic tag fields never enter.
+(``side_offset_b``), each within w.  The A tags are taken a block at a
+time; a block's matches form one list, run after run, and the list is
+binned and tallied a slice at a time.  This holds O(SWEEP_BATCH) memory
+whatever the number of tags and matches, and does O(N_A log N_B + matches)
+work.  Only (party, port, time) are used; diagnostic tag fields never enter.
 
 All times are integer picoseconds.
 """
@@ -152,14 +151,12 @@ def sweep_matches(t_a: np.ndarray, t_b: np.ndarray, tau_lo: int, tau_hi: int):
     tau_lo <= tau_hi.
 
     The A tags are taken ``SWEEP_BATCH`` at a time.  Two binary searches give
-    each of them the run of B tags inside its window, and rank passes pair
-    them up: pass d pairs every tag whose run is longer than d with the d-th
-    B tag of its run, then drops the tags whose run ends there.  A pass
-    takes the next ``SWEEP_BATCH // live`` ranks of each tag at once, which
-    is more than one once at most half a block is live, so long runs take
-    few passes; and it takes all the rest once that fits in one batch.
-    Memory is O(SWEEP_BATCH), whatever the number of tags and matches; work
-    is O(N_A log N_B + matches).
+    each of them the run of B tags inside its window.  The block's matches
+    are one list, run after run: with ``stop`` the running sum of the run
+    lengths, entry k of tag i is B tag ``end[i] - stop[i] + k``.  The list is
+    yielded in consecutive slices of ``SWEEP_BATCH`` entries, and two binary
+    searches in ``stop`` give the tags of a slice.  Memory is O(SWEEP_BATCH),
+    whatever the number of tags and matches; work is O(N_A log N_B + matches).
     """
     t_a = np.asarray(t_a, dtype=np.int64)
     t_b = np.asarray(t_b, dtype=np.int64)
@@ -167,33 +164,21 @@ def sweep_matches(t_a: np.ndarray, t_b: np.ndarray, tau_lo: int, tau_hi: int):
         block = t_a[lo : lo + SWEEP_BATCH]
         # tau in [tau_lo, tau_hi] means t_b in [t_a - tau_hi, t_a - tau_lo]
         first = np.searchsorted(t_b, block - tau_hi, side="left")
-        run = np.searchsorted(t_b, block - tau_lo, side="right")
-        run -= first
-        live = np.arange(lo, lo + block.size)
-        d = 0  # the rank every live tag has reached
-        while True:
-            keep = run > d
-            if not keep.all():
-                live, first, run = live[keep], first[keep], run[keep]
-            if not live.size:
-                break
-            left = run - d
-            rest = left.sum() <= SWEEP_BATCH  # the rest fits in one batch
-            ranks = int(left.max()) if rest else SWEEP_BATCH // live.size
-            if ranks == 1:
-                yield live, first + d
-            else:
-                per_a = np.minimum(left, ranks, out=left)
-                # The k-th pair of the pass, if it belongs to live tag i, has
-                # ib = first[i] + d + k - (the pass's pairs before tag i's).
-                offset = np.cumsum(per_a)
-                offset -= per_a + d
-                ib = np.repeat(first - offset, per_a)
-                ib += np.arange(ib.size)
-                yield np.repeat(live, per_a), ib
-            if rest:
-                break
-            d += ranks
+        end = np.searchsorted(t_b, block - tau_lo, side="right")
+        stop = np.cumsum(end - first)  # where each tag's run stops in the list
+        end -= stop  # entry k of tag i is B tag end[i] + k
+        total = int(stop[-1])
+        for k0 in range(0, total, SWEEP_BATCH):
+            k1 = min(k0 + SWEEP_BATCH, total)
+            # the tags whose runs overlap entries [k0, k1)
+            i0 = np.searchsorted(stop, k0, side="right")
+            i1 = np.searchsorted(stop, k1, side="left") + 1
+            per_a = np.diff(np.minimum(stop[i0:i1], k1), prepend=k0)
+            ia = np.repeat(np.arange(i0, i1), per_a)
+            ib = end[ia]
+            ib += np.arange(k0, k1)
+            ia += lo
+            yield ia, ib
 
 
 def _require_sorted(stream: TagStream, name: str) -> None:

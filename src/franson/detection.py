@@ -77,24 +77,37 @@ class TagStream:
     """Time-sorted detection events of one party; which party is the
     stream's position, A first, wherever streams are passed or returned.
 
-    Public arrays: ``port`` and ``time_ps``.  The branch and pair-id arrays
-    are diagnostics reachable only through :meth:`diagnostics`; correlator
-    results must not change when they are zeroed.
+    Public arrays: ``port`` (5 or 6) and ``time_ps``.  A simulated stream
+    also carries the branch and pair id of each tag, sorted by (time, pair
+    id) and reachable only through :meth:`diagnostics`; correlator results
+    must not change without them.  A stream built without them is sorted by
+    time alone, stably.
     """
 
-    def __init__(self, port, time_ps, diag_branch, diag_pair_id):
-        order = np.lexsort((np.asarray(diag_pair_id), np.asarray(time_ps)))
-        self.port = np.asarray(port, dtype=np.uint8)[order]
-        self.time_ps = np.asarray(time_ps, dtype=np.int64)[order]
-        self._diag_branch = np.asarray(diag_branch, dtype=np.int8)[order]
-        self._diag_pair_id = np.asarray(diag_pair_id, dtype=np.int64)[order]
+    def __init__(self, port, time_ps, diag_branch=None, diag_pair_id=None):
+        port = np.asarray(port)
+        if not np.all((port == 5) | (port == 6)):
+            raise ValueError("ports must be 5 or 6")
+        time_ps = np.asarray(time_ps, dtype=np.int64)
+        if diag_pair_id is None:
+            order = np.argsort(time_ps, kind="stable")
+            self._diag = None
+        else:
+            order = np.lexsort((np.asarray(diag_pair_id), time_ps))
+            self._diag = (
+                np.asarray(diag_branch, dtype=np.int8)[order],
+                np.asarray(diag_pair_id, dtype=np.int64)[order],
+            )
+        self.port = port.astype(np.uint8, copy=False)[order]
+        self.time_ps = time_ps[order]
 
     def __len__(self) -> int:
         return self.time_ps.size
 
-    def diagnostics(self) -> tuple[np.ndarray, np.ndarray]:
-        """Oracle accessor: (branch index, pair id) per tag; tests only."""
-        return self._diag_branch.copy(), self._diag_pair_id.copy()
+    def diagnostics(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Oracle accessor: (branch index, pair id) per tag, or None for a
+        stream built without them; tests only."""
+        return None if self._diag is None else tuple(a.copy() for a in self._diag)
 
     def port_counts(self) -> dict[int, int]:
         return {5: int(np.sum(self.port == 5)), 6: int(np.sum(self.port == 6))}
@@ -208,10 +221,8 @@ def write_timetags(
         [np.zeros(len(stream_a), dtype=np.int8), np.ones(len(stream_b), dtype=np.int8)]
     )
     ports = np.concatenate([stream_a.port, stream_b.port])
-    if not np.all((ports == 5) | (ports == 6)):
-        raise ValueError("ports must be 5 or 6")
     times = np.concatenate([stream_a.time_ps, stream_b.time_ps])
-    # Each stream is already sorted by (time, pair id), and lexsort is stable.
+    # Each stream is already sorted by time, and lexsort is stable.
     order = np.lexsort((parties, times))
 
     header = "\n".join(
@@ -252,60 +263,40 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     lines fill the header.  The earliest line that is none of these fails
     with ``path:line``.
 
-    The file is read ``READ_BLOCK`` bytes at a time and parsed one block of
-    whole lines at a time, the partial last line carried into the next
-    block.  Each block's records are parsed as whole arrays: every array has
-    one entry per line, never one per byte.
+    After the magic line, the file is read ``READ_BLOCK`` bytes at a time,
+    each block finished by the rest of its last line, so every block holds
+    whole lines.  Each block's records are parsed as whole arrays: every
+    array has one entry per line, never one per byte.
 
-    Loaded streams carry zeroed diagnostics: a dump is correlator-facing.
+    Loaded streams carry no diagnostics: a dump is correlator-facing.
     """
     header: dict[str, str] = {}
     # (port, time_ps) per block, for each party
     parts = {code: [(np.empty(0, np.uint8), np.empty(0, np.int64))] for code in (_A, _B)}
-    pending = bytearray()  # bytes read but not parsed: at most one partial line
-    line = 1  # the number of the first pending line
     with open(path, "rb") as fh:
-        while True:
-            block = fh.read(READ_BLOCK)
-            seen = len(pending)
-            pending += block
-            # whole lines only, until the end of the file hands over the rest
-            cut = pending.rfind(b"\n", seen) + 1 if block else len(pending)
-            if cut or not block:
-                data = bytes(pending[:cut])
-                del pending[:cut]
-                body = 0
-                if line == 1:
-                    body = data.find(b"\n")
-                    if body < 0:  # a magic line alone, without its newline
-                        body = len(data)
-                    first = data[:body].decode("ascii", "replace")
-                    if first != TIMETAG_MAGIC:
-                        raise ValueError(f"not a time-tag dump (bad magic line {first!r})")
-                    body, line = body + 1, 2
-                line += _parse_lines(path, data, body, line, header, parts)
-            if not block:
-                break
+        first = fh.readline().removesuffix(b"\n").decode("ascii", "replace")
+        if first != TIMETAG_MAGIC:
+            raise ValueError(f"not a time-tag dump (bad magic line {first!r})")
+        line = 2  # the number of the block's first line
+        while block := fh.read(READ_BLOCK) + fh.readline():
+            line += _parse_lines(path, block, line, header, parts)
 
     def build(code: int) -> TagStream:
-        port, time_ps = (np.concatenate(column) for column in zip(*parts.pop(code)))
-        zeros = np.zeros(time_ps.size, dtype=np.int64)
-        return TagStream(port, time_ps, zeros, zeros)
+        return TagStream(*(np.concatenate(column) for column in zip(*parts.pop(code))))
 
     return build(_A), build(_B), header
 
 
-def _parse_lines(path, data: bytes, body: int, first_line: int, header: dict, parts: dict) -> int:
-    """Parse the whole lines of ``data`` from byte ``body`` on, the first of
-    them line number ``first_line`` of ``path``: ``# key=value`` lines go into
-    ``header`` and each party's records into ``parts``.  Returns the number
-    of lines parsed."""
+def _parse_lines(path, data: bytes, first_line: int, header: dict, parts: dict) -> int:
+    """Parse ``data``, whole lines of which the first is line number
+    ``first_line`` of ``path``: ``# key=value`` lines go into ``header`` and
+    each party's records into ``parts``.  Returns the number of lines parsed."""
     # Lines as (start, end) byte offsets without the newline.
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = body + np.flatnonzero(buf[body:] == _NEWLINE)
-    if not data.endswith(b"\n") and body < len(data):
+    ends = np.flatnonzero(buf == _NEWLINE)
+    if not data.endswith(b"\n"):
         ends = np.append(ends, len(data))  # last line without a newline
-    starts = np.concatenate([[body], ends[:-1] + 1])[: ends.size]
+    starts = np.concatenate([[0], ends[:-1] + 1])
     lengths = ends - starts
     # Blank and '#' lines are set aside; every other line must be a record.
     is_record = (lengths > 0) & (buf[starts] != _HASH)

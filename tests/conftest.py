@@ -3,8 +3,6 @@
 import math
 from statistics import NormalDist
 
-import numpy as np
-
 import franson as fr
 
 
@@ -26,9 +24,8 @@ def ideal_config(seed: int = 1, n_points: int = 16, pairs_per_point: int = 20_00
 
 
 def blinded(stream: fr.TagStream) -> fr.TagStream:
-    """Copy of a tag stream with its diagnostic fields (branch, pair id) zeroed."""
-    zeros = np.zeros(len(stream), dtype=np.int64)
-    return fr.TagStream(stream.port, stream.time_ps, zeros, zeros)
+    """Copy of a tag stream without its diagnostic fields (branch, pair id)."""
+    return fr.TagStream(stream.port, stream.time_ps)
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:

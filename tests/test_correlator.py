@@ -29,10 +29,8 @@ CFG = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
 
 
 def stream(times_ps, ports=None):
-    n = len(times_ps)
-    ports = ports if ports is not None else [5] * n
-    zeros = np.zeros(n, dtype=np.int64)
-    return TagStream(np.asarray(ports), np.asarray(times_ps, dtype=np.int64), zeros, zeros)
+    ports = ports if ports is not None else [5] * len(times_ps)
+    return TagStream(np.asarray(ports), np.asarray(times_ps, dtype=np.int64))
 
 
 def brute_force_matches(t_a, t_b, tau_lo, tau_hi):
@@ -61,11 +59,23 @@ def batches(t_a, t_b, tau_lo, tau_hi, batch):
     width=st.integers(0, 80),
     batch=st.sampled_from([1, 2, 3, 7, 2**16]),
 )
-# three A tags with runs of 17, 13 and 6 B tags in one block of 7: passes of 2 and 3 ranks
+# three A tags with runs of 17, 13 and 6 B tags in one block of 7: six slices,
+# two of which hold the end of one run and the start of the next
 @example(t_a=[100, 355, 390], t_b=list(range(0, 400, 5)), tau_lo=-60, width=80, batch=7)
+# runs of 7, 0, 0 and 7 B tags in one block of 7: the first run ends on the
+# slice boundary, and the two empty runs sit at it
+@example(
+    t_a=[30, 150, 160, 350],
+    t_b=list(range(0, 35, 5)) + list(range(300, 400, 5)),
+    tau_lo=0,
+    width=30,
+    batch=7,
+)
+# one run of 17 B tags spans six slices of 3
+@example(t_a=[200], t_b=list(range(0, 400, 5)), tau_lo=-60, width=80, batch=3)
 def test_sweep_agrees_with_brute_force(t_a, t_b, tau_lo, width, batch):
-    # small batches split the A tags into blocks and force one-rank passes,
-    # large ones take several ranks per pass
+    # small batches split the A tags into blocks and each block's list of
+    # matches into many slices; the largest takes each list whole
     t_a, t_b = sorted(t_a), sorted(t_b)
     tau_hi = tau_lo + width
     passes = batches(t_a, t_b, tau_lo, tau_hi, batch)
@@ -171,7 +181,8 @@ def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, c
 @example(
     t_b=list(range(0, 100, 2)), offsets=[(j, 0) for j in range(20)], ports=[5, 6] * 35, batch=5
 )
-# runs of 26 to 50 B tags, 20 A tags in one block of 64: passes of 3 ranks
+# runs of 26 to 50 B tags, 20 A tags in one block of 64: slices of 64 that
+# split runs
 @example(
     t_b=list(range(0, 100, 2)),
     offsets=[(j, 15 * j - 150) for j in range(20)],
@@ -180,7 +191,7 @@ def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, c
 )
 def test_correlate_tallies_agree_with_brute_force_on_dense_streams(t_b, offsets, ports, batch):
     # up to 50 B tags within 100 ps: an A tag near them matches up to 50 of
-    # them, so the sweep runs many rank passes, or a few wide ones
+    # them, so a block's list of matches spans many slices, or a few
     t_a = [t_b[j % len(t_b)] + tau for j, tau in offsets]
     tags_a = stream(t_a, ports[: len(t_a)])
     tags_b = stream(t_b, ports[20 : 20 + len(t_b)])
@@ -225,8 +236,6 @@ def test_unsorted_stream_is_a_hard_error():
     bad = TagStream.__new__(TagStream)
     bad.port = np.array([5, 5], dtype=np.uint8)
     bad.time_ps = np.array([10, 5], dtype=np.int64)
-    bad._diag_branch = np.zeros(2, dtype=np.int8)
-    bad._diag_pair_id = np.zeros(2, dtype=np.int64)
     with pytest.raises(StreamOrderError):
         correlate(bad, stream([1, 2]), CFG)
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -223,9 +224,26 @@ def test_timetag_dump_round_trips_exactly(tmp_path):
     assert np.array_equal(got_a.port, tags_a.port)
     assert np.array_equal(got_b.time_ps, tags_b.time_ps)
     assert np.array_equal(got_b.port, tags_b.port)
-    # the dump is correlator-facing: no diagnostics survive
-    branch, pid = got_a.diagnostics()
-    assert np.all(branch == 0) and np.all(pid == 0)
+    # the dump is correlator-facing: loaded streams carry no diagnostics
+    assert got_a.diagnostics() is None and got_b.diagnostics() is None
+
+
+def test_loaded_streams_keep_only_port_and_time(tmp_path):
+    # what the reader leaves allocated is its streams' ports and times, with
+    # no per-tag diagnostic arrays beside them
+    pairs = sample_pairs(model(), 200_000, seed=12)
+    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), DetectorModel(), seed=12)
+    path = tmp_path / "tags.dat"
+    write_timetags(path, tags_a, tags_b, seed=12, config_hash="c0ffee")
+    del pairs, tags_a, tags_b
+    tracemalloc.start()
+    try:
+        got_a, got_b, _ = read_timetags(path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(got_a) == len(got_b) == 200_000
+    assert kept <= 1.5 * sum(s.port.nbytes + s.time_ps.nbytes for s in (got_a, got_b))
 
 
 def test_read_timetags_rejects_foreign_files(tmp_path):
@@ -302,6 +320,14 @@ def test_empty_dump_and_missing_final_newline_read(tmp_path):
     got_a, got_b, header = read_timetags(path)
     assert got_a.time_ps.tolist() == [12] and got_b.time_ps.tolist() == [-7]
     assert got_b.port.tolist() == [6] and header == {"note": "kept"}
+
+
+@pytest.mark.parametrize("port", [0, 261])
+def test_tag_streams_reject_ports_other_than_5_and_6(port):
+    # 261 would wrap to 5 in the uint8 cast, and port 0 would fail only inside correlate
+    for diag in ((), ([0, 0], [0, 1])):
+        with pytest.raises(ValueError, match="ports must be 5 or 6"):
+            TagStream([port, 5], [0, 1], *diag)
 
 
 def test_write_timetags_rejects_records_the_reader_would():
