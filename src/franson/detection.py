@@ -134,7 +134,10 @@ def simulate_tags(
     Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
     """
-    # before any draw, so that a bad envelope fails first
+    # Both before any draw.  A sampled ensemble computes its times on this
+    # read (see PairEnsemble), so a reach past the grid fails before any tag
+    # and its kept uniforms go first; a bad envelope fails in fringe_term.
+    t0_ps, eps = pairs.t0_ps, pairs.eps
     fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
     u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 8)
     b_a = u[:, 0] < 0.5
@@ -150,8 +153,8 @@ def simulate_tags(
     keep_b = u[:, 5] < det.efficiency
     del u  # the largest array here: free it before the times are assembled
 
-    t_a = pairs.t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
-    t_b = pairs.t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
+    t_a = t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
+    t_b = t0_ps + to_picoseconds(eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
 
     stream_a = TagStream(port_a[keep_a], t_a[keep_a], branch[keep_a], pairs.ids[keep_a])
     stream_b = TagStream(port_b[keep_b], t_b[keep_b], branch[keep_b], pairs.ids[keep_b])
@@ -268,18 +271,40 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     whole lines.  Each block's records are parsed as whole arrays: every
     array has one entry per line, never one per byte.
 
+    A line longer than ``max(READ_BLOCK, 64)`` bytes is long: a record has
+    at most 23 and the writer's header lines at most 46.  The read that
+    finishes a block stops at that length, and the rest of a long line is
+    read and dropped in pieces of it, so memory is bounded by the block
+    size, not by the longest line.  A long line whose first byte is ``#`` is
+    a comment, and its ``key=value`` does not enter the header; any other
+    long line fails at its ``path:line``.
+
     Loaded streams carry no diagnostics: a dump is correlator-facing.
     """
     header: dict[str, str] = {}
     # (port, time_ps) per block, for each party
     parts = {code: [(np.empty(0, np.uint8), np.empty(0, np.int64))] for code in (_A, _B)}
+    limit = max(READ_BLOCK, 64)
     with open(path, "rb") as fh:
-        first = fh.readline().removesuffix(b"\n").decode("ascii", "replace")
+        first = fh.readline(limit).removesuffix(b"\n").decode("ascii", "replace")
         if first != TIMETAG_MAGIC:
             raise ValueError(f"not a time-tag dump (bad magic line {first!r})")
         line = 2  # the number of the block's first line
-        while block := fh.read(READ_BLOCK) + fh.readline():
-            line += _parse_lines(path, block, line, header, parts)
+        while block := fh.read(READ_BLOCK):
+            if not block.endswith(b"\n"):
+                block += fh.readline(limit)
+            # the block's last line, when it has no newline: unfinished if long
+            tail = 0 if block.endswith(b"\n") else len(block) - 1 - block.rfind(b"\n")
+            if tail <= limit:
+                line += _parse_lines(path, block, line, limit, header, parts)
+                continue
+            if tail < len(block):
+                line += _parse_lines(path, block[:-tail], line, limit, header, parts)
+            if block[-tail] != _HASH:
+                raise ValueError(f"{path}:{line}: {_long_line_problem(limit)}")
+            while (piece := fh.readline(limit)) and not piece.endswith(b"\n"):
+                pass
+            line += 1
 
     def build(code: int) -> TagStream:
         return TagStream(*(np.concatenate(column) for column in zip(*parts.pop(code))))
@@ -287,10 +312,15 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     return build(_A), build(_B), header
 
 
-def _parse_lines(path, data: bytes, first_line: int, header: dict, parts: dict) -> int:
+def _long_line_problem(limit: int) -> str:
+    return f"line longer than {limit} bytes that is not a '#' comment"
+
+
+def _parse_lines(path, data: bytes, first_line: int, limit: int, header: dict, parts: dict) -> int:
     """Parse ``data``, whole lines of which the first is line number
     ``first_line`` of ``path``: ``# key=value`` lines go into ``header`` and
-    each party's records into ``parts``.  Returns the number of lines parsed."""
+    each party's records into ``parts``; a line longer than ``limit`` bytes
+    is long (see :func:`read_timetags`).  Returns the number of lines parsed."""
     # Lines as (start, end) byte offsets without the newline.
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _NEWLINE)
@@ -331,6 +361,10 @@ def _parse_lines(path, data: bytes, first_line: int, header: dict, parts: dict) 
 
     bad = np.flatnonzero(is_record)[~ok]
     for i in np.union1d(np.flatnonzero(~is_record), bad):
+        if lengths[i] > limit:
+            if buf[starts[i]] == _HASH:
+                continue
+            raise ValueError(f"{path}:{first_line + i}: {_long_line_problem(limit)}")
         line = data[starts[i] : ends[i]].decode("ascii", "replace")
         text = line.strip()
         if not text:

@@ -482,6 +482,57 @@ def test_every_block_edge_reads_like_the_one_shot_parse(tmp_path, monkeypatch):
     assert read_outcome(path) == ([([5, 6], [1000, 123456]), ([6], [-20])], {"run": "8"})
 
 
+def test_long_lines_keep_the_read_memory_within_the_block(tmp_path, monkeypatch):
+    # a '#' line of 10 or 1 000 blocks is read and dropped in pieces, so the
+    # traced peak stays within a fixed multiple of the block
+    block = 4096
+    monkeypatch.setattr(detection, "READ_BLOCK", block)
+    path = tmp_path / "tags.dat"
+    path.write_text(HEADER + "A 5 10\n")
+    read_timetags(path)  # NumPy's first-call allocations are not the reader's
+    for n_blocks in (10, 1000):
+        path.write_text(HEADER + "A 5 10\n# k=" + "x" * (n_blocks * block) + "\nB 6 12\n")
+        tracemalloc.start()
+        try:
+            got_a, got_b, header = read_timetags(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * block, n_blocks
+        assert (got_a.time_ps.tolist(), got_b.time_ps.tolist()) == ([10], [12])
+        assert header == {"seed": "0", "config_hash": "c0ffee"}
+
+
+def test_long_lines_read_alike_wherever_the_blocks_end(tmp_path, monkeypatch):
+    # below 64 bytes a block still reads lines of up to 64 whole; a longer
+    # '#' line is a comment without its key=value, any other longer line
+    # fails at its own line, and a line of 64 bytes is read whole
+    path = tmp_path / "tags.dat"
+    magic = "# franson-timetags v1\n"
+    long_comment = "# k=" + "x" * 70
+    texts = {
+        magic + "A 5 1\n" + long_comment + "\n# run=7\nB 6 2\n": (
+            [([5], [1]), ([6], [2])],
+            {"run": "7"},
+        ),
+        magic + "A 5 1\n" + long_comment: ([([5], [1]), ([], [])], {}),
+        magic + "# k=" + "x" * 60 + "\nB 5 3": ([([], []), ([5], [3])], {"k": "x" * 60}),
+        magic + "A 5 1\n\nB 6 " + "1" * 70 + "\nA 5 3\n": (
+            f"{path}:4: line longer than 64 bytes that is not a '#' comment"
+        ),
+        magic + " " * 65 + "\n": f"{path}:2: line longer than 64 bytes that is not a '#' comment",
+    }
+    for text, want in texts.items():
+        path.write_text(text)
+        for block in range(1, 65):
+            monkeypatch.setattr(detection, "READ_BLOCK", block)
+            assert read_outcome(path) == want, (text, block)
+    # at the default block size the same comment is read whole
+    monkeypatch.undo()
+    path.write_text(magic + long_comment + "\n")
+    assert read_outcome(path)[1] == {"k": "x" * 70}
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     records=RECORDS,

@@ -1,7 +1,9 @@
 """Experiment runners: fringe law, agreement, decay laws, determinism."""
 
+import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import franson as fr
-from franson import experiment, interferometer
+from franson import detection, experiment, interferometer
+from franson.config import config_hash
 from franson.correlation import overlap_envelope, pair_fringe
 from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
 from franson.fitting import fit_cosine
@@ -294,3 +297,63 @@ def test_sweep_values_the_config_rejects_fail_before_any_draw(runner, kwargs, me
     monkeypatch.setattr(interferometer, "sample_pairs", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         runner(ideal_config(pairs_per_point=100), pairs_per_point=100, **kwargs)
+
+
+def _at_pair_rate(cfg, pair_rate):
+    """``cfg`` parsed again with ``source.pair_rate`` replaced."""
+    raw = cfg.to_dict()
+    raw["source"]["pair_rate"] = pair_rate
+    return fr.parse_config(json.dumps(raw))
+
+
+def _without_hash(result):
+    summary = result.to_summary_dict()
+    summary.pop("config_hash")
+    if not hasattr(result, "to_csv_text"):  # a ChshRun writes no CSV
+        return summary
+    csv = [line for line in result.to_csv_text().splitlines() if not line.startswith("# config_hash=")]
+    return summary, csv
+
+
+# At 1e-3 pairs/s, 2 000 pairs' emission times span ~2e18 ps, past the 2**60
+# ps grid: a tag pipeline on this config fails at the first time read.
+ANALYTIC_RUNNERS = [
+    lambda cfg: fr.run_fringe_scan(cfg, mode="analytic"),
+    lambda cfg: fr.run_chsh(cfg, mode="analytic"),
+    lambda cfg: fr.run_pump_sweep(cfg, mode="analytic", n_points=8, pairs_per_point=2_000),
+    lambda cfg: fr.run_crossover_sweep(cfg, pairs_per_point=2_000),
+]
+
+
+@pytest.mark.parametrize("runner", ANALYTIC_RUNNERS, ids=["fringe-scan", "chsh", "pump", "crossover"])
+def test_analytic_runners_never_read_pair_times(runner):
+    # emission times and pair delays enter only coincidence timing, so no
+    # analytic product depends on pair_rate, and a rate whose tag times would
+    # pass the grid runs
+    cfg = ideal_config(n_points=8, pairs_per_point=2_000)
+    far = _at_pair_rate(cfg, 1e-3)
+    assert config_hash(far) != config_hash(cfg)
+    assert _without_hash(runner(far)) == _without_hash(runner(cfg))
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        lambda cfg: fr.run_fringe_scan(cfg, mode="montecarlo"),
+        lambda cfg: fr.run_chsh(cfg, mode="montecarlo"),
+        lambda cfg: fr.run_tau_decay(cfg, mode="montecarlo"),
+        lambda cfg: fr.run_pump_sweep(cfg, mode="montecarlo", n_points=8, pairs_per_point=2_000),
+        fr.run_local_scan,
+    ],
+    ids=["fringe-scan", "chsh", "tau-decay", "pump", "local-scan"],
+)
+def test_montecarlo_runners_fail_on_pair_times_past_the_grid_before_any_tag(runner, monkeypatch):
+    def no_detection_draws(*args, **kwargs):
+        raise AssertionError("a detection draw was made")
+
+    monkeypatch.setattr(detection, "item_uniforms", no_detection_draws)
+    far = _at_pair_rate(ideal_config(n_points=8, pairs_per_point=2_000), 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^source\.pair_rate = 0\.001 and .* carry 2000 pairs'"):
+            runner(far)

@@ -110,6 +110,27 @@ def test_same_seed_reproduces_the_same_sequence():
     assert not np.array_equal(a.df, c.df)
 
 
+def test_time_columns_are_computed_once_on_first_read():
+    model = make_model(pump_linewidth=1e9)
+    by_eps, by_t0 = sample_pairs(model, 1_000, seed=4), sample_pairs(model, 1_000, seed=4)
+    eps, t0_ps = by_eps.eps, by_t0.t0_ps
+    # either read computes both columns; a second read returns the same arrays
+    assert by_eps.eps is eps and by_t0.t0_ps is t0_ps
+    assert np.array_equal(by_eps.t0_ps, t0_ps) and np.array_equal(by_t0.eps, eps)
+    assert by_eps.t0_ps is by_eps.t0_ps and by_t0.eps is by_t0.eps
+
+
+def test_the_reach_check_runs_at_the_first_time_read():
+    # 2 000 gaps of mean 1e15 ps pass 2**60 ps; the detunings alone are fine
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pairs = sample_pairs(make_model(pair_rate=1e-3), 2_000, seed=1)
+        assert np.array_equal(pairs.df, sample_pairs(make_model(), 2_000, seed=1).df)
+        for name in ("eps", "t0_ps", "eps"):
+            with pytest.raises(ValueError, match=r"^source\.pair_rate = 0\.001 .* carry 2000 pairs'"):
+                getattr(pairs, name)
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 500), n_tail=st.integers(0, 500), seed=st.integers(0, 2**64))
 def test_pair_sequence_is_defined_by_index_not_batch(k, n_tail, seed):
