@@ -15,7 +15,8 @@ jitter term: the fringe is immune to the per-pair detuning.
 ``V`` is an envelope factor in [0, 1] times the path overlaps gamma_A gamma_B
 of the two interferometers, folded together in one place,
 :func:`fringe_visibility`; pump jitter enters through the joint phase
-instead, so the two degradation channels stay orthogonal.
+instead, so the two degradation channels stay orthogonal.  Over the Gaussian
+ensemble the rates have a closed-form mean, :func:`expected_rates`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import UndefinedCorrelationError
 from .interferometer import LN2, TWO_PI, UmziConfig
 from .rng import KIND_CHSH
-from .source import PairEnsemble, SpectralModel, sample_pairs
+from .source import FWHM_TO_SIGMA, PairEnsemble, SpectralModel, sample_pairs
 
 
 def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
@@ -64,6 +65,23 @@ def fringe_term(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
     return visibility * np.cos(joint_phase(np.asarray(df, dtype=np.float64), dp, cfg_a, cfg_b))
 
 
+def expected_rates(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
+    """The exact ensemble mean of the central rates, (2, 2) over (port_a, port_b).
+
+    The joint phase is theta + 2 pi [df (t_A - t_B) + dp (t_A + t_B)/2], theta =
+    phase_a + phase_b, with df and dp independent Gaussians of standard
+    deviations sigma_f = delta * FWHM_TO_SIGMA and sigma_p = pump_linewidth *
+    FWHM_TO_SIGMA, so the mean fringe term is V cos(theta) exp(-2 pi^2
+    [sigma_f^2 (t_A - t_B)^2 + sigma_p^2 ((t_A + t_B)/2)^2]).
+    """
+    spread_f = model.delta * FWHM_TO_SIGMA * (cfg_a.t_sl - cfg_b.t_sl)
+    spread_p = model.pump_linewidth * FWHM_TO_SIGMA * 0.5 * (cfg_a.t_sl + cfg_b.t_sl)
+    damping = math.exp(-2.0 * math.pi**2 * (spread_f**2 + spread_p**2))
+    fringe = damping * fringe_term(0.0, 0.0, cfg_a, cfg_b, envelope)
+    same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
+    return np.array([[same, diff], [diff, same]])
+
+
 @dataclass(frozen=True)
 class EnsembleFringe:
     """Mean central-peak rates over a sampled ensemble."""
@@ -83,9 +101,9 @@ def ensemble_fringe(
 ) -> EnsembleFringe:
     """Average the central-peak rates over n_pairs sampled pairs.
 
-    With pump_linewidth = 0 the detuning cancellation makes every pair's rate
-    identical, so the mean equals (1/8)(1 + s_a s_b V cos(phase_a + phase_b))
-    without Monte Carlo noise in the phase argument.
+    The sampled estimator of :func:`expected_rates`, kept as its check and
+    for the benchmark tracer (``perfbench/spans.py``), which binds it by name.
+    With pump_linewidth = 0 and equal delays every pair's rate is the same.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -129,7 +147,8 @@ def chsh_value(
     seed: int = 0,
     envelope: float = 1.0,
 ) -> ChshResult:
-    """CHSH sum over four phase settings (a, a', b, b').
+    """CHSH sum over four phase settings (a, a', b, b'), sampled with
+    :func:`ensemble_fringe` and kept for the same reasons.
 
     S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')|; with the sum-phase fringe
     E(x, y) = V cos(x + y), the settings (0, pi/2, -pi/4, pi/4) reach 2*sqrt(2).

@@ -1,14 +1,15 @@
 """Scripted experiment runners.
 
-Each runner scans one knob, collects per-point rates with Monte Carlo
-standard errors, fits the fringe and returns a ScanResult that serializes to
-CSV and a JSON summary.  Every scan point draws from an independent random
+Each runner scans one knob, collects per-point rates with their standard
+errors, fits the fringe and returns a ScanResult that serializes to CSV and a
+JSON summary.  analytic mode is the exact ensemble expectation: zero errors,
+no sampled pairs.  Every sampled point draws from an independent random
 substream keyed by the seed and a tuple path (run kind, [sweep step,] point
 index), so reruns are bit-identical and points are uncorrelated.
 
-Scan sizes come from ``cfg.scan``; only the pump and crossover sweeps take
-theirs as arguments.  The runners share one skeleton: :func:`_point` draws a
-point's pairs once and returns them with the point's central-peak rates,
+Scan sizes come from ``cfg.scan`` (analytic results report them as set);
+only the pump and crossover sweeps take theirs as arguments.  The runners
+share one skeleton: :func:`_point` gives a point's central-peak rates,
 :func:`_fringe` runs it over a joint-phase grid, :func:`_fit_curves` fits and
 packages the port-pair curves, and :func:`_stamped` builds every result with
 its provenance and validates it.
@@ -26,11 +27,10 @@ from .config import RunConfig, config_hash
 from .correlation import (
     chsh_combinations,
     chsh_sum,
-    chsh_value,
     correlation_coefficient,
+    expected_rates,
     fringe_visibility,
     overlap_envelope,
-    pair_fringe,
     stream_for_setting,
 )
 from .correlator import CoincidenceHistogram, correlate
@@ -226,19 +226,18 @@ def _counted_rates(hist: CoincidenceHistogram, n_pairs: int) -> tuple[np.ndarray
 
 
 def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0):
-    """One scan point, its pairs drawn once: (pairs, central rates, stderr).
+    """One scan point: (pairs, central rates, stderr).
 
-    Rates and errors are (2, 2) over (port_a, port_b).  analytic mode averages
-    the rate algebra over the pairs; montecarlo mode counts the central window
-    of the full tag pipeline.  Both take the fringe visibility from
+    Rates and errors are (2, 2) over (port_a, port_b).  analytic mode returns
+    the closed-form :func:`expected_rates`, zero errors and pairs None;
+    montecarlo mode draws the pairs and counts the central window of the full
+    tag pipeline.  Both take the fringe visibility from
     ``fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)``.
     """
     if mode == "analytic":
-        pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
         cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
         cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
-        fringe = pair_fringe(pairs, cfg_a, cfg_b, envelope)
-        return pairs, fringe.rates, fringe.stderr
+        return None, expected_rates(cfg.source, cfg_a, cfg_b, envelope), np.zeros((2, 2))
     pairs, _, _, hist = simulate_point(cfg, stream, n_pairs, phase_a, phase_b, envelope)
     return (pairs, *_counted_rates(hist, n_pairs))
 
@@ -280,9 +279,9 @@ def _fit_curves(port_x, rates, stderr, curves=None) -> tuple[dict, list[str]]:
 def run_fringe_scan(cfg: RunConfig, mode: str = "analytic") -> ScanResult:
     """Central-peak rate per port pair against the joint phase phi + psi.
 
-    analytic mode evaluates the coincidence algebra over a sampled ensemble;
-    montecarlo mode runs the full tag pipeline and counts window totals.
-    Point k draws from the stream ``(KIND_FRINGE, k)``.
+    analytic mode gives the exact ensemble-mean rates with zero errors and
+    draws no pairs; montecarlo mode runs the full tag pipeline and counts
+    window totals, point k drawing from the stream ``(KIND_FRINGE, k)``.
     """
     _check_mode(mode)
     scan = cfg.scan
@@ -349,6 +348,7 @@ def run_local_scan(cfg: RunConfig) -> ScanResult:
         counts_b = tags_b.port_counts()
         singles_a5[k] = counts_a[5] / max(counts_a[5] + counts_a[6], 1)
         singles_b5[k] = counts_b[5] / max(counts_b[5] + counts_b[6], 1)
+        del pairs, tags_a, tags_b, hist, angle_a, angle_b  # before the next point's draw
 
     curves = {
         "local_a": (theta, local_a),
@@ -472,11 +472,11 @@ def run_pump_sweep(
     n_points: int = 16,
     pairs_per_point: int | None = None,
 ) -> ScanResult:
-    """Nonlocal visibility against the pump linewidth.
+    """Nonlocal visibility against the pump linewidth, and the closed-form
+    Gaussian curve ``cf_analytic`` that analytic mode's visibility equals.
 
-    Reports the empirical characteristic function of the actually sampled
-    pump jitters at lag t_sl (the exact target of the fit) and the
-    closed-form Gaussian curve.
+    montecarlo mode also reports ``cf_sampled``, the empirical characteristic
+    function of the drawn pump jitters at lag t_sl (the exact target of the fit).
     """
     _check_mode(mode)
     t_sl = cfg.umzi_a.t_sl
@@ -501,14 +501,18 @@ def run_pump_sweep(
             pairs, rates[..., j], stderr[..., j] = _point(
                 sub_cfg, mode, (rng_mod.KIND_PUMP, k, j), n_pairs, th - psi, psi
             )
-            # pooled empirical CF of the very pairs the fringe scan drew
-            acc += sampled_cf(pairs.dp, t_sl)
+            if pairs is not None:  # pooled CF of the very pairs drawn, then let them go
+                acc += sampled_cf(pairs.dp, t_sl)
+                del pairs
         sub = _fringe_result(sub_cfg, mode, theta, rates, stderr, n_pairs)
         vis[k] = sub.visibility
         err[k] = sub.visibility_err
         cf_sampled[k] = abs(acc) / theta.size
         cf_analytic[k] = local_visibility_oracle(float(lw), t_sl)
 
+    cfs = {"cf_analytic": cf_analytic}
+    if mode == "montecarlo":  # analytic mode draws no pairs
+        cfs["cf_sampled"] = cf_sampled
     return _stamped(
         ScanResult,
         cfg,
@@ -519,8 +523,7 @@ def run_pump_sweep(
         columns={
             "visibility": vis,
             "visibility_err": err,
-            "cf_sampled": fringe_visibility(cf_sampled, cfg.umzi_a, cfg.umzi_b),
-            "cf_analytic": fringe_visibility(cf_analytic, cfg.umzi_a, cfg.umzi_b),
+            **{name: fringe_visibility(cf, cfg.umzi_a, cfg.umzi_b) for name, cf in cfs.items()},
         },
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
@@ -529,16 +532,18 @@ def run_pump_sweep(
 
 
 def run_chsh(cfg: RunConfig, mode: str = "analytic") -> ChshRun:
-    """Four-setting CHSH sum at ``scan.pairs_per_point`` pairs per setting;
-    S = 2*sqrt(2) for the ideal configuration."""
+    """Four-setting CHSH sum, exact in analytic mode (``s_err`` 0) and counted
+    from ``scan.pairs_per_point`` pairs per setting in montecarlo mode; S =
+    2*sqrt(2) for the ideal configuration."""
     _check_mode(mode)
     settings = cfg.scan.chsh_settings
     n_pairs = cfg.scan.pairs_per_point
     if mode == "analytic":
-        res = chsh_value(
-            cfg.source, cfg.umzi_a, cfg.umzi_b, settings, n_pairs=n_pairs, seed=cfg.seed
-        )
-        corr, s_value, s_err = res.correlations, res.s_value, 0.0
+        corr = {
+            name: correlation_coefficient(_point(cfg, mode, None, n_pairs, pa, pb)[1])
+            for name, (pa, pb) in chsh_combinations(settings).items()
+        }
+        s_value, s_err = chsh_sum(corr), 0.0
     else:
         corr = {}
         var_sum = 0.0

@@ -97,8 +97,8 @@ class PairEnsemble:
     A hand-built ensemble holds all five columns from the start.  One from
     :func:`sample_pairs` holds ids, df and dp, and computes t0_ps and eps
     together the first time either is read, with their ``MAX_TIME_PS`` reach
-    check: only coincidence timing reads them, so the analytic runners never
-    pay for them.
+    check: only coincidence timing reads them, so the crossover sweep, which
+    reads only detunings, never pays for them.
     """
 
     def __init__(self, ids, df, dp, t0_ps, eps):

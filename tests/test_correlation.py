@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from franson.correlation import (
     chsh_value,
     correlation_coefficient,
     ensemble_fringe,
+    expected_rates,
     fringe_term,
     fringe_visibility,
     joint_phase,
@@ -235,6 +236,41 @@ def test_ensemble_fringe_visibility_tracks_sampled_pump_jitter():
     fit = fit_cosine(phases, np.asarray(rates))
     cf = abs(np.mean(oracles))
     assert fit.visibility == pytest.approx(cf, abs=3.0 / math.sqrt(12 * 5_000))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    t_sl_a=st.floats(20e-12, 200e-12),
+    t_sl_b=st.floats(20e-12, 200e-12),
+    delta=st.floats(9.0, 12.0).map(lambda e: 10.0**e),
+    pump=st.one_of(st.just(0.0), st.floats(8.0, 10.5).map(lambda e: 10.0**e)),
+    phase_a=st.floats(-7.0, 7.0),
+    phase_b=st.floats(-7.0, 7.0),
+    gamma_a=st.floats(0.0, 1.0),
+    gamma_b=st.floats(0.0, 1.0),
+    envelope=st.floats(0.0, 1.0),
+)
+# unequal delays, the detuning term resolved: exp(-2 pi^2 (sigma_f (t_A - t_B))^2) = 0.87
+@example(
+    t_sl_a=100e-12, t_sl_b=80e-12, delta=1e10, pump=0.0,
+    phase_a=0.3, phase_b=0.2, gamma_a=1.0, gamma_b=0.9, envelope=1.0,
+)
+# equal delays, the pump term resolved: exp(-2 pi^2 (sigma_p t_sl)^2) = 0.41
+@example(
+    t_sl_a=100e-12, t_sl_b=100e-12, delta=1e12, pump=5e9,
+    phase_a=-0.4, phase_b=0.1, gamma_a=0.8, gamma_b=1.0, envelope=0.9,
+)
+def test_expected_rates_are_the_ensemble_mean(
+    t_sl_a, t_sl_b, delta, pump, phase_a, phase_b, gamma_a, gamma_b, envelope
+):
+    # the closed form against the sampled estimator over 2**20 pairs, within
+    # 5 of its standard errors (and rounding, where every pair's rate is equal)
+    mdl = model(delta=delta, pump=pump)
+    cfg_a, cfg_b = umzi(phase_a, t_sl_a, gamma_a), umzi(phase_b, t_sl_b, gamma_b)
+    sampled = ensemble_fringe(mdl, cfg_a, cfg_b, n_pairs=2**20, seed=5, envelope=envelope)
+    exact = expected_rates(mdl, cfg_a, cfg_b, envelope)
+    assert exact.shape == (2, 2)
+    assert np.all(np.abs(exact - sampled.rates) <= 5.0 * sampled.stderr + 1e-12)
 
 
 def test_chsh_reaches_the_quantum_bound_for_ideal_settings():

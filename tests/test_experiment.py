@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -12,14 +13,14 @@ import numpy as np
 import pytest
 
 import franson as fr
-from franson import detection, experiment, interferometer
+from franson import correlation, detection, experiment, interferometer
 from franson.config import config_hash
-from franson.correlation import overlap_envelope, pair_fringe
+from franson.correlation import overlap_envelope
 from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
 from franson.fitting import fit_cosine
 from franson.errors import FitError
 from franson.rng import KIND_FRINGE, KIND_TAU
-from franson.source import sample_pairs
+from franson.source import FWHM_TO_SIGMA
 
 from conftest import chi2_quantile, ideal_config
 
@@ -177,13 +178,16 @@ def test_tau_decay_offset_acts_only_through_the_envelope(config):
 
 
 def test_pump_sweep_degrades_with_linewidth():
+    # analytic fringe scans are exact, so their visibility is the closed-form
+    # curve; no pairs are drawn, so there is no sampled characteristic function
     cfg = ideal_config(pairs_per_point=10_000)
     res = fr.run_pump_sweep(cfg, mode="analytic", pairs_per_point=10_000)
     assert res.columns["visibility"][0] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(res.columns["visibility"]) < 0)
     np.testing.assert_allclose(
-        res.columns["visibility"], res.columns["cf_sampled"], atol=0.02
+        res.columns["visibility"], res.columns["cf_analytic"], rtol=0, atol=1e-12
     )
+    assert "cf_sampled" not in res.columns
 
 
 def test_chsh_analytic_and_montecarlo():
@@ -206,18 +210,34 @@ def test_analytic_runners_apply_the_path_overlaps():
     assert s_value == pytest.approx(2.0 * math.sqrt(2.0) * 0.25, abs=1e-6)
     pump = fr.run_pump_sweep(cfg, mode="analytic", pairs_per_point=2_000)
     assert pump.columns["visibility"][0] == pytest.approx(0.25, abs=1e-9)
-    np.testing.assert_allclose(pump.columns["visibility"], pump.columns["cf_sampled"], atol=0.01)
+    np.testing.assert_allclose(
+        pump.columns["visibility"], pump.columns["cf_analytic"], rtol=0, atol=1e-12
+    )
+
+
+def test_analytic_chsh_is_the_closed_form_under_pump_jitter():
+    # S = 2 sqrt(2) gamma_A gamma_B exp(-2 pi^2 sigma_p^2 t_sl^2), with no error bar
+    cfg = fr.load_config(CONFIGS / "pump_jitter.json")
+    sigma_p, t_sl = cfg.source.pump_linewidth * FWHM_TO_SIGMA, cfg.umzi_a.t_sl
+    gamma2 = cfg.umzi_a.gamma * cfg.umzi_b.gamma
+    expected = 2.0 * math.sqrt(2.0) * gamma2 * math.exp(-2.0 * math.pi**2 * (sigma_p * t_sl) ** 2)
+    run = fr.run_chsh(cfg, mode="analytic")
+    assert sigma_p > 0 and cfg.umzi_b.t_sl == t_sl
+    assert run.s_value == pytest.approx(expected, rel=0, abs=1e-12)
+    assert run.s_err == 0.0
 
 
 def test_scan_points_draw_from_tuple_keys():
-    # point k of a fringe scan draws its pairs from the stream (KIND_FRINGE, k)
+    # point k of a Monte Carlo fringe scan runs the pipeline on the stream (KIND_FRINGE, k)
     cfg = ideal_config(n_points=8, pairs_per_point=500)
     cfg = replace(cfg, source=replace(cfg.source, pump_linewidth=2e9))
-    res = fr.run_fringe_scan(cfg, mode="analytic")
-    pairs = sample_pairs(cfg.source, 500, cfg.seed, stream=(KIND_FRINGE, 3))
+    res = fr.run_fringe_scan(cfg, mode="montecarlo")
     psi = cfg.umzi_b.phase
-    cfg_a, cfg_b = replace(cfg.umzi_a, phase=res.x[3] - psi), replace(cfg.umzi_b, phase=psi)
-    assert res.columns["stderr_55"][3] == pair_fringe(pairs, cfg_a, cfg_b).stderr[0, 0] > 0
+    for k in (0, 3):
+        hist = simulate_point(cfg, (KIND_FRINGE, k), 500, res.x[k] - psi, psi)[3]
+        for a, pa in enumerate((5, 6)):
+            for b, pb in enumerate((5, 6)):
+                assert res.columns[f"rate_{pa}{pb}"][k] == hist.central[a, b] / 500
 
 
 def test_simulate_point_returns_the_whole_pipeline():
@@ -306,12 +326,15 @@ def _at_pair_rate(cfg, pair_rate):
     return fr.parse_config(json.dumps(raw))
 
 
-def _without_hash(result):
+def _without_provenance(result, keys=("config_hash",)):
+    """``result``'s summary and CSV lines without the given provenance keys."""
     summary = result.to_summary_dict()
-    summary.pop("config_hash")
+    for key in keys:
+        summary.pop(key)
     if not hasattr(result, "to_csv_text"):  # a ChshRun writes no CSV
         return summary
-    csv = [line for line in result.to_csv_text().splitlines() if not line.startswith("# config_hash=")]
+    headers = tuple(f"# {key}=" for key in keys)
+    csv = [line for line in result.to_csv_text().splitlines() if not line.startswith(headers)]
     return summary, csv
 
 
@@ -333,7 +356,61 @@ def test_analytic_runners_never_read_pair_times(runner):
     cfg = ideal_config(n_points=8, pairs_per_point=2_000)
     far = _at_pair_rate(cfg, 1e-3)
     assert config_hash(far) != config_hash(cfg)
-    assert _without_hash(runner(far)) == _without_hash(runner(cfg))
+    assert _without_provenance(runner(far)) == _without_provenance(runner(cfg))
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        lambda cfg: fr.run_fringe_scan(cfg, mode="analytic"),
+        lambda cfg: fr.run_chsh(cfg, mode="analytic"),
+        lambda cfg: fr.run_pump_sweep(cfg, mode="analytic", n_points=8, pairs_per_point=2_000),
+        lambda cfg: fr.run_tau_decay(cfg, mode="analytic"),
+    ],
+    ids=["fringe-scan", "chsh", "pump", "tau-decay"],
+)
+@pytest.mark.parametrize("config", ["ideal.json", "pump_jitter.json"])
+def test_analytic_runners_draw_no_pairs_and_do_not_depend_on_the_seed(runner, config, monkeypatch):
+    # analytic mode is the exact ensemble expectation: no product depends on
+    # a draw, so none is made and only the provenance tells two seeds apart
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a pair was drawn")
+
+    for module in (experiment, correlation, interferometer):
+        monkeypatch.setattr(module, "sample_pairs", no_draws)
+    cfg = fr.load_config(CONFIGS / config)
+    first, *others = (
+        _without_provenance(runner(replace(cfg, seed=seed)), ("config_hash", "seed"))
+        for seed in (1, 2, 7)
+    )
+    assert all(other == first for other in others)
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        fr.run_local_scan,
+        lambda cfg: fr.run_pump_sweep(
+            cfg, linewidths=[0.0, 5e9], mode="montecarlo", n_points=8, pairs_per_point=500
+        ),
+    ],
+    ids=["local-scan", "pump"],
+)
+def test_montecarlo_points_free_the_previous_points_pipeline(runner, monkeypatch):
+    # when point k enters the pipeline, point k-1's pairs, tag streams and
+    # histogram are already gone: a scan holds one point's pipeline at a time
+    alive = []
+
+    def tracked(*args, **kwargs):
+        assert [ref() for ref in alive] == [None] * len(alive), "a previous point is still held"
+        out = real(*args, **kwargs)
+        alive.extend(weakref.ref(obj) for obj in out)
+        return out
+
+    real = experiment.simulate_point
+    monkeypatch.setattr(experiment, "simulate_point", tracked)
+    runner(ideal_config(n_points=8, pairs_per_point=500))
+    assert len(alive) == 4 * (8 if runner is fr.run_local_scan else 16)
 
 
 @pytest.mark.parametrize(
