@@ -9,7 +9,7 @@ LS at tau = +t_sl^A (``side_offset_a``) and SL at tau = -t_sl^B
 time; a block's matches form one list, run after run, and the list is
 binned and tallied a slice at a time.  This holds O(SWEEP_BATCH) memory
 whatever the number of tags and matches, and does O(N_A log N_B + matches)
-work.  Only (party, port, time) are used; diagnostic tag fields never enter.
+work.  A tag is (party, port, time), all that a detector reports.
 
 All times are integer picoseconds.
 """

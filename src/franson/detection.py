@@ -1,7 +1,7 @@
 """Stochastic detection: per-pair outcomes to time-tag streams.
 
 Each emitted pair's outcome is drawn in factorized form from its own block
-of uniforms (see :func:`simulate_tags` for the column layout):
+of uniforms (see :func:`_detect` for the column layout):
 
 * path bits: ``b_A`` and ``b_B`` are independent fair bits.  Equal bits are
   the central branch, labelled (b, b); (0, 1) is SL and (1, 0) is LS, so each
@@ -20,9 +20,9 @@ port pair and 1/16 per side cell.  Detection times are assembled as
 
 The central (b, b) label is pure bookkeeping: the two assignments are
 physically indistinguishable, t0 is itself random, and no observable depends
-on the split.  Branch and pair id are carried only as diagnostic fields
-behind an explicit oracle accessor; the correlator-facing view is
-(party, port, time).
+on the split.  A tag stream holds what a detector sees, a port and a time
+per tag; the party is the stream's position.  Checks that need to know which
+tags came from one pair read the per-pair step, :func:`_detect`.
 
 Emission times arrive in int64 picoseconds and every other term is rounded
 onto that grid, so histograms, dumps and replays reproduce on any platform.
@@ -77,59 +77,35 @@ class TagStream:
     """Time-sorted detection events of one party; which party is the
     stream's position, A first, wherever streams are passed or returned.
 
-    Public arrays: ``port`` (5 or 6) and ``time_ps``.  A simulated stream
-    also carries the branch and pair id of each tag, sorted by (time, pair
-    id) and reachable only through :meth:`diagnostics`; correlator results
-    must not change without them.  A stream built without them is sorted by
-    time alone, stably.
+    Public arrays, one entry per tag: ``port`` (uint8, 5 or 6) and
+    ``time_ps`` (int64), sorted by time, stably, so tags of equal time keep
+    the order they were given in.
     """
 
-    def __init__(self, port, time_ps, diag_branch=None, diag_pair_id=None):
+    def __init__(self, port, time_ps):
         port = np.asarray(port)
+        time_ps = np.asarray(time_ps, dtype=np.int64)
+        if port.shape != time_ps.shape:
+            raise ValueError(f"port and time_ps differ in length, got {port.size} and {time_ps.size}")
         if not np.all((port == 5) | (port == 6)):
             raise ValueError("ports must be 5 or 6")
-        time_ps = np.asarray(time_ps, dtype=np.int64)
-        if diag_pair_id is None:
-            order = np.argsort(time_ps, kind="stable")
-            self._diag = None
-        else:
-            order = np.lexsort((np.asarray(diag_pair_id), time_ps))
-            self._diag = (
-                np.asarray(diag_branch, dtype=np.int8)[order],
-                np.asarray(diag_pair_id, dtype=np.int64)[order],
-            )
+        order = np.argsort(time_ps, kind="stable")
         self.port = port.astype(np.uint8, copy=False)[order]
         self.time_ps = time_ps[order]
 
     def __len__(self) -> int:
         return self.time_ps.size
 
-    def diagnostics(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Oracle accessor: (branch index, pair id) per tag, or None for a
-        stream built without them; tests only."""
-        return None if self._diag is None else tuple(a.copy() for a in self._diag)
-
     def port_counts(self) -> dict[int, int]:
         return {5: int(np.sum(self.port == 5)), 6: int(np.sum(self.port == 6))}
 
 
-def simulate_tags(
-    pairs: PairEnsemble,
-    cfg_a: UmziConfig,
-    cfg_b: UmziConfig,
-    det: DetectorModel,
-    seed: int,
-    stream=0,
-    envelope: float = 1.0,
-) -> tuple[TagStream, TagStream]:
-    """Detect a sampled ensemble; returns the streams of party A (the signal
-    photons, through ``cfg_a``) and party B (the idlers, through ``cfg_b``).
+def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0):
+    """The per-pair step of :func:`simulate_tags`, whose arguments it takes.
 
-    stream: the key path of the pairs (an int k is the path (k,)); the
-    detection draws come from its ROLE_DETECTION substream.
-    envelope: central-fringe envelope factor (imposed wavepacket offset
-    and/or pump-side degradations); the fringe visibility is
-    ``fringe_visibility(envelope, cfg_a, cfg_b)``.
+    Returns, in pair order, the branch (0 central, 1 SL, 2 LS) and each
+    party's ``(port, time_ps, kept)`` columns, A first; ``kept`` marks the
+    photons the detector registers.
 
     Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
@@ -155,10 +131,34 @@ def simulate_tags(
 
     t_a = t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
     t_b = t0_ps + to_picoseconds(eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
+    return branch, (port_a, t_a, keep_a), (port_b, t_b, keep_b)
 
-    stream_a = TagStream(port_a[keep_a], t_a[keep_a], branch[keep_a], pairs.ids[keep_a])
-    stream_b = TagStream(port_b[keep_b], t_b[keep_b], branch[keep_b], pairs.ids[keep_b])
-    return stream_a, stream_b
+
+def simulate_tags(
+    pairs: PairEnsemble,
+    cfg_a: UmziConfig,
+    cfg_b: UmziConfig,
+    det: DetectorModel,
+    seed: int,
+    stream=0,
+    envelope: float = 1.0,
+) -> tuple[TagStream, TagStream]:
+    """Detect a sampled ensemble; returns the streams of party A (the signal
+    photons, through ``cfg_a``) and party B (the idlers, through ``cfg_b``).
+
+    stream: the key path of the pairs (an int k is the path (k,)); the
+    detection draws come from its ROLE_DETECTION substream.
+    envelope: central-fringe envelope factor (imposed wavepacket offset
+    and/or pump-side degradations); the fringe visibility is
+    ``fringe_visibility(envelope, cfg_a, cfg_b)``.
+
+    Each stream holds its party's kept tags of :func:`_detect`, which are in
+    pair order, so tags of equal time stay in pair order.
+    """
+    _, (port_a, t_a, kept_a), (port_b, t_b, kept_b) = _detect(
+        pairs, cfg_a, cfg_b, det, seed, stream, envelope
+    )
+    return TagStream(port_a[kept_a], t_a[kept_a]), TagStream(port_b[kept_b], t_b[kept_b])
 
 
 def text_rows(columns, sep: int) -> np.ndarray:
@@ -217,16 +217,16 @@ def write_timetags(
     the header carries the seed and the config hash.
 
     The merged order is computed once; the records are then laid out and
-    written ``WRITE_CHUNK`` at a time, whole arrays per chunk.  Diagnostic
-    fields are deliberately not serialized.
+    written ``WRITE_CHUNK`` at a time, whole arrays per chunk.
     """
     parties = np.concatenate(
         [np.zeros(len(stream_a), dtype=np.int8), np.ones(len(stream_b), dtype=np.int8)]
     )
     ports = np.concatenate([stream_a.port, stream_b.port])
     times = np.concatenate([stream_a.time_ps, stream_b.time_ps])
-    # Each stream is already sorted by time, and lexsort is stable.
-    order = np.lexsort((parties, times))
+    # Each stream is already sorted by time, and A's tags come first: a stable
+    # sort puts A before B at equal times.
+    order = np.argsort(times, kind="stable")
 
     header = "\n".join(
         [
@@ -278,8 +278,6 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     size, not by the longest line.  A long line whose first byte is ``#`` is
     a comment, and its ``key=value`` does not enter the header; any other
     long line fails at its ``path:line``.
-
-    Loaded streams carry no diagnostics: a dump is correlator-facing.
     """
     header: dict[str, str] = {}
     # (port, time_ps) per block, for each party

@@ -396,6 +396,7 @@ def run_crossover_sweep(
         grid = np.geomspace(0.01, 100.0, 10)
     grid = np.asarray(grid, dtype=np.float64)
     _check_sweep("grid", grid, grid > 0.0, "> 0")
+    _check_sweep("grid", grid[1:], np.diff(grid) > 0.0, "strictly increasing")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 50_000))
     t_sl = cfg.umzi_a.t_sl
     vis = np.zeros(grid.size)
@@ -484,6 +485,7 @@ def run_pump_sweep(
         linewidths = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) / t_sl
     linewidths = np.asarray(linewidths, dtype=np.float64)
     _check_sweep("linewidths", linewidths, linewidths >= 0.0, ">= 0")
+    _check_sweep("linewidths", linewidths[1:], np.diff(linewidths) > 0.0, "strictly increasing")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 20_000))
 
     vis = np.zeros(linewidths.size)

@@ -6,6 +6,7 @@ detuning ``-df_j`` around the center frequency ``f0``, a shared pump-frequency
 jitter ``dp_j`` (which shifts both photons by ``dp_j / 2`` so only the sum
 frequency jitters), a Poisson emission time, and a small signal-idler
 relative delay ``eps_j``.  No global phase is drawn: it enters no observable.
+A pair is known by its index ``j`` in its stream alone; no id is stored.
 
 All spectral widths are full widths at half maximum (FWHM).  The single-photon
 detuning distribution has FWHM ``delta``; the pair relative delay has FWHM
@@ -89,29 +90,28 @@ class SpectralModel:
 class PairEnsemble:
     """A sampled sequence of photon pairs, stored column-wise.
 
-    Columns, one entry per pair: ids; df, the signal detuning (Hz, the idler
+    Columns, one entry per pair: df, the signal detuning (Hz, the idler
     carries -df); dp, the pump jitter (Hz, +dp/2 on both photons); t0_ps, the
     emission time (int64 picoseconds); eps, the signal-idler delay (s).  Pair
     ``j`` is a pure function of (model, seed, stream, start + j).
 
-    A hand-built ensemble holds all five columns from the start.  One from
-    :func:`sample_pairs` holds ids, df and dp, and computes t0_ps and eps
+    A hand-built ensemble holds all four columns from the start.  One from
+    :func:`sample_pairs` holds df and dp, and computes t0_ps and eps
     together the first time either is read, with their ``MAX_TIME_PS`` reach
     check: only coincidence timing reads them, so the crossover sweep, which
     reads only detunings, never pays for them.
     """
 
-    def __init__(self, ids, df, dp, t0_ps, eps):
-        self.ids = np.asarray(ids, dtype=np.int64)
+    def __init__(self, df, dp, t0_ps, eps):
         self.df = np.asarray(df, dtype=np.float64)
         self.dp = np.asarray(dp, dtype=np.float64)
         self._times = (np.asarray(t0_ps, dtype=np.int64), np.asarray(eps, dtype=np.float64))
 
     @classmethod
-    def _with_pending_times(cls, ids, df, dp, pending) -> PairEnsemble:
+    def _with_pending_times(cls, df, dp, pending) -> PairEnsemble:
         """An ensemble whose (t0_ps, eps) ``pending()`` computes on first read."""
         pairs = cls.__new__(cls)
-        pairs.ids, pairs.df, pairs.dp, pairs._times = ids, df, dp, pending
+        pairs.df, pairs.dp, pairs._times = df, dp, pending
         return pairs
 
     def _time_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +163,9 @@ def sample_pairs(model: SpectralModel, n: int, seed: int, stream=0, start: int =
         dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
     if not (np.isfinite(df).all() and np.isfinite(dp).all()):
         raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
-    ids = np.arange(start, start + n, dtype=np.int64)
     # Compact copies of columns 2 and 3, so that the whole block goes now.
     u_eps, u_gap = u[:, 2].copy(), u[:, 3].copy()
-    return PairEnsemble._with_pending_times(ids, df, dp, lambda: _pair_times(model, u_eps, u_gap))
+    return PairEnsemble._with_pending_times(df, dp, lambda: _pair_times(model, u_eps, u_gap))
 
 
 def _pair_times(model: SpectralModel, u_eps, u_gap) -> tuple[np.ndarray, np.ndarray]:

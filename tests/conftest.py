@@ -23,11 +23,6 @@ def ideal_config(seed: int = 1, n_points: int = 16, pairs_per_point: int = 20_00
     )
 
 
-def blinded(stream: fr.TagStream) -> fr.TagStream:
-    """Copy of a tag stream without its diagnostic fields (branch, pair id)."""
-    return fr.TagStream(stream.port, stream.time_ps)
-
-
 def chi2_quantile(dof: int, alpha: float) -> float:
     """Upper-alpha quantile of chi^2 with dof degrees of freedom (Wilson-Hilferty)."""
     z = NormalDist().inv_cdf(1.0 - alpha)

@@ -15,13 +15,13 @@ import pytest
 
 import franson as fr
 from franson.correlation import fringe_term, pair_fringe
-from franson.correlator import correlate, sweep_matches, write_histogram_csv
-from franson.detection import simulate_tags
+from franson.correlator import sweep_matches
+from franson.detection import _detect
 from franson.experiment import simulate_point
 from franson.interferometer import local_intensities
 from franson.source import PairEnsemble, sample_pairs
 
-from conftest import blinded, ideal_config
+from conftest import ideal_config
 
 ACCEPT_SEED = 20260810
 
@@ -46,13 +46,16 @@ def mc_fringe(cfg):
 
 @pytest.fixture(scope="session")
 def phase_points(cfg):
-    """Eight full pipeline runs across one fringe period, with diagnostics."""
+    """Eight full pipeline runs across one fringe period, each with the
+    per-pair detection step that its tags were built from."""
     points = []
     for k, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)):
         pairs, tags_a, tags_b, hist = simulate_point(
             cfg, stream=900_000 + k, n_pairs=cfg.scan.pairs_per_point, phase_a=theta, phase_b=0.0
         )
-        points.append((theta, tags_a, tags_b, hist))
+        cfg_a, cfg_b = replace(cfg.umzi_a, phase=float(theta)), replace(cfg.umzi_b, phase=0.0)
+        per_pair = _detect(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=900_000 + k)
+        points.append((per_pair, tags_a, tags_b, hist))
     return points
 
 
@@ -104,19 +107,19 @@ def test_criterion_4_coincidence_selection(cfg, phase_points):
     w_ps = 10
     n = cfg.scan.pairs_per_point
     side_totals = {pp: [] for pp in PORT_PAIRS}
-    for theta, tags_a, tags_b, hist in phase_points:
-        # diagnostic cross-check: same-pair events inside the central window
+    for per_pair, tags_a, tags_b, hist in phase_points:
+        # per-pair cross-check: pairs with both tags inside the central window
         # must all be central-branch (no SL/LS leaks through post-selection)
-        branch_a, pid_a = tags_a.diagnostics()
-        branch_b, pid_b = tags_b.diagnostics()
-        accidentals = 0
-        for ia, ib in sweep_matches(tags_a.time_ps, tags_b.time_ps, -w_ps, w_ps):
-            same_pair = pid_a[ia] == pid_b[ib]
-            assert np.all(branch_a[ia][same_pair] == 0)
-            assert np.all(branch_b[ib][same_pair] == 0)
-            accidentals += int((~same_pair).sum())
-        # accidental (cross-pair) coincidences are rare background
-        assert accidentals < 30
+        branch, (_, t_a, kept_a), (_, t_b, kept_b) = per_pair
+        assert np.array_equal(np.sort(t_a[kept_a]), tags_a.time_ps)
+        assert np.array_equal(np.sort(t_b[kept_b]), tags_b.time_ps)
+        same_pair = kept_a & kept_b & (np.abs(t_a - t_b) <= w_ps)
+        assert np.all(branch[same_pair] == 0)
+        # the other window matches are accidental (cross-pair) coincidences,
+        # a rare background
+        window = sweep_matches(tags_a.time_ps, tags_b.time_ps, -w_ps, w_ps)
+        accidentals = sum(ia.size for ia, _ in window) - int(same_pair.sum())
+        assert 0 <= accidentals < 30
 
         # side peaks sit at tau = +-t_sl
         centers = hist.bin_centers_ps()
@@ -215,7 +218,7 @@ def test_criterion_8_tau_offset_decay(cfg):
     )
 
 
-def test_criterion_9_structural_invariants(cfg, tmp_path):
+def test_criterion_9_structural_invariants(cfg):
     # probability conservation and no-signaling at 1e-12 over a setting grid:
     # beside the eight side cells of 1/16, the central cells carry 1/2 and
     # each party's port marginal of them 1/4, whatever the remote phase
@@ -223,7 +226,7 @@ def test_criterion_9_structural_invariants(cfg, tmp_path):
     for phase_b in (0.0, 0.4, 2.0):
         cfg_b = replace(cfg.umzi_b, phase=phase_b)
         for pair_df, pair_dp in zip(df, dp):
-            one_pair = PairEnsemble([0], [pair_df], [pair_dp], [0], [0.0])
+            one_pair = PairEnsemble([pair_df], [pair_dp], [0], [0.0])
             rates = pair_fringe(one_pair, cfg.umzi_a, cfg_b, envelope=0.9).rates
             assert abs(rates.sum() - 0.5) <= 1e-12
             np.testing.assert_allclose(rates.sum(axis=1), 0.25, atol=1e-12)
@@ -240,23 +243,7 @@ def test_criterion_9_structural_invariants(cfg, tmp_path):
     rerun_a = fr.run_fringe_scan(small, mode="montecarlo")
     rerun_b = fr.run_fringe_scan(small, mode="montecarlo")
     assert rerun_a.to_csv_text().encode() == rerun_b.to_csv_text().encode()
-
-    # correlator blindness: byte-identical histogram dumps with diagnostics zeroed
-    pairs = sample_pairs(cfg.source, 20_000, seed=ACCEPT_SEED, stream=55)
-    tags_a, tags_b = simulate_tags(
-        pairs, cfg.umzi_a, cfg.umzi_b, cfg.detector, seed=ACCEPT_SEED, stream=55
-    )
-    h1 = correlate(tags_a, tags_b, cfg.correlator)
-    h2 = correlate(blinded(tags_a), blinded(tags_b), cfg.correlator)
-    f1, f2 = tmp_path / "h1.csv", tmp_path / "h2.csv"
-    write_histogram_csv(h1, f1, ACCEPT_SEED, "x")
-    write_histogram_csv(h2, f2, ACCEPT_SEED, "x")
-    assert f1.read_bytes() == f2.read_bytes()
-    report(
-        9,
-        "conservation and no-signaling at 1e-12, "
-        "I5+I6 = 1 at 1e-12, byte-identical reruns, correlator blind to diagnostics",
-    )
+    report(9, "conservation and no-signaling at 1e-12, I5+I6 = 1 at 1e-12, byte-identical reruns")
 
 
 def test_criterion_10_chsh(cfg):

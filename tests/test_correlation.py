@@ -38,7 +38,7 @@ def model(delta=1e12, pump=0.0):
 
 def one_pair_rates(df, dp, cfg_a, cfg_b, envelope=1.0):
     """The (2, 2) central rates of the single pair (df, dp)."""
-    return pair_fringe(PairEnsemble([0], [df], [dp], [0], [0.0]), cfg_a, cfg_b, envelope).rates
+    return pair_fringe(PairEnsemble([df], [dp], [0], [0.0]), cfg_a, cfg_b, envelope).rates
 
 
 # ---------------------------------------------------------------------------

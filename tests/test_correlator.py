@@ -1,4 +1,4 @@
-"""Coincidence correlator: matching oracle, windows, complexity, blindness."""
+"""Coincidence correlator: matching oracle, windows, complexity."""
 
 import math
 import tracemalloc
@@ -22,7 +22,6 @@ from franson.experiment import simulate_point
 from franson.interferometer import UmziConfig
 from franson.source import SpectralModel, sample_pairs
 
-from conftest import blinded
 
 SIDES = {"side_offset_a": 100e-12, "side_offset_b": 100e-12}
 CFG = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
@@ -317,15 +316,6 @@ def test_candidate_comparisons_stay_linear():
     hist = correlate(stream(t_a), stream(t_b), CFG)
     assert hist.n_matches == matches
     assert hist.n_comparisons == t_a.size + matches <= len(t_a) + len(t_b) + hist.n_matches
-
-
-def test_correlator_is_blind_to_diagnostics():
-    tags_a, tags_b = _simulated_streams(n=20_000)
-    h1 = correlate(tags_a, tags_b, CFG)
-    h2 = correlate(blinded(tags_a), blinded(tags_b), CFG)
-    assert np.array_equal(h1.counts, h2.counts)
-    assert np.array_equal(h1.central, h2.central)
-    assert np.array_equal(h1.side_plus, h2.side_plus)
 
 
 def test_determinism():

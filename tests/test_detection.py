@@ -46,25 +46,21 @@ def clean_ensemble(n):
     """Pairs with eps = 0 and spaced emission times; exact tau arithmetic."""
     zeros = np.zeros(n)
     t0_ps = 10**6 * (1 + np.arange(n))
-    return PairEnsemble(np.arange(n), zeros, zeros, t0_ps, zeros)
+    return PairEnsemble(zeros, zeros, t0_ps, zeros)
 
 
-def branch_labels(stream):
-    idx, _ = stream.diagnostics()
-    return idx
+def per_pair(*args, **kwargs):
+    """The per-pair step of ``simulate_tags(*args, **kwargs)``, every tag kept:
+    (branch, port_a, port_b, tau = t_A - t_B), in pair order."""
+    branch, (port_a, t_a, kept_a), (port_b, t_b, kept_b) = detection._detect(*args, **kwargs)
+    assert kept_a.all() and kept_b.all()
+    return branch, port_a, port_b, t_a - t_b
 
 
 def test_central_branch_has_zero_delay_without_jitter():
     pairs = clean_ensemble(2_000)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), det, seed=1)
-    assert len(tags_a) == len(tags_b) == 2_000
-    # align by pair id
-    _, ids_a = tags_a.diagnostics()
-    _, ids_b = tags_b.diagnostics()
-    order_a, order_b = np.argsort(ids_a), np.argsort(ids_b)
-    tau = tags_a.time_ps[order_a] - tags_b.time_ps[order_b]
-    branches = branch_labels(tags_a)[order_a]
+    branches, _, _, tau = per_pair(pairs, umzi(), umzi(), det, seed=1)
     assert np.all(tau[branches == 0] == 0)
     assert np.all(tau[branches == 1] == -T_SL_PS)  # short at A, long at B
     assert np.all(tau[branches == 2] == +T_SL_PS)
@@ -75,13 +71,9 @@ def test_central_branch_has_zero_delay_without_jitter():
 def test_side_branch_delay_includes_eps():
     n = 500
     eps = np.full(n, 3e-12)
-    ens = PairEnsemble(np.arange(n), np.zeros(n), np.zeros(n), 10**6 * (1 + np.arange(n)), eps)
+    ens = PairEnsemble(np.zeros(n), np.zeros(n), 10**6 * (1 + np.arange(n)), eps)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(ens, umzi(), umzi(), det, seed=2)
-    _, ids_a = tags_a.diagnostics()
-    _, ids_b = tags_b.diagnostics()
-    tau = tags_a.time_ps[np.argsort(ids_a)] - tags_b.time_ps[np.argsort(ids_b)]
-    branches = branch_labels(tags_a)[np.argsort(ids_a)]
+    branches, _, _, tau = per_pair(ens, umzi(), umzi(), det, seed=2)
     assert np.all(tau[branches == 1] == -T_SL_PS - 3)
     assert np.all(tau[branches == 2] == +T_SL_PS - 3)
 
@@ -91,10 +83,7 @@ def test_half_of_all_pairs_are_centrally_coincident():
     mdl = model()
     pairs = sample_pairs(mdl, 100_000, seed=3)
     det = DetectorModel(jitter=2e-12, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), det, seed=3)
-    _, ids_a = tags_a.diagnostics()
-    _, ids_b = tags_b.diagnostics()
-    tau = tags_a.time_ps[np.argsort(ids_a)] - tags_b.time_ps[np.argsort(ids_b)]
+    _, _, _, tau = per_pair(pairs, umzi(), umzi(), det, seed=3)
     inside = np.abs(tau) < T_SL_PS / 10
     n = len(pairs)
     sigma = 0.5 / math.sqrt(n)
@@ -105,13 +94,8 @@ def test_branch_probabilities_follow_the_joint_phase():
     # at joint phase 0 all central events sit in the equal-port pairs
     pairs = clean_ensemble(20_000)
     det = DetectorModel(jitter=0.0, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(pairs, umzi(0.0), umzi(0.0), det, seed=4)
-    branches = branch_labels(tags_a)
-    _, ids_a = tags_a.diagnostics()
-    _, ids_b = tags_b.diagnostics()
-    ports_a = tags_a.port[np.argsort(ids_a)]
-    ports_b = tags_b.port[np.argsort(ids_b)]
-    central = branch_labels(tags_a)[np.argsort(ids_a)] == 0
+    branches, ports_a, ports_b, _ = per_pair(pairs, umzi(0.0), umzi(0.0), det, seed=4)
+    central = branches == 0
     assert np.all(ports_a[central] == ports_b[central])
 
 
@@ -147,21 +131,18 @@ def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gam
     assume(np.all(impossible | (expected >= 5.0)))
 
     det = DetectorModel(jitter=0.0, efficiency=1.0)
-    tags_a, tags_b = simulate_tags(clean_ensemble(n), cfg_a, cfg_b, det, seed=12, envelope=envelope)
-    (branch_a, ids_a), (branch_b, ids_b) = tags_a.diagnostics(), tags_b.diagnostics()
-    order_a, order_b = np.argsort(ids_a), np.argsort(ids_b)
-    branch = branch_a[order_a]
-    assert np.array_equal(branch, branch_b[order_b])
+    branch, port_a, port_b, tau = per_pair(
+        clean_ensemble(n), cfg_a, cfg_b, det, seed=12, envelope=envelope
+    )
     # the branch label is the one the delays show: SL at -t_sl^B, LS at +t_sl^A,
     # central at 0 (S-S) or t_sl^A - t_sl^B (L-L)
-    tau = tags_a.time_ps[order_a] - tags_b.time_ps[order_b]
     central = branch == 0
     assert np.array_equal(tau[~central], np.array([0, -t_sl_b_ps, T_SL_PS])[branch[~central]])
     assert np.all((tau[central] == 0) | (tau[central] == T_SL_PS - t_sl_b_ps))
 
     # 12-cell frequencies: index port_a * 6 + port_b * 3 + branch, as in .ravel()
-    port_a = tags_a.port[order_a].astype(np.int64) - 5
-    port_b = tags_b.port[order_b].astype(np.int64) - 5
+    port_a = port_a.astype(np.int64) - 5
+    port_b = port_b.astype(np.int64) - 5
     counts = np.bincount(port_a * 6 + port_b * 3 + branch, minlength=12)
     possible = ~impossible
     assert np.all(counts[impossible] == 0)
@@ -183,9 +164,8 @@ def test_efficiency_scales_singles_and_coincidences():
     sigma_singles = math.sqrt(n * eta * (1 - eta))
     assert abs(len(tags_a) - eta * n) < 3.0 * sigma_singles
     assert abs(len(tags_b) - eta * n) < 3.0 * sigma_singles
-    _, ids_a = tags_a.diagnostics()
-    _, ids_b = tags_b.diagnostics()
-    both = np.intersect1d(ids_a, ids_b).size
+    _, (_, _, kept_a), (_, _, kept_b) = detection._detect(pairs, umzi(), umzi(), det, seed=5)
+    both = np.count_nonzero(kept_a & kept_b)
     sigma_coinc = math.sqrt(n * eta**2 * (1 - eta**2))
     assert abs(both - eta**2 * n) < 3.0 * sigma_coinc
 
@@ -202,13 +182,32 @@ def test_streams_are_time_sorted_and_deterministic():
 
 
 def test_simulate_tags_can_drop_tags():
-    det = DetectorModel(jitter=0.0, efficiency=0.4)
-    tags_a, tags_b = simulate_tags(clean_ensemble(400), umzi(), umzi(), det, seed=9)
-    _, ids_a = tags_a.diagnostics()
-    _, ids_b = tags_b.diagnostics()
-    counts = np.bincount(ids_a, minlength=400) + np.bincount(ids_b, minlength=400)
-    assert set(counts.tolist()) <= {0, 1, 2}
+    args = (clean_ensemble(400), umzi(), umzi(), DetectorModel(jitter=0.0, efficiency=0.4))
+    tags_a, tags_b = simulate_tags(*args, seed=9)
+    _, (_, _, kept_a), (_, _, kept_b) = detection._detect(*args, seed=9)
+    assert (len(tags_a), len(tags_b)) == (kept_a.sum(), kept_b.sum())
+    counts = kept_a.astype(int) + kept_b  # tags per pair
+    assert set(counts.tolist()) == {0, 1, 2}
     assert np.mean(counts) == pytest.approx(2 * 0.4, abs=0.1)
+
+
+def test_simulated_streams_are_the_kept_tags_stably_sorted_by_time():
+    # equal emission times, no pair delay and no jitter: each party's tags tie
+    # at two times, short path and long, and only pair order ranks a tie
+    n = 1_000
+    pairs = PairEnsemble(np.zeros(n), np.zeros(n), np.full(n, 5_000), np.zeros(n))
+    args = (pairs, umzi(), umzi(), DetectorModel(jitter=0.0, efficiency=0.7))
+    _, *parties = detection._detect(*args, seed=13)
+    for stream, (port, time_ps, kept) in zip(simulate_tags(*args, seed=13), parties):
+        assert np.unique(stream.time_ps).tolist() == [5_000, 5_000 + T_SL_PS]
+        # the order of a sort by time, then by pair index
+        order = np.lexsort((np.flatnonzero(kept), time_ps[kept]))
+        assert np.array_equal(stream.time_ps, time_ps[kept][order])
+        assert np.array_equal(stream.port, port[kept][order])
+        # a tag is its port and its time, 9 bytes, and nothing else
+        assert vars(stream).keys() == {"port", "time_ps"}
+        assert (stream.port.dtype, stream.time_ps.dtype) == (np.uint8, np.int64)
+        assert stream.port.nbytes + stream.time_ps.nbytes == 9 * len(stream)
 
 
 def test_timetag_dump_round_trips_exactly(tmp_path):
@@ -224,13 +223,11 @@ def test_timetag_dump_round_trips_exactly(tmp_path):
     assert np.array_equal(got_a.port, tags_a.port)
     assert np.array_equal(got_b.time_ps, tags_b.time_ps)
     assert np.array_equal(got_b.port, tags_b.port)
-    # the dump is correlator-facing: loaded streams carry no diagnostics
-    assert got_a.diagnostics() is None and got_b.diagnostics() is None
 
 
 def test_loaded_streams_keep_only_port_and_time(tmp_path):
     # what the reader leaves allocated is its streams' ports and times, with
-    # no per-tag diagnostic arrays beside them
+    # no other per-tag arrays beside them
     pairs = sample_pairs(model(), 200_000, seed=12)
     tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), DetectorModel(), seed=12)
     path = tmp_path / "tags.dat"
@@ -276,8 +273,7 @@ def test_read_timetags_rejects_foreign_files(tmp_path):
 
 
 def hand_stream(ports, times):
-    ids = np.arange(len(times))
-    return TagStream(np.asarray(ports), np.asarray(times, dtype=np.int64), ids * 0, ids)
+    return TagStream(np.asarray(ports), np.asarray(times, dtype=np.int64))
 
 
 def test_the_party_of_a_dumped_stream_is_its_position(tmp_path):
@@ -325,9 +321,14 @@ def test_empty_dump_and_missing_final_newline_read(tmp_path):
 @pytest.mark.parametrize("port", [0, 261])
 def test_tag_streams_reject_ports_other_than_5_and_6(port):
     # 261 would wrap to 5 in the uint8 cast, and port 0 would fail only inside correlate
-    for diag in ((), ([0, 0], [0, 1])):
-        with pytest.raises(ValueError, match="ports must be 5 or 6"):
-            TagStream([port, 5], [0, 1], *diag)
+    with pytest.raises(ValueError, match="ports must be 5 or 6"):
+        TagStream([port, 5], [0, 1])
+
+
+@pytest.mark.parametrize("ports, times", [([5, 6, 5], [1, 2]), ([5], [3, 1, 2])])
+def test_tag_streams_reject_ports_and_times_of_different_lengths(ports, times):
+    with pytest.raises(ValueError, match=rf"differ in length, got {len(ports)} and {len(times)}$"):
+        TagStream(ports, times)
 
 
 def test_write_timetags_rejects_records_the_reader_would():

@@ -297,6 +297,9 @@ def test_counts_below_their_minimum_are_rejected(runner, kwargs):
         runner(ideal_config(pairs_per_point=100), **kwargs)
 
 
+RISE = "must be strictly increasing"
+
+
 @pytest.mark.parametrize(
     "runner, kwargs, message",
     [
@@ -305,11 +308,16 @@ def test_counts_below_their_minimum_are_rejected(runner, kwargs):
         (fr.run_crossover_sweep, {"grid": [-1.0, 0.0, 1.0]}, "grid must be > 0, got -1"),
         (fr.run_crossover_sweep, {"grid": [1.0, 0.0]}, "grid must be > 0, got 0"),
         (fr.run_crossover_sweep, {"grid": [math.nan, 1.0]}, "grid must be > 0, got nan"),
+        (fr.run_pump_sweep, {"linewidths": [1e9, 0.0]}, f"linewidths {RISE}, got 0"),
+        (fr.run_pump_sweep, {"linewidths": [0.0, 1e9, 1e9]}, f"linewidths {RISE}, got 1e+09"),
+        (fr.run_crossover_sweep, {"grid": [1.0, 0.5, 2.0]}, f"grid {RISE}, got 0.5"),
+        (fr.run_crossover_sweep, {"grid": [1.0, 2.0, 2.0]}, f"grid {RISE}, got 2"),
     ],
 )
 def test_sweep_values_the_config_rejects_fail_before_any_draw(runner, kwargs, message, monkeypatch):
     # a negative pump linewidth or a non-positive delta * t_sl fails to parse
-    # as a config value, so a sweep must not run it either
+    # as a config value, so a sweep must not run it either; and a sweep's
+    # values are its result's x axis, which must strictly increase
     def no_draws(*args, **kwargs):
         raise AssertionError("a pair was drawn")
 

