@@ -22,7 +22,7 @@ from . import __version__
 from . import rng as rng_mod
 from .config import RunConfig, config_hash, load_config
 from .correlator import correlate, write_histogram_csv
-from .detection import read_timetags, simulate_tags, write_timetags
+from .detection import read_timetags, simulate_run, write_timetag_chunks
 from .experiment import (
     ScanResult,
     run_chsh,
@@ -31,7 +31,6 @@ from .experiment import (
     run_local_scan,
     run_tau_decay,
 )
-from .source import sample_pairs
 
 
 def _finite_or_null(value):
@@ -88,11 +87,10 @@ def _cmd_timetags(args) -> RunConfig:
         raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     cfg = _load(args)
     n_pairs = args.pairs if args.pairs is not None else cfg.scan.pairs_per_point
-    pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=rng_mod.KIND_TIMETAGS)
-    tags_a, tags_b = simulate_tags(
-        pairs, cfg.umzi_a, cfg.umzi_b, cfg.detector, cfg.seed, stream=rng_mod.KIND_TIMETAGS
+    chunks = simulate_run(
+        cfg.source, cfg.umzi_a, cfg.umzi_b, cfg.detector, n_pairs, cfg.seed, rng_mod.KIND_TIMETAGS
     )
-    write_timetags(args.out / "timetags.dat", tags_a, tags_b, cfg.seed, config_hash(cfg))
+    write_timetag_chunks(args.out / "timetags.dat", chunks, cfg.seed, config_hash(cfg))
     return cfg
 
 

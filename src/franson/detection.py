@@ -26,18 +26,36 @@ tags came from one pair read the per-pair step, :func:`_detect`.
 
 Emission times arrive in int64 picoseconds and every other term is rounded
 onto that grid, so histograms, dumps and replays reproduce on any platform.
+
+A dump is made ``WRITE_CHUNK`` pairs at a time (:func:`simulate_run`): each
+chunk of pairs continues the previous one's emission times, and
+:func:`write_timetag_chunks` writes the tags that no later chunk can precede
+and holds back the rest.  Its working memory is a chunk and the tags held,
+whatever the run length, and its bytes are those of the whole run sampled,
+detected and written at once.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .correlation import fringe_term
 from .interferometer import UmziConfig
 from .rng import MAX_ABS_NORMAL, ROLE_DETECTION, item_uniforms, normal_quantile, stream_key
-from .source import MAX_TIME_PS, PS_PER_S, PairEnsemble, to_picoseconds
+from .source import (
+    FWHM_TO_SIGMA,
+    MAX_TIME_PS,
+    PS_PER_S,
+    PairEnsemble,
+    SpectralModel,
+    sample_pairs,
+    to_picoseconds,
+)
 
 TIMETAG_MAGIC = "# franson-timetags v1"
 
@@ -47,8 +65,8 @@ _NEWLINE, _SPACE, _HASH, _MINUS, _ZERO, _A, _B = b"\n #-0AB"
 _PARTIES = np.array([_A, _B], dtype=np.uint8)
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
-# Records laid out per write, and bytes per read: the dump I/O's working
-# memory is bounded by these, not by the file.
+# Pairs simulated and records laid out per write, and bytes per read: the
+# dump I/O's working memory is bounded by these, not by the file.
 WRITE_CHUNK = 2**16
 READ_BLOCK = 2**20
 
@@ -79,12 +97,17 @@ class TagStream:
 
     Public arrays, one entry per tag: ``port`` (uint8, 5 or 6) and
     ``time_ps`` (int64), sorted by time, stably, so tags of equal time keep
-    the order they were given in.
+    the order they were given in.  A time that the int64 cast would change
+    is rejected.
     """
 
     def __init__(self, port, time_ps):
         port = np.asarray(port)
-        time_ps = np.asarray(time_ps, dtype=np.int64)
+        given = np.asarray(time_ps)
+        with np.errstate(invalid="ignore"):  # a cast that changes a value fails below
+            time_ps = given.astype(np.int64, copy=False)
+        if given.dtype != np.int64 and (changed := time_ps != given).any():
+            raise ValueError(f"time_ps must be integer picoseconds, got {given[changed][0]}")
         if port.shape != time_ps.shape:
             raise ValueError(f"port and time_ps differ in length, got {port.size} and {time_ps.size}")
         if not np.all((port == 5) | (port == 6)):
@@ -100,7 +123,7 @@ class TagStream:
         return {5: int(np.sum(self.port == 5)), 6: int(np.sum(self.port == 6))}
 
 
-def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0):
+def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0, start=0):
     """The per-pair step of :func:`simulate_tags`, whose arguments it takes.
 
     Returns, in pair order, the branch (0 central, 1 SL, 2 LS) and each
@@ -115,7 +138,7 @@ def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0):
     # and its kept uniforms go first; a bad envelope fails in fringe_term.
     t0_ps, eps = pairs.t0_ps, pairs.eps
     fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
-    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 8)
+    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 8, start=start)
     b_a = u[:, 0] < 0.5
     b_b = u[:, 1] < 0.5
     # central 0 for equal bits, SL 1 for (0, 1), LS 2 for (1, 0)
@@ -142,6 +165,7 @@ def simulate_tags(
     seed: int,
     stream=0,
     envelope: float = 1.0,
+    start: int = 0,
 ) -> tuple[TagStream, TagStream]:
     """Detect a sampled ensemble; returns the streams of party A (the signal
     photons, through ``cfg_a``) and party B (the idlers, through ``cfg_b``).
@@ -151,14 +175,54 @@ def simulate_tags(
     envelope: central-fringe envelope factor (imposed wavepacket offset
     and/or pump-side degradations); the fringe visibility is
     ``fringe_visibility(envelope, cfg_a, cfg_b)``.
+    start: the stream index of the ensemble's first pair, as given to
+    :func:`franson.source.sample_pairs`; pair j takes detection item start + j.
 
     Each stream holds its party's kept tags of :func:`_detect`, which are in
     pair order, so tags of equal time stay in pair order.
     """
     _, (port_a, t_a, kept_a), (port_b, t_b, kept_b) = _detect(
-        pairs, cfg_a, cfg_b, det, seed, stream, envelope
+        pairs, cfg_a, cfg_b, det, seed, stream, envelope, start
     )
     return TagStream(port_a[kept_a], t_a[kept_a]), TagStream(port_b[kept_b], t_b[kept_b])
+
+
+def simulate_run(
+    model: SpectralModel,
+    cfg_a: UmziConfig,
+    cfg_b: UmziConfig,
+    det: DetectorModel,
+    n_pairs: int,
+    seed: int,
+    stream=0,
+):
+    """Sample and detect pairs 0 .. n_pairs-1 of ``stream`` ``WRITE_CHUNK``
+    at a time; yields each chunk's ``(stream_a, stream_b, watermark_ps)`` for
+    :func:`write_timetag_chunks`, the last chunk's watermark None.
+
+    Each chunk's emission times continue the previous chunk's, and the reach
+    check covers the run's absolute times, so the chunks' pairs and tags are
+    those of one ``sample_pairs`` and ``simulate_tags`` call on the whole run.
+    No tag precedes its pair's emission time by more than its pair delay and
+    jitter, each at most ``MAX_ABS_NORMAL`` sigma and rounded to the
+    picosecond (one of slack), and emission times never decrease: no later
+    tag lies below the next chunk's first emission time less that bound.
+    """
+    # No tag lies below -2 * MAX_TIME_PS, so a larger bound would change nothing.
+    sigma_ps = (FWHM_TO_SIGMA / model.delta + det.jitter) * PS_PER_S
+    early_ps = math.ceil(min(MAX_ABS_NORMAL * sigma_ps, 2 * MAX_TIME_PS)) + 1
+    tags, origin_ps = None, 0
+    for start in range(0, n_pairs, WRITE_CHUNK):
+        n = min(WRITE_CHUNK, n_pairs - start)
+        pairs = sample_pairs(
+            model, n, seed, stream, start=start, origin_ps=origin_ps, run_pairs=n_pairs
+        )
+        if tags is not None:
+            yield (*tags, int(pairs.t0_ps[0]) - early_ps)
+        tags = simulate_tags(pairs, cfg_a, cfg_b, det, seed, stream, start=start)
+        origin_ps = int(pairs.t0_ps[-1])
+    if tags is not None:
+        yield (*tags, None)
 
 
 def text_rows(columns, sep: int) -> np.ndarray:
@@ -212,22 +276,23 @@ def text_rows(columns, sep: int) -> np.ndarray:
 def write_timetags(
     path, stream_a: TagStream, stream_b: TagStream, seed: int, config_hash: str
 ) -> None:
-    """Dump both streams, merged and time-sorted: one ``party port time_ps``
-    record per line, party ``A`` for ``stream_a`` and ``B`` for ``stream_b``;
-    the header carries the seed and the config hash.
+    """Dump both streams: :func:`write_timetag_chunks` of them as one chunk."""
+    write_timetag_chunks(path, [(stream_a, stream_b, None)], seed, config_hash)
 
-    The merged order is computed once; the records are then laid out and
-    written ``WRITE_CHUNK`` at a time, whole arrays per chunk.
+
+def write_timetag_chunks(path, chunks, seed: int, config_hash: str) -> None:
+    """Dump a run's tags, given as ``(stream_a, stream_b, watermark_ps)``
+    chunks in pair order: one ``party port time_ps`` record per line, party
+    ``A`` for ``stream_a`` and ``B`` for ``stream_b``, in time order, A
+    before B at equal times, then pair order; the header carries the seed and
+    the config hash.
+
+    No tag of a later chunk may lie below a chunk's ``watermark_ps`` (None
+    for the last chunk).  After each chunk, the tags so far below its
+    watermark are written, ``WRITE_CHUNK`` records per layout, and the rest
+    are held back for later chunks.  The dump is written beside ``path``
+    and renamed to it once whole, so a run that fails leaves none.
     """
-    parties = np.concatenate(
-        [np.zeros(len(stream_a), dtype=np.int8), np.ones(len(stream_b), dtype=np.int8)]
-    )
-    ports = np.concatenate([stream_a.port, stream_b.port])
-    times = np.concatenate([stream_a.time_ps, stream_b.time_ps])
-    # Each stream is already sorted by time, and A's tags come first: a stable
-    # sort puts A before B at equal times.
-    order = np.argsort(times, kind="stable")
-
     header = "\n".join(
         [
             TIMETAG_MAGIC,
@@ -236,12 +301,36 @@ def write_timetags(
             "# columns: party port time_ps",
         ]
     )
-    with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
-        for lo in range(0, order.size, WRITE_CHUNK):
-            rows = order[lo : lo + WRITE_CHUNK]
-            columns = (_PARTIES[parties[rows]], _ZERO + ports[rows], times[rows])
-            fh.write(text_rows(columns, _SPACE))
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    held = [(np.empty(0, np.uint8), np.empty(0, np.int64))] * 2  # (port, time_ps) per party
+    floor = -math.inf  # the last watermark: no tag to come may lie below it
+    try:
+        with open(part, "wb") as fh:
+            fh.write((header + "\n").encode("ascii"))
+            for stream_a, stream_b, watermark_ps in chunks:
+                # Held A, new A, held B, new B: each in (time, pair) order, so a
+                # stable sort by time puts A before B, then pair order, at equal times.
+                new = [(s.port, s.time_ps) for s in (stream_a, stream_b)]
+                runs = (held[0], new[0], held[1], new[1])
+                ports = np.concatenate([port for port, _ in runs])
+                times = np.concatenate([time_ps for _, time_ps in runs])
+                n_a = held[0][1].size + new[0][1].size
+                order = np.argsort(times, kind="stable")
+                if order.size and times[order[0]] < floor:
+                    raise ValueError(f"a chunk has tags below the previous watermark, {floor} ps")
+                floor = math.inf if watermark_ps is None else watermark_ps
+                n_out = np.count_nonzero(times < floor)
+                for lo in range(0, n_out, WRITE_CHUNK):
+                    rows = order[lo : min(lo + WRITE_CHUNK, n_out)]
+                    parties = _PARTIES[(rows >= n_a).view(np.uint8)]
+                    fh.write(text_rows((parties, _ZERO + ports[rows], times[rows]), _SPACE))
+                rest = order[n_out:]
+                held = [(ports[r], times[r]) for r in (rest[rest < n_a], rest[rest >= n_a])]
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _record_problem(line: str) -> str:

@@ -185,11 +185,18 @@ def _count(name: str, value: int | None, default: int, minimum: int = 1) -> int:
     return count
 
 
-def _check_sweep(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
-    """Reject a pump or crossover sweep's values unless ``ok`` holds for all
-    (a NaN fails any rule), naming the argument and the first bad value."""
-    if not ok.all():
-        raise ValueError(f"{name} must be {rule}, got {values[~ok][0]:g}")
+def _sweep_values(name: str, values, ok, rule: str) -> np.ndarray:
+    """A pump or crossover sweep's values as floats: at least one, each
+    passing ``ok`` (``rule`` in words; a NaN fails any rule), strictly
+    increasing.  Otherwise fails naming the argument and the first bad value."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise ValueError(f"{name} must hold at least one value")
+    rise = (values[1:], np.diff(values) > 0.0, "strictly increasing")
+    for got, good, why in ((values, ok(values), rule), rise):
+        if not good.all():
+            raise ValueError(f"{name} must be {why}, got {got[~good][0]:g}")
+    return values
 
 
 def _joint_phase_grid(n_points: int) -> np.ndarray:
@@ -394,9 +401,7 @@ def run_crossover_sweep(
     delta * t_sl, with the closed-form Gaussian curve alongside."""
     if grid is None:
         grid = np.geomspace(0.01, 100.0, 10)
-    grid = np.asarray(grid, dtype=np.float64)
-    _check_sweep("grid", grid, grid > 0.0, "> 0")
-    _check_sweep("grid", grid[1:], np.diff(grid) > 0.0, "strictly increasing")
+    grid = _sweep_values("grid", grid, lambda x: x > 0.0, "> 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 50_000))
     t_sl = cfg.umzi_a.t_sl
     vis = np.zeros(grid.size)
@@ -483,9 +488,7 @@ def run_pump_sweep(
     t_sl = cfg.umzi_a.t_sl
     if linewidths is None:
         linewidths = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) / t_sl
-    linewidths = np.asarray(linewidths, dtype=np.float64)
-    _check_sweep("linewidths", linewidths, linewidths >= 0.0, ">= 0")
-    _check_sweep("linewidths", linewidths[1:], np.diff(linewidths) > 0.0, "strictly increasing")
+    linewidths = _sweep_values("linewidths", linewidths, lambda x: x >= 0.0, ">= 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 20_000))
 
     vis = np.zeros(linewidths.size)

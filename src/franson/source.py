@@ -147,7 +147,15 @@ def _gaussian_from_uniform(u: np.ndarray, fwhm: float) -> np.ndarray:
     return z
 
 
-def sample_pairs(model: SpectralModel, n: int, seed: int, stream=0, start: int = 0) -> PairEnsemble:
+def sample_pairs(
+    model: SpectralModel,
+    n: int,
+    seed: int,
+    stream=0,
+    start: int = 0,
+    origin_ps: int = 0,
+    run_pairs: int | None = None,
+) -> PairEnsemble:
     """Sample pairs start .. start+n-1 of the stream keyed by (seed, stream).
 
     ``stream`` is a key path such as ``(KIND_FRINGE, point)``; an int k is
@@ -156,6 +164,10 @@ def sample_pairs(model: SpectralModel, n: int, seed: int, stream=0, start: int =
     detuning that overflows is rejected here.  The emission times and pair
     delays are computed when the ensemble's ``t0_ps`` or ``eps`` is first
     read (see :func:`_pair_times`), and the range's reach is checked then.
+
+    A run drawn in consecutive ranges passes each range the previous one's
+    last emission time as ``origin_ps``, and its pair count as ``run_pairs``
+    (``n`` by default), which the reach error names.
     """
     u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, 4, start=start)
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
@@ -165,27 +177,34 @@ def sample_pairs(model: SpectralModel, n: int, seed: int, stream=0, start: int =
         raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
     # Compact copies of columns 2 and 3, so that the whole block goes now.
     u_eps, u_gap = u[:, 2].copy(), u[:, 3].copy()
-    return PairEnsemble._with_pending_times(df, dp, lambda: _pair_times(model, u_eps, u_gap))
+    n_run = n if run_pairs is None else run_pairs
+    return PairEnsemble._with_pending_times(
+        df, dp, lambda: _pair_times(model, u_eps, u_gap, origin_ps, n_run)
+    )
 
 
-def _pair_times(model: SpectralModel, u_eps, u_gap) -> tuple[np.ndarray, np.ndarray]:
+def _pair_times(
+    model: SpectralModel, u_eps, u_gap, origin_ps: int, run_pairs: int
+) -> tuple[np.ndarray, np.ndarray]:
     """(t0_ps, eps) of the pairs whose eps and gap uniforms are ``u_eps`` and ``u_gap``.
 
-    Emission times sum whole-picosecond gaps from 0 across the range; a range
-    whose times and pair delays would reach ``MAX_TIME_PS`` is rejected
-    before any int cast.
+    Emission times sum whole-picosecond gaps from ``origin_ps`` across the
+    range, so a run's ranges continue each other exactly; a range whose
+    absolute times and pair delays would reach ``MAX_TIME_PS`` is rejected,
+    naming the ``run_pairs`` pairs of its run, before any int cast.
     """
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
         eps = _gaussian_from_uniform(u_eps, 1.0 / model.delta if model.delta > 0 else 0.0)
         gaps_ps = np.log(u_gap)
         gaps_ps *= -PS_PER_S / model.pair_rate
-        reach_ps = gaps_ps.sum() + np.abs(eps).max(initial=0.0) * PS_PER_S
+        reach_ps = origin_ps + gaps_ps.sum() + np.abs(eps).max(initial=0.0) * PS_PER_S
     if not reach_ps < MAX_TIME_PS:
         raise ValueError(
             f"source.pair_rate = {model.pair_rate:g} and source.delta = {model.delta:g} carry "
-            f"{len(u_gap)} pairs' emission times and delays to {reach_ps:.3g} ps, past 2**60 ps: "
+            f"{run_pairs} pairs' emission times and delays to {reach_ps:.3g} ps, past 2**60 ps: "
             "raise the rate or the bandwidth, or draw fewer pairs"
         )
     t0_ps = np.rint(gaps_ps, out=gaps_ps).astype(np.int64)
+    t0_ps[:1] += origin_ps
     np.cumsum(t0_ps, out=t0_ps)
     return t0_ps, eps

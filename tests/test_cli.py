@@ -2,17 +2,24 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import franson as fr
+from franson import detection
 from franson.cli import main
 from franson.correlator import correlate
 from franson.detection import simulate_tags
 from franson.rng import KIND_TIMETAGS
-from franson.source import sample_pairs
+from franson.source import SpectralModel, sample_pairs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 IDEAL = """
 {
@@ -83,6 +90,47 @@ def test_emission_reach_past_the_grid_fails_before_any_tag(source, tmp_path, cap
     err = capsys.readouterr().err
     assert "source.pair_rate" in err and "source.delta" in err and "carry 20000 pairs" in err
     assert not (tmp_path / "timetags.dat").exists()
+
+
+def test_a_pair_delay_width_past_the_float_range_fails_at_the_reach_check(tmp_path, capsys):
+    # sigma_eps ~ 4e299 s: the watermark's bound is capped, not cast from inf
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"source": {"delta": 1e-300, "tau_ind": 1e300}}))
+    rc = run(["timetags", "--config", path, "--pairs", 10, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert "carry 10 pairs' emission times and delays to inf ps" in capsys.readouterr().err
+
+
+def test_a_reach_past_the_grid_in_a_later_chunk_leaves_no_dump(tmp_path, monkeypatch, capsys):
+    # 20 000 gaps of mean 1e14 ps pass 2**60 ps after ~11 500 pairs: the run's
+    # first chunks are written before its twelfth fails
+    monkeypatch.setattr(detection, "WRITE_CHUNK", 1000)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"source": {"pair_rate": 1e-2}}))
+    first = sample_pairs(SpectralModel(pair_rate=1e-2), 1000, seed=1, stream=KIND_TIMETAGS)
+    assert first.t0_ps[-1] < 2**60 // 10
+    rc = run(["timetags", "--config", path, "--pairs", 20_000, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert "carry 20000 pairs" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_dump_memory_does_not_grow_with_the_run(tmp_path):
+    # each run in a fresh process: its peak resident memory, as wait4 reports
+    # it for that one child, is set by the chunk, not by the pair count
+    def peak_mb(n_pairs):
+        config = ROOT / "perfbench" / "configs" / "dump-replay.json"
+        out = tmp_path / str(n_pairs)
+        argv = ["timetags", "--config", config, "--pairs", n_pairs, "--out", out]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        child = subprocess.Popen([sys.executable, "-m", "franson.cli", *map(str, argv)], env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        return usage.ru_maxrss / 1024.0
+
+    small, large = peak_mb(100_000), peak_mb(1_000_000)
+    assert large - small <= 15.0, (small, large)
 
 
 def test_invalid_config_reports_the_problem(tmp_path, capsys):

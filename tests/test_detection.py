@@ -19,10 +19,13 @@ from franson.detection import (
     DetectorModel,
     TagStream,
     read_timetags,
+    simulate_run,
     simulate_tags,
+    write_timetag_chunks,
     write_timetags,
 )
 from franson.interferometer import UmziConfig
+from franson.rng import KIND_TIMETAGS
 from franson.source import PairEnsemble, SpectralModel, sample_pairs, to_picoseconds
 
 from conftest import chi2_quantile
@@ -325,6 +328,18 @@ def test_tag_streams_reject_ports_other_than_5_and_6(port):
         TagStream([port, 5], [0, 1])
 
 
+@pytest.mark.parametrize(
+    "times, bad",
+    [([1.7, 0.2], "1.7"), ([3.0, np.nan], "nan"), ([0.0, 2.0**63], "9.223372036854776e+18")],
+)
+def test_tag_streams_reject_times_the_int64_cast_would_change(times, bad):
+    # 1.7 would read as 1 and 2**63 would wrap; whole float picoseconds are kept
+    message = f"^time_ps must be integer picoseconds, got {re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        TagStream([5, 6], times)
+    assert TagStream([5, 6], [2.0, -(2.0**62)]).time_ps.tolist() == [-(2**62), 2]
+
+
 @pytest.mark.parametrize("ports, times", [([5, 6, 5], [1, 2]), ([5], [3, 1, 2])])
 def test_tag_streams_reject_ports_and_times_of_different_lengths(ports, times):
     with pytest.raises(ValueError, match=rf"differ in length, got {len(ports)} and {len(times)}$"):
@@ -374,12 +389,64 @@ def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
 
 
 def test_pinned_dump_and_products_hold_in_small_chunks(tmp_path, monkeypatch):
-    # 40 000 records written 1000 at a time and read in 4 KiB blocks, the
-    # histogram written 7 bins at a time: every pin holds
+    # 20 000 pairs simulated in 20 chunks, their 40 000 records written 1000
+    # at a time and read in 4 KiB blocks, the histogram written 7 bins at a
+    # time: every pin holds
     monkeypatch.setattr(detection, "WRITE_CHUNK", 1000)
     monkeypatch.setattr(detection, "READ_BLOCK", 4096)
     monkeypatch.setattr(correlator, "CSV_CHUNK", 7)
     test_timetags_dump_bytes_are_pinned(tmp_path, "ideal.json", "5b85a9a723ce2d88")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_pairs=st.integers(0, 2_000),
+    chunk=st.integers(1, 300),
+    pair_rate=st.floats(1e8, 1e12),
+    delta=st.floats(1e9, 1e13),
+    t_sl_ps=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+    jitter_ps=st.floats(0.0, 50.0),
+    efficiency=st.sampled_from([1.0, 0.6]),
+    seed=st.integers(0, 2**64),
+)
+# ~1 ps between pairs against pair delays of ~0.4 ns sigma: tags of pairs
+# thousands apart interleave, across many chunk edges
+@example(
+    n_pairs=2_000,
+    chunk=97,
+    pair_rate=1e12,
+    delta=1e9,
+    t_sl_ps=(100, 37),
+    jitter_ps=20.0,
+    efficiency=1.0,
+    seed=3,
+)
+def test_chunked_dump_equals_the_one_shot_dump(
+    tmp_path_factory, n_pairs, chunk, pair_rate, delta, t_sl_ps, jitter_ps, efficiency, seed
+):
+    mdl = SpectralModel(delta=delta, pair_rate=pair_rate)
+    cfg_a, cfg_b = (UmziConfig(t_sl=t * 1e-12) for t in t_sl_ps)
+    det = DetectorModel(jitter=jitter_ps * 1e-12, efficiency=efficiency)
+    folder = tmp_path_factory.mktemp("dumps")
+    # the one-shot dump: the whole run sampled, detected and written at once
+    pairs = sample_pairs(mdl, n_pairs, seed, stream=KIND_TIMETAGS)
+    tags = simulate_tags(pairs, cfg_a, cfg_b, det, seed, stream=KIND_TIMETAGS)
+    write_timetags(folder / "one-shot.dat", *tags, seed, "c0ffee")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "WRITE_CHUNK", chunk)
+        chunks = simulate_run(mdl, cfg_a, cfg_b, det, n_pairs, seed, KIND_TIMETAGS)
+        write_timetag_chunks(folder / "chunked.dat", chunks, seed, "c0ffee")
+    assert (folder / "chunked.dat").read_bytes() == (folder / "one-shot.dat").read_bytes()
+    assert sorted(p.name for p in folder.iterdir()) == ["chunked.dat", "one-shot.dat"]
+
+
+def test_a_chunk_below_the_previous_watermark_fails_and_leaves_no_dump(tmp_path):
+    path = tmp_path / "tags.dat"
+    none = hand_stream([], [])
+    chunks = [(hand_stream([5], [10]), none, 8), (hand_stream([6], [7]), none, None)]
+    with pytest.raises(ValueError, match="^a chunk has tags below the previous watermark, 8 ps$"):
+        write_timetag_chunks(path, chunks, 0, "c0ffee")
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 prefixes of (histogram.csv, correlate.json) from the pinned dumps

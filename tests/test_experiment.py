@@ -312,12 +312,15 @@ RISE = "must be strictly increasing"
         (fr.run_pump_sweep, {"linewidths": [0.0, 1e9, 1e9]}, f"linewidths {RISE}, got 1e+09"),
         (fr.run_crossover_sweep, {"grid": [1.0, 0.5, 2.0]}, f"grid {RISE}, got 0.5"),
         (fr.run_crossover_sweep, {"grid": [1.0, 2.0, 2.0]}, f"grid {RISE}, got 2"),
+        (fr.run_pump_sweep, {"linewidths": []}, "linewidths must hold at least one value"),
+        (fr.run_crossover_sweep, {"grid": []}, "grid must hold at least one value"),
     ],
 )
 def test_sweep_values_the_config_rejects_fail_before_any_draw(runner, kwargs, message, monkeypatch):
     # a negative pump linewidth or a non-positive delta * t_sl fails to parse
     # as a config value, so a sweep must not run it either; and a sweep's
-    # values are its result's x axis, which must strictly increase
+    # values are its result's x axis, which must strictly increase and hold
+    # the point its summary reports
     def no_draws(*args, **kwargs):
         raise AssertionError("a pair was drawn")
 
