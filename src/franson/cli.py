@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from . import rng as rng_mod
-from .config import RunConfig, config_hash, load_config
+from .config import RunConfig, check_seed, config_hash, load_config
 from .correlator import correlate, write_histogram_csv
 from .detection import read_timetags, simulate_run, write_timetag_chunks
 from .experiment import (
@@ -66,7 +66,7 @@ def _write_meta(out: Path, name: str, cfg_hash: str, seed: int, t_start: float) 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=check_seed(args.seed, "--seed"))
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return cfg

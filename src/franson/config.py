@@ -102,10 +102,19 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
             raise ConfigError(f"unknown config key: {where!r}")
 
 
+def check_seed(seed, where: str = "seed") -> int:
+    """A run seed: an integer in [0, 2**128), the range of the random streams'
+    seeds; otherwise a ConfigError naming ``where``."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**128:
+        raise ConfigError(f"{where} must be an integer in [0, 2**128), got {seed!r}")
+    return seed
+
+
 def _check_type(where: str, value, kind) -> None:
     """Reject a value that is not of its field's type: a bool or a string for
     a number, a non-integer for an int, or a non-list for a tuple of numbers;
-    and a non-finite number (NaN, Infinity, or an overflow such as 1e400)."""
+    and a float field's number that is not a finite double (NaN, Infinity, an
+    overflow such as 1e400, or an integer past the largest double)."""
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -116,8 +125,13 @@ def _check_type(where: str, value, kind) -> None:
         cls, noun = _NUMBER_KINDS[kind]
         if isinstance(value, bool) or not isinstance(value, cls):
             raise ConfigError(f"{where} must be {noun}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where} must be finite, got {value!r}")
+        if kind is float:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer float() cannot hold
+                finite = False
+            if not finite:
+                raise ConfigError(f"{where} must be finite, got {value!r}")
 
 
 def _section(section: str, data: dict) -> dict:
@@ -142,9 +156,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if str(version) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})")
 
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**128:
-        raise ConfigError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    seed = check_seed(data.get("seed", 0))
 
     try:
         src = SpectralModel(**_section("source", data))

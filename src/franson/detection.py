@@ -133,10 +133,7 @@ def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0, start=0):
     Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
     at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
     """
-    # Both before any draw.  A sampled ensemble computes its times on this
-    # read (see PairEnsemble), so a reach past the grid fails before any tag
-    # and its kept uniforms go first; a bad envelope fails in fringe_term.
-    t0_ps, eps = pairs.t0_ps, pairs.eps
+    # before any draw: a bad envelope fails here
     fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
     u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 8, start=start)
     b_a = u[:, 0] < 0.5
@@ -152,8 +149,8 @@ def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0, start=0):
     keep_b = u[:, 5] < det.efficiency
     del u  # the largest array here: free it before the times are assembled
 
-    t_a = t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
-    t_b = t0_ps + to_picoseconds(eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
+    t_a = pairs.t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
+    t_b = pairs.t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
     return branch, (port_a, t_a, keep_a), (port_b, t_b, keep_b)
 
 

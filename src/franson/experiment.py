@@ -295,23 +295,22 @@ def run_fringe_scan(cfg: RunConfig, mode: str = "analytic") -> ScanResult:
     return _fringe(cfg, mode, (rng_mod.KIND_FRINGE,), scan.n_points, scan.pairs_per_point)
 
 
-def _fringe(cfg, mode, key, n_points, n_pairs, envelope=1.0) -> ScanResult:
+def _fringe(cfg, mode, key, n_points, n_pairs, envelope=1.0, on_pairs=None) -> ScanResult:
     """A fringe scan of ``n_points`` joint phases at ``n_pairs`` pairs each
-    and the given envelope factor; point k draws from the stream ``(*key, k)``."""
+    and the given envelope factor; point k draws from the stream ``(*key, k)``.
+    ``on_pairs``, if given, is called with each montecarlo point's pairs,
+    which it must not keep: a scan holds one point's pipeline at a time."""
     theta = _joint_phase_grid(n_points)
     psi = cfg.umzi_b.phase
     rates = np.zeros((2, 2, theta.size))
     stderr = np.zeros((2, 2, theta.size))
     for k, th in enumerate(theta):
-        # [1:] lets the point's pairs go before the next point draws its own
-        rates[..., k], stderr[..., k] = _point(
+        pairs, rates[..., k], stderr[..., k] = _point(
             cfg, mode, (*key, k), n_pairs, th - psi, psi, envelope
-        )[1:]
-    return _fringe_result(cfg, mode, theta, rates, stderr, n_pairs)
-
-
-def _fringe_result(cfg, mode, theta, rates, stderr, n_pairs) -> ScanResult:
-    """The fringe-scan ScanResult of a joint-phase grid's rates and errors."""
+        )
+        if on_pairs is not None and pairs is not None:
+            on_pairs(pairs)
+        del pairs  # before the next point draws its own
     fields, fit_warnings = _fit_curves(theta, rates, stderr)
     return _stamped(
         ScanResult,
@@ -495,29 +494,24 @@ def run_pump_sweep(
     err = np.zeros(linewidths.size)
     cf_sampled = np.zeros(linewidths.size)
     cf_analytic = np.zeros(linewidths.size)
-    theta = _joint_phase_grid(_count("n_points", n_points, cfg.scan.n_points, minimum=8))
-    psi = cfg.umzi_b.phase
+    n_points = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
+
+    def pool(pairs):  # the pooled CF of the very pairs drawn, point by point
+        nonlocal cf_sum
+        cf_sum += sampled_cf(pairs.dp, t_sl)
+
     for k, lw in enumerate(linewidths):
         sub_cfg = replace(cfg, source=replace(cfg.source, pump_linewidth=float(lw)))
-        rates = np.zeros((2, 2, theta.size))
-        stderr = np.zeros((2, 2, theta.size))
-        acc = 0.0 + 0.0j
-        for j, th in enumerate(theta):
-            pairs, rates[..., j], stderr[..., j] = _point(
-                sub_cfg, mode, (rng_mod.KIND_PUMP, k, j), n_pairs, th - psi, psi
-            )
-            if pairs is not None:  # pooled CF of the very pairs drawn, then let them go
-                acc += sampled_cf(pairs.dp, t_sl)
-                del pairs
-        sub = _fringe_result(sub_cfg, mode, theta, rates, stderr, n_pairs)
+        cf_sum = 0.0 + 0.0j
+        sub = _fringe(sub_cfg, mode, (rng_mod.KIND_PUMP, k), n_points, n_pairs, on_pairs=pool)
         vis[k] = sub.visibility
         err[k] = sub.visibility_err
-        cf_sampled[k] = abs(acc) / theta.size
+        cf_sampled[k] = abs(cf_sum) / n_points
         cf_analytic[k] = local_visibility_oracle(float(lw), t_sl)
 
-    cfs = {"cf_analytic": cf_analytic}
+    cf_curves = {"cf_analytic": cf_analytic}
     if mode == "montecarlo":  # analytic mode draws no pairs
-        cfs["cf_sampled"] = cf_sampled
+        cf_curves["cf_sampled"] = cf_sampled
     return _stamped(
         ScanResult,
         cfg,
@@ -528,7 +522,10 @@ def run_pump_sweep(
         columns={
             "visibility": vis,
             "visibility_err": err,
-            **{name: fringe_visibility(cf, cfg.umzi_a, cfg.umzi_b) for name, cf in cfs.items()},
+            **{
+                name: fringe_visibility(cf, cfg.umzi_a, cfg.umzi_b)
+                for name, cf in cf_curves.items()
+            },
         },
         visibility=float(vis[0]),
         visibility_err=float(err[0]),

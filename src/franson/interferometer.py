@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .source import SpectralModel, sample_pairs
+from .source import SpectralModel, sample_detunings
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -91,8 +91,8 @@ def ensemble_local_fringe(
     """Visibility of the signal photons' ensemble-mean port-5 intensity through
     ``cfg``: the mean of (1/2)(1 + gamma cos(2 pi detuning t_sl + phase)) is a
     cosine in the phase of amplitude gamma |sampled_cf(detunings, t_sl)|."""
-    pairs = sample_pairs(model, n_pairs, seed, stream=stream)
-    return float(cfg.gamma * abs(sampled_cf(pairs.detuning_signal, cfg.t_sl)))
+    df, dp = sample_detunings(model, n_pairs, seed, stream=stream)
+    return float(cfg.gamma * abs(sampled_cf(df + 0.5 * dp, cfg.t_sl)))
 
 
 def local_visibility_oracle(delta: float, t_sl: float) -> float:

@@ -13,9 +13,10 @@ detuning distribution has FWHM ``delta``; the pair relative delay has FWHM
 ``1 / delta`` (the pair correlation time set by the ensemble bandwidth).
 Times are int64 picoseconds from the emission time on, below ``MAX_TIME_PS``.
 
-:func:`sample_pairs` computes df and dp at once.  Emission times and pair
-delays matter only to coincidence timing, so it computes them, and checks
-their reach against ``MAX_TIME_PS``, the first time either is read.
+:func:`sample_pairs` draws all four columns; :func:`sample_detunings` draws
+only df and dp, for readers of the interference alone, such as the local
+visibility, since emission times and pair delays matter only to coincidence
+timing.
 """
 
 from __future__ import annotations
@@ -94,38 +95,13 @@ class PairEnsemble:
     carries -df); dp, the pump jitter (Hz, +dp/2 on both photons); t0_ps, the
     emission time (int64 picoseconds); eps, the signal-idler delay (s).  Pair
     ``j`` is a pure function of (model, seed, stream, start + j).
-
-    A hand-built ensemble holds all four columns from the start.  One from
-    :func:`sample_pairs` holds df and dp, and computes t0_ps and eps
-    together the first time either is read, with their ``MAX_TIME_PS`` reach
-    check: only coincidence timing reads them, so the crossover sweep, which
-    reads only detunings, never pays for them.
     """
 
     def __init__(self, df, dp, t0_ps, eps):
         self.df = np.asarray(df, dtype=np.float64)
         self.dp = np.asarray(dp, dtype=np.float64)
-        self._times = (np.asarray(t0_ps, dtype=np.int64), np.asarray(eps, dtype=np.float64))
-
-    @classmethod
-    def _with_pending_times(cls, df, dp, pending) -> PairEnsemble:
-        """An ensemble whose (t0_ps, eps) ``pending()`` computes on first read."""
-        pairs = cls.__new__(cls)
-        pairs.df, pairs.dp, pairs._times = df, dp, pending
-        return pairs
-
-    def _time_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        if callable(self._times):
-            self._times = self._times()  # drops what the computation kept
-        return self._times
-
-    @property
-    def t0_ps(self) -> np.ndarray:
-        return self._time_columns()[0]
-
-    @property
-    def eps(self) -> np.ndarray:
-        return self._time_columns()[1]
+        self.t0_ps = np.asarray(t0_ps, dtype=np.int64)
+        self.eps = np.asarray(eps, dtype=np.float64)
 
     def __len__(self) -> int:
         return self.df.size
@@ -147,6 +123,30 @@ def _gaussian_from_uniform(u: np.ndarray, fwhm: float) -> np.ndarray:
     return z
 
 
+def _draw(model: SpectralModel, n: int, seed: int, stream, start: int):
+    """Pairs start .. start+n-1's (n, 4) uniform block and their df and dp.
+
+    Pair j takes item j's 4 uniforms (df, dp, eps, gap) of the stream keyed
+    by (seed, stream), so disjoint ranges can be drawn apart; a detuning
+    that overflows is rejected here.
+    """
+    u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, 4, start=start)
+    with np.errstate(over="ignore"):  # what overflows to inf is rejected below
+        df = _gaussian_from_uniform(u[:, 0], model.delta)
+        dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
+    if not (np.isfinite(df).all() and np.isfinite(dp).all()):
+        raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
+    return u, df, dp
+
+
+def sample_detunings(
+    model: SpectralModel, n: int, seed: int, stream=0, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(df, dp) of pairs start .. start+n-1, those of :func:`sample_pairs`
+    without their emission times and pair delays."""
+    return _draw(model, n, seed, stream, start)[1:]
+
+
 def sample_pairs(
     model: SpectralModel,
     n: int,
@@ -159,52 +159,27 @@ def sample_pairs(
     """Sample pairs start .. start+n-1 of the stream keyed by (seed, stream).
 
     ``stream`` is a key path such as ``(KIND_FRINGE, point)``; an int k is
-    the path (k,).  Pair j takes item j's 4 uniforms (df, dp, eps, gap), so
-    disjoint ranges can be drawn apart.  df and dp are computed here, and a
-    detuning that overflows is rejected here.  The emission times and pair
-    delays are computed when the ensemble's ``t0_ps`` or ``eps`` is first
-    read (see :func:`_pair_times`), and the range's reach is checked then.
-
-    A run drawn in consecutive ranges passes each range the previous one's
-    last emission time as ``origin_ps``, and its pair count as ``run_pairs``
-    (``n`` by default), which the reach error names.
+    the path (k,).  Emission times sum whole-picosecond gaps from
+    ``origin_ps`` across the range, so a run drawn in consecutive ranges,
+    each passed the previous one's last emission time, continues exactly.  A
+    range whose absolute times and pair delays would reach ``MAX_TIME_PS``
+    is rejected before any int cast, naming the ``run_pairs`` pairs of its
+    run (``n`` by default).
     """
-    u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, 4, start=start)
+    u, df, dp = _draw(model, n, seed, stream, start)
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
-        df = _gaussian_from_uniform(u[:, 0], model.delta)
-        dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
-    if not (np.isfinite(df).all() and np.isfinite(dp).all()):
-        raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
-    # Compact copies of columns 2 and 3, so that the whole block goes now.
-    u_eps, u_gap = u[:, 2].copy(), u[:, 3].copy()
-    n_run = n if run_pairs is None else run_pairs
-    return PairEnsemble._with_pending_times(
-        df, dp, lambda: _pair_times(model, u_eps, u_gap, origin_ps, n_run)
-    )
-
-
-def _pair_times(
-    model: SpectralModel, u_eps, u_gap, origin_ps: int, run_pairs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t0_ps, eps) of the pairs whose eps and gap uniforms are ``u_eps`` and ``u_gap``.
-
-    Emission times sum whole-picosecond gaps from ``origin_ps`` across the
-    range, so a run's ranges continue each other exactly; a range whose
-    absolute times and pair delays would reach ``MAX_TIME_PS`` is rejected,
-    naming the ``run_pairs`` pairs of its run, before any int cast.
-    """
-    with np.errstate(over="ignore"):  # what overflows to inf is rejected below
-        eps = _gaussian_from_uniform(u_eps, 1.0 / model.delta if model.delta > 0 else 0.0)
-        gaps_ps = np.log(u_gap)
+        eps = _gaussian_from_uniform(u[:, 2], 1.0 / model.delta if model.delta > 0 else 0.0)
+        gaps_ps = np.log(u[:, 3])
         gaps_ps *= -PS_PER_S / model.pair_rate
         reach_ps = origin_ps + gaps_ps.sum() + np.abs(eps).max(initial=0.0) * PS_PER_S
     if not reach_ps < MAX_TIME_PS:
+        n_run = n if run_pairs is None else run_pairs
         raise ValueError(
             f"source.pair_rate = {model.pair_rate:g} and source.delta = {model.delta:g} carry "
-            f"{run_pairs} pairs' emission times and delays to {reach_ps:.3g} ps, past 2**60 ps: "
+            f"{n_run} pairs' emission times and delays to {reach_ps:.3g} ps, past 2**60 ps: "
             "raise the rate or the bandwidth, or draw fewer pairs"
         )
     t0_ps = np.rint(gaps_ps, out=gaps_ps).astype(np.int64)
     t0_ps[:1] += origin_ps
     np.cumsum(t0_ps, out=t0_ps)
-    return t0_ps, eps
+    return PairEnsemble(df, dp, t0_ps, eps)

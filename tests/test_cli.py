@@ -164,6 +164,15 @@ def test_seed_override_changes_the_data(config_path, tmp_path):
     assert meta["config_hash"] == summary["config_hash"]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_override_out_of_range_fails_naming_the_flag(seed, config_path, tmp_path, capsys):
+    # analytic mode draws nothing, so no random stream would reject the seed
+    argv = ["chsh", "--config", config_path, "--mode", "analytic", "--seed", seed]
+    assert run([*argv, "--out", tmp_path]) == 2
+    assert f"error: --seed must be an integer in [0, 2**128), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "chsh.json").exists()
+
+
 def test_chsh_json_reports_the_quantum_bound(config_path, tmp_path):
     assert run(["chsh", "--config", config_path, "--mode", "analytic", "--out", tmp_path]) == 0
     payload = json.loads((tmp_path / "chsh.json").read_text())

@@ -104,6 +104,9 @@ def test_values_must_have_their_field_type(text, where):
         ('{"umzi_a": {"t_sl": 1e400}}', "umzi_a.t_sl must be finite, got inf"),
         ('{"correlator": {"window": NaN}}', "correlator.window must be finite"),
         ('{"scan": {"chsh_settings": [0, 1, NaN, 3]}}', "scan.chsh_settings must be finite"),
+        # integers that float() cannot hold
+        ('{"umzi_a": {"t_sl": 1%s}}' % ("0" * 400), "umzi_a.t_sl must be finite, got 10{400}$"),
+        ('{"source": {"pair_rate": 1%s}}' % ("0" * 400), "source.pair_rate must be finite"),
     ],
 )
 def test_non_finite_numbers_are_rejected_by_key(text, where):

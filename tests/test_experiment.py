@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import franson as fr
-from franson import correlation, detection, experiment, interferometer
+from franson import detection, experiment, source
 from franson.config import config_hash
 from franson.correlation import overlap_envelope
 from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
@@ -324,8 +324,7 @@ def test_sweep_values_the_config_rejects_fail_before_any_draw(runner, kwargs, me
     def no_draws(*args, **kwargs):
         raise AssertionError("a pair was drawn")
 
-    monkeypatch.setattr(experiment, "sample_pairs", no_draws)
-    monkeypatch.setattr(interferometer, "sample_pairs", no_draws)
+    monkeypatch.setattr(source, "item_uniforms", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         runner(ideal_config(pairs_per_point=100), pairs_per_point=100, **kwargs)
 
@@ -350,7 +349,7 @@ def _without_provenance(result, keys=("config_hash",)):
 
 
 # At 1e-3 pairs/s, 2 000 pairs' emission times span ~2e18 ps, past the 2**60
-# ps grid: a tag pipeline on this config fails at the first time read.
+# ps grid: a tag pipeline on this config fails where its pairs are drawn.
 ANALYTIC_RUNNERS = [
     lambda cfg: fr.run_fringe_scan(cfg, mode="analytic"),
     lambda cfg: fr.run_chsh(cfg, mode="analytic"),
@@ -387,8 +386,7 @@ def test_analytic_runners_draw_no_pairs_and_do_not_depend_on_the_seed(runner, co
     def no_draws(*args, **kwargs):
         raise AssertionError("a pair was drawn")
 
-    for module in (experiment, correlation, interferometer):
-        monkeypatch.setattr(module, "sample_pairs", no_draws)
+    monkeypatch.setattr(source, "item_uniforms", no_draws)
     cfg = fr.load_config(CONFIGS / config)
     first, *others = (
         _without_provenance(runner(replace(cfg, seed=seed)), ("config_hash", "seed"))

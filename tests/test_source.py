@@ -17,7 +17,7 @@ from franson.rng import (
     ROLE_SOURCE,
     item_uniforms,
 )
-from franson.source import PS_PER_S, SpectralModel, sample_pairs
+from franson.source import PS_PER_S, SpectralModel, sample_detunings, sample_pairs
 
 from oracles import pair_frequencies
 
@@ -110,25 +110,15 @@ def test_same_seed_reproduces_the_same_sequence():
     assert not np.array_equal(a.df, c.df)
 
 
-def test_time_columns_are_computed_once_on_first_read():
-    model = make_model(pump_linewidth=1e9)
-    by_eps, by_t0 = sample_pairs(model, 1_000, seed=4), sample_pairs(model, 1_000, seed=4)
-    eps, t0_ps = by_eps.eps, by_t0.t0_ps
-    # either read computes both columns; a second read returns the same arrays
-    assert by_eps.eps is eps and by_t0.t0_ps is t0_ps
-    assert np.array_equal(by_eps.t0_ps, t0_ps) and np.array_equal(by_t0.eps, eps)
-    assert by_eps.t0_ps is by_eps.t0_ps and by_t0.eps is by_t0.eps
-
-
-def test_the_reach_check_runs_at_the_first_time_read():
+def test_the_reach_check_runs_where_the_pairs_are_drawn():
     # 2 000 gaps of mean 1e15 ps pass 2**60 ps; the detunings alone are fine
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        pairs = sample_pairs(make_model(pair_rate=1e-3), 2_000, seed=1)
-        assert np.array_equal(pairs.df, sample_pairs(make_model(), 2_000, seed=1).df)
-        for name in ("eps", "t0_ps", "eps"):
-            with pytest.raises(ValueError, match=r"^source\.pair_rate = 0\.001 .* carry 2000 pairs'"):
-                getattr(pairs, name)
+        with pytest.raises(ValueError, match=r"^source\.pair_rate = 0\.001 .* carry 2000 pairs'"):
+            sample_pairs(make_model(pair_rate=1e-3), 2_000, seed=1)
+        df, dp = sample_detunings(make_model(pair_rate=1e-3), 2_000, seed=1)
+        reachable = sample_pairs(make_model(), 2_000, seed=1)
+        assert np.array_equal(df, reachable.df) and np.array_equal(dp, reachable.dp)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,6 +132,9 @@ def test_pair_sequence_is_defined_by_index_not_batch(k, n_tail, seed):
     for name in ("df", "dp", "eps"):
         assert np.array_equal(getattr(full, name)[k:], getattr(tail, name))
     assert np.array_equal(full.t0_ps[k:], full.t0_ps[k - 1] + tail.t0_ps)
+    # the detunings-only draw is the same draw
+    df, dp = sample_detunings(model, n_tail, seed=seed, start=k)
+    assert np.array_equal(df, tail.df) and np.array_equal(dp, tail.dp)
 
 
 def test_detunings_past_the_float_range_are_rejected_by_name():
