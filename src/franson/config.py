@@ -237,11 +237,17 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config parse error: {exc}") from exc
     return config_from_dict(data)
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a config file; a ConfigError names the file."""
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def default_config() -> RunConfig:

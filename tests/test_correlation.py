@@ -17,11 +17,10 @@ from franson.correlation import (
     fringe_visibility,
     joint_phase,
     overlap_envelope,
-    pair_fringe,
 )
 from franson.errors import UndefinedCorrelationError
 from franson.interferometer import UmziConfig
-from franson.source import PairEnsemble, SpectralModel, sample_pairs
+from franson.source import SpectralModel, sample_pairs
 
 from oracles import PORTS, joint_amplitude, outcome_table
 
@@ -37,8 +36,11 @@ def model(delta=1e12, pump=0.0):
 
 
 def one_pair_rates(df, dp, cfg_a, cfg_b, envelope=1.0):
-    """The (2, 2) central rates of the single pair (df, dp)."""
-    return pair_fringe(PairEnsemble([df], [dp], [0], [0.0]), cfg_a, cfg_b, envelope).rates
+    """The (2, 2) central rates (1/8)(1 + s_a s_b V cos(phi' + psi')) of the
+    single pair (df, dp)."""
+    fringe = fringe_term(df, dp, cfg_a, cfg_b, envelope)
+    same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
+    return np.array([[same, diff], [diff, same]])
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def test_central_peak_rate_examples():
     t_sl_a=st.floats(20e-12, 200e-12),
     t_sl_b=st.floats(20e-12, 200e-12),
 )
-def test_pair_fringe_matches_the_joint_amplitude(df, dp, phase_a, phase_b, t_sl_a, t_sl_b):
+def test_fringe_term_matches_the_joint_amplitude(df, dp, phase_a, phase_b, t_sl_a, t_sl_b):
     # the rate law against |SS + LL|^2 of the port amplitudes, unequal delays
     assume(t_sl_a != t_sl_b)
     cfg_a, cfg_b = umzi(phase_a, t_sl_a), umzi(phase_b, t_sl_b)
@@ -159,8 +161,7 @@ def test_pair_fringe_matches_the_joint_amplitude(df, dp, phase_a, phase_b, t_sl_
 
 
 def test_rate_depends_on_ports_only_through_the_sign_product():
-    pairs = sample_pairs(model(pump=2e9), 500, seed=2)
-    fringe = pair_fringe(pairs, umzi(0.3), umzi(1.1))
+    fringe = ensemble_fringe(model(pump=2e9), umzi(0.3), umzi(1.1), 500, seed=2)
     for table in (fringe.rates, fringe.stderr):
         assert table[0, 0] == table[1, 1]
         assert table[0, 1] == table[1, 0]

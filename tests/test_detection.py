@@ -307,18 +307,18 @@ def test_timetag_dump_round_trips_signs_and_widths(tmp_path):
         assert np.array_equal(got.port, want.port)
 
 
-def test_empty_dump_and_missing_final_newline_read(tmp_path):
+def test_an_empty_dump_reads_and_a_cut_one_fails(tmp_path):
     path = tmp_path / "tags.dat"
     write_timetags(path, hand_stream([], []), hand_stream([], []), 0, "c0ffee")
     assert path.read_text() == HEADER
     got_a, got_b, header = read_timetags(path)
     assert len(got_a) == len(got_b) == 0 and header["config_hash"] == "c0ffee"
     path.write_text("# franson-timetags v1")
-    assert len(read_timetags(path)[0]) == 0
-    path.write_text("# franson-timetags v1\n\n  \nB 6 -7\n  # note=kept\nA 5 12")
-    got_a, got_b, header = read_timetags(path)
-    assert got_a.time_ps.tolist() == [12] and got_b.time_ps.tolist() == [-7]
-    assert got_b.port.tolist() == [6] and header == {"note": "kept"}
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: .*magic"):
+        read_timetags(path)
+    path.write_text(HEADER + "B 6 -7\nA 5 12")  # read whole, the last record would be 12 ps
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:6: the file ends inside"):
+        read_timetags(path)
 
 
 @pytest.mark.parametrize("port", [0, 261])
@@ -498,147 +498,129 @@ def test_chunked_writes_equal_the_one_shot_bytes(tmp_path_factory, records, chun
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    records=RECORDS,
-    extra=st.lists(
-        st.tuples(
-            st.integers(0, 40), st.sampled_from(["", "  ", "# x=1", " #", "# run=b=2", "#seed=9"])
-        )
-    ),
-    final_newline=st.booleans(),
-    block=st.integers(1, 64),
-)
-def test_blocked_reads_equal_the_one_shot_parse(
-    tmp_path_factory, records, extra, final_newline, block
-):
-    # header, comment and blank lines anywhere, so that some land in later
-    # blocks and the later of two equal keys wins across blocks
+@given(records=RECORDS, chunk=CHUNKS, block=st.integers(1, 64))
+def test_blocked_reads_equal_the_one_shot_parse(tmp_path_factory, records, chunk, block):
+    # a dump written `chunk` records at a time reads back exactly, whatever
+    # the block edges split: records, header lines or the magic line
     path = tmp_path_factory.mktemp("dumps") / "tags.dat"
-    write_timetags(path, *streams_of(records), 0, "c0ffee")
-    lines = path.read_text().splitlines()
-    for at, text in sorted(extra, reverse=True):
-        lines.insert(1 + at % len(lines), text)
-    path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "WRITE_CHUNK", chunk)
+        write_timetags(path, *streams_of(records), 0, "c0ffee")
     want = read_outcome(path)
-    assert not isinstance(want, str)
+    assert want == (
+        [(s.port.tolist(), s.time_ps.tolist()) for s in streams_of(records)],
+        {"seed": "0", "config_hash": "c0ffee"},
+    )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detection, "READ_BLOCK", block)
         assert read_outcome(path) == want
 
 
 def test_every_block_edge_reads_like_the_one_shot_parse(tmp_path, monkeypatch):
-    # every cut: records split across two blocks, header lines in a later
-    # block, a final line without a newline, and the magic line's own cases
+    # every cut, for the writer's grammar and each line outside it: a blank
+    # line, a '#' line after the first record, a line over 64 bytes (its
+    # newline not counted), a last line without its newline, and the magic
+    # line's own cases
     path = tmp_path / "tags.dat"
-    texts = [
-        "# franson-timetags v1\nA 5 1000\n# run=7\nB 6 -20\n\n# run=8\nA 6 123456",
-        "# franson-timetags v1\nA 5 1000\nB 6 -20\nA 7 5\nB 5 1\n",
-        "# franson-timetags v1\n",
-        "# franson-timetags v1",
-        "# franson-timetags v2\nA 5 1\n",
-        "not a dump",
-        "",
-    ]
-    for text in texts:
+    magic = "# franson-timetags v1\n"
+    long_record = "B 6 " + "1" * 70
+    texts = {
+        magic + "# run=7\n# k=" + "x" * 60 + "\nA 5 1000\nB 6 -20\nA 6 123456\n": (
+            [([5, 6], [1000, 123456]), ([6], [-20])],
+            {"run": "7", "k": "x" * 60},  # a header line of 64 bytes is read whole
+        ),
+        magic + "# run=7\n": ([([], []), ([], [])], {"run": "7"}),
+        magic: ([([], []), ([], [])], {}),
+        magic + "# run=7\n\nA 5 1000\n": f"{path}:3: expected 'party port time_ps', got ''",
+        magic + "A 5 1000\n# run=8\nB 6 -20\n": (
+            f"{path}:3: expected 'party port time_ps', got '# run=8'"
+        ),
+        magic + "A 5 1000\n" + long_record + "\nA 7 5\n": f"{path}:3: line longer than 64 bytes",
+        magic + "A 5 1000\n" + long_record: f"{path}:3: line longer than 64 bytes",
+        magic + "# k=" + "x" * 61 + "\n": f"{path}:2: line longer than 64 bytes",
+        magic + "A 5 1000\n" + " " * 65: f"{path}:3: line longer than 64 bytes",
+        magic + "A 5 1000\n" + " " * 64: (
+            f"{path}:3: the file ends inside this line, before its newline"
+        ),
+        magic + "A 5 1000\nA 7 5\n" + long_record + "\n": f"{path}:3: port must be 5 or 6, got '7'",
+        magic + "A 5 1000\nB 6 12": f"{path}:3: the file ends inside this line, before its newline",
+        magic + "A 5 1000\nB 6": f"{path}:3: the file ends inside this line, before its newline",
+        magic[:-1]: None,
+        "# franson-timetags v2\nA 5 1\n": None,
+        "not a dump": None,
+        "": None,
+    }
+    for text, want in texts.items():
         path.write_text(text)
-        want = read_outcome(path)
-        for block in range(1, len(text) + 2):
+        if want is None:  # not a dump at all
+            want = f"{path}:1: not a time-tag dump: bad magic line {text[:22]!r}, not {magic!r}"
+        for block in [*range(1, len(text) + 2), detection.READ_BLOCK]:
             monkeypatch.setattr(detection, "READ_BLOCK", block)
             assert read_outcome(path) == want, (text, block)
-        monkeypatch.undo()
-    path.write_text(texts[0])
-    assert read_outcome(path) == ([([5, 6], [1000, 123456]), ([6], [-20])], {"run": "8"})
 
 
-def test_long_lines_keep_the_read_memory_within_the_block(tmp_path, monkeypatch):
-    # a '#' line of 10 or 1 000 blocks is read and dropped in pieces, so the
-    # traced peak stays within a fixed multiple of the block
+@pytest.mark.parametrize("first", ["x", "#", "A"])
+@pytest.mark.parametrize("ended", [True, False])
+def test_long_lines_keep_the_read_memory_within_the_block(tmp_path, monkeypatch, first, ended):
+    # a line of 10 or 1 000 blocks fails at its line from its first block on,
+    # so the traced peak stays within a fixed multiple of the block
     block = 4096
     monkeypatch.setattr(detection, "READ_BLOCK", block)
     path = tmp_path / "tags.dat"
     path.write_text(HEADER + "A 5 10\n")
     read_timetags(path)  # NumPy's first-call allocations are not the reader's
     for n_blocks in (10, 1000):
-        path.write_text(HEADER + "A 5 10\n# k=" + "x" * (n_blocks * block) + "\nB 6 12\n")
+        path.write_text(HEADER + "A 5 10\n" + first * (n_blocks * block) + "\n" * ended)
         tracemalloc.start()
         try:
-            got_a, got_b, header = read_timetags(path)
+            with pytest.raises(ValueError, match=rf":6: line longer than 64 bytes$"):
+                read_timetags(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * block, n_blocks
-        assert (got_a.time_ps.tolist(), got_b.time_ps.tolist()) == ([10], [12])
-        assert header == {"seed": "0", "config_hash": "c0ffee"}
 
 
-def test_long_lines_read_alike_wherever_the_blocks_end(tmp_path, monkeypatch):
-    # below 64 bytes a block still reads lines of up to 64 whole; a longer
-    # '#' line is a comment without its key=value, any other longer line
-    # fails at its own line, and a line of 64 bytes is read whole
-    path = tmp_path / "tags.dat"
-    magic = "# franson-timetags v1\n"
-    long_comment = "# k=" + "x" * 70
-    texts = {
-        magic + "A 5 1\n" + long_comment + "\n# run=7\nB 6 2\n": (
-            [([5], [1]), ([6], [2])],
-            {"run": "7"},
-        ),
-        magic + "A 5 1\n" + long_comment: ([([5], [1]), ([], [])], {}),
-        magic + "# k=" + "x" * 60 + "\nB 5 3": ([([], []), ([5], [3])], {"k": "x" * 60}),
-        magic + "A 5 1\n\nB 6 " + "1" * 70 + "\nA 5 3\n": (
-            f"{path}:4: line longer than 64 bytes that is not a '#' comment"
-        ),
-        magic + " " * 65 + "\n": f"{path}:2: line longer than 64 bytes that is not a '#' comment",
-    }
-    for text, want in texts.items():
-        path.write_text(text)
-        for block in range(1, 65):
-            monkeypatch.setattr(detection, "READ_BLOCK", block)
-            assert read_outcome(path) == want, (text, block)
-    # at the default block size the same comment is read whole
-    monkeypatch.undo()
-    path.write_text(magic + long_comment + "\n")
-    assert read_outcome(path)[1] == {"k": "x" * 70}
+@settings(max_examples=20, deadline=None)
+@given(records=RECORDS, block=st.sampled_from([1, 2, 3, 7, 64, detection.READ_BLOCK]))
+def test_a_dump_cut_inside_its_last_record_fails_at_that_line(tmp_path_factory, records, block):
+    # a dump cut at any byte of its last record, its newline included, fails
+    # at that record's line: no cut record reads as a shorter time
+    path = tmp_path_factory.mktemp("dumps") / "tags.dat"
+    write_timetags(path, *streams_of(records), 0, "c0ffee")
+    data = path.read_bytes()
+    last_line = data.count(b"\n")
+    record_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "READ_BLOCK", block)
+        for cut in range(record_start + 1, len(data)):
+            path.write_bytes(data[:cut])
+            want = f"{path}:{last_line}: the file ends inside this line, before its newline"
+            assert read_outcome(path) == want, cut
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     records=RECORDS,
-    extra=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["", "  ", "# x=1", " #"]))),
     bad_at=st.integers(0, 10**6),
     corruption=st.sampled_from(["insert", "insert_in_time", "drop", "widen"]),
     char=st.sampled_from(list("x+_./:\t\r ")),  # "/" and ":" flank the digits
     where=st.integers(0, 40),
     later=st.booleans(),
-    final_newline=st.booleans(),
     chunk=CHUNKS,
     block=BLOCKS,
 )
 def test_a_corrupt_record_fails_at_its_own_line(
-    tmp_path_factory,
-    records,
-    extra,
-    bad_at,
-    corruption,
-    char,
-    where,
-    later,
-    final_newline,
-    chunk,
-    block,
+    tmp_path_factory, records, bad_at, corruption, char, where, later, chunk, block
 ):
     # the dump is written `chunk` records and read `block` bytes at a time
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detection, "WRITE_CHUNK", chunk)
         mp.setattr(detection, "READ_BLOCK", block)
-        check_corrupt_record(
-            tmp_path_factory, records, extra, bad_at, corruption, char, where, later, final_newline
-        )
+        check_corrupt_record(tmp_path_factory, records, bad_at, corruption, char, where, later)
 
 
-def check_corrupt_record(
-    tmp_path_factory, records, extra, bad_at, corruption, char, where, later, final_newline
-):
+def check_corrupt_record(tmp_path_factory, records, bad_at, corruption, char, where, later):
     path = tmp_path_factory.mktemp("dumps") / "tags.dat"
     streams = {
         p: hand_stream([r[1] for r in records if r[0] == p], [r[2] for r in records if r[0] == p])
@@ -655,10 +637,7 @@ def check_corrupt_record(
         assert np.array_equal(stream.port, want.port)
 
     lines = HEADER.splitlines() + lines
-    for at, text in sorted(extra, reverse=True):
-        lines.insert(1 + at % len(lines), text)  # never before the magic line
-    candidates = [i for i, line in enumerate(lines) if line[:1] in ("A", "B")]
-    k = candidates[bad_at % len(candidates)]
+    k = len(HEADER.splitlines()) + bad_at % len(records)
 
     def corrupt(line):
         if corruption.startswith("insert"):
@@ -670,9 +649,9 @@ def check_corrupt_record(
         return line + "0" * 18  # 19 digits or more
 
     lines[k] = corrupt(lines[k])
-    if later and k + 1 < len(lines) and lines[-1][:1] in ("A", "B"):
+    if later and k + 1 < len(lines):
         lines[-1] = corrupt(lines[-1])
-    path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+    path.write_text("".join(f"{line}\n" for line in lines))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{k + 1}: "):
         read_timetags(path)
 
