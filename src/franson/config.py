@@ -59,27 +59,27 @@ class RunConfig:
     correlator: CorrelatorConfig
     scan: ScanConfig
     seed: int = 0
-    schema_version: str = SCHEMA_VERSION
     warnings: tuple[str, ...] = field(default=(), compare=False)
     flags: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
-        out = {"schema_version": self.schema_version, "seed": self.seed}
+        out = {"schema_version": SCHEMA_VERSION, "seed": self.seed}
         for section in SECTIONS:
             obj = getattr(self, section)
             out[section] = {name: getattr(obj, name) for name in _keys(type(obj))}
         return out
 
 
-# Each config section and the dataclass it builds; the dataclass defaults are
-# the config defaults.
+# Each config section and the dataclass it builds, in the order they are built
+# and validated: a section's derived fields are filled from sections before
+# it.  The dataclass defaults are the config defaults.
 SECTIONS = {
     "source": SpectralModel,
     "umzi_a": UmziConfig,
     "umzi_b": UmziConfig,
     "detector": DetectorModel,
-    "correlator": CorrelatorConfig,
     "scan": ScanConfig,
+    "correlator": CorrelatorConfig,
 }
 # The type of each field of each section, resolved once.
 _FIELD_TYPES = {section: get_type_hints(cls) for section, cls in SECTIONS.items()}
@@ -143,11 +143,33 @@ def _section(section: str, data: dict) -> dict:
     for key, value in given.items():
         if not (value is None and key in _NULLABLE):
             _check_type(f"{section}.{key}", value, _FIELD_TYPES[section][key])
-    return dict(given)
+    return given
+
+
+def _build(section: str, given: dict, built: dict) -> tuple[object, list[str]]:
+    """One section's dataclass from its given keys, validated, and its
+    warnings.  Derived fields are filled only from validated values: the side
+    offsets from the interferometers built before the correlator, and a null
+    or absent gamma from the validated t_sl and source.tau_ind."""
+    kwargs = {key: value for key, value in given.items() if value is not None}
+    if "chsh_settings" in kwargs:
+        kwargs["chsh_settings"] = tuple(kwargs["chsh_settings"])
+    if section == "correlator":
+        kwargs.update(side_offset_a=built["umzi_a"].t_sl, side_offset_b=built["umzi_b"].t_sl)
+    obj = SECTIONS[section](**kwargs)
+    warnings = obj.validate()
+    if isinstance(obj, UmziConfig) and "gamma" not in kwargs:
+        # the overlap of a photon delayed by t_sl
+        obj = replace(obj, gamma=default_overlap(obj.t_sl, built["source"].tau_ind))
+    return obj, warnings
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build and validate a RunConfig from a plain dict (defaults applied)."""
+    """Build and validate a RunConfig from a plain dict (defaults applied).
+
+    Sections are built in ``SECTIONS`` order, each validated before the next,
+    so the first fault reported is the first in that order; every range error
+    names its ``section.key``."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown("", data, {"schema_version", "seed", *SECTIONS})
@@ -158,46 +180,22 @@ def config_from_dict(data: dict) -> RunConfig:
 
     seed = check_seed(data.get("seed", 0))
 
-    try:
-        src = SpectralModel(**_section("source", data))
-        det = DetectorModel(**_section("detector", data))
-        scan_kwargs = _section("scan", data)
-        if "chsh_settings" in scan_kwargs:
-            scan_kwargs["chsh_settings"] = tuple(scan_kwargs["chsh_settings"])
-        scan = ScanConfig(**scan_kwargs)
+    built: dict = {}
+    warnings: list[str] = []
+    for section in SECTIONS:
+        given = _section(section, data)
+        try:
+            built[section], found = _build(section, given, built)
+        except (TypeError, ValueError) as exc:
+            message = str(exc)
+            if not message.startswith(f"{section}."):
+                message = f"{section}.{message}"
+            raise ConfigError(message) from exc
+        warnings += found
 
-        umzis = {}
-        for section, party in (("umzi_a", "A"), ("umzi_b", "B")):
-            kwargs = _section(section, data)
-            # gamma null or absent: the overlap of a photon delayed by t_sl
-            gamma = kwargs.pop("gamma", None)
-            umzi = UmziConfig(**kwargs)
-            if gamma is None:
-                gamma = default_overlap(umzi.t_sl, src.tau_ind)
-            umzis[party] = replace(umzi, gamma=gamma)
-
-        cor = CorrelatorConfig(
-            **_section("correlator", data),
-            side_offset_a=umzis["A"].t_sl,
-            side_offset_b=umzis["B"].t_sl,
-        )
-
-        warnings: list[str] = []
-        warnings += src.validate()
-        warnings += det.validate()
-        warnings += cor.validate()
-        warnings += scan.validate()
-        warnings += umzis["A"].validate()
-        warnings += umzis["B"].validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    flags = {
-        "A": regime_flags(umzis["A"], src),
-        "B": regime_flags(umzis["B"], src),
-    }
+    src = built["source"]
+    umzis = {"A": built["umzi_a"], "B": built["umzi_b"]}
+    flags = {party: regime_flags(umzi, src) for party, umzi in umzis.items()}
     for party, f in flags.items():
         if not f["incoherent_ensemble"]:
             warnings.append(
@@ -217,18 +215,7 @@ def config_from_dict(data: dict) -> RunConfig:
             "is no longer detuning-immune"
         )
 
-    return RunConfig(
-        source=src,
-        umzi_a=umzis["A"],
-        umzi_b=umzis["B"],
-        detector=det,
-        correlator=cor,
-        scan=scan,
-        seed=seed,
-        schema_version=SCHEMA_VERSION,
-        warnings=tuple(warnings),
-        flags=flags,
-    )
+    return RunConfig(**built, seed=seed, warnings=tuple(warnings), flags=flags)
 
 
 def parse_config(text: str) -> RunConfig:

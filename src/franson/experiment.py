@@ -9,16 +9,16 @@ index), so reruns are bit-identical and points are uncorrelated.
 
 Scan sizes come from ``cfg.scan`` (analytic results report them as set);
 only the pump and crossover sweeps take theirs as arguments.  The runners
-share one skeleton: :func:`_point` gives a point's central-peak rates,
-:func:`_fringe` runs it over a joint-phase grid, :func:`_fit_curves` fits and
-packages the port-pair curves, and :func:`_stamped` builds every result with
-its provenance and validates it.
+share one skeleton: :func:`_point` gives a point's central table, which
+:func:`_rates` turns into rates and errors, :func:`_fringe` runs both over a
+joint-phase grid, :func:`_fit_curves` fits and packages the port-pair curves,
+and :func:`_stamped` builds every result with its provenance and validates it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -97,30 +97,9 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
     def to_summary_dict(self) -> dict:
-        fits = {
-            name: {
-                "visibility": f.visibility,
-                "visibility_err": f.visibility_err,
-                "phase": f.phase,
-                "offset": f.offset,
-                "visibility_maxmin": f.visibility_maxmin,
-                "residual_rms": f.residual_rms,
-            }
-            for name, f in self.fits.items()
-        }
-        return {
-            "kind": self.kind,
-            "mode": self.mode,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "pairs_per_point": self.pairs_per_point,
-            "visibility": self.visibility,
-            "visibility_err": self.visibility_err,
-            "phase_offset": self.phase_offset,
-            "fits": fits,
-            "extras": self.extras,
-            "warnings": list(self.warnings),
-        }
+        """Every field but the table (``x_label``, ``x``, ``columns``)."""
+        table = ("x_label", "x", "columns")
+        return {name: value for name, value in asdict(self).items() if name not in table}
 
 
 @dataclass
@@ -144,18 +123,7 @@ class ChshRun:
                 raise AssertionError(f"correlation E({name}) outside [-1, 1]: {e_val}")
 
     def to_summary_dict(self) -> dict:
-        return {
-            "kind": "chsh",
-            "mode": self.mode,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "pairs_per_setting": self.pairs_per_setting,
-            "s_value": self.s_value,
-            "s_err": self.s_err,
-            "correlations": self.correlations,
-            "settings": list(self.settings),
-            "warnings": list(self.warnings),
-        }
+        return {"kind": "chsh", **asdict(self)}
 
 
 def _stamped(cls, cfg: RunConfig, mode: str, warnings=(), **fields):
@@ -226,27 +194,30 @@ def simulate_point(
     return pairs, tags_a, tags_b, hist
 
 
-def _counted_rates(hist: CoincidenceHistogram, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Central-window counts per pair and their Poisson errors, floored at one
-    count; both (2, 2) over (port_a, port_b)."""
-    return hist.central / n_pairs, np.sqrt(np.maximum(hist.central, 1.0)) / n_pairs
-
-
 def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0):
-    """One scan point: (pairs, central rates, stderr).
+    """One scan point: (pairs, central table), the table (2, 2) over
+    (port_a, port_b).
 
-    Rates and errors are (2, 2) over (port_a, port_b).  analytic mode returns
-    the closed-form :func:`expected_rates`, zero errors and pairs None;
-    montecarlo mode draws the pairs and counts the central window of the full
-    tag pipeline.  Both take the fringe visibility from
-    ``fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)``.
+    analytic mode returns pairs None and the closed-form
+    :func:`expected_rates`; montecarlo mode draws the pairs and returns the
+    central-window counts of the full tag pipeline.  Both take the fringe
+    visibility from ``fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)``.
     """
     if mode == "analytic":
         cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
         cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
-        return None, expected_rates(cfg.source, cfg_a, cfg_b, envelope), np.zeros((2, 2))
+        return None, expected_rates(cfg.source, cfg_a, cfg_b, envelope)
     pairs, _, _, hist = simulate_point(cfg, stream, n_pairs, phase_a, phase_b, envelope)
-    return (pairs, *_counted_rates(hist, n_pairs))
+    return pairs, hist.central
+
+
+def _rates(mode, table, n_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """A point's central table as rates per pair and their standard errors:
+    analytic rates are exact, and counts get Poisson errors floored at one
+    count."""
+    if mode == "analytic":
+        return table, np.zeros((2, 2))
+    return table / n_pairs, np.sqrt(np.maximum(table, 1.0)) / n_pairs
 
 
 def _fit_curves(port_x, rates, stderr, curves=None) -> tuple[dict, list[str]]:
@@ -305,9 +276,8 @@ def _fringe(cfg, mode, key, n_points, n_pairs, envelope=1.0, on_pairs=None) -> S
     rates = np.zeros((2, 2, theta.size))
     stderr = np.zeros((2, 2, theta.size))
     for k, th in enumerate(theta):
-        pairs, rates[..., k], stderr[..., k] = _point(
-            cfg, mode, (*key, k), n_pairs, th - psi, psi, envelope
-        )
+        pairs, table = _point(cfg, mode, (*key, k), n_pairs, th - psi, psi, envelope)
+        rates[..., k], stderr[..., k] = _rates(mode, table, n_pairs)
         if on_pairs is not None and pairs is not None:
             on_pairs(pairs)
         del pairs  # before the next point draws its own
@@ -345,7 +315,7 @@ def run_local_scan(cfg: RunConfig) -> ScanResult:
 
     for k, th in enumerate(theta):
         pairs, tags_a, tags_b, hist = simulate_point(cfg, (rng_mod.KIND_LOCAL, k), n_pairs, th, th)
-        rates[..., k], stderr[..., k] = _counted_rates(hist, n_pairs)
+        rates[..., k], stderr[..., k] = _rates("montecarlo", hist.central, n_pairs)
         angle_a = TWO_PI * (pairs.detuning_signal * cfg.umzi_a.t_sl) + th
         angle_b = TWO_PI * (pairs.detuning_idler * cfg.umzi_b.t_sl) + th
         local_a[k] = local_intensities(angle_a, cfg.umzi_a.gamma)[0].mean()
@@ -474,7 +444,7 @@ def run_pump_sweep(
     cfg: RunConfig,
     linewidths: np.ndarray | None = None,
     mode: str = "montecarlo",
-    n_points: int = 16,
+    n_points: int | None = None,
     pairs_per_point: int | None = None,
 ) -> ScanResult:
     """Nonlocal visibility against the pump linewidth, and the closed-form
@@ -540,33 +510,23 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic") -> ChshRun:
     _check_mode(mode)
     settings = cfg.scan.chsh_settings
     n_pairs = cfg.scan.pairs_per_point
-    if mode == "analytic":
-        corr = {
-            name: correlation_coefficient(_point(cfg, mode, None, n_pairs, pa, pb)[1])
-            for name, (pa, pb) in chsh_combinations(settings).items()
-        }
-        s_value, s_err = chsh_sum(corr), 0.0
-    else:
-        corr = {}
-        var_sum = 0.0
-        for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
-            _, _, _, hist = simulate_point(cfg, stream_for_setting(k), n_pairs, pa, pb)
-            counts = hist.central.astype(np.float64)
-            total = counts.sum()
-            if total <= 0:
-                raise UndefinedCorrelationError(
-                    f"no central coincidences for setting combination {name}"
-                )
-            e_val = correlation_coefficient(counts)
-            corr[name] = e_val
+    corr = {}
+    var_sum = 0.0
+    for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
+        _, table = _point(cfg, mode, stream_for_setting(k), n_pairs, pa, pb)
+        total = float(table.sum())
+        if total <= 0:
+            raise UndefinedCorrelationError(f"no central coincidences for setting combination {name}")
+        # E from the table itself: E from counts/N would differ in the last bit
+        corr[name] = e_val = correlation_coefficient(table)
+        if mode == "montecarlo":  # E's variance from its `total` counted coincidences
             var_sum += max(1.0 - e_val**2, 1.0 / total) / total
-        s_value, s_err = chsh_sum(corr), math.sqrt(var_sum)
     return _stamped(
         ChshRun,
         cfg,
         mode,
-        s_value=s_value,
-        s_err=s_err,
+        s_value=chsh_sum(corr),
+        s_err=math.sqrt(var_sum),
         correlations=corr,
         settings=settings,
         pairs_per_setting=n_pairs,

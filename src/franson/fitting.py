@@ -20,7 +20,6 @@ class CosineFit:
     """Result of fitting y = offset * (1 + visibility * cos(x + phase))."""
 
     offset: float
-    amplitude: float
     phase: float
     visibility: float
     visibility_err: float
@@ -84,7 +83,6 @@ def fit_cosine(x, y, sigma=None) -> CosineFit:
     vis_maxmin = float((np.max(y) - np.min(y)) / span) if span > 0 else 0.0
     return CosineFit(
         offset=float(c0),
-        amplitude=float(amplitude),
         phase=float(phase),
         visibility=float(visibility),
         visibility_err=math.sqrt(max(var_v, 0.0)),

@@ -33,8 +33,11 @@ INDIVIDUAL_COHERENT_MAX = 0.1
 
 
 def default_overlap(t_sl: float, tau_ind: float) -> float:
-    """Path overlap <S|L> of a photon of coherence time tau_ind delayed by t_sl."""
-    return math.exp(-((t_sl / tau_ind) ** 2) * LN2)
+    """Path overlap <S|L> of a photon of coherence time tau_ind delayed by t_sl.
+
+    Past 64 coherence times the overlap is 0.0 (the exp underflows from 33 on),
+    so the ratio is capped there rather than squared into an OverflowError."""
+    return math.exp(-(min(abs(t_sl / tau_ind), 64.0) ** 2) * LN2)
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,44 @@ def test_jitter_draws_must_fit_the_picosecond_grid():
     assert fr.parse_config('{"detector": {"jitter": 1.38e5}}').detector.jitter == 1.38e5
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("source", "f0", 0.0),
+        ("umzi_a", "t_sl", -1e-12),
+        ("umzi_b", "gamma", 2),
+        ("detector", "efficiency", 0.0),
+        ("scan", "n_points", 7),
+        ("correlator", "window", 1e-13),
+    ],
+)
+def test_range_errors_name_their_section_key(section, key, value):
+    # a section is validated before any later one derives a field from it, so
+    # a delay of party A is reported as umzi_a.t_sl, not as a side offset
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({section: {key: value}})
+    message = str(err.value)
+    assert message.startswith(f"{section}.{key} "), message
+    assert message.count(f"{section}.") == 1, message
+
+
+@pytest.mark.parametrize("tau_ind", [0.0, 1e-300])
+@pytest.mark.parametrize("umzi", [{}, {"gamma": None}])
+def test_a_bad_tau_ind_fails_before_the_overlap_is_derived(tau_ind, umzi, tmp_path):
+    # gamma null or absent is derived from source.tau_ind, once it is valid
+    path = tmp_path / "bad_tau_ind.json"
+    path.write_text(json.dumps({"source": {"tau_ind": tau_ind}, "umzi_a": umzi}))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: source\\.tau_ind "):
+        fr.load_config(path)
+
+
+def test_the_derived_overlap_of_a_far_delay_is_zero():
+    # past 64 coherence times the overlap is 0.0, not an OverflowError
+    cfg = config_from_dict({"source": {"delta": 1e300, "tau_ind": 1e-300}})
+    assert cfg.umzi_a.gamma == cfg.umzi_b.gamma == 0.0
+    assert default_overlap(1e-10, 1e-300) == 0.0
+
+
 def test_histogram_size_is_bounded():
     where = "correlator.tau_max and correlator.bin_width give"
     with pytest.raises(ConfigError, match=re.escape(f"{where} 2 * tau_max / bin_width = 10")):

@@ -5,7 +5,7 @@ import math
 import re
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -15,10 +15,10 @@ import pytest
 import franson as fr
 from franson import detection, experiment, source
 from franson.config import config_hash
-from franson.correlation import overlap_envelope
+from franson.correlation import chsh_combinations, overlap_envelope, stream_for_setting
 from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
-from franson.fitting import fit_cosine
-from franson.errors import FitError
+from franson.fitting import CosineFit, fit_cosine
+from franson.errors import FitError, UndefinedCorrelationError
 from franson.rng import KIND_FRINGE, KIND_TAU
 from franson.source import FWHM_TO_SIGMA
 
@@ -198,6 +198,38 @@ def test_chsh_analytic_and_montecarlo():
     assert mc.s_value > 2.7
     assert mc.s_err < 0.05
     assert abs(mc.s_value - ana.s_value) < 4.0 * mc.s_err
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.01])
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_montecarlo_chsh_without_central_coincidences_names_the_setting(seed, efficiency):
+    # one pair per setting lands in a side peak about half the time, or goes
+    # undetected at low efficiency; the run fails at the first setting
+    # combination whose point counted nothing
+    cfg = replace(ideal_config(n_points=8, pairs_per_point=1), seed=seed)
+    cfg = replace(cfg, detector=replace(cfg.detector, efficiency=efficiency))
+    empty = [
+        name
+        for k, (name, (pa, pb)) in enumerate(chsh_combinations(cfg.scan.chsh_settings).items())
+        if simulate_point(cfg, stream_for_setting(k), 1, pa, pb)[3].central.sum() == 0
+    ]
+    assert empty, "every setting counted its pair"
+    with pytest.raises(
+        UndefinedCorrelationError,
+        match=f"^no central coincidences for setting combination {re.escape(empty[0])}$",
+    ):
+        fr.run_chsh(cfg, mode="montecarlo")
+
+
+def test_summaries_are_their_dataclass_fields():
+    cfg = ideal_config(n_points=8, pairs_per_point=500)
+    scan = fr.run_fringe_scan(cfg, mode="montecarlo")
+    summary = scan.to_summary_dict()
+    table = {"x_label", "x", "columns"}
+    assert set(summary) == {f.name for f in fields(scan)} - table
+    assert summary["fits"]["55"] == {f.name: getattr(scan.fits["55"], f.name) for f in fields(CosineFit)}
+    chsh = fr.run_chsh(cfg, mode="montecarlo")
+    assert chsh.to_summary_dict() == {"kind": "chsh", **{f.name: getattr(chsh, f.name) for f in fields(chsh)}}
 
 
 def test_analytic_runners_apply_the_path_overlaps():
@@ -393,6 +425,20 @@ def test_analytic_runners_draw_no_pairs_and_do_not_depend_on_the_seed(runner, co
         for seed in (1, 2, 7)
     )
     assert all(other == first for other in others)
+
+
+def test_pump_sweep_takes_its_points_from_the_scan_section(monkeypatch):
+    # without an n_points argument each linewidth is a cfg.scan.n_points scan
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = experiment.simulate_point
+    monkeypatch.setattr(experiment, "simulate_point", counted)
+    fr.run_pump_sweep(ideal_config(n_points=8), linewidths=[0.0, 5e9], pairs_per_point=200)
+    assert len(calls) == 2 * 8
 
 
 @pytest.mark.parametrize(
