@@ -98,12 +98,12 @@ def _cmd_correlate(args) -> RunConfig:
     cfg = _load(args)
     tags_a, tags_b, header = read_timetags(args.input)
     cfg_hash = config_hash(cfg)
-    if header.get("config_hash") not in (None, cfg_hash):
-        print(
-            f"warning: dump was produced under config {header['config_hash']}, "
-            f"correlating under {cfg_hash}",
-            file=sys.stderr,
-        )
+    for key, ours in (("seed", str(cfg.seed)), ("config_hash", cfg_hash)):
+        if header.get(key) not in (None, ours):
+            print(
+                f"warning: dump was produced under {key} {header[key]}, correlating under {ours}",
+                file=sys.stderr,
+            )
     # hist.warnings are the correlator's config warnings, which _load printed
     hist = correlate(tags_a, tags_b, cfg.correlator)
     write_histogram_csv(hist, args.out / "histogram.csv", cfg.seed, cfg_hash)

@@ -65,19 +65,23 @@ def fringe_term(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
     return visibility * np.cos(joint_phase(np.asarray(df, dtype=np.float64), dp, cfg_a, cfg_b))
 
 
-def expected_rates(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
-    """The exact ensemble mean of the central rates, (2, 2) over (port_a, port_b).
+def fringe_damping(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig) -> float:
+    """The ensemble's damping of the mean fringe term.
 
     The joint phase is theta + 2 pi [df (t_A - t_B) + dp (t_A + t_B)/2], theta =
     phase_a + phase_b, with df and dp independent Gaussians of standard
     deviations sigma_f = delta * FWHM_TO_SIGMA and sigma_p = pump_linewidth *
-    FWHM_TO_SIGMA, so the mean fringe term is V cos(theta) exp(-2 pi^2
-    [sigma_f^2 (t_A - t_B)^2 + sigma_p^2 ((t_A + t_B)/2)^2]).
-    """
+    FWHM_TO_SIGMA, so the mean fringe term is V cos(theta) times this damping,
+    exp(-2 pi^2 [sigma_f^2 (t_A - t_B)^2 + sigma_p^2 ((t_A + t_B)/2)^2])."""
     spread_f = model.delta * FWHM_TO_SIGMA * (cfg_a.t_sl - cfg_b.t_sl)
     spread_p = model.pump_linewidth * FWHM_TO_SIGMA * 0.5 * (cfg_a.t_sl + cfg_b.t_sl)
-    damping = math.exp(-2.0 * math.pi**2 * (spread_f**2 + spread_p**2))
-    fringe = damping * fringe_term(0.0, 0.0, cfg_a, cfg_b, envelope)
+    return math.exp(-2.0 * math.pi**2 * (spread_f**2 + spread_p**2))
+
+
+def expected_rates(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
+    """The exact ensemble mean of the central rates, (2, 2) over (port_a, port_b):
+    the fringe term at zero detunings, damped by :func:`fringe_damping`."""
+    fringe = fringe_damping(model, cfg_a, cfg_b) * fringe_term(0.0, 0.0, cfg_a, cfg_b, envelope)
     same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
     return np.array([[same, diff], [diff, same]])
 

@@ -71,8 +71,12 @@ WRITE_CHUNK = 2**16
 READ_BLOCK = 2**20
 
 # The most bytes a dump line may hold before its newline: a record has at
-# most 23 and the writer's header lines at most 46.
+# most 24 and the writer's header lines at most 46.
 _MAX_LINE = 64
+
+# The bound on a dumped time's magnitude: a tag sums three terms, each below
+# MAX_TIME_PS, so every tag lies below it.
+_MAX_DUMP_TIME = 4 * MAX_TIME_PS
 
 
 @dataclass(frozen=True)
@@ -347,7 +351,10 @@ def _record_problem(line: bytes) -> str:
         return f"party must be A or B, got {party!r}"
     if port not in ("5", "6"):
         return f"port must be 5 or 6, got {port!r}"
-    return f"time_ps must be an integer, got {time_ps!r}"
+    digits = time_ps.removeprefix("-")
+    if not (1 <= len(digits) <= 19 and digits.isdigit()):
+        return f"time_ps must be an integer of 1 to 19 digits, got {time_ps!r}"
+    return f"|time_ps| must be below 2**62, got {time_ps!r}"
 
 
 def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
@@ -357,8 +364,9 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     magic line, the ``#`` header lines right after it, whose ``# key=value``
     entries fill the header, then the records: ``A`` or ``B``, one space,
     ``5`` or ``6``, one space, then ``time_ps`` as an optional ``-`` and 1
-    to 18 digits.  The earliest line that is none of these, or that holds
-    more than 64 bytes before its newline, fails with ``path:line``.
+    to 19 digits, its magnitude below 2**62.  The earliest line that is none
+    of these, or that holds more than 64 bytes before its newline, fails with
+    ``path:line``.
 
     After the magic line, the file is read ``READ_BLOCK`` bytes at a time,
     each block's unfinished last line carried into the next, and the whole
@@ -415,17 +423,19 @@ def _parse_lines(path, data: bytes, first_line: int, header, parts: dict) -> tup
         & ((port == 5) | (port == 6))
         & (at(3) == _SPACE)
         & (n_digits >= 1)
-        & (n_digits <= 18)
+        & (n_digits <= 19)
     )
     # Horner over the digit runs, left to right: pass j reads the j-th digit
-    # of every record whose run is longer than j.
+    # of every record whose run is longer than j.  19 digits fit in uint64.
     first_digit = rec_start + 4 + neg
-    time_ps = np.zeros(rec_start.size, dtype=np.int64)
+    magnitude = np.zeros(rec_start.size, dtype=np.uint64)
     for j in range(int(np.max(n_digits, where=ok, initial=0))):
         live = ok & (n_digits > j)
         digit = np.where(live, buf[np.minimum(first_digit + j, last)] - _ZERO, 0)
         ok &= digit < 10
-        time_ps = np.where(live, time_ps * 10 + digit, time_ps)
+        magnitude = np.where(live, magnitude * np.uint64(10) + digit, magnitude)
+    ok &= magnitude < np.uint64(_MAX_DUMP_TIME)
+    time_ps = magnitude.astype(np.int64)
     np.negative(time_ps, out=time_ps, where=neg)
 
     bad = lengths > _MAX_LINE

@@ -9,10 +9,12 @@ index), so reruns are bit-identical and points are uncorrelated.
 
 Scan sizes come from ``cfg.scan`` (analytic results report them as set);
 only the pump and crossover sweeps take theirs as arguments.  The runners
-share one skeleton: :func:`_point` gives a point's central table, which
-:func:`_rates` turns into rates and errors, :func:`_fringe` runs both over a
-joint-phase grid, :func:`_fit_curves` fits and packages the port-pair curves,
-and :func:`_stamped` builds every result with its provenance and validates it.
+share one skeleton: :func:`_central_tables`, the one point loop, gives the
+central tables of a list of phase points, :func:`_rates` turns them into
+rates and errors, :func:`_fit_curves` fits and packages the curves,
+:func:`_fringe` runs all three over a joint-phase grid, and :func:`_stamped`
+builds every result with its provenance and validates it.  A montecarlo sweep
+fits a fringe scan per step; an analytic one reports the closed form.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .correlation import (
     chsh_sum,
     correlation_coefficient,
     expected_rates,
+    fringe_damping,
     fringe_visibility,
     overlap_envelope,
-    stream_for_setting,
 )
 from .correlator import CoincidenceHistogram, correlate
 from .detection import TagStream, simulate_tags
@@ -194,30 +196,40 @@ def simulate_point(
     return pairs, tags_a, tags_b, hist
 
 
-def _point(cfg, mode, stream, n_pairs, phase_a, phase_b, envelope=1.0):
-    """One scan point: (pairs, central table), the table (2, 2) over
-    (port_a, port_b).
+def _central_tables(cfg, mode, key, points, n_pairs, envelope=1.0, on_point=None) -> np.ndarray:
+    """The central tables of the (phase_a, phase_b) ``points``, stacked (2, 2, n)
+    over (port_a, port_b, point).
 
-    analytic mode returns pairs None and the closed-form
-    :func:`expected_rates`; montecarlo mode draws the pairs and returns the
-    central-window counts of the full tag pipeline.  Both take the fringe
-    visibility from ``fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)``.
+    analytic mode gives the closed-form :func:`expected_rates` and draws
+    nothing; montecarlo mode counts point k's central window with the full
+    tag pipeline, drawn from the stream ``(*key, k)``, and passes its draws to
+    ``on_point(k, pairs, tags_a, tags_b)``, which must not keep them: the loop
+    holds one point's pipeline at a time.  Both take the fringe visibility
+    from ``fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)``.
     """
-    if mode == "analytic":
-        cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
-        cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
-        return None, expected_rates(cfg.source, cfg_a, cfg_b, envelope)
-    pairs, _, _, hist = simulate_point(cfg, stream, n_pairs, phase_a, phase_b, envelope)
-    return pairs, hist.central
+    tables = np.zeros((2, 2, len(points)))
+    for k, (phase_a, phase_b) in enumerate(points):
+        if mode == "analytic":
+            cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
+            cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
+            tables[..., k] = expected_rates(cfg.source, cfg_a, cfg_b, envelope)
+            continue
+        pairs, tags_a, tags_b, hist = simulate_point(
+            cfg, (*key, k), n_pairs, phase_a, phase_b, envelope
+        )
+        tables[..., k] = hist.central
+        if on_point is not None:
+            on_point(k, pairs, tags_a, tags_b)
+        del pairs, tags_a, tags_b, hist  # before the next point draws its own
+    return tables
 
 
-def _rates(mode, table, n_pairs) -> tuple[np.ndarray, np.ndarray]:
-    """A point's central table as rates per pair and their standard errors:
-    analytic rates are exact, and counts get Poisson errors floored at one
-    count."""
+def _rates(mode, tables, n_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Central tables as rates per pair and their standard errors: analytic
+    rates are exact, and counts get Poisson errors floored at one count."""
     if mode == "analytic":
-        return table, np.zeros((2, 2))
-    return table / n_pairs, np.sqrt(np.maximum(table, 1.0)) / n_pairs
+        return tables, np.zeros(tables.shape)
+    return tables / n_pairs, np.sqrt(np.maximum(tables, 1.0)) / n_pairs
 
 
 def _fit_curves(port_x, rates, stderr, curves=None) -> tuple[dict, list[str]]:
@@ -266,22 +278,14 @@ def run_fringe_scan(cfg: RunConfig, mode: str = "analytic") -> ScanResult:
     return _fringe(cfg, mode, (rng_mod.KIND_FRINGE,), scan.n_points, scan.pairs_per_point)
 
 
-def _fringe(cfg, mode, key, n_points, n_pairs, envelope=1.0, on_pairs=None) -> ScanResult:
-    """A fringe scan of ``n_points`` joint phases at ``n_pairs`` pairs each
-    and the given envelope factor; point k draws from the stream ``(*key, k)``.
-    ``on_pairs``, if given, is called with each montecarlo point's pairs,
-    which it must not keep: a scan holds one point's pipeline at a time."""
+def _fringe(cfg, mode, key, n_points, n_pairs, envelope=1.0, on_point=None) -> ScanResult:
+    """A fringe scan of ``n_points`` joint phases at ``n_pairs`` pairs each and the
+    envelope factor, on :func:`_central_tables` with its key and hook."""
     theta = _joint_phase_grid(n_points)
     psi = cfg.umzi_b.phase
-    rates = np.zeros((2, 2, theta.size))
-    stderr = np.zeros((2, 2, theta.size))
-    for k, th in enumerate(theta):
-        pairs, table = _point(cfg, mode, (*key, k), n_pairs, th - psi, psi, envelope)
-        rates[..., k], stderr[..., k] = _rates(mode, table, n_pairs)
-        if on_pairs is not None and pairs is not None:
-            on_pairs(pairs)
-        del pairs  # before the next point draws its own
-    fields, fit_warnings = _fit_curves(theta, rates, stderr)
+    points = [(th - psi, psi) for th in theta]
+    tables = _central_tables(cfg, mode, key, points, n_pairs, envelope, on_point)
+    fields, fit_warnings = _fit_curves(theta, *_rates(mode, tables, n_pairs))
     return _stamped(
         ScanResult,
         cfg,
@@ -306,38 +310,27 @@ def run_local_scan(cfg: RunConfig) -> ScanResult:
     """
     theta = _joint_phase_grid(cfg.scan.n_points)
     n_pairs = cfg.scan.pairs_per_point
-    local_a = np.zeros(theta.size)
-    local_b = np.zeros(theta.size)
-    singles_a5 = np.zeros(theta.size)
-    singles_b5 = np.zeros(theta.size)
-    rates = np.zeros((2, 2, theta.size))
-    stderr = np.zeros((2, 2, theta.size))
+    local = {n: np.zeros_like(theta) for n in ("local_a", "local_b", "singles_a5", "singles_b5")}
 
-    for k, th in enumerate(theta):
-        pairs, tags_a, tags_b, hist = simulate_point(cfg, (rng_mod.KIND_LOCAL, k), n_pairs, th, th)
-        rates[..., k], stderr[..., k] = _rates("montecarlo", hist.central, n_pairs)
-        angle_a = TWO_PI * (pairs.detuning_signal * cfg.umzi_a.t_sl) + th
-        angle_b = TWO_PI * (pairs.detuning_idler * cfg.umzi_b.t_sl) + th
-        local_a[k] = local_intensities(angle_a, cfg.umzi_a.gamma)[0].mean()
-        local_b[k] = local_intensities(angle_b, cfg.umzi_b.gamma)[0].mean()
-        counts_a = tags_a.port_counts()
-        counts_b = tags_b.port_counts()
-        singles_a5[k] = counts_a[5] / max(counts_a[5] + counts_a[6], 1)
-        singles_b5[k] = counts_b[5] / max(counts_b[5] + counts_b[6], 1)
-        del pairs, tags_a, tags_b, hist, angle_a, angle_b  # before the next point's draw
+    def read(k, pairs, tags_a, tags_b):  # the point's local intensities and singles
+        for side, umzi, detuning, tags in (
+            ("a", cfg.umzi_a, pairs.detuning_signal, tags_a),
+            ("b", cfg.umzi_b, pairs.detuning_idler, tags_b),
+        ):
+            angle = TWO_PI * (detuning * umzi.t_sl) + theta[k]
+            local[f"local_{side}"][k] = local_intensities(angle, umzi.gamma)[0].mean()
+            counts = tags.port_counts()
+            local[f"singles_{side}5"][k] = counts[5] / max(counts[5] + counts[6], 1)
 
-    curves = {
-        "local_a": (theta, local_a),
-        "local_b": (theta, local_b),
-        "singles_a5": (theta, singles_a5),
-        "singles_b5": (theta, singles_b5),
-    }
-    fields, fit_warnings = _fit_curves(2.0 * theta, rates, stderr, curves)
+    grid = [(th, th) for th in theta]
+    tables = _central_tables(cfg, "montecarlo", (rng_mod.KIND_LOCAL,), grid, n_pairs, on_point=read)
+    curves = {name: (theta, y) for name, y in local.items()}
+    fields, fit_warnings = _fit_curves(2.0 * theta, *_rates("montecarlo", tables, n_pairs), curves)
     fields["columns"].update(
-        local_i5_a=local_a,
-        local_i5_b=local_b,
-        singles_a5_fraction=singles_a5,
-        singles_b5_fraction=singles_b5,
+        local_i5_a=local["local_a"],
+        local_i5_b=local["local_b"],
+        singles_a5_fraction=local["singles_a5"],
+        singles_b5_fraction=local["singles_b5"],
     )
     fits = fields["fits"]
     extras = {
@@ -417,10 +410,8 @@ def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
     err = np.zeros(offsets.size)
     if mode == "montecarlo":
         for k, env in enumerate(envelope):
-            sub = _fringe(cfg, mode, (rng_mod.KIND_TAU, k), TAU_POINTS, n_pairs, float(env))
-            vis[k] = sub.visibility
-            err[k] = sub.visibility_err
-
+            scan = _fringe(cfg, mode, (rng_mod.KIND_TAU, k), TAU_POINTS, n_pairs, float(env))
+            vis[k], err[k] = scan.visibility, scan.visibility_err
     return _stamped(
         ScanResult,
         cfg,
@@ -428,11 +419,7 @@ def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
         kind="tau-decay",
         x_label="tau_offset_s",
         x=offsets,
-        columns={
-            "visibility": vis,
-            "visibility_err": err,
-            "envelope_analytic": expected,
-        },
+        columns={"visibility": vis, "visibility_err": err, "envelope_analytic": expected},
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
         extras={"half_visibility_scale_s": float(0.6 / delta)},
@@ -447,11 +434,15 @@ def run_pump_sweep(
     n_points: int | None = None,
     pairs_per_point: int | None = None,
 ) -> ScanResult:
-    """Nonlocal visibility against the pump linewidth, and the closed-form
-    Gaussian curve ``cf_analytic`` that analytic mode's visibility equals.
+    """Nonlocal visibility against the pump linewidth, and ``cf_analytic``:
+    gamma_A gamma_B times the pump jitter's closed-form characteristic function
+    at lag t_sl.
 
-    montecarlo mode also reports ``cf_sampled``, the empirical characteristic
-    function of the drawn pump jitters at lag t_sl (the exact target of the fit).
+    analytic mode reports :func:`expected_rates`'s law, gamma_A gamma_B times
+    :func:`fringe_damping`, which on equal delays is ``cf_analytic`` to
+    rounding.  montecarlo mode fits a fringe scan per step and also reports
+    ``cf_sampled``, the drawn jitters' empirical characteristic function at lag
+    t_sl (on equal delays the exact target of the fit).
     """
     _check_mode(mode)
     t_sl = cfg.umzi_a.t_sl
@@ -459,29 +450,28 @@ def run_pump_sweep(
         linewidths = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) / t_sl
     linewidths = _sweep_values("linewidths", linewidths, lambda x: x >= 0.0, ">= 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 20_000))
-
-    vis = np.zeros(linewidths.size)
-    err = np.zeros(linewidths.size)
-    cf_sampled = np.zeros(linewidths.size)
-    cf_analytic = np.zeros(linewidths.size)
     n_points = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
-
-    def pool(pairs):  # the pooled CF of the very pairs drawn, point by point
-        nonlocal cf_sum
-        cf_sum += sampled_cf(pairs.dp, t_sl)
-
-    for k, lw in enumerate(linewidths):
-        sub_cfg = replace(cfg, source=replace(cfg.source, pump_linewidth=float(lw)))
-        cf_sum = 0.0 + 0.0j
-        sub = _fringe(sub_cfg, mode, (rng_mod.KIND_PUMP, k), n_points, n_pairs, on_pairs=pool)
-        vis[k] = sub.visibility
-        err[k] = sub.visibility_err
-        cf_sampled[k] = abs(cf_sum) / n_points
-        cf_analytic[k] = local_visibility_oracle(float(lw), t_sl)
-
-    cf_curves = {"cf_analytic": cf_analytic}
+    sources = [replace(cfg.source, pump_linewidth=float(lw)) for lw in linewidths]
+    damping = np.array([fringe_damping(source, cfg.umzi_a, cfg.umzi_b) for source in sources])
+    cf_analytic = np.array([local_visibility_oracle(float(lw), t_sl) for lw in linewidths])
+    vis = fringe_visibility(damping, cfg.umzi_a, cfg.umzi_b)  # montecarlo fits each step
+    err = np.zeros(linewidths.size)
+    columns = {"visibility": vis, "visibility_err": err}
+    columns["cf_analytic"] = fringe_visibility(cf_analytic, cfg.umzi_a, cfg.umzi_b)
     if mode == "montecarlo":  # analytic mode draws no pairs
-        cf_curves["cf_sampled"] = cf_sampled
+        cf_sampled = np.zeros(linewidths.size)
+
+        def pool(k, pairs, tags_a, tags_b):  # the pooled CF of the very pairs drawn
+            nonlocal cf_sum
+            cf_sum += sampled_cf(pairs.dp, t_sl)
+
+        for k, source in enumerate(sources):
+            cf_sum = 0.0 + 0.0j
+            sub_cfg = replace(cfg, source=source)
+            scan = _fringe(sub_cfg, mode, (rng_mod.KIND_PUMP, k), n_points, n_pairs, on_point=pool)
+            vis[k], err[k] = scan.visibility, scan.visibility_err
+            cf_sampled[k] = abs(cf_sum) / n_points
+        columns["cf_sampled"] = fringe_visibility(cf_sampled, cfg.umzi_a, cfg.umzi_b)
     return _stamped(
         ScanResult,
         cfg,
@@ -489,14 +479,7 @@ def run_pump_sweep(
         kind="pump-sweep",
         x_label="pump_linewidth_hz",
         x=linewidths,
-        columns={
-            "visibility": vis,
-            "visibility_err": err,
-            **{
-                name: fringe_visibility(cf, cfg.umzi_a, cfg.umzi_b)
-                for name, cf in cf_curves.items()
-            },
-        },
+        columns=columns,
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
         pairs_per_point=n_pairs,
@@ -510,10 +493,12 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic") -> ChshRun:
     _check_mode(mode)
     settings = cfg.scan.chsh_settings
     n_pairs = cfg.scan.pairs_per_point
+    combinations = chsh_combinations(settings)
+    tables = _central_tables(cfg, mode, (rng_mod.KIND_CHSH,), combinations.values(), n_pairs)
     corr = {}
     var_sum = 0.0
-    for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
-        _, table = _point(cfg, mode, stream_for_setting(k), n_pairs, pa, pb)
+    for k, name in enumerate(combinations):
+        table = tables[..., k]
         total = float(table.sum())
         if total <= 0:
             raise UndefinedCorrelationError(f"no central coincidences for setting combination {name}")

@@ -31,9 +31,10 @@ from .rng import ROLE_SOURCE, item_uniforms, normal_quantile, stream_key
 PS_PER_S = 1e12
 
 # The bound (~13 days) on every time quantity: an emission time plus its pair
-# delay, an interferometer delay, a jitter draw, a correlator time, a dumped
-# (18-digit) time.  A tag sums three and a correlator delay differences two
-# tags, or a tag and tau_max, so neither can leave int64 (2**63 ps).
+# delay, an interferometer delay, a jitter draw, a correlator time.  A tag
+# sums three, so a dumped time has at most 19 digits, and a correlator delay
+# differences two tags, or a tag and tau_max, so neither can leave int64
+# (2**63 ps).
 MAX_TIME_PS = 2**60
 
 # sigma = FWHM / (2 sqrt(2 ln 2)) for a Gaussian.

@@ -259,6 +259,32 @@ def test_correlate_prints_each_config_warning_once(config_path, tmp_path, capsys
     assert any("overlap" in w for w in strict_json(tmp_path / "correlate.json")["warnings"])
 
 
+def test_correlate_warns_when_the_dump_was_made_under_another_seed_or_config(
+    config_path, tmp_path, capsys
+):
+    # the products are stamped with the correlating config's seed and hash,
+    # so a dump made under others is named on stderr
+    dump = tmp_path / "timetags.dat"
+    argv = ["timetags", "--config", config_path, "--pairs", 50, "--seed", 42, "--out", tmp_path]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(["correlate", "--config", config_path, "--input", dump, "--out", tmp_path]) == 0
+    err = capsys.readouterr().err
+    assert "warning: dump was produced under seed 42, correlating under 1\n" in err
+    assert "config_hash" not in err
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(IDEAL), "seed": 42, "correlator": {"window": 8e-12}}))
+    assert run(["correlate", "--config", other, "--input", dump, "--out", tmp_path]) == 0
+    err = capsys.readouterr().err
+    assert "seed" not in err
+    cfg_hash = fr.config_hash(fr.load_config(other))
+    assert f"produced under config_hash {fr.config_hash(fr.load_config(config_path))}, " in err
+    assert f"correlating under {cfg_hash}\n" in err
+    argv = ["correlate", "--config", config_path, "--input", dump, "--seed", 42, "--out", tmp_path]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_config_warnings_are_surfaced(config_path, tmp_path, capsys):
     cfg = tmp_path / "warn.json"
     cfg.write_text('{"source": {"delta": 1e10}, "scan": {"pairs_per_point": 500}}')

@@ -165,6 +165,17 @@ def test_rate_depends_on_ports_only_through_the_sign_product():
     for table in (fringe.rates, fringe.stderr):
         assert table[0, 0] == table[1, 1]
         assert table[0, 1] == table[1, 0]
+    # per pair, on the fringe term itself: each central cell of the scalar
+    # oracle is (1/8)(1 + s_a s_b fringe), at path overlaps and an envelope below 1
+    cfg_a, cfg_b = umzi(0.3, gamma=0.9), umzi(1.1, t_sl=80e-12, gamma=0.7)
+    pairs = sample_pairs(model(delta=1e10, pump=2e9), 50, seed=2)
+    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope=0.8)
+    for j, term in enumerate(fringe):
+        table = outcome_table(pairs.df[j], pairs.dp[j], cfg_a, cfg_b, envelope=0.8)
+        for a, port_a in enumerate(PORTS):
+            for b, port_b in enumerate(PORTS):
+                sign = 1.0 if port_a == port_b else -1.0
+                assert table[a, b, 0] == pytest.approx(0.125 * (1.0 + sign * term), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,9 @@
 """Coincidence correlator: matching oracle, windows, complexity."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,22 @@ from franson.correlator import (
     sweep_matches,
     write_histogram_csv,
 )
-from franson.config import parse_config
-from franson.detection import DetectorModel, TagStream, simulate_tags
+from franson.config import load_config, parse_config
+from franson.detection import (
+    DetectorModel,
+    TagStream,
+    read_timetags,
+    simulate_run,
+    simulate_tags,
+    write_timetag_chunks,
+)
 from franson.errors import ConfigError, StreamOrderError
 from franson.experiment import simulate_point
+from franson.rng import KIND_TIMETAGS
 from franson.interferometer import UmziConfig
 from franson.source import SpectralModel, sample_pairs
+
+from oracles import window_totals
 
 
 SIDES = {"side_offset_a": 100e-12, "side_offset_b": 100e-12}
@@ -412,3 +424,40 @@ def test_histogram_csv_bytes_equal_the_row_by_row_rendering(tmp_path, monkeypatc
     header = path.read_text().split("tau_ps,port_a,port_b,count\n")[0]
     assert header.startswith("# franson-histogram v1\n# seed=2\n# config_hash=beef\n")
     assert path.read_text() == header + "tau_ps,port_a,port_b,count\n" + "".join(rows)
+
+
+DUMP_REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "dump-replay.json"
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        {},
+        {"umzi_b": {"t_sl": 70e-12}},
+        {"detector": {"efficiency": 0.7, "jitter": 5e-12}, "source": {"pump_linewidth": 5e9}},
+    ],
+    ids=["dump-replay", "unequal-delays", "lossy-jittered-pump"],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dumped_run_window_totals_follow_the_closed_form(tmp_path, variant, seed):
+    # the whole tag path, source to correlator through a dump, at 10**10
+    # pairs/s, where accidentals make up a sixth of each same-port central
+    # total: every window total of every port pair lies within 4 Poisson
+    # standard deviations of the closed form
+    raw = json.loads(DUMP_REPLAY.read_text())
+    for section, keys in variant.items():
+        raw[section] = {**raw[section], **keys}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path)
+    n_pairs = 200_000
+    chunks = simulate_run(
+        cfg.source, cfg.umzi_a, cfg.umzi_b, cfg.detector, n_pairs, seed, KIND_TIMETAGS
+    )
+    dump = tmp_path / "timetags.dat"
+    write_timetag_chunks(dump, chunks, seed, "c0ffee")
+    tags_a, tags_b, _ = read_timetags(dump)
+    hist = correlate(tags_a, tags_b, cfg.correlator)
+    for name, expected in window_totals(raw, n_pairs).items():
+        pulls = (getattr(hist, name) - expected) / np.sqrt(expected)
+        assert np.all(np.abs(pulls) <= 4.0), (name, pulls)

@@ -268,7 +268,10 @@ def test_read_timetags_rejects_foreign_files(tmp_path):
         ("A 5 1/0", "time_ps must be an integer"),
         ("A 5 1000\r", "time_ps must be an integer"),
         ("A 5 -", "time_ps must be an integer"),
-        ("A 5 1234567890123456789", "time_ps must be an integer"),
+        ("A 5 -12345678901234567890", "time_ps must be an integer"),
+        # 19 digits parse; a magnitude of 2**62 or more fails for its size
+        ("A 5 4611686018427387904", "|time_ps| must be below 2**62"),
+        ("A 5 -9999999999999999999", "|time_ps| must be below 2**62"),
     ):
         path.write_text(f"# franson-timetags v1\nA 5 1000\n{record}\nB 5 1000\n")
         with pytest.raises(ValueError, match=rf"junk.dat:3: {re.escape(problem)}"):
@@ -293,15 +296,28 @@ def test_the_party_of_a_dumped_stream_is_its_position(tmp_path):
 
 
 def test_timetag_dump_round_trips_signs_and_widths(tmp_path):
-    big = 10**18 - 1  # the widest time a record holds: 18 digits
+    big = 2**62 - 1  # the widest time a record holds: 19 digits
     tags_a = hand_stream([5, 6, 5, 6, 5, 6], [-big, -10, -1, 0, 9, big])
-    tags_b = hand_stream([6, 5, 6, 5], [-big, 0, 10, 10**17])
+    tags_b = hand_stream([6, 5, 6, 5], [-big, 0, 10, 10**18])
     path = tmp_path / "tags.dat"
     write_timetags(path, tags_a, tags_b, seed=0, config_hash="c0ffee")
     text = path.read_text()
     assert text.startswith(HEADER)
     assert f"A 5 -{big}\nB 6 -{big}\n" in text and "A 6 0\nB 5 0\n" in text
     got_a, got_b, _ = read_timetags(path)
+    for got, want in ((got_a, tags_a), (got_b, tags_b)):
+        assert np.array_equal(got.time_ps, want.time_ps)
+        assert np.array_equal(got.port, want.port)
+
+
+def test_a_dump_past_ten_to_the_eighteen_ps_reads_back(tmp_path):
+    # at 1 pair/s a run reaches 10**18 ps, a 19-digit time, after ~10**6 pairs
+    pairs = sample_pairs(SpectralModel(pair_rate=1.0), 500, seed=3, origin_ps=10**18 - 10**14)
+    tags_a, tags_b = simulate_tags(pairs, umzi(), umzi(), DetectorModel(), seed=3)
+    path = tmp_path / "tags.dat"
+    write_timetags(path, tags_a, tags_b, seed=3, config_hash="c0ffee")
+    got_a, got_b, _ = read_timetags(path)
+    assert got_b.time_ps.max() >= 10**18
     for got, want in ((got_a, tags_a), (got_b, tags_b)):
         assert np.array_equal(got.time_ps, want.time_ps)
         assert np.array_equal(got.port, want.port)
@@ -457,7 +473,7 @@ CORRELATE_PINS = {
 
 
 RECORDS = st.lists(
-    st.tuples(st.sampled_from("AB"), st.sampled_from([5, 6]), st.integers(-(10**18) + 1, 10**18 - 1)),
+    st.tuples(st.sampled_from("AB"), st.sampled_from([5, 6]), st.integers(-(2**62) + 1, 2**62 - 1)),
     min_size=1,
     max_size=30,
 )
@@ -646,7 +662,7 @@ def check_corrupt_record(tmp_path_factory, records, bad_at, corruption, char, wh
             return line[:cut] + char + line[cut:]
         if corruption == "drop":
             return line.rsplit(" ", 1)[0]
-        return line + "0" * 18  # 19 digits or more
+        return line + "0" * 19  # 20 digits or more
 
     lines[k] = corrupt(lines[k])
     if later and k + 1 < len(lines):

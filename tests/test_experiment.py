@@ -178,7 +178,7 @@ def test_tau_decay_offset_acts_only_through_the_envelope(config):
 
 
 def test_pump_sweep_degrades_with_linewidth():
-    # analytic fringe scans are exact, so their visibility is the closed-form
+    # the analytic sweep reports the closed form, on equal delays the cf_analytic
     # curve; no pairs are drawn, so there is no sampled characteristic function
     cfg = ideal_config(pairs_per_point=10_000)
     res = fr.run_pump_sweep(cfg, mode="analytic", pairs_per_point=10_000)
@@ -188,6 +188,22 @@ def test_pump_sweep_degrades_with_linewidth():
         res.columns["visibility"], res.columns["cf_analytic"], rtol=0, atol=1e-12
     )
     assert "cf_sampled" not in res.columns
+
+
+def test_analytic_pump_sweep_follows_the_fringe_law_at_unequal_delays():
+    # with t_sl^A != t_sl^B the detuning spread damps the fringe as well, and
+    # the pump jitter acts at the mean delay: each step is the analytic fringe
+    # scan at its own linewidth, with zero error, and no longer cf_analytic
+    cfg = ideal_config()
+    cfg = replace(cfg, umzi_b=replace(cfg.umzi_b, t_sl=100.5e-12))
+    linewidths = [0.0, 2.5e9, 5e9]
+    res = fr.run_pump_sweep(cfg, linewidths, mode="analytic")
+    for k, lw in enumerate(linewidths):
+        cfg_k = replace(cfg, source=replace(cfg.source, pump_linewidth=lw))
+        scan = fr.run_fringe_scan(cfg_k, mode="analytic")
+        assert res.columns["visibility"][k] == pytest.approx(scan.visibility, rel=0, abs=1e-12)
+    assert 0.3 < res.visibility < 0.5 and res.columns["cf_analytic"][0] == 1.0
+    assert not np.any(res.columns["visibility_err"])
 
 
 def test_chsh_analytic_and_montecarlo():
@@ -257,6 +273,34 @@ def test_analytic_chsh_is_the_closed_form_under_pump_jitter():
     assert sigma_p > 0 and cfg.umzi_b.t_sl == t_sl
     assert run.s_value == pytest.approx(expected, rel=0, abs=1e-12)
     assert run.s_err == 0.0
+
+
+def ideal_json_with(tmp_path, keys):
+    """configs/ideal.json with the given {"section.key": value} entries, loaded."""
+    raw = json.loads((CONFIGS / "ideal.json").read_text())
+    for name, value in keys.items():
+        section, key = name.split(".")
+        raw[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return fr.load_config(path)
+
+
+def test_analytic_chsh_vanishes_without_path_overlap_at_one_party(tmp_path):
+    # gamma_A = 0 makes V = 0: every E is exactly 0, and so is S
+    run = fr.run_chsh(ideal_json_with(tmp_path, {"umzi_a.gamma": 0}), mode="analytic")
+    assert run.correlations == dict.fromkeys(("ab", "ab'", "a'b", "a'b'"), 0.0)
+    assert run.s_value == 0.0 and run.s_err == 0.0
+
+
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+def test_chsh_with_all_settings_equal_gives_two(tmp_path, mode):
+    # E(0, 0) = V = 1 for every combination, so S = |1 + 1 + 1 - 1| = 2 in
+    # either mode: at V = 1 and zero joint phase every pair leaves by equal ports
+    keys = {"scan.chsh_settings": [0.0] * 4, "scan.pairs_per_point": 2_000}
+    run = fr.run_chsh(ideal_json_with(tmp_path, keys), mode=mode)
+    assert run.correlations == dict.fromkeys(("ab", "ab'", "a'b", "a'b'"), 1.0)
+    assert run.s_value == 2.0
 
 
 def test_scan_points_draw_from_tuple_keys():
