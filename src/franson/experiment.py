@@ -399,13 +399,16 @@ def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
     coincidence window on the displaced peak cancel exactly on the
     integer-picosecond grid, so montecarlo step k is a ``TAU_POINTS``-point
     fringe scan at that envelope, drawn from the stream ``(KIND_TAU, k)``.
+    Analytic step k is the envelope times the analytic fringe scan's
+    visibility, gamma_A gamma_B :func:`fringe_damping`.
     """
     _check_mode(mode)
     delta = cfg.source.delta
     offsets = np.array(TAU_OFFSETS_DELTA) / delta
     n_pairs = min(cfg.scan.pairs_per_point, 30_000)
     envelope = overlap_envelope(offsets, delta)
-    expected = fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)
+    damping = fringe_damping(cfg.source, cfg.umzi_a, cfg.umzi_b)
+    expected = fringe_visibility(envelope * damping, cfg.umzi_a, cfg.umzi_b)
     vis = expected.copy()  # analytic mode's answer; montecarlo fits each step
     err = np.zeros(offsets.size)
     if mode == "montecarlo":

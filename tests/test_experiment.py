@@ -177,6 +177,26 @@ def test_tau_decay_offset_acts_only_through_the_envelope(config):
         assert decay.columns["visibility_err"][k] == scan.visibility_err
 
 
+@pytest.mark.parametrize(
+    "config, t_sl_b",
+    [("pump_jitter.json", None), ("ideal.json", 100.5e-12), ("pump_jitter.json", 100.5e-12)],
+    ids=["pump_jitter", "unequal_delays", "pump_jitter-unequal_delays"],
+)
+def test_analytic_tau_decay_is_the_envelope_times_the_analytic_fringe(config, t_sl_b):
+    # the pump jitter and the unequal-delay detuning spread damp every step as
+    # they damp the analytic fringe scan; the offset adds only its envelope
+    cfg = fr.load_config(CONFIGS / config)
+    if t_sl_b is not None:
+        cfg = replace(cfg, umzi_b=replace(cfg.umzi_b, t_sl=t_sl_b))
+    fringe = fr.run_fringe_scan(cfg, mode="analytic").visibility
+    decay = fr.run_tau_decay(cfg, mode="analytic")
+    want = overlap_envelope(decay.x, cfg.source.delta) * fringe
+    assert fringe < 0.5
+    np.testing.assert_allclose(decay.columns["visibility"], want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(decay.columns["envelope_analytic"], decay.columns["visibility"])
+    assert not np.any(decay.columns["visibility_err"])
+
+
 def test_pump_sweep_degrades_with_linewidth():
     # the analytic sweep reports the closed form, on equal delays the cf_analytic
     # curve; no pairs are drawn, so there is no sampled characteristic function

@@ -1,6 +1,7 @@
 """Interferometer transfer, local intensities and ensemble dephasing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from franson.fitting import fit_cosine
 from franson.interferometer import (
+    ENSEMBLE_BLOCK,
     UmziConfig,
     default_overlap,
     ensemble_local_fringe,
@@ -16,7 +18,7 @@ from franson.interferometer import (
     local_visibility_oracle,
     regime_flags,
 )
-from franson.source import SpectralModel, sample_pairs
+from franson.source import SpectralModel, sample_detunings, sample_pairs
 
 from oracles import port_amplitudes
 
@@ -119,6 +121,40 @@ def test_local_fringe_scales_with_gamma():
     model = model_with(0.01)
     half = ensemble_local_fringe(model, umzi(gamma=0.5), n_pairs=20_000, seed=6)
     assert half == pytest.approx(0.5, abs=0.02)
+
+
+B = ENSEMBLE_BLOCK
+
+
+@pytest.mark.parametrize("delta_t_sl", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("n_pairs", [B - 1, B, B + 1, 3 * B + 7])
+def test_blocked_local_fringe_matches_the_one_shot_mean(delta_t_sl, n_pairs):
+    # block by block the draws are those of one call; only the order of the
+    # phasor sum differs from the one-shot mean
+    model, cfg = model_with(delta_t_sl), umzi(gamma=0.8)
+    df, dp = sample_detunings(model, n_pairs, 11, stream=(2, 5))
+    phasors = np.exp(1j * 2.0 * math.pi * (df + 0.5 * dp) * cfg.t_sl)
+    reference = cfg.gamma * abs(phasors.mean())
+    vis = ensemble_local_fringe(model, cfg, n_pairs=n_pairs, seed=11, stream=(2, 5))
+    assert vis == pytest.approx(reference, rel=0, abs=1e-15)
+
+
+def test_local_fringe_memory_is_flat_in_the_pair_count():
+    def traced_peak(n_pairs):
+        tracemalloc.start()
+        try:
+            ensemble_local_fringe(model_with(1.0), umzi(), n_pairs=n_pairs, seed=12)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(traced_peak(64 * B) - traced_peak(B)) < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_local_fringe_rejects_an_empty_ensemble(n_pairs):
+    with pytest.raises(ValueError, match=f"^n_pairs must be >= 1, got {n_pairs}$"):
+        ensemble_local_fringe(model_with(1.0), umzi(), n_pairs=n_pairs)
 
 
 def test_local_visibility_oracle_is_monotone_non_increasing():
