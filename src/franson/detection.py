@@ -1,17 +1,15 @@
 """Stochastic detection: per-pair outcomes to time-tag streams.
 
 Each emitted pair's outcome is drawn in factorized form from its own block
-of uniforms (see :func:`_detect` for the column layout):
-
-* path bits: ``b_A`` and ``b_B`` are independent fair bits.  Equal bits are
-  the central branch, labelled (b, b); (0, 1) is SL and (1, 0) is LS, so each
-  side branch carries 1/4 and the central branch 1/2;
-* port A: a fair bit;
-* port parity: "same ports" with probability (1 + V cos(phi' + psi')) / 2 on
-  the central branch, with V cos(phi' + psi') the rate law's fringe term
-  (:func:`franson.correlation.fringe_term`), and 1/2 on a side branch.
-
-Together these give exactly the coincidence-basis distribution of
+of 4 uniforms (see :func:`_detect` for the bit layout): columns 0 and 1 give
+the jitters at A and B as full-resolution normal quantiles; column 2 the port
+parity, "same ports" with probability (1 + V cos(phi' + psi')) / 2 on the
+central branch, V cos(phi' + psi') the rate law's fringe term
+(:func:`franson.correlation.fringe_term`), and 1/2 on a side branch, at
+2**-53 resolution; column 3 the fair path bits ``b_A`` and ``b_B`` (equal
+bits are the central branch, labelled (b, b); (0, 1) is SL and (1, 0) is LS),
+the fair port-A bit, and detection at A and at B at 2**-25 resolution.  To
+those resolutions this is the coincidence-basis distribution of
 :mod:`franson.correlation`: (1/8)(1 + s_a s_b V cos(phi' + psi')) per central
 port pair and 1/16 per side cell.  Detection times are assembled as
 
@@ -127,9 +125,6 @@ class TagStream:
     def __len__(self) -> int:
         return self.time_ps.size
 
-    def port_counts(self) -> dict[int, int]:
-        return {5: int(np.sum(self.port == 5)), 6: int(np.sum(self.port == 6))}
-
 
 def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0, start=0):
     """The per-pair step of :func:`simulate_tags`, whose arguments it takes.
@@ -138,25 +133,29 @@ def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0, start=0):
     party's ``(port, time_ps, kept)`` columns, A first; ``kept`` marks the
     photons the detector registers.
 
-    Uniform columns per pair: 0 and 1 path bits b_A and b_B, 2 and 3 jitter
-    at A and B, 4 and 5 detection at A and B, 6 port A, 7 port parity.
+    Column 3's 53-bit grid index holds, from the top, b_A, b_B, the port-A
+    bit, then 25 bits that keep A's photon when below ceil(efficiency 2**25)
+    and 25 that keep B's.  Above 1/2 the open-interval shift rounds the index
+    up to even, which moves the five draws' joint law by at most 2**-26.
     """
     # before any draw: a bad envelope fails here
     fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
-    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 8, start=start)
-    b_a = u[:, 0] < 0.5
-    b_b = u[:, 1] < 0.5
+    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 4, start=start)
+    jitter_a_ps = to_picoseconds(normal_quantile(u[:, 0]) * det.jitter)
+    jitter_b_ps = to_picoseconds(normal_quantile(u[:, 1]) * det.jitter)
+    bits = np.multiply(u[:, 3], 2.0**53, out=u[:, 3]).astype(np.uint64)
+    low_25, threshold = np.uint64(2**25 - 1), np.uint64(math.ceil(det.efficiency * 2**25))
+    keep_b = (bits & low_25) < threshold
+    keep_a = ((bits >> np.uint64(25)) & low_25) < threshold
+    top = (bits >> np.uint64(50)).astype(np.uint8)  # 4 b_A + 2 b_B + the port-A bit
     # central 0 for equal bits, SL 1 for (0, 1), LS 2 for (1, 0)
-    branch = (2 * b_a.view(np.int8) + b_b) % 3
+    branch = (top >> 1) % 3
     p_same = 0.5 + 0.5 * fringe * (branch == 0)
-    port_a = np.uint8(5) + (u[:, 6] < 0.5).view(np.uint8)
-    port_b = port_a ^ (np.uint8(3) * (u[:, 7] >= p_same))  # 5 ^ 3 = 6, 6 ^ 3 = 5
-    jitter_a_ps = to_picoseconds(normal_quantile(u[:, 2]) * det.jitter)
-    jitter_b_ps = to_picoseconds(normal_quantile(u[:, 3]) * det.jitter)
-    keep_a = u[:, 4] < det.efficiency
-    keep_b = u[:, 5] < det.efficiency
-    del u  # the largest array here: free it before the times are assembled
+    port_a = np.uint8(5) + (top & 1)
+    port_b = port_a ^ (np.uint8(3) * (u[:, 2] >= p_same))  # 5 ^ 3 = 6, 6 ^ 3 = 5
+    del u, bits  # the largest arrays here: free them before the times are assembled
 
+    b_a, b_b = top >= 4, (top & 2) > 0
     t_a = pairs.t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
     t_b = pairs.t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
     return branch, (port_a, t_a, keep_a), (port_b, t_b, keep_b)

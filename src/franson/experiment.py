@@ -319,8 +319,7 @@ def run_local_scan(cfg: RunConfig) -> ScanResult:
         ):
             angle = TWO_PI * (detuning * umzi.t_sl) + theta[k]
             local[f"local_{side}"][k] = local_intensities(angle, umzi.gamma)[0].mean()
-            counts = tags.port_counts()
-            local[f"singles_{side}5"][k] = counts[5] / max(counts[5] + counts[6], 1)
+            local[f"singles_{side}5"][k] = np.count_nonzero(tags.port == 5) / max(len(tags), 1)
 
     grid = [(th, th) for th in theta]
     tables = _central_tables(cfg, "montecarlo", (rng_mod.KIND_LOCAL,), grid, n_pairs, on_point=read)
@@ -439,24 +438,24 @@ def run_pump_sweep(
 ) -> ScanResult:
     """Nonlocal visibility against the pump linewidth, and ``cf_analytic``:
     gamma_A gamma_B times the pump jitter's closed-form characteristic function
-    at lag t_sl.
+    at the mean delay (t_A + t_B)/2, where the jitter enters the joint phase.
 
     analytic mode reports :func:`expected_rates`'s law, gamma_A gamma_B times
-    :func:`fringe_damping`, which on equal delays is ``cf_analytic`` to
-    rounding.  montecarlo mode fits a fringe scan per step and also reports
-    ``cf_sampled``, the drawn jitters' empirical characteristic function at lag
-    t_sl (on equal delays the exact target of the fit).
+    :func:`fringe_damping`: ``cf_analytic`` times the detuning spread's factor,
+    1 on equal delays, to rounding.  montecarlo mode fits a fringe scan per
+    step and also reports ``cf_sampled``, the drawn jitters' empirical
+    characteristic function at that lag (on equal delays the fit's exact target).
     """
     _check_mode(mode)
-    t_sl = cfg.umzi_a.t_sl
+    lag = 0.5 * (cfg.umzi_a.t_sl + cfg.umzi_b.t_sl)
     if linewidths is None:
-        linewidths = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) / t_sl
+        linewidths = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) / lag
     linewidths = _sweep_values("linewidths", linewidths, lambda x: x >= 0.0, ">= 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 20_000))
     n_points = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
     sources = [replace(cfg.source, pump_linewidth=float(lw)) for lw in linewidths]
     damping = np.array([fringe_damping(source, cfg.umzi_a, cfg.umzi_b) for source in sources])
-    cf_analytic = np.array([local_visibility_oracle(float(lw), t_sl) for lw in linewidths])
+    cf_analytic = np.array([local_visibility_oracle(float(lw), lag) for lw in linewidths])
     vis = fringe_visibility(damping, cfg.umzi_a, cfg.umzi_b)  # montecarlo fits each step
     err = np.zeros(linewidths.size)
     columns = {"visibility": vis, "visibility_err": err}
@@ -466,7 +465,7 @@ def run_pump_sweep(
 
         def pool(k, pairs, tags_a, tags_b):  # the pooled CF of the very pairs drawn
             nonlocal cf_sum
-            cf_sum += sampled_cf(pairs.dp, t_sl)
+            cf_sum += sampled_cf(pairs.dp, lag)
 
         for k, source in enumerate(sources):
             cf_sum = 0.0 + 0.0j

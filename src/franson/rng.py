@@ -1,21 +1,21 @@
-"""Counter-based random streams.
+"""Jump-ahead random streams.
 
-All randomness in the package flows through Philox generators keyed by a
+All randomness in the package flows through PCG64DXSM generators keyed by a
 seed and a path: a tuple of small non-negative integers naming the consumer,
 such as ``(KIND_FRINGE, point, ROLE_SOURCE)`` or ``(KIND_PUMP, k, j,
 ROLE_DETECTION)``.  The seed is the ``SeedSequence`` entropy and the path its
 spawn key, so two different (seed, path) keys never share a stream: paths of
 different lengths stay apart (a trailing 0 is not padding), and seeds below
 2**128 and path entries below 2**32 each fill a fixed number of words.
-Philox is counter based and splittable, so every stream is independent and a
+Each key seeds its own generator state, so every stream is independent and a
 sampled sequence is a pure function of its key.
 
 Samplers that need per-item addressability draw a fixed block of
-``n_draws`` uniforms per item, a multiple of 4 that each caller states (the
-source draws 4 per pair, detection 8).  One Philox counter step yields four
-64-bit draws, so item ``j`` starts at counter offset ``n_draws / 4 * j`` and
-ranges of items can be generated concurrently without generating their
-predecessors.
+``n_draws`` uniforms per item, a count that each caller states (the source
+draws 4 per pair, detection 4).  Each uniform takes one 64-bit output, and
+``advance`` jumps the generator by any number of outputs in O(log n) steps,
+so item ``j`` starts at output ``n_draws * j`` and ranges of items can be
+generated concurrently without generating their predecessors.
 Every draw lies strictly inside (0, 1), and :func:`normal_quantile` maps
 draws to standard normal deviates.
 """
@@ -23,7 +23,7 @@ draws to standard normal deviates.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 # Stream roles within one simulated scan point.
 ROLE_SOURCE = 0
@@ -62,16 +62,16 @@ def item_uniforms(seed: int, path: tuple, n_items: int, n_draws: int, start: int
     """
     if n_items < 0 or start < 0:
         raise ValueError("n_items and start must be non-negative")
-    if n_draws < 4 or n_draws % 4:
-        raise ValueError(f"n_draws must be a positive multiple of 4, got {n_draws}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be positive, got {n_draws}")
     path = tuple(map(int, path))
     if not 0 <= int(seed) < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     if not all(0 <= p < 2**32 for p in path):
         raise ValueError(f"stream path entries must lie in [0, 2**32), got {path}")
-    bitgen = Philox(SeedSequence(int(seed), spawn_key=path))
+    bitgen = PCG64DXSM(SeedSequence(int(seed), spawn_key=path))
     if start:
-        bitgen.advance(n_draws // 4 * start)
+        bitgen.advance(n_draws * start)
     return _open_unit_interval(Generator(bitgen).random(size=(n_items, n_draws)))
 
 
@@ -130,9 +130,9 @@ def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
 def normal_quantile(p: np.ndarray) -> np.ndarray:
     """Standard normal quantile z(p) of each p in (0, 1), by AS241.
 
-    The central rational (|p - 1/2| <= 0.425) runs on every draw; the tail
-    rationals only on the draws beyond it, in r = sqrt(-log(min(p, 1 - p))),
-    which keeps full relative precision in the far tails.
+    The central rational (|p - 1/2| <= 0.425) runs on every draw; each tail
+    rational only on the draws beyond it that it selects, in r =
+    sqrt(-log(min(p, 1 - p))), which keeps full relative precision there.
     """
     q = np.subtract(p, 0.5)
     r = q * q
@@ -149,7 +149,8 @@ def normal_quantile(p: np.ndarray) -> np.ndarray:
             (r <= 5.0, 1.6, _NEAR_TAIL_NUM, _NEAR_TAIL_DEN),
             (r > 5.0, 5.0, _FAR_TAIL_NUM, _FAR_TAIL_DEN),
         ):
-            s = r[sel] - shift
-            x[sel] = _horner(num, s) / _horner(den, s)
+            if sel.any():  # the far tail is empty in nearly every call
+                s = r[sel] - shift
+                x[sel] = _horner(num, s) / _horner(den, s)
         z[tail] = np.copysign(x, q[tail])
     return z

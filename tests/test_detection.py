@@ -158,6 +158,40 @@ def test_sampled_outcomes_follow_the_scalar_oracle(phase, envelope, gamma_a, gam
         assert abs(np.count_nonzero(ports == 0) - n / 2) <= z * math.sqrt(n / 4)
 
 
+@pytest.mark.parametrize("eta", [0.6, 1.0])
+def test_packed_draws_are_fair_follow_the_efficiency_and_are_independent(eta):
+    # column 3 of the detection block packs b_A, b_B, port A, keep_A and keep_B;
+    # without jitter or pair delay each one reads off the per-pair step
+    n = 2**20
+    pairs = clean_ensemble(n)
+    det = DetectorModel(jitter=0.0, efficiency=eta)
+    _, (port_a, t_a, keep_a), (_, t_b, keep_b) = detection._detect(
+        pairs, umzi(), umzi(), det, seed=14
+    )
+    draws = {
+        "b_A": (t_a - pairs.t0_ps) == T_SL_PS,
+        "b_B": (t_b - pairs.t0_ps) == T_SL_PS,
+        "port A": port_a == 6,
+        "keep_A": keep_a,
+        "keep_B": keep_b,
+    }
+    z = NormalDist().inv_cdf(1.0 - ORACLE_ALPHA / 2.0)
+    kept = math.ceil(eta * 2**25) / 2**25  # the probability at the 2**-25 resolution
+    for name, p in (("b_A", 0.5), ("b_B", 0.5), ("port A", 0.5), ("keep_A", kept), ("keep_B", kept)):
+        count = np.count_nonzero(draws[name])
+        assert abs(count - n * p) <= z * math.sqrt(n * p * (1.0 - p)) + n * 2.0**-26, name
+    if eta == 1.0:
+        assert keep_a.all() and keep_b.all()
+    # pairwise independence: each 2x2 table against the product of its marginals
+    varied = [name for name, d in draws.items() if 0 < np.count_nonzero(d) < n]
+    for i, first in enumerate(varied):
+        for second in varied[i + 1 :]:
+            table = np.bincount(2 * draws[first] + draws[second], minlength=4).reshape(2, 2)
+            expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+            chi2 = np.sum((table - expected) ** 2 / expected)
+            assert chi2 <= chi2_quantile(1, ORACLE_ALPHA), (first, second)
+
+
 def test_efficiency_scales_singles_and_coincidences():
     pairs = clean_ensemble(40_000)
     eta = 0.6
@@ -387,7 +421,7 @@ def test_timetag_format_bytes_are_pinned_on_hand_built_streams(tmp_path):
 
 @pytest.mark.parametrize(
     "config, digest",
-    [("ideal.json", "5b85a9a723ce2d88"), ("pump_jitter.json", "055ef94297187777")],
+    [("ideal.json", "48572182e8976bc0"), ("pump_jitter.json", "1eb6a9c3c41147f0")],
     ids=["ideal.json", "pump_jitter.json"],  # a re-pin keeps the test ids
 )
 def test_timetags_dump_bytes_are_pinned(tmp_path, config, digest):
@@ -411,7 +445,7 @@ def test_pinned_dump_and_products_hold_in_small_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(detection, "WRITE_CHUNK", 1000)
     monkeypatch.setattr(detection, "READ_BLOCK", 4096)
     monkeypatch.setattr(correlator, "CSV_CHUNK", 7)
-    test_timetags_dump_bytes_are_pinned(tmp_path, "ideal.json", "5b85a9a723ce2d88")
+    test_timetags_dump_bytes_are_pinned(tmp_path, "ideal.json", "48572182e8976bc0")
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,8 +501,8 @@ def test_a_chunk_below_the_previous_watermark_fails_and_leaves_no_dump(tmp_path)
 
 # sha256 prefixes of (histogram.csv, correlate.json) from the pinned dumps
 CORRELATE_PINS = {
-    "ideal.json": ("c609a7b02cb4e8d6", "cbcc4e73a0f3cdc6"),
-    "pump_jitter.json": ("290a7a8411ad64c6", "da57038b398559ef"),
+    "ideal.json": ("e6cd9d610a59963e", "5f060b5a92ebdb27"),
+    "pump_jitter.json": ("ba14ebde1b6b7453", "21715f913825152a"),
 }
 
 

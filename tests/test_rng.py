@@ -51,7 +51,7 @@ def test_open_unit_interval_on_extreme_grid_values(grid, expected):
     assert 0.0 < u[0] < 1.0
 
 
-@pytest.mark.parametrize("n_draws", [4, 8])
+@pytest.mark.parametrize("n_draws", [4, 6, 8])
 def test_item_rows_are_addressed_by_index(n_draws):
     # row i of a range that starts at item k is row k + i of the whole
     whole = item_uniforms(5, (2, 1), 40, n_draws)
@@ -60,9 +60,18 @@ def test_item_rows_are_addressed_by_index(n_draws):
         assert np.array_equal(item_uniforms(5, (2, 1), 40 - k, n_draws, start=k), whole[k:])
 
 
-@pytest.mark.parametrize("n_draws", [0, -4, 6])
-def test_draw_count_is_a_positive_multiple_of_four(n_draws):
-    with pytest.raises(ValueError, match="n_draws must be a positive multiple of 4"):
+@pytest.mark.parametrize("n_draws", [4, 8])
+def test_item_rows_are_addressed_by_index_far_into_the_stream(n_draws):
+    # advance jumps over 2**40 items without generating them
+    far = item_uniforms(5, (2, 1), 40, n_draws, start=2**40)
+    for k in (1, 17, 39):
+        assert np.array_equal(item_uniforms(5, (2, 1), 40 - k, n_draws, start=2**40 + k), far[k:])
+    assert not np.array_equal(far, item_uniforms(5, (2, 1), 40, n_draws))
+
+
+@pytest.mark.parametrize("n_draws", [0, -4])
+def test_draw_count_is_positive(n_draws):
+    with pytest.raises(ValueError, match=f"^n_draws must be positive, got {n_draws}$"):
         item_uniforms(5, (2, 1), 3, n_draws)
 
 
@@ -99,6 +108,15 @@ def test_quantile_matches_the_stdlib_across_branch_boundaries(boundary, inside):
     p = boundary + np.spacing(boundary) * np.arange(-256, 257)
     assert inside(p).any() and not inside(p).all()  # the grid straddles the boundary
     assert_within_ulps(normal_quantile(p), stdlib_quantile(p))
+
+
+def test_quantile_of_each_draw_alone_equals_the_batched_quantile():
+    # a batch runs only the rationals its draws select: a draw's quantile must
+    # not depend on which other branches its batch holds
+    p = np.array([0.5, 0.3, 0.05, 0.97, 1e-9, 1e-12, 2.0**-54, BELOW_ONE, math.exp(-25.0)])
+    alone = np.concatenate([normal_quantile(p[i : i + 1]) for i in range(p.size)])
+    assert np.array_equal(normal_quantile(p), alone)
+    assert normal_quantile(np.empty(0)).size == 0
 
 
 def test_quantile_is_odd_about_one_half():
