@@ -88,7 +88,7 @@ def _cmd_timetags(args) -> RunConfig:
     cfg = _load(args)
     n_pairs = args.pairs if args.pairs is not None else cfg.scan.pairs_per_point
     chunks = simulate_run(
-        cfg.source, cfg.umzi_a, cfg.umzi_b, cfg.detector, n_pairs, cfg.seed, rng_mod.KIND_TIMETAGS
+        cfg.source, cfg.umzi_a, cfg.umzi_b, cfg.detector, n_pairs, cfg.seed, (rng_mod.KIND_TIMETAGS,)
     )
     write_timetag_chunks(args.out / "timetags.dat", chunks, cfg.seed, config_hash(cfg))
     return cfg

@@ -12,11 +12,12 @@ long-short products land in time-shifted side peaks with flat probability
 phase phi' + psi' reduces to the sum of the two local settings plus a pump
 jitter term: the fringe is immune to the per-pair detuning.
 
-``V`` is an envelope factor in [0, 1] times the path overlaps gamma_A gamma_B
-of the two interferometers, folded together in one place,
-:func:`fringe_visibility`; pump jitter enters through the joint phase
-instead, so the two degradation channels stay orthogonal.  Over the Gaussian
-ensemble the rates have a closed-form mean, :func:`expected_rates`.
+``V`` is the product gamma_A gamma_B of the two interferometers' path
+overlaps; a pair-overlap envelope, as tau-decay imposes, is a factor of
+gamma_B.  Pump jitter enters through the joint phase instead, so the two
+degradation channels stay orthogonal.  Over the Gaussian ensemble the rates
+have a closed-form mean, :func:`expected_rates`, whose damping factor
+:func:`fringe_visibility` scales by the path overlaps.
 """
 
 from __future__ import annotations
@@ -45,23 +46,23 @@ def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
     return TWO_PI * (det_a * cfg_a.t_sl + det_b * cfg_b.t_sl) + (cfg_a.phase + cfg_b.phase)
 
 
-def fringe_visibility(envelope, cfg_a: UmziConfig, cfg_b: UmziConfig):
-    """The rate law's V: the envelope factor (a number or an array) times the
-    path overlaps gamma_A * gamma_B.
+def fringe_visibility(factor, cfg_a: UmziConfig, cfg_b: UmziConfig):
+    """A damping factor (a number or an array) times the path overlaps
+    gamma_A * gamma_B: the visibility of a closed-form mean fringe.
 
-    The envelope must lie in [0, 1]; it is checked before the overlaps shrink
+    The factor must lie in [0, 1]; it is checked before the overlaps shrink
     it, so a factor of 1.04 fails at any gamma.
     """
-    factor = np.asarray(envelope)
-    if not np.all((factor >= 0.0) & (factor <= 1.0)):  # NaN fails too
-        raise ValueError(f"envelope factor must lie in [0, 1], got {envelope}")
-    return envelope * (cfg_a.gamma * cfg_b.gamma)
+    given = np.asarray(factor)
+    if not np.all((given >= 0.0) & (given <= 1.0)):  # NaN fails too
+        raise ValueError(f"factor must lie in [0, 1], got {factor}")
+    return factor * (cfg_a.gamma * cfg_b.gamma)
 
 
-def fringe_term(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
-    """V cos(phi' + psi') per pair, V = ``fringe_visibility(envelope, cfg_a, cfg_b)``;
-    the central rate of port pair (a, b) is (1/8)(1 + s_a s_b V cos(phi' + psi'))."""
-    visibility = fringe_visibility(envelope, cfg_a, cfg_b)
+def fringe_term(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
+    """V cos(phi' + psi') per pair, V = gamma_A gamma_B; the central rate of
+    port pair (a, b) is (1/8)(1 + s_a s_b V cos(phi' + psi'))."""
+    visibility = cfg_a.gamma * cfg_b.gamma
     return visibility * np.cos(joint_phase(np.asarray(df, dtype=np.float64), dp, cfg_a, cfg_b))
 
 
@@ -78,10 +79,10 @@ def fringe_damping(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig) -
     return math.exp(-2.0 * math.pi**2 * (spread_f**2 + spread_p**2))
 
 
-def expected_rates(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig, envelope=1.0):
+def expected_rates(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig):
     """The exact ensemble mean of the central rates, (2, 2) over (port_a, port_b):
     the fringe term at zero detunings, damped by :func:`fringe_damping`."""
-    fringe = fringe_damping(model, cfg_a, cfg_b) * fringe_term(0.0, 0.0, cfg_a, cfg_b, envelope)
+    fringe = fringe_damping(model, cfg_a, cfg_b) * fringe_term(0.0, 0.0, cfg_a, cfg_b)
     same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
     return np.array([[same, diff], [diff, same]])
 
@@ -100,8 +101,7 @@ def ensemble_fringe(
     cfg_b: UmziConfig,
     n_pairs: int,
     seed: int = 0,
-    stream=0,
-    envelope: float = 1.0,
+    stream=(0,),
 ) -> EnsembleFringe:
     """Average the central-peak rates over n_pairs sampled pairs.
 
@@ -112,7 +112,7 @@ def ensemble_fringe(
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     pairs = sample_pairs(model, n_pairs, seed, stream=stream)
-    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
+    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b)
     same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
     mean = np.array([same.mean(), diff.mean()])
     stderr = np.array([same.std(), diff.std()]) / math.sqrt(n_pairs)
@@ -142,7 +142,6 @@ def chsh_value(
     settings: tuple[float, float, float, float],
     n_pairs: int = 10_000,
     seed: int = 0,
-    envelope: float = 1.0,
 ) -> ChshResult:
     """CHSH sum over four phase settings (a, a', b, b'), sampled with
     :func:`ensemble_fringe` and kept for the same reasons.
@@ -152,15 +151,8 @@ def chsh_value(
     """
     corr = {}
     for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
-        fringe = ensemble_fringe(
-            model,
-            replace(cfg_a, phase=pa),
-            replace(cfg_b, phase=pb),
-            n_pairs,
-            seed=seed,
-            stream=stream_for_setting(k),
-            envelope=envelope,
-        )
+        cfgs = replace(cfg_a, phase=pa), replace(cfg_b, phase=pb)
+        fringe = ensemble_fringe(model, *cfgs, n_pairs, seed=seed, stream=stream_for_setting(k))
         corr[name] = correlation_coefficient(fringe.rates)
     return ChshResult(s_value=chsh_sum(corr), correlations=corr, settings=tuple(settings))
 

@@ -75,6 +75,11 @@ class CorrelatorConfig:
         for name, ps in (("window", w_ps), ("bin_width", bin_ps)):
             if ps < 1:
                 raise ValueError(f"{name} must be at least 1 ps, got {getattr(self, name)}")
+        if tau_max_ps < (reach_ps := max(side_a_ps, side_b_ps) + w_ps):
+            raise ValueError(
+                "tau_max must cover both side windows: need tau_max >= max(side_offset_a, "
+                f"side_offset_b) + window = {reach_ps} ps, got {tau_max_ps} ps"
+            )
         n_bins = _bin_count(tau_max_ps, bin_ps)
         if n_bins > MAX_BINS:
             raise ValueError(

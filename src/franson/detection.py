@@ -44,7 +44,7 @@ import numpy as np
 
 from .correlation import fringe_term
 from .interferometer import UmziConfig
-from .rng import MAX_ABS_NORMAL, ROLE_DETECTION, item_uniforms, normal_quantile, stream_key
+from .rng import MAX_ABS_NORMAL, ROLE_DETECTION, item_uniforms, normal_quantile
 from .source import (
     FWHM_TO_SIGMA,
     MAX_TIME_PS,
@@ -126,7 +126,7 @@ class TagStream:
         return self.time_ps.size
 
 
-def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0, start=0):
+def _detect(pairs, cfg_a, cfg_b, det, seed, stream=(0,), start=0):
     """The per-pair step of :func:`simulate_tags`, whose arguments it takes.
 
     Returns, in pair order, the branch (0 central, 1 SL, 2 LS) and each
@@ -138,9 +138,8 @@ def _detect(pairs, cfg_a, cfg_b, det, seed, stream=0, envelope=1.0, start=0):
     and 25 that keep B's.  Above 1/2 the open-interval shift rounds the index
     up to even, which moves the five draws' joint law by at most 2**-26.
     """
-    # before any draw: a bad envelope fails here
-    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope)
-    u = item_uniforms(seed, (*stream_key(stream), ROLE_DETECTION), len(pairs), 4, start=start)
+    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b)
+    u = item_uniforms(seed, (*stream, ROLE_DETECTION), len(pairs), 4, start=start)
     jitter_a_ps = to_picoseconds(normal_quantile(u[:, 0]) * det.jitter)
     jitter_b_ps = to_picoseconds(normal_quantile(u[:, 1]) * det.jitter)
     bits = np.multiply(u[:, 3], 2.0**53, out=u[:, 3]).astype(np.uint64)
@@ -167,28 +166,23 @@ def simulate_tags(
     cfg_b: UmziConfig,
     det: DetectorModel,
     seed: int,
-    stream=0,
-    envelope: float = 1.0,
+    stream=(0,),
     start: int = 0,
 ) -> tuple[TagStream, TagStream]:
     """Detect a sampled ensemble; returns the streams of party A (the signal
-    photons, through ``cfg_a``) and party B (the idlers, through ``cfg_b``).
+    photons, through ``cfg_a``) and party B (the idlers, through ``cfg_b``),
+    whose central fringe has visibility gamma_A gamma_B.
 
-    stream: the key path of the pairs (an int k is the path (k,)); the
-    detection draws come from its ROLE_DETECTION substream.
-    envelope: central-fringe envelope factor (imposed wavepacket offset
-    and/or pump-side degradations); the fringe visibility is
-    ``fringe_visibility(envelope, cfg_a, cfg_b)``.
+    stream: the key path (a tuple) of the pairs; the detection draws come
+    from its ROLE_DETECTION substream.
     start: the stream index of the ensemble's first pair, as given to
     :func:`franson.source.sample_pairs`; pair j takes detection item start + j.
 
     Each stream holds its party's kept tags of :func:`_detect`, which are in
     pair order, so tags of equal time stay in pair order.
     """
-    _, (port_a, t_a, kept_a), (port_b, t_b, kept_b) = _detect(
-        pairs, cfg_a, cfg_b, det, seed, stream, envelope, start
-    )
-    return TagStream(port_a[kept_a], t_a[kept_a]), TagStream(port_b[kept_b], t_b[kept_b])
+    _, tags_a, tags_b = _detect(pairs, cfg_a, cfg_b, det, seed, stream, start)
+    return tuple(TagStream(port[kept], time_ps[kept]) for port, time_ps, kept in (tags_a, tags_b))
 
 
 def simulate_run(
@@ -198,11 +192,12 @@ def simulate_run(
     det: DetectorModel,
     n_pairs: int,
     seed: int,
-    stream=0,
+    stream=(0,),
 ):
     """Sample and detect pairs 0 .. n_pairs-1 of ``stream`` ``WRITE_CHUNK``
     at a time; yields each chunk's ``(stream_a, stream_b, watermark_ps)`` for
-    :func:`write_timetag_chunks`, the last chunk's watermark None.
+    :func:`write_timetag_chunks` as soon as it is detected, the last chunk's
+    watermark None.
 
     Each chunk's emission times continue the previous chunk's, and the reach
     check covers the run's absolute times, so the chunks' pairs and tags are
@@ -210,23 +205,19 @@ def simulate_run(
     No tag precedes its pair's emission time by more than its pair delay and
     jitter, each at most ``MAX_ABS_NORMAL`` sigma and rounded to the
     picosecond (one of slack), and emission times never decrease: no later
-    tag lies below the next chunk's first emission time less that bound.
+    tag lies below the chunk's own last emission time less that bound.
     """
     # No tag lies below -2 * MAX_TIME_PS, so a larger bound would change nothing.
     sigma_ps = (FWHM_TO_SIGMA / model.delta + det.jitter) * PS_PER_S
     early_ps = math.ceil(min(MAX_ABS_NORMAL * sigma_ps, 2 * MAX_TIME_PS)) + 1
-    tags, origin_ps = None, 0
+    origin_ps = 0
     for start in range(0, n_pairs, WRITE_CHUNK):
         n = min(WRITE_CHUNK, n_pairs - start)
-        pairs = sample_pairs(
-            model, n, seed, stream, start=start, origin_ps=origin_ps, run_pairs=n_pairs
-        )
-        if tags is not None:
-            yield (*tags, int(pairs.t0_ps[0]) - early_ps)
-        tags = simulate_tags(pairs, cfg_a, cfg_b, det, seed, stream, start=start)
+        pairs = sample_pairs(model, n, seed, stream, start, origin_ps, run_pairs=n_pairs)
         origin_ps = int(pairs.t0_ps[-1])
-    if tags is not None:
-        yield (*tags, None)
+        tags = simulate_tags(pairs, cfg_a, cfg_b, det, seed, stream, start=start)
+        del pairs  # not held while the writer takes the tags
+        yield (*tags, origin_ps - early_ps if start + n < n_pairs else None)
 
 
 def text_rows(columns, sep: int) -> np.ndarray:

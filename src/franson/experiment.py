@@ -179,7 +179,6 @@ def simulate_point(
     n_pairs: int,
     phase_a: float,
     phase_b: float,
-    envelope: float = 1.0,
 ) -> tuple[PairEnsemble, TagStream, TagStream, CoincidenceHistogram]:
     """Full source -> detection -> correlator pipeline for one scan point.
 
@@ -189,14 +188,12 @@ def simulate_point(
     cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
     cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
     pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
-    tags_a, tags_b = simulate_tags(
-        pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=stream, envelope=envelope
-    )
+    tags_a, tags_b = simulate_tags(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=stream)
     hist = correlate(tags_a, tags_b, cfg.correlator)
     return pairs, tags_a, tags_b, hist
 
 
-def _central_tables(cfg, mode, key, points, n_pairs, envelope=1.0, on_point=None) -> np.ndarray:
+def _central_tables(cfg, mode, key, points, n_pairs, on_point=None) -> np.ndarray:
     """The central tables of the (phase_a, phase_b) ``points``, stacked (2, 2, n)
     over (port_a, port_b, point).
 
@@ -204,19 +201,16 @@ def _central_tables(cfg, mode, key, points, n_pairs, envelope=1.0, on_point=None
     nothing; montecarlo mode counts point k's central window with the full
     tag pipeline, drawn from the stream ``(*key, k)``, and passes its draws to
     ``on_point(k, pairs, tags_a, tags_b)``, which must not keep them: the loop
-    holds one point's pipeline at a time.  Both take the fringe visibility
-    from ``fringe_visibility(envelope, cfg.umzi_a, cfg.umzi_b)``.
+    holds one point's pipeline at a time.
     """
     tables = np.zeros((2, 2, len(points)))
     for k, (phase_a, phase_b) in enumerate(points):
         if mode == "analytic":
             cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
             cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
-            tables[..., k] = expected_rates(cfg.source, cfg_a, cfg_b, envelope)
+            tables[..., k] = expected_rates(cfg.source, cfg_a, cfg_b)
             continue
-        pairs, tags_a, tags_b, hist = simulate_point(
-            cfg, (*key, k), n_pairs, phase_a, phase_b, envelope
-        )
+        pairs, tags_a, tags_b, hist = simulate_point(cfg, (*key, k), n_pairs, phase_a, phase_b)
         tables[..., k] = hist.central
         if on_point is not None:
             on_point(k, pairs, tags_a, tags_b)
@@ -278,13 +272,13 @@ def run_fringe_scan(cfg: RunConfig, mode: str = "analytic") -> ScanResult:
     return _fringe(cfg, mode, (rng_mod.KIND_FRINGE,), scan.n_points, scan.pairs_per_point)
 
 
-def _fringe(cfg, mode, key, n_points, n_pairs, envelope=1.0, on_point=None) -> ScanResult:
-    """A fringe scan of ``n_points`` joint phases at ``n_pairs`` pairs each and the
-    envelope factor, on :func:`_central_tables` with its key and hook."""
+def _fringe(cfg, mode, key, n_points, n_pairs, on_point=None) -> ScanResult:
+    """A fringe scan of ``n_points`` joint phases at ``n_pairs`` pairs each, on
+    :func:`_central_tables` with its key and hook."""
     theta = _joint_phase_grid(n_points)
     psi = cfg.umzi_b.phase
     points = [(th - psi, psi) for th in theta]
-    tables = _central_tables(cfg, mode, key, points, n_pairs, envelope, on_point)
+    tables = _central_tables(cfg, mode, key, points, n_pairs, on_point)
     fields, fit_warnings = _fit_curves(theta, *_rates(mode, tables, n_pairs))
     return _stamped(
         ScanResult,
@@ -388,6 +382,22 @@ def run_crossover_sweep(
     )
 
 
+def _sweep(steps, mode, kind, n_points, n_pairs, on_point=None) -> tuple[np.ndarray, np.ndarray]:
+    """The fringe visibility of each step config and its error.
+
+    analytic mode gives gamma_A gamma_B :func:`fringe_damping` with zero
+    errors and draws nothing; montecarlo mode fits an ``n_points``-point
+    fringe scan per step, step k drawn from the stream ``(kind, k)`` and
+    passing its points' draws to ``on_point``.
+    """
+    if mode == "analytic":
+        damped = [fringe_damping(step.source, step.umzi_a, step.umzi_b) for step in steps]
+        vis = [fringe_visibility(d, step.umzi_a, step.umzi_b) for d, step in zip(damped, steps)]
+        return np.array(vis), np.zeros(len(steps))
+    scans = [_fringe(cfg, mode, (kind, k), n_points, n_pairs, on_point) for k, cfg in enumerate(steps)]
+    return np.array([s.visibility for s in scans]), np.array([s.visibility_err for s in scans])
+
+
 def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
     """Nonlocal visibility against an imposed coincidence offset tau, at the
     offsets ``TAU_OFFSETS_DELTA`` / delta.
@@ -396,24 +406,20 @@ def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
     ``overlap_envelope(tau, delta)``, which suppresses the fringe on the
     1/delta scale.  Displacing party B's wavepackets by tau and centring the
     coincidence window on the displaced peak cancel exactly on the
-    integer-picosecond grid, so montecarlo step k is a ``TAU_POINTS``-point
-    fringe scan at that envelope, drawn from the stream ``(KIND_TAU, k)``.
-    Analytic step k is the envelope times the analytic fringe scan's
-    visibility, gamma_A gamma_B :func:`fringe_damping`.
+    integer-picosecond grid, so step k is the config with ``umzi_b.gamma``
+    times the envelope at offset k: nothing else in a fringe scan reads
+    gamma_B.  Each step is a :func:`_sweep` step, montecarlo step k a
+    ``TAU_POINTS``-point fringe scan drawn from the stream ``(KIND_TAU, k)``;
+    ``envelope_analytic`` is the analytic sweep.
     """
     _check_mode(mode)
     delta = cfg.source.delta
     offsets = np.array(TAU_OFFSETS_DELTA) / delta
     n_pairs = min(cfg.scan.pairs_per_point, 30_000)
-    envelope = overlap_envelope(offsets, delta)
-    damping = fringe_damping(cfg.source, cfg.umzi_a, cfg.umzi_b)
-    expected = fringe_visibility(envelope * damping, cfg.umzi_a, cfg.umzi_b)
-    vis = expected.copy()  # analytic mode's answer; montecarlo fits each step
-    err = np.zeros(offsets.size)
-    if mode == "montecarlo":
-        for k, env in enumerate(envelope):
-            scan = _fringe(cfg, mode, (rng_mod.KIND_TAU, k), TAU_POINTS, n_pairs, float(env))
-            vis[k], err[k] = scan.visibility, scan.visibility_err
+    gammas = cfg.umzi_b.gamma * overlap_envelope(offsets, delta)
+    steps = [replace(cfg, umzi_b=replace(cfg.umzi_b, gamma=float(g))) for g in gammas]
+    expected, _ = _sweep(steps, "analytic", rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
+    vis, err = _sweep(steps, mode, rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
     return _stamped(
         ScanResult,
         cfg,
@@ -440,11 +446,12 @@ def run_pump_sweep(
     gamma_A gamma_B times the pump jitter's closed-form characteristic function
     at the mean delay (t_A + t_B)/2, where the jitter enters the joint phase.
 
-    analytic mode reports :func:`expected_rates`'s law, gamma_A gamma_B times
-    :func:`fringe_damping`: ``cf_analytic`` times the detuning spread's factor,
-    1 on equal delays, to rounding.  montecarlo mode fits a fringe scan per
-    step and also reports ``cf_sampled``, the drawn jitters' empirical
-    characteristic function at that lag (on equal delays the fit's exact target).
+    Step k is the config at linewidth k, a :func:`_sweep` step drawn from
+    ``(KIND_PUMP, k)``.  analytic mode reports :func:`expected_rates`'s law,
+    gamma_A gamma_B times :func:`fringe_damping`: ``cf_analytic`` times the
+    detuning spread's factor, 1 on equal delays, to rounding.  montecarlo mode
+    also reports ``cf_sampled``, the drawn jitters' empirical characteristic
+    function at that lag (on equal delays the fit's exact target).
     """
     _check_mode(mode)
     lag = 0.5 * (cfg.umzi_a.t_sl + cfg.umzi_b.t_sl)
@@ -453,26 +460,20 @@ def run_pump_sweep(
     linewidths = _sweep_values("linewidths", linewidths, lambda x: x >= 0.0, ">= 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 20_000))
     n_points = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
-    sources = [replace(cfg.source, pump_linewidth=float(lw)) for lw in linewidths]
-    damping = np.array([fringe_damping(source, cfg.umzi_a, cfg.umzi_b) for source in sources])
+    steps = [replace(cfg, source=replace(cfg.source, pump_linewidth=float(lw))) for lw in linewidths]
     cf_analytic = np.array([local_visibility_oracle(float(lw), lag) for lw in linewidths])
-    vis = fringe_visibility(damping, cfg.umzi_a, cfg.umzi_b)  # montecarlo fits each step
-    err = np.zeros(linewidths.size)
+    cf_sums = []  # per montecarlo step, its points' CFs summed in draw order
+
+    def pool(k, pairs, tags_a, tags_b):  # the pooled CF of the very pairs drawn
+        if k == 0:
+            cf_sums.append(0j)
+        cf_sums[-1] += sampled_cf(pairs.dp, lag)
+
+    vis, err = _sweep(steps, mode, rng_mod.KIND_PUMP, n_points, n_pairs, pool)
     columns = {"visibility": vis, "visibility_err": err}
     columns["cf_analytic"] = fringe_visibility(cf_analytic, cfg.umzi_a, cfg.umzi_b)
     if mode == "montecarlo":  # analytic mode draws no pairs
-        cf_sampled = np.zeros(linewidths.size)
-
-        def pool(k, pairs, tags_a, tags_b):  # the pooled CF of the very pairs drawn
-            nonlocal cf_sum
-            cf_sum += sampled_cf(pairs.dp, lag)
-
-        for k, source in enumerate(sources):
-            cf_sum = 0.0 + 0.0j
-            sub_cfg = replace(cfg, source=source)
-            scan = _fringe(sub_cfg, mode, (rng_mod.KIND_PUMP, k), n_points, n_pairs, on_point=pool)
-            vis[k], err[k] = scan.visibility, scan.visibility_err
-            cf_sampled[k] = abs(cf_sum) / n_points
+        cf_sampled = np.array([abs(total) for total in cf_sums]) / n_points
         columns["cf_sampled"] = fringe_visibility(cf_sampled, cfg.umzi_a, cfg.umzi_b)
     return _stamped(
         ScanResult,

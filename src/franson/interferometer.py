@@ -98,7 +98,7 @@ def ensemble_local_fringe(
     cfg: UmziConfig,
     n_pairs: int = 20_000,
     seed: int = 0,
-    stream=0,
+    stream=(0,),
 ) -> float:
     """Visibility of the signal photons' ensemble-mean port-5 intensity through
     ``cfg``: the mean of (1/2)(1 + gamma cos(2 pi detuning t_sl + phase)) is a

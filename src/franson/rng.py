@@ -8,7 +8,8 @@ spawn key, so two different (seed, path) keys never share a stream: paths of
 different lengths stay apart (a trailing 0 is not padding), and seeds below
 2**128 and path entries below 2**32 each fill a fixed number of words.
 Each key seeds its own generator state, so every stream is independent and a
-sampled sequence is a pure function of its key.
+sampled sequence is a pure function of its key.  A sampler's ``stream`` is
+such a tuple, to which it appends its role; an int is not a path.
 
 Samplers that need per-item addressability draw a fixed block of
 ``n_draws`` uniforms per item, a count that each caller states (the source
@@ -47,11 +48,6 @@ BELOW_ONE = 1.0 - 2.0 ** -53
 # Every normal_quantile of a draw on [2**-54, BELOW_ONE] lies within this
 # bound: the extremes are z(2**-54) = -8.29 and z(BELOW_ONE) = +8.21.
 MAX_ABS_NORMAL = 8.3
-
-
-def stream_key(stream) -> tuple:
-    """A stream's key path: a tuple as given, an int k as (k,)."""
-    return stream if isinstance(stream, tuple) else (stream,)
 
 
 def item_uniforms(seed: int, path: tuple, n_items: int, n_draws: int, start: int = 0) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import ROLE_SOURCE, item_uniforms, normal_quantile, stream_key
+from .rng import ROLE_SOURCE, item_uniforms, normal_quantile
 
 PS_PER_S = 1e12
 
@@ -131,7 +131,7 @@ def _draw(model: SpectralModel, n: int, seed: int, stream, start: int):
     by (seed, stream), so disjoint ranges can be drawn apart; a detuning
     that overflows is rejected here.
     """
-    u = item_uniforms(seed, (*stream_key(stream), ROLE_SOURCE), n, 4, start=start)
+    u = item_uniforms(seed, (*stream, ROLE_SOURCE), n, 4, start=start)
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
         df = _gaussian_from_uniform(u[:, 0], model.delta)
         dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
@@ -141,7 +141,7 @@ def _draw(model: SpectralModel, n: int, seed: int, stream, start: int):
 
 
 def sample_detunings(
-    model: SpectralModel, n: int, seed: int, stream=0, start: int = 0
+    model: SpectralModel, n: int, seed: int, stream=(0,), start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(df, dp) of pairs start .. start+n-1, those of :func:`sample_pairs`
     without their emission times and pair delays."""
@@ -152,15 +152,15 @@ def sample_pairs(
     model: SpectralModel,
     n: int,
     seed: int,
-    stream=0,
+    stream=(0,),
     start: int = 0,
     origin_ps: int = 0,
     run_pairs: int | None = None,
 ) -> PairEnsemble:
     """Sample pairs start .. start+n-1 of the stream keyed by (seed, stream).
 
-    ``stream`` is a key path such as ``(KIND_FRINGE, point)``; an int k is
-    the path (k,).  Emission times sum whole-picosecond gaps from
+    ``stream`` is a key path, a tuple such as ``(KIND_FRINGE, point)``.
+    Emission times sum whole-picosecond gaps from
     ``origin_ps`` across the range, so a run drawn in consecutive ranges,
     each passed the previous one's last emission time, continues exactly.  A
     range whose absolute times and pair delays would reach ``MAX_TIME_PS``

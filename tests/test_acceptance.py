@@ -51,10 +51,10 @@ def phase_points(cfg):
     points = []
     for k, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)):
         pairs, tags_a, tags_b, hist = simulate_point(
-            cfg, stream=900_000 + k, n_pairs=cfg.scan.pairs_per_point, phase_a=theta, phase_b=0.0
+            cfg, stream=(900_000 + k,), n_pairs=cfg.scan.pairs_per_point, phase_a=theta, phase_b=0.0
         )
         cfg_a, cfg_b = replace(cfg.umzi_a, phase=float(theta)), replace(cfg.umzi_b, phase=0.0)
-        per_pair = _detect(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=900_000 + k)
+        per_pair = _detect(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=(900_000 + k,))
         points.append((per_pair, tags_a, tags_b, hist))
     return points
 
@@ -224,9 +224,9 @@ def test_criterion_9_structural_invariants(cfg):
     # each party's port marginal of them 1/4, whatever the remote phase
     df, dp = (grid.ravel() for grid in np.meshgrid([-3e11, 0.0, 7e11], [0.0, 2e9]))
     for phase_b in (0.0, 0.4, 2.0):
-        cfg_b = replace(cfg.umzi_b, phase=phase_b)
+        cfg_b = replace(cfg.umzi_b, phase=phase_b, gamma=0.9)  # V = 0.9
         for pair_df, pair_dp in zip(df, dp):
-            fringe = fringe_term(pair_df, pair_dp, cfg.umzi_a, cfg_b, envelope=0.9)
+            fringe = fringe_term(pair_df, pair_dp, cfg.umzi_a, cfg_b)
             rates = 0.125 * (1.0 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * fringe)
             assert abs(rates.sum() - 0.5) <= 1e-12
             np.testing.assert_allclose(rates.sum(axis=1), 0.25, atol=1e-12)

@@ -107,7 +107,7 @@ def test_a_reach_past_the_grid_in_a_later_chunk_leaves_no_dump(tmp_path, monkeyp
     monkeypatch.setattr(detection, "WRITE_CHUNK", 1000)
     path = tmp_path / "far.json"
     path.write_text(json.dumps({"source": {"pair_rate": 1e-2}}))
-    first = sample_pairs(SpectralModel(pair_rate=1e-2), 1000, seed=1, stream=KIND_TIMETAGS)
+    first = sample_pairs(SpectralModel(pair_rate=1e-2), 1000, seed=1, stream=(KIND_TIMETAGS,))
     assert first.t0_ps[-1] < 2**60 // 10
     rc = run(["timetags", "--config", path, "--pairs", 20_000, "--out", tmp_path / "out"])
     assert rc == 2
@@ -197,9 +197,9 @@ def test_timetags_then_correlate_matches_the_in_memory_pipeline(config_path, tmp
     assert run(["correlate", "--config", config_path, "--input", dump, "--out", tmp_path]) == 0
 
     cfg = fr.load_config(config_path)
-    pairs = sample_pairs(cfg.source, 4000, cfg.seed, stream=KIND_TIMETAGS)
+    pairs = sample_pairs(cfg.source, 4000, cfg.seed, stream=(KIND_TIMETAGS,))
     tags_a, tags_b = simulate_tags(
-        pairs, cfg.umzi_a, cfg.umzi_b, cfg.detector, cfg.seed, stream=KIND_TIMETAGS
+        pairs, cfg.umzi_a, cfg.umzi_b, cfg.detector, cfg.seed, stream=(KIND_TIMETAGS,)
     )
     expected = correlate(tags_a, tags_b, cfg.correlator)
 

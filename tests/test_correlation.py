@@ -35,10 +35,10 @@ def model(delta=1e12, pump=0.0):
     return SpectralModel(f0=3.7e14, delta=delta, pump_linewidth=pump, tau_ind=10e-9, pair_rate=1e6)
 
 
-def one_pair_rates(df, dp, cfg_a, cfg_b, envelope=1.0):
+def one_pair_rates(df, dp, cfg_a, cfg_b):
     """The (2, 2) central rates (1/8)(1 + s_a s_b V cos(phi' + psi')) of the
     single pair (df, dp)."""
-    fringe = fringe_term(df, dp, cfg_a, cfg_b, envelope)
+    fringe = fringe_term(df, dp, cfg_a, cfg_b)
     same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
     return np.array([[same, diff], [diff, same]])
 
@@ -134,10 +134,10 @@ def test_central_peak_rate_examples():
     cfg_a, cfg_b = umzi(0.0), umzi(0.0)
     assert fringe_term(0.0, 0.0, cfg_a, cfg_b) == 1.0
     assert fringe_term(0.0, 0.0, umzi(math.pi), cfg_b) == pytest.approx(-1.0, abs=1e-12)
-    assert fringe_term(0.0, 0.0, cfg_a, cfg_b, envelope=0.0) == 0.0
+    assert fringe_term(0.0, 0.0, umzi(gamma=0.0), cfg_b) == 0.0
     assert one_pair_rates(0.0, 0.0, cfg_a, cfg_b)[0, 0] == pytest.approx(0.25, abs=1e-12)
     assert one_pair_rates(0.0, 0.0, umzi(math.pi), cfg_b)[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert np.all(one_pair_rates(0.0, 0.0, cfg_a, cfg_b, envelope=0.0) == 0.125)
+    assert np.all(one_pair_rates(0.0, 0.0, umzi(gamma=0.0), cfg_b) == 0.125)
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,12 +166,12 @@ def test_rate_depends_on_ports_only_through_the_sign_product():
         assert table[0, 0] == table[1, 1]
         assert table[0, 1] == table[1, 0]
     # per pair, on the fringe term itself: each central cell of the scalar
-    # oracle is (1/8)(1 + s_a s_b fringe), at path overlaps and an envelope below 1
-    cfg_a, cfg_b = umzi(0.3, gamma=0.9), umzi(1.1, t_sl=80e-12, gamma=0.7)
+    # oracle is (1/8)(1 + s_a s_b fringe), at path overlaps below 1
+    cfg_a, cfg_b = umzi(0.3, gamma=0.9), umzi(1.1, t_sl=80e-12, gamma=0.56)
     pairs = sample_pairs(model(delta=1e10, pump=2e9), 50, seed=2)
-    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b, envelope=0.8)
+    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b)
     for j, term in enumerate(fringe):
-        table = outcome_table(pairs.df[j], pairs.dp[j], cfg_a, cfg_b, envelope=0.8)
+        table = outcome_table(pairs.df[j], pairs.dp[j], cfg_a, cfg_b)
         for a, port_a in enumerate(PORTS):
             for b, port_b in enumerate(PORTS):
                 sign = 1.0 if port_a == port_b else -1.0
@@ -204,17 +204,20 @@ def test_outcome_distribution_at_zero_joint_phase():
 
 
 def test_fringe_term_folds_in_the_path_overlaps():
-    # V = envelope * gamma_A * gamma_B: overlaps of 1/2 each act as an envelope of 1/4
+    # V = gamma_A * gamma_B: overlaps of 1/2 each scale the unit-overlap term by 1/4
     half = umzi(0.3, gamma=0.5), umzi(1.1, gamma=0.5)
     pairs = sample_pairs(model(pump=2e9), 200, seed=3)
     folded = fringe_term(pairs.df, pairs.dp, *half)
-    assert np.array_equal(folded, fringe_term(pairs.df, pairs.dp, umzi(0.3), umzi(1.1), 0.25))
+    assert np.array_equal(folded, 0.25 * fringe_term(pairs.df, pairs.dp, umzi(0.3), umzi(1.1)))
     assert fringe_visibility(np.array([1.0, 0.5]), *half).tolist() == [0.25, 0.125]
 
 
-def test_envelope_outside_unit_interval_is_rejected():
-    with pytest.raises(ValueError, match="envelope"):
-        fringe_term(0.0, 0.0, umzi(), umzi(), envelope=1.2)
+def test_visibility_factor_outside_unit_interval_is_rejected():
+    # checked before the path overlaps shrink it: 1.04 * 0.5**2 would pass
+    half = umzi(gamma=0.5), umzi(gamma=0.5)
+    for factor in (1.04, -0.1, math.nan, np.array([0.5, 1.04])):
+        with pytest.raises(ValueError, match=r"factor must lie in \[0, 1\]"):
+            fringe_visibility(factor, *half)
 
 
 def test_detuning_immunity_is_bitwise_across_pairs():
@@ -239,9 +242,9 @@ def test_ensemble_fringe_visibility_tracks_sampled_pump_jitter():
     phases = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     rates, oracles = [], []
     for k, th in enumerate(phases):
-        fr = ensemble_fringe(mdl, umzi(th), umzi(0.0), n_pairs=5_000, seed=3, stream=k)
+        fr = ensemble_fringe(mdl, umzi(th), umzi(0.0), n_pairs=5_000, seed=3, stream=(k,))
         rates.append(fr.rates[0, 0])
-        pairs = sample_pairs(mdl, 5_000, 3, stream=k)
+        pairs = sample_pairs(mdl, 5_000, 3, stream=(k,))
         oracles.append(np.exp(1j * 2 * math.pi * pairs.dp * T_SL).mean())
     from franson.fitting import fit_cosine
 
@@ -260,27 +263,26 @@ def test_ensemble_fringe_visibility_tracks_sampled_pump_jitter():
     phase_b=st.floats(-7.0, 7.0),
     gamma_a=st.floats(0.0, 1.0),
     gamma_b=st.floats(0.0, 1.0),
-    envelope=st.floats(0.0, 1.0),
 )
 # unequal delays, the detuning term resolved: exp(-2 pi^2 (sigma_f (t_A - t_B))^2) = 0.87
 @example(
     t_sl_a=100e-12, t_sl_b=80e-12, delta=1e10, pump=0.0,
-    phase_a=0.3, phase_b=0.2, gamma_a=1.0, gamma_b=0.9, envelope=1.0,
+    phase_a=0.3, phase_b=0.2, gamma_a=1.0, gamma_b=0.9,
 )
 # equal delays, the pump term resolved: exp(-2 pi^2 (sigma_p t_sl)^2) = 0.41
 @example(
     t_sl_a=100e-12, t_sl_b=100e-12, delta=1e12, pump=5e9,
-    phase_a=-0.4, phase_b=0.1, gamma_a=0.8, gamma_b=1.0, envelope=0.9,
+    phase_a=-0.4, phase_b=0.1, gamma_a=0.8, gamma_b=0.9,
 )
 def test_expected_rates_are_the_ensemble_mean(
-    t_sl_a, t_sl_b, delta, pump, phase_a, phase_b, gamma_a, gamma_b, envelope
+    t_sl_a, t_sl_b, delta, pump, phase_a, phase_b, gamma_a, gamma_b
 ):
     # the closed form against the sampled estimator over 2**20 pairs, within
     # 5 of its standard errors (and rounding, where every pair's rate is equal)
     mdl = model(delta=delta, pump=pump)
     cfg_a, cfg_b = umzi(phase_a, t_sl_a, gamma_a), umzi(phase_b, t_sl_b, gamma_b)
-    sampled = ensemble_fringe(mdl, cfg_a, cfg_b, n_pairs=2**20, seed=5, envelope=envelope)
-    exact = expected_rates(mdl, cfg_a, cfg_b, envelope)
+    sampled = ensemble_fringe(mdl, cfg_a, cfg_b, n_pairs=2**20, seed=5)
+    exact = expected_rates(mdl, cfg_a, cfg_b)
     assert exact.shape == (2, 2)
     assert np.all(np.abs(exact - sampled.rates) <= 5.0 * sampled.stderr + 1e-12)
 
@@ -292,8 +294,9 @@ def test_chsh_reaches_the_quantum_bound_for_ideal_settings():
 
 
 def test_chsh_vanishes_with_zero_envelope():
+    # no path overlap at A: gamma_A = 0 zeroes V = gamma_A gamma_B
     settings_ = (0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
-    res = chsh_value(model(), umzi(), umzi(), settings_, n_pairs=500, seed=4, envelope=0.0)
+    res = chsh_value(model(), umzi(gamma=0.0), umzi(), settings_, n_pairs=500, seed=4)
     assert res.s_value == pytest.approx(0.0, abs=1e-12)
 
 

@@ -17,7 +17,7 @@ from franson.correlator import (
     sweep_matches,
     write_histogram_csv,
 )
-from franson.config import load_config, parse_config
+from franson.config import config_from_dict, load_config, parse_config
 from franson.detection import (
     DetectorModel,
     TagStream,
@@ -279,6 +279,53 @@ def test_validation_requires_room_for_side_peaks():
         parse_config('{"umzi_b": {"t_sl": 195e-12}}')
 
 
+def test_tau_max_must_reach_past_the_farther_side_window():
+    # correlate finds matches only within +-tau_max, so a side window past it
+    # would lose counts unseen: all three pairs lie in the LS window [70, 130] ps
+    short = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=112e-12, **SIDES)
+    with pytest.raises(ValueError, match=r"^tau_max must cover both side windows: .* = 130 ps"):
+        short.validate()
+    with pytest.raises(ConfigError, match=r"^correlator\.tau_max must cover both side windows"):
+        config_from_dict({"correlator": {"window": 30e-12, "tau_max": 112e-12}})
+    reach = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=130e-12, **SIDES)
+    assert reach.validate() == []
+    hist = correlate(stream([95, 10_125, 20_105]), stream([0, 10_000, 20_000]), reach)
+    assert hist.side_plus.sum() == hist.n_matches == 3
+    # compared on the whole picoseconds the windows use: 129.6 ps is 130 ps
+    for tau_max, ok in ((129.6e-12, True), (129.4e-12, False)):
+        cfg = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=tau_max, **SIDES)
+        if ok:
+            assert cfg.validate() == []
+        else:
+            with pytest.raises(ValueError, match="tau_max"):
+                cfg.validate()
+
+
+@pytest.mark.parametrize("side_a_ps, side_b_ps", [(100, 140), (140, 100)], ids=["b-farther", "a-farther"])
+@pytest.mark.parametrize("short_ps", [0.0, 0.4, 0.6, 1.0])
+def test_tau_max_bound_follows_the_farther_side_window(side_a_ps, side_b_ps, short_ps):
+    # the bound is the farther side offset + w, whichever party's it is, on the
+    # whole picoseconds the windows use: 0.4 ps short rounds onto it, 0.6 ps not
+    reach_ps = max(side_a_ps, side_b_ps) + 30
+    cfg = CorrelatorConfig(
+        window=30e-12,
+        bin_width=2e-12,
+        tau_max=(reach_ps - short_ps) * 1e-12,
+        side_offset_a=side_a_ps * 1e-12,
+        side_offset_b=side_b_ps * 1e-12,
+    )
+    if short_ps > 0.5:
+        with pytest.raises(ValueError, match=rf"^tau_max must cover both side windows: .* = {reach_ps} ps"):
+            cfg.validate()
+        return
+    assert cfg.validate() == []
+    # a pair on the far edge of each side window, LS at +(t_A + w) and SL at
+    # -(t_B + w), is matched and counted in its window
+    edge_a, edge_b = side_a_ps + 30, side_b_ps + 30
+    hist = correlate(stream([10_000 + edge_a, 20_000]), stream([10_000, 20_000 + edge_b]), cfg)
+    assert hist.side_plus.sum() == hist.side_minus.sum() == 1
+    assert hist.n_matches == 2
+
 def test_side_peaks_sit_at_each_partys_delay():
     # SL lands at tau = -t_sl^B and LS at +t_sl^A: with unequal delays each
     # side window still holds a quarter of the pairs
@@ -452,7 +499,7 @@ def test_dumped_run_window_totals_follow_the_closed_form(tmp_path, variant, seed
     cfg = load_config(path)
     n_pairs = 200_000
     chunks = simulate_run(
-        cfg.source, cfg.umzi_a, cfg.umzi_b, cfg.detector, n_pairs, seed, KIND_TIMETAGS
+        cfg.source, cfg.umzi_a, cfg.umzi_b, cfg.detector, n_pairs, seed, (KIND_TIMETAGS,)
     )
     dump = tmp_path / "timetags.dat"
     write_timetag_chunks(dump, chunks, seed, "c0ffee")

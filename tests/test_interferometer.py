@@ -177,12 +177,12 @@ def test_local_fringe_equals_the_fitted_phase_curve(delta_t_sl, gamma):
     # the reference: the ensemble-mean port-5 intensity at 16 phase settings,
     # fitted with a cosine; its visibility is the local fringe
     model, cfg = model_with(delta_t_sl), umzi(gamma=gamma)
-    pairs = sample_pairs(model, 2_000, seed=8, stream=3)
+    pairs = sample_pairs(model, 2_000, seed=8, stream=(3,))
     phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     angle = 2.0 * math.pi * (pairs.detuning_signal * cfg.t_sl)
     curve = [local_intensities(angle + phase, cfg.gamma)[0].mean() for phase in phases]
     reference = fit_cosine(phases, np.asarray(curve)).visibility
-    vis = ensemble_local_fringe(model, cfg, n_pairs=2_000, seed=8, stream=3)
+    vis = ensemble_local_fringe(model, cfg, n_pairs=2_000, seed=8, stream=(3,))
     assert vis == pytest.approx(reference, abs=1e-12)
 
 

@@ -17,6 +17,11 @@ from franson.rng import (
     ROLE_SOURCE,
     item_uniforms,
 )
+from franson.config import config_from_dict
+from franson.correlation import ensemble_fringe
+from franson.detection import DetectorModel, simulate_run, simulate_tags
+from franson.experiment import simulate_point
+from franson.interferometer import UmziConfig, ensemble_local_fringe
 from franson.source import PS_PER_S, SpectralModel, sample_detunings, sample_pairs
 
 from oracles import pair_frequencies
@@ -165,14 +170,39 @@ def test_distinct_stream_keys_draw_distinct_streams(path, other):
     assert not np.array_equal(a.df, b.df)
 
 
-def test_stream_keys_are_tuples_or_ints_of_bounded_width():
-    model = make_model()
-    assert np.array_equal(sample_pairs(model, 8, 3, stream=7).df, sample_pairs(model, 8, 3, stream=(7,)).df)
+def test_stream_keys_are_tuples_of_bounded_width():
+    # an int is not a key path: (7,) is
+    with pytest.raises(TypeError):
+        sample_pairs(make_model(), 8, 3, stream=7)
     # entries of 2**32 and up would spill into the next word of the key
     with pytest.raises(ValueError, match="stream path"):
         item_uniforms(0, (2**32 + 3,), 1, 4)
     with pytest.raises(ValueError, match="seed"):
         item_uniforms(2**128, (0,), 1, 4)
+
+
+PARTIES = UmziConfig(), UmziConfig()
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda key: sample_detunings(make_model(), 8, 3, stream=key),
+        lambda key: item_uniforms(3, key, 8, 4),
+        lambda key: simulate_tags(sample_pairs(make_model(), 8, 3), *PARTIES, DetectorModel(), 3, stream=key),
+        lambda key: next(simulate_run(make_model(), *PARTIES, DetectorModel(), 8, 3, stream=key)),
+        lambda key: ensemble_fringe(make_model(), *PARTIES, 8, seed=3, stream=key),
+        lambda key: ensemble_local_fringe(make_model(), UmziConfig(), 8, seed=3, stream=key),
+        lambda key: simulate_point(config_from_dict({}), key, 8, 0.0, 0.0),
+    ],
+    ids=["sample_detunings", "item_uniforms", "simulate_tags", "simulate_run", "ensemble_fringe",
+         "ensemble_local_fringe", "simulate_point"],
+)
+def test_every_sampler_takes_its_key_as_a_tuple_only(draw):
+    # (7,) is a key path; the int 7 is converted nowhere and fails at once
+    draw((7,))
+    with pytest.raises(TypeError):
+        draw(7)
 
 
 @pytest.mark.parametrize(
