@@ -5,7 +5,9 @@ errors, fits the fringe and returns a ScanResult that serializes to CSV and a
 JSON summary.  analytic mode is the exact ensemble expectation: zero errors,
 no sampled pairs.  Every sampled point draws from an independent random
 substream keyed by the seed and a tuple path (run kind, [sweep step,] point
-index), so reruns are bit-identical and points are uncorrelated.
+index), so reruns are bit-identical and points are uncorrelated.  The
+crossover sweep is the exception: all its points rescale one draw, keyed
+(run kind,), so its curve is one ensemble's characteristic function.
 
 Scan sizes come from ``cfg.scan`` (analytic results report them as set);
 only the pump and crossover sweeps take theirs as arguments.  The runners
@@ -353,20 +355,20 @@ def run_crossover_sweep(
     pairs_per_point: int | None = None,
 ) -> ScanResult:
     """Local visibility gamma |cf(t_sl)| of the sampled detunings against
-    delta * t_sl, with the closed-form Gaussian curve alongside."""
+    delta * t_sl, beside its closed form gamma_A |cf_delta(t_sl)|
+    |cf_pump(t_sl / 2)| (the signal photon carries df + dp/2).  Every point
+    rescales one draw from ``(KIND_CROSSOVER,)``, so the curve is one
+    ensemble's characteristic function."""
     if grid is None:
         grid = np.geomspace(0.01, 100.0, 10)
     grid = _sweep_values("grid", grid, lambda x: x > 0.0, "> 0")
     n_pairs = _count("pairs_per_point", pairs_per_point, min(cfg.scan.pairs_per_point, 50_000))
-    t_sl = cfg.umzi_a.t_sl
-    vis = np.zeros(grid.size)
-    oracle = np.zeros(grid.size)
-    for k, x in enumerate(grid):
-        model = replace(cfg.source, delta=x / t_sl)
-        vis[k] = ensemble_local_fringe(
-            model, cfg.umzi_a, n_pairs=n_pairs, seed=cfg.seed, stream=(rng_mod.KIND_CROSSOVER, k)
-        )
-        oracle[k] = cfg.umzi_a.gamma * local_visibility_oracle(model.delta, t_sl)
+    t_sl, umzi = cfg.umzi_a.t_sl, cfg.umzi_a
+    models = [replace(cfg.source, delta=x / t_sl) for x in grid]
+    key = (rng_mod.KIND_CROSSOVER,)
+    vis = np.array(ensemble_local_fringe(models, umzi, n_pairs=n_pairs, seed=cfg.seed, stream=key))
+    pump = local_visibility_oracle(cfg.source.pump_linewidth, 0.5 * t_sl)
+    oracle = np.array([umzi.gamma * local_visibility_oracle(m.delta, t_sl) * pump for m in models])
 
     return _stamped(
         ScanResult,

@@ -31,8 +31,8 @@ LN2 = math.log(2.0)
 INCOHERENT_ENSEMBLE_MIN = 10.0
 INDIVIDUAL_COHERENT_MAX = 0.1
 
-# Pairs drawn and reduced at a time by ensemble_local_fringe, so a point's
-# working memory stays a few hundred kB at any pair count.
+# Pairs drawn and reduced at a time by ensemble_local_fringe, so its working
+# memory stays a few hundred kB per model at any pair count.
 ENSEMBLE_BLOCK = 2**13
 
 
@@ -94,28 +94,31 @@ def sampled_cf(freqs, lag: float) -> complex:
 
 
 def ensemble_local_fringe(
-    model: SpectralModel,
+    models: list[SpectralModel],
     cfg: UmziConfig,
     n_pairs: int = 20_000,
     seed: int = 0,
     stream=(0,),
-) -> float:
+) -> list[float]:
     """Visibility of the signal photons' ensemble-mean port-5 intensity through
-    ``cfg``: the mean of (1/2)(1 + gamma cos(2 pi detuning t_sl + phase)) is a
-    cosine in the phase of amplitude gamma |sampled_cf(detunings, t_sl)|.
+    ``cfg`` for each of ``models``: the mean of (1/2)(1 + gamma cos(2 pi
+    detuning t_sl + phase)) is a cosine in the phase of amplitude gamma
+    |sampled_cf(detunings, t_sl)|.
 
-    The detunings are drawn and summed ``ENSEMBLE_BLOCK`` pairs at a time, the
-    draws bitwise those of one ``n_pairs`` call, and the sum is divided once by
-    ``n_pairs``: only the summation order differs from ``sampled_cf``.
+    The models share the draws of :func:`sample_detunings`, so each value is
+    bitwise that of a one-model call.  They are drawn and summed
+    ``ENSEMBLE_BLOCK`` pairs at a time, bitwise those of one ``n_pairs``
+    call, and each sum is divided once by ``n_pairs``: only the summation
+    order differs from ``sampled_cf``.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    total = 0j
+    totals = [0j] * len(models)
     for lo in range(0, n_pairs, ENSEMBLE_BLOCK):
         n = min(ENSEMBLE_BLOCK, n_pairs - lo)
-        df, dp = sample_detunings(model, n, seed, stream=stream, start=lo)
-        total += _phasor_sum(df + 0.5 * dp, cfg.t_sl)
-    return float(cfg.gamma * abs(total / n_pairs))
+        for m, (df, dp) in enumerate(sample_detunings(models, n, seed, stream=stream, start=lo)):
+            totals[m] += _phasor_sum(df + 0.5 * dp, cfg.t_sl)
+    return [float(cfg.gamma * abs(total / n_pairs)) for total in totals]
 
 
 def local_visibility_oracle(delta: float, t_sl: float) -> float:

@@ -14,9 +14,9 @@ detuning distribution has FWHM ``delta``; the pair relative delay has FWHM
 Times are int64 picoseconds from the emission time on, below ``MAX_TIME_PS``.
 
 :func:`sample_pairs` draws all four columns; :func:`sample_detunings` draws
-only df and dp, for readers of the interference alone, such as the local
-visibility, since emission times and pair delays matter only to coincidence
-timing.
+only df and dp, for any number of models from the same draws, for readers of
+the interference alone, such as the local visibility: emission times and
+pair delays matter only to coincidence timing.
 """
 
 from __future__ import annotations
@@ -116,36 +116,39 @@ class PairEnsemble:
         return 0.5 * self.dp - self.df
 
 
-def _gaussian_from_uniform(u: np.ndarray, fwhm: float) -> np.ndarray:
-    if fwhm == 0:
-        return np.zeros(u.shape)  # degenerate distribution: no draw needed
-    z = normal_quantile(u)
-    z *= fwhm * FWHM_TO_SIGMA
-    return z
+def _gaussians(u: np.ndarray, fwhms: list[float]) -> list[np.ndarray]:
+    """Gaussian deviates of each FWHM in ``fwhms`` from the uniforms ``u``: the
+    normal quantiles, taken once, times each width's sigma.  A zero width
+    gives zeros (a degenerate distribution) and needs no quantile."""
+    z = normal_quantile(u) if any(fwhms) else None
+    out = z if len(fwhms) == 1 else None  # one width scales the quantiles in place
+    return [np.multiply(z, f * FWHM_TO_SIGMA, out=out) if f else np.zeros(u.shape) for f in fwhms]
 
 
-def _draw(model: SpectralModel, n: int, seed: int, stream, start: int):
-    """Pairs start .. start+n-1's (n, 4) uniform block and their df and dp.
+def _draw(models: list[SpectralModel], n: int, seed: int, stream, start: int):
+    """Pairs start .. start+n-1's (n, 4) uniform block and each model's (df, dp).
 
     Pair j takes item j's 4 uniforms (df, dp, eps, gap) of the stream keyed
-    by (seed, stream), so disjoint ranges can be drawn apart; a detuning
-    that overflows is rejected here.
+    by (seed, stream), so disjoint ranges can be drawn apart; the models share
+    them, and a detuning that overflows is rejected here, naming its model.
     """
     u = item_uniforms(seed, (*stream, ROLE_SOURCE), n, 4, start=start)
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
-        df = _gaussian_from_uniform(u[:, 0], model.delta)
-        dp = _gaussian_from_uniform(u[:, 1], model.pump_linewidth)
-    if not (np.isfinite(df).all() and np.isfinite(dp).all()):
-        raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
-    return u, df, dp
+        dfs = _gaussians(u[:, 0], [model.delta for model in models])
+        dps = _gaussians(u[:, 1], [model.pump_linewidth for model in models])
+    for model, df, dp in zip(models, dfs, dps):
+        if not (np.isfinite(df).all() and np.isfinite(dp).all()):
+            raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
+    return u, list(zip(dfs, dps))
 
 
 def sample_detunings(
-    model: SpectralModel, n: int, seed: int, stream=(0,), start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(df, dp) of pairs start .. start+n-1, those of :func:`sample_pairs`
-    without their emission times and pair delays."""
-    return _draw(model, n, seed, stream, start)[1:]
+    models: list[SpectralModel], n: int, seed: int, stream=(0,), start: int = 0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each model's (df, dp) of pairs start .. start+n-1, those of
+    :func:`sample_pairs` without their emission times and pair delays; the
+    models scale the same quantiles, so each is bitwise its one-model draw."""
+    return _draw(models, n, seed, stream, start)[1]
 
 
 def sample_pairs(
@@ -167,9 +170,9 @@ def sample_pairs(
     is rejected before any int cast, naming the ``run_pairs`` pairs of its
     run (``n`` by default).
     """
-    u, df, dp = _draw(model, n, seed, stream, start)
+    u, [(df, dp)] = _draw([model], n, seed, stream, start)
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
-        eps = _gaussian_from_uniform(u[:, 2], 1.0 / model.delta if model.delta > 0 else 0.0)
+        [eps] = _gaussians(u[:, 2], [1.0 / model.delta if model.delta > 0 else 0.0])
         gaps_ps = np.log(u[:, 3])
         gaps_ps *= -PS_PER_S / model.pair_rate
         reach_ps = origin_ps + gaps_ps.sum() + np.abs(eps).max(initial=0.0) * PS_PER_S

@@ -115,19 +115,50 @@ def test_a_reach_past_the_grid_in_a_later_chunk_leaves_no_dump(tmp_path, monkeyp
     assert list((tmp_path / "out").iterdir()) == []
 
 
+# Runs the command in its argv in a child and prints the child's exit code and
+# peak resident memory (ru_maxrss, kB).  A child inherits its parent's peak at
+# exec, so a child started straight from the test process would read the test
+# process's peak; the launcher imports no NumPy, so its own few MB are the
+# floor of what its child reads.
+LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    try:
+        os.execv(sys.argv[1], sys.argv[1:])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def launched_peak_mb(argv, env=None) -> float:
+    """Peak resident memory (MB) of ``argv`` run from :data:`LAUNCHER`; it must exit 0."""
+    run = subprocess.run([sys.executable, "-c", LAUNCHER, *map(str, argv)], env=env,
+                         capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, run.stdout.splitlines()[-1].split())
+    assert code == 0, run.stderr
+    return peak_kb / 1024.0
+
+
+def test_the_launcher_reads_its_child_not_the_test_process():
+    # the test process holds 64 MB more than a bare interpreter needs, and the
+    # launched interpreter's peak does not see it
+    ballast = np.ones(2**23)
+    assert launched_peak_mb([sys.executable, "-c", "pass"]) < 40.0
+    del ballast
+
+
 def test_dump_memory_does_not_grow_with_the_run(tmp_path):
-    # each run in a fresh process: its peak resident memory, as wait4 reports
-    # it for that one child, is set by the chunk, not by the pair count
+    # each run in a fresh process: its peak resident memory is set by the
+    # chunk, not by the pair count
     def peak_mb(n_pairs):
         config = ROOT / "perfbench" / "configs" / "dump-replay.json"
         out = tmp_path / str(n_pairs)
         argv = ["timetags", "--config", config, "--pairs", n_pairs, "--out", out]
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        child = subprocess.Popen([sys.executable, "-m", "franson.cli", *map(str, argv)], env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 0
-        return usage.ru_maxrss / 1024.0
+        return launched_peak_mb([sys.executable, "-m", "franson.cli", *argv], env)
 
     small, large = peak_mb(100_000), peak_mb(1_000_000)
     assert large - small <= 15.0, (small, large)

@@ -150,6 +150,29 @@ def test_crossover_tracks_the_characteristic_function():
     assert np.all(np.diff(res.columns["visibility_oracle"]) <= 0)
 
 
+def test_crossover_oracle_carries_the_pump_jitter():
+    # the signal photon carries df + dp/2: at 5 GHz pump linewidth the local
+    # fringe keeps a factor |cf_pump(t_sl / 2)| = 0.80 even where delta * t_sl -> 0
+    cfg = fr.load_config(CONFIGS / "pump_jitter.json")
+    res = fr.run_crossover_sweep(cfg)
+    assert res.extras["max_abs_deviation"] <= 0.02
+    pump = fr.local_visibility_oracle(cfg.source.pump_linewidth, 0.5 * cfg.umzi_a.t_sl)
+    assert 0.79 < pump < 0.81
+    assert res.columns["visibility_oracle"][0] == pytest.approx(cfg.umzi_a.gamma * pump, abs=1e-3)
+
+
+def test_crossover_points_share_one_draw():
+    # every point rescales the same draws: adding grid points moves no
+    # existing point, and a point's value is that of a one-point sweep
+    cfg = ideal_config(pairs_per_point=3_000)
+    few = fr.run_crossover_sweep(cfg, grid=[0.1, 1.0])
+    many = fr.run_crossover_sweep(cfg, grid=[0.03, 0.1, 0.3, 1.0, 3.0])
+    alone = fr.run_crossover_sweep(cfg, grid=[1.0])
+    vis = many.columns["visibility_local"]
+    assert list(few.columns["visibility_local"]) == [vis[1], vis[3]]
+    assert alone.columns["visibility_local"][0] == vis[3]
+
+
 def test_tau_decay_analytic_and_montecarlo():
     cfg = ideal_config(pairs_per_point=10_000)
     ana = fr.run_tau_decay(cfg, mode="analytic")
@@ -251,7 +274,7 @@ def test_pump_sweep_takes_the_pump_jitter_at_the_mean_delay():
     mc = fr.run_pump_sweep(cfg, linewidths, mode="montecarlo", n_points=8, pairs_per_point=500)
     for k, lw in enumerate(linewidths):
         model = replace(cfg.source, pump_linewidth=lw)
-        draws = [sample_detunings(model, 500, cfg.seed, (KIND_PUMP, k, j))[1] for j in range(8)]
+        draws = [sample_detunings([model], 500, cfg.seed, (KIND_PUMP, k, j))[0][1] for j in range(8)]
         cf_sum = sum(sampled_cf(dp, lag) for dp in draws)
         assert mc.columns["cf_sampled"][k] == pytest.approx(gamma2 * abs(cf_sum) / 8, rel=1e-12)
     assert mc.columns["cf_sampled"][1] == pytest.approx(cf[2], abs=0.05)

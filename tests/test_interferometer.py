@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,49 +102,68 @@ def test_dephased_ensemble_mean_intensity_is_flat():
 
 
 def test_local_fringe_vanishes_in_the_dephased_regime():
-    vis = ensemble_local_fringe(model_with(100.0), umzi(), n_pairs=50_000, seed=4)
+    vis = ensemble_local_fringe([model_with(100.0)], umzi(), n_pairs=50_000, seed=4)[0]
     assert vis < 0.01
 
 
 def test_local_fringe_survives_in_the_coherent_regime():
-    vis = ensemble_local_fringe(model_with(0.01), umzi(), n_pairs=50_000, seed=4)
+    vis = ensemble_local_fringe([model_with(0.01)], umzi(), n_pairs=50_000, seed=4)[0]
     assert vis > 0.99
 
 
 def test_local_fringe_matches_characteristic_function_oracle():
     model = model_with(1.0)
-    vis = ensemble_local_fringe(model, umzi(), n_pairs=100_000, seed=5)
+    vis = ensemble_local_fringe([model], umzi(), n_pairs=100_000, seed=5)[0]
     oracle = local_visibility_oracle(model.delta, 100e-12)
     assert vis == pytest.approx(oracle, abs=0.02)
 
 
 def test_local_fringe_scales_with_gamma():
     model = model_with(0.01)
-    half = ensemble_local_fringe(model, umzi(gamma=0.5), n_pairs=20_000, seed=6)
+    half = ensemble_local_fringe([model], umzi(gamma=0.5), n_pairs=20_000, seed=6)[0]
     assert half == pytest.approx(0.5, abs=0.02)
 
 
 B = ENSEMBLE_BLOCK
+SHARED_GRID = [0.01, 1.0, 100.0]
 
 
-@pytest.mark.parametrize("delta_t_sl", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("pump_linewidth", [0.0, 2e9])
 @pytest.mark.parametrize("n_pairs", [B - 1, B, B + 1, 3 * B + 7])
-def test_blocked_local_fringe_matches_the_one_shot_mean(delta_t_sl, n_pairs):
-    # block by block the draws are those of one call; only the order of the
-    # phasor sum differs from the one-shot mean
-    model, cfg = model_with(delta_t_sl), umzi(gamma=0.8)
-    df, dp = sample_detunings(model, n_pairs, 11, stream=(2, 5))
-    phasors = np.exp(1j * 2.0 * math.pi * (df + 0.5 * dp) * cfg.t_sl)
-    reference = cfg.gamma * abs(phasors.mean())
-    vis = ensemble_local_fringe(model, cfg, n_pairs=n_pairs, seed=11, stream=(2, 5))
-    assert vis == pytest.approx(reference, rel=0, abs=1e-15)
+def test_blocked_local_fringe_matches_the_one_shot_mean(pump_linewidth, n_pairs):
+    # block by block each model's draws are those of one call; only the order
+    # of the phasor sum differs from the one-shot mean
+    models = [replace(model_with(x), pump_linewidth=pump_linewidth) for x in SHARED_GRID]
+    cfg = umzi(gamma=0.8)
+    vis = ensemble_local_fringe(models, cfg, n_pairs=n_pairs, seed=11, stream=(2, 5))
+    draws = sample_detunings(models, n_pairs, 11, stream=(2, 5))
+    assert len(vis) == len(draws) == len(models)
+    for got, (df, dp) in zip(vis, draws):
+        phasors = np.exp(1j * 2.0 * math.pi * (df + 0.5 * dp) * cfg.t_sl)
+        assert got == pytest.approx(cfg.gamma * abs(phasors.mean()), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("pump_linewidth", [0.0, 2e9])
+@pytest.mark.parametrize("n_pairs", [B - 1, B, B + 1, 3 * B + 7])
+def test_each_model_of_a_shared_draw_is_its_one_model_call(pump_linewidth, n_pairs):
+    # the models share the draws: model k's visibility and detunings are
+    # bitwise those of the call that holds model k alone, so adding models
+    # moves no other model's value
+    models = [replace(model_with(x), pump_linewidth=pump_linewidth) for x in SHARED_GRID]
+    cfg = umzi(gamma=0.9)
+    shared = ensemble_local_fringe(models, cfg, n_pairs=n_pairs, seed=13, stream=(3,))
+    draws = sample_detunings(models, n_pairs, 13, stream=(3,))
+    for k, model in enumerate(models):
+        assert shared[k] == ensemble_local_fringe([model], cfg, n_pairs=n_pairs, seed=13, stream=(3,))[0]
+        [(df, dp)] = sample_detunings([model], n_pairs, 13, stream=(3,))
+        assert np.array_equal(draws[k][0], df) and np.array_equal(draws[k][1], dp)
 
 
 def test_local_fringe_memory_is_flat_in_the_pair_count():
     def traced_peak(n_pairs):
         tracemalloc.start()
         try:
-            ensemble_local_fringe(model_with(1.0), umzi(), n_pairs=n_pairs, seed=12)
+            ensemble_local_fringe([model_with(1.0)], umzi(), n_pairs=n_pairs, seed=12)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -154,7 +174,7 @@ def test_local_fringe_memory_is_flat_in_the_pair_count():
 @pytest.mark.parametrize("n_pairs", [0, -3])
 def test_local_fringe_rejects_an_empty_ensemble(n_pairs):
     with pytest.raises(ValueError, match=f"^n_pairs must be >= 1, got {n_pairs}$"):
-        ensemble_local_fringe(model_with(1.0), umzi(), n_pairs=n_pairs)
+        ensemble_local_fringe([model_with(1.0)], umzi(), n_pairs=n_pairs)
 
 
 def test_local_visibility_oracle_is_monotone_non_increasing():
@@ -166,7 +186,7 @@ def test_local_visibility_oracle_is_monotone_non_increasing():
 def test_sampled_local_visibility_is_monotone_within_noise():
     grid = np.geomspace(0.01, 100.0, 8)
     vis = [
-        ensemble_local_fringe(model_with(x), umzi(), n_pairs=20_000, seed=7)
+        ensemble_local_fringe([model_with(x)], umzi(), n_pairs=20_000, seed=7)[0]
         for x in grid
     ]
     assert np.all(np.diff(vis) <= 0.01)
@@ -182,7 +202,7 @@ def test_local_fringe_equals_the_fitted_phase_curve(delta_t_sl, gamma):
     angle = 2.0 * math.pi * (pairs.detuning_signal * cfg.t_sl)
     curve = [local_intensities(angle + phase, cfg.gamma)[0].mean() for phase in phases]
     reference = fit_cosine(phases, np.asarray(curve)).visibility
-    vis = ensemble_local_fringe(model, cfg, n_pairs=2_000, seed=8, stream=(3,))
+    vis = ensemble_local_fringe([model], cfg, n_pairs=2_000, seed=8, stream=(3,))[0]
     assert vis == pytest.approx(reference, abs=1e-12)
 
 

@@ -16,8 +16,8 @@ PRODUCT_PINS = {
     "ideal/chsh-montecarlo/chsh.json": "f4f16dc76bffc45b",
     "ideal/correlate/correlate.json": "07060a9ec88ed5a0",
     "ideal/correlate/histogram.csv": "2719bfb2a4492991",
-    "ideal/crossover/crossover.csv": "f34ab833d01cf411",
-    "ideal/crossover/crossover.json": "79b0545e7eb02700",
+    "ideal/crossover/crossover.csv": "aecaec76a90eec8e",
+    "ideal/crossover/crossover.json": "4a1546f43ccf662d",
     "ideal/fringe-scan-analytic/fringe-scan.csv": "5ede10446d53d497",
     "ideal/fringe-scan-analytic/fringe-scan.json": "9d44b1ce7f7fcf29",
     "ideal/fringe-scan-montecarlo/fringe-scan.csv": "ab8f4726e3cc11db",
@@ -37,8 +37,8 @@ PRODUCT_PINS = {
     "pump_jitter/chsh-montecarlo/chsh.json": "9534ef22b4941786",
     "pump_jitter/correlate/correlate.json": "babd8a9f34d936f9",
     "pump_jitter/correlate/histogram.csv": "dc71b789e77ba51c",
-    "pump_jitter/crossover/crossover.csv": "780b8a0412c66c70",
-    "pump_jitter/crossover/crossover.json": "df78e68867c8b8ce",
+    "pump_jitter/crossover/crossover.csv": "7664f20b0820d96e",
+    "pump_jitter/crossover/crossover.json": "9e67af7eca95bd0a",
     "pump_jitter/fringe-scan-analytic/fringe-scan.csv": "826b7458d3d1e971",
     "pump_jitter/fringe-scan-analytic/fringe-scan.json": "a7571515abd661e5",
     "pump_jitter/fringe-scan-montecarlo/fringe-scan.csv": "3c62f92b83c09d55",

@@ -1,6 +1,7 @@
 """Source sampling: distribution moments, exact symmetries, reproducibility."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_the_reach_check_runs_where_the_pairs_are_drawn():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=r"^source\.pair_rate = 0\.001 .* carry 2000 pairs'"):
             sample_pairs(make_model(pair_rate=1e-3), 2_000, seed=1)
-        df, dp = sample_detunings(make_model(pair_rate=1e-3), 2_000, seed=1)
+        [(df, dp)] = sample_detunings([make_model(pair_rate=1e-3)], 2_000, seed=1)
         reachable = sample_pairs(make_model(), 2_000, seed=1)
         assert np.array_equal(df, reachable.df) and np.array_equal(dp, reachable.dp)
 
@@ -138,7 +139,7 @@ def test_pair_sequence_is_defined_by_index_not_batch(k, n_tail, seed):
         assert np.array_equal(getattr(full, name)[k:], getattr(tail, name))
     assert np.array_equal(full.t0_ps[k:], full.t0_ps[k - 1] + tail.t0_ps)
     # the detunings-only draw is the same draw
-    df, dp = sample_detunings(model, n_tail, seed=seed, start=k)
+    [(df, dp)] = sample_detunings([model], n_tail, seed=seed, start=k)
     assert np.array_equal(df, tail.df) and np.array_equal(dp, tail.dp)
 
 
@@ -149,6 +150,10 @@ def test_detunings_past_the_float_range_are_rejected_by_name():
         for overrides in ({"delta": 1.7e308}, {"pump_linewidth": 1.7e308}):
             with pytest.raises(ValueError, match="source.delta or source.pump_linewidth"):
                 sample_pairs(make_model(**overrides), 2_000, seed=1)
+            # in a shared draw each model is checked: the one that overflows is named
+            wide = make_model(**overrides)
+            with pytest.raises(ValueError, match=f"overflows a detuning: {re.escape(repr(wide))}$"):
+                sample_detunings([make_model(), wide], 2_000, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -187,12 +192,12 @@ PARTIES = UmziConfig(), UmziConfig()
 @pytest.mark.parametrize(
     "draw",
     [
-        lambda key: sample_detunings(make_model(), 8, 3, stream=key),
+        lambda key: sample_detunings([make_model(), make_model(delta=2e12)], 8, 3, stream=key),
         lambda key: item_uniforms(3, key, 8, 4),
         lambda key: simulate_tags(sample_pairs(make_model(), 8, 3), *PARTIES, DetectorModel(), 3, stream=key),
         lambda key: next(simulate_run(make_model(), *PARTIES, DetectorModel(), 8, 3, stream=key)),
         lambda key: ensemble_fringe(make_model(), *PARTIES, 8, seed=3, stream=key),
-        lambda key: ensemble_local_fringe(make_model(), UmziConfig(), 8, seed=3, stream=key),
+        lambda key: ensemble_local_fringe([make_model(), make_model(delta=2e12)], UmziConfig(), 8, seed=3, stream=key),
         lambda key: simulate_point(config_from_dict({}), key, 8, 0.0, 0.0),
     ],
     ids=["sample_detunings", "item_uniforms", "simulate_tags", "simulate_run", "ensemble_fringe",
