@@ -194,6 +194,24 @@ def _require_sorted(stream: TagStream, name: str) -> None:
         raise StreamOrderError(f"stream {name} is not sorted by time")
 
 
+def _port_keys(port_a, port_b, ia, ib) -> np.ndarray:
+    """Each match's port pair as its flat index 0 to 3 over (port_a - 5, port_b - 5)."""
+    return 2 * port_a[ia] + port_b[ib] - 15  # uint8
+
+
+def _central_counts(stream_a: TagStream, streams_b, cfg: CorrelatorConfig) -> np.ndarray:
+    """:func:`correlate`'s ``central`` table of stream A against each of
+    ``streams_b``, stacked (n, 2, 2).  The B streams share their times (one
+    detection, a port column each), so one sweep finds the matches in [-w, w]."""
+    cfg.validate()
+    w_ps = cfg._picoseconds()[0]
+    tables = np.zeros((len(streams_b), 4), dtype=np.int64)
+    for ia, ib in sweep_matches(stream_a.time_ps, streams_b[0].time_ps, -w_ps, w_ps):
+        for table, stream_b in zip(tables, streams_b):
+            table += np.bincount(_port_keys(stream_a.port, stream_b.port, ia, ib), minlength=4)
+    return tables.reshape(-1, 2, 2)
+
+
 def correlate(
     stream_a: TagStream, stream_b: TagStream, cfg: CorrelatorConfig
 ) -> CoincidenceHistogram:
@@ -219,7 +237,7 @@ def correlate(
     for ia, ib in sweep_matches(stream_a.time_ps, stream_b.time_ps, -tau_max_ps, tau_max_ps):
         tau = stream_a.time_ps[ia]
         tau -= stream_b.time_ps[ib]
-        key = 2 * stream_a.port[ia] + stream_b.port[ib] - 15  # uint8, 0 to 3
+        key = _port_keys(stream_a.port, stream_b.port, ia, ib)
         for totals, center in ((central, 0), (side_plus, side_a_ps), (side_minus, -side_b_ps)):
             near = (tau >= center - w_ps) & (tau <= center + w_ps)
             totals += np.bincount(key[near], minlength=4)

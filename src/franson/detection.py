@@ -19,8 +19,8 @@ port pair and 1/16 per side cell.  Detection times are assembled as
 The central (b, b) label is pure bookkeeping: the two assignments are
 physically indistinguishable, t0 is itself random, and no observable depends
 on the split.  A tag stream holds what a detector sees, a port and a time
-per tag; the party is the stream's position.  Checks that need to know which
-tags came from one pair read the per-pair step, :func:`_detect`.
+per tag; the party is the stream's position.  Checks of which tags came
+from one pair read the per-pair steps, :func:`_detect` and :func:`_port_b`.
 
 Emission times arrive in int64 picoseconds and every other term is rounded
 onto that grid, so histograms, dumps and replays reproduce on any platform.
@@ -127,18 +127,18 @@ class TagStream:
 
 
 def _detect(pairs, cfg_a, cfg_b, det, seed, stream=(0,), start=0):
-    """The per-pair step of :func:`simulate_tags`, whose arguments it takes.
+    """The per-pair step of :func:`simulate_tags`, whose arguments it takes,
+    all but the port-B choice (:func:`_port_b`); it reads no detuning.
 
-    Returns, in pair order, the branch (0 central, 1 SL, 2 LS) and each
-    party's ``(port, time_ps, kept)`` columns, A first; ``kept`` marks the
-    photons the detector registers.
+    Returns, in pair order, the branch (0 central, 1 SL, 2 LS), column 2's
+    uniform, A's ``(port, time_ps, kept)`` columns and B's ``(time_ps,
+    kept)``; ``kept`` marks the photons the detector registers.
 
     Column 3's 53-bit grid index holds, from the top, b_A, b_B, the port-A
     bit, then 25 bits that keep A's photon when below ceil(efficiency 2**25)
     and 25 that keep B's.  Above 1/2 the open-interval shift rounds the index
     up to even, which moves the five draws' joint law by at most 2**-26.
     """
-    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b)
     u = item_uniforms(seed, (*stream, ROLE_DETECTION), len(pairs), 4, start=start)
     jitter_a_ps = to_picoseconds(normal_quantile(u[:, 0]) * det.jitter)
     jitter_b_ps = to_picoseconds(normal_quantile(u[:, 1]) * det.jitter)
@@ -149,15 +149,35 @@ def _detect(pairs, cfg_a, cfg_b, det, seed, stream=(0,), start=0):
     top = (bits >> np.uint64(50)).astype(np.uint8)  # 4 b_A + 2 b_B + the port-A bit
     # central 0 for equal bits, SL 1 for (0, 1), LS 2 for (1, 0)
     branch = (top >> 1) % 3
-    p_same = 0.5 + 0.5 * fringe * (branch == 0)
     port_a = np.uint8(5) + (top & 1)
-    port_b = port_a ^ (np.uint8(3) * (u[:, 2] >= p_same))  # 5 ^ 3 = 6, 6 ^ 3 = 5
+    same = u[:, 2].copy()
     del u, bits  # the largest arrays here: free them before the times are assembled
 
     b_a, b_b = top >= 4, (top & 2) > 0
     t_a = pairs.t0_ps + b_a * to_picoseconds(cfg_a.t_sl) + jitter_a_ps
     t_b = pairs.t0_ps + to_picoseconds(pairs.eps) + b_b * to_picoseconds(cfg_b.t_sl) + jitter_b_ps
-    return branch, (port_a, t_a, keep_a), (port_b, t_b, keep_b)
+    return branch, same, (port_a, t_a, keep_a), (t_b, keep_b)
+
+
+def _port_b(fringe, branch, same, port_a):
+    """Each pair's port at B from :func:`_detect`'s columns and its fringe term:
+    port A's with chance (1 + fringe) / 2 centrally and 1/2 on a side branch."""
+    p_same = 0.5 + 0.5 * fringe * (branch == 0)
+    return port_a ^ (np.uint8(3) * (same >= p_same))  # 5 ^ 3 = 6, 6 ^ 3 = 5
+
+
+def _step_tags(steps, umzis, det, seed, stream=(0,), start=0):
+    """Stream A and each step's stream B of the ensembles ``steps``, which
+    share their times (:func:`franson.source._sample`), step s through
+    ``umzis[s] = (cfg_a, cfg_b)``, which share their delays.  The steps share
+    every draw, and step s is bitwise :func:`simulate_tags` of its own."""
+    branch, same, (port_a, t_a, keep_a), (t_b, keep_b) = _detect(
+        steps[0], *umzis[0], det, seed, stream, start
+    )
+    t_b = t_b[keep_b]
+    fringes = (fringe_term(pairs.df, pairs.dp, *umzi) for pairs, umzi in zip(steps, umzis))
+    streams_b = [TagStream(_port_b(fringe, branch, same, port_a)[keep_b], t_b) for fringe in fringes]
+    return TagStream(port_a[keep_a], t_a[keep_a]), streams_b
 
 
 def simulate_tags(
@@ -181,8 +201,8 @@ def simulate_tags(
     Each stream holds its party's kept tags of :func:`_detect`, which are in
     pair order, so tags of equal time stay in pair order.
     """
-    _, tags_a, tags_b = _detect(pairs, cfg_a, cfg_b, det, seed, stream, start)
-    return tuple(TagStream(port[kept], time_ps[kept]) for port, time_ps, kept in (tags_a, tags_b))
+    tags_a, [tags_b] = _step_tags([pairs], [(cfg_a, cfg_b)], det, seed, stream, start)
+    return tags_a, tags_b
 
 
 def simulate_run(

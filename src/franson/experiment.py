@@ -3,11 +3,12 @@
 Each runner scans one knob, collects per-point rates with their standard
 errors, fits the fringe and returns a ScanResult that serializes to CSV and a
 JSON summary.  analytic mode is the exact ensemble expectation: zero errors,
-no sampled pairs.  Every sampled point draws from an independent random
-substream keyed by the seed and a tuple path (run kind, [sweep step,] point
-index), so reruns are bit-identical and points are uncorrelated.  The
-crossover sweep is the exception: all its points rescale one draw, keyed
-(run kind,), so its curve is one ensemble's characteristic function.
+no sampled pairs.  Every sampled point draws from its own random substream
+keyed by the seed and a tuple path (run kind, point index), so reruns are
+bit-identical and a scan's points are uncorrelated.  What is not independent:
+the steps of a pump sweep or tau-decay, which share each point's draws, tag
+times and matches and differ only in B's ports, and the crossover sweep's
+points, which all rescale one draw keyed (run kind,).
 
 Scan sizes come from ``cfg.scan`` (analytic results report them as set);
 only the pump and crossover sweeps take theirs as arguments.  The runners
@@ -37,13 +38,13 @@ from .correlation import (
     fringe_visibility,
     overlap_envelope,
 )
-from .correlator import CoincidenceHistogram, correlate
-from .detection import TagStream, simulate_tags
+from .correlator import _central_counts, correlate
+from .detection import _step_tags, simulate_tags
 from .errors import FitError, UndefinedCorrelationError
 from .fitting import CosineFit, fit_cosine
 from .interferometer import ensemble_local_fringe, local_intensities, local_visibility_oracle
 from .interferometer import TWO_PI, sampled_cf
-from .source import PairEnsemble, sample_pairs
+from .source import _sample, sample_pairs
 
 PORT_PAIRS = ((5, 5), (5, 6), (6, 5), (6, 6))
 
@@ -175,49 +176,52 @@ def _joint_phase_grid(n_points: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, n_points, endpoint=False)
 
 
-def simulate_point(
-    cfg: RunConfig,
-    stream,
-    n_pairs: int,
-    phase_a: float,
-    phase_b: float,
-) -> tuple[PairEnsemble, TagStream, TagStream, CoincidenceHistogram]:
-    """Full source -> detection -> correlator pipeline for one scan point.
-
-    ``stream`` is the point's key path; source and detection draw from its
-    two role substreams.
-    """
+def simulate_point(cfg: RunConfig, stream, n_pairs: int, phase_a: float, phase_b: float):
+    """Full source -> detection -> correlator pipeline for one scan point: its
+    pairs, tag streams A and B, and histogram.  ``stream`` is the point's key
+    path; source and detection draw from its two role substreams."""
     cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
     cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
     pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
     tags_a, tags_b = simulate_tags(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=stream)
-    hist = correlate(tags_a, tags_b, cfg.correlator)
-    return pairs, tags_a, tags_b, hist
+    return pairs, tags_a, tags_b, correlate(tags_a, tags_b, cfg.correlator)
 
 
-def _central_tables(cfg, mode, key, points, n_pairs, on_point=None) -> np.ndarray:
-    """The central tables of the (phase_a, phase_b) ``points``, stacked (2, 2, n)
-    over (port_a, port_b, point).
+def _timing(cfg: RunConfig) -> RunConfig:
+    """``cfg`` without what only the fringe term reads: pump linewidth and path overlaps."""
+    umzis = {name: replace(getattr(cfg, name), gamma=1.0) for name in ("umzi_a", "umzi_b")}
+    return replace(cfg, source=replace(cfg.source, pump_linewidth=0.0), **umzis)
+
+
+def _central_tables(steps, mode, key, points, n_pairs, record=None) -> tuple[np.ndarray, list]:
+    """The central tables of each step config at the (phase_a, phase_b)
+    ``points``, stacked (n_steps, 2, 2, n_points), and the points' records.
 
     analytic mode gives the closed-form :func:`expected_rates` and draws
-    nothing; montecarlo mode counts point k's central window with the full
-    tag pipeline, drawn from the stream ``(*key, k)``, and passes its draws to
-    ``on_point(k, pairs, tags_a, tags_b)``, which must not keep them: the loop
-    holds one point's pipeline at a time.
+    nothing.  montecarlo steps may differ only in pump linewidth and path
+    overlaps: point j of all of them is one draw from ``(*key, j)``, one
+    detection and one match sweep, and per step only its detunings, fringe
+    term and B ports, each step's table its own :func:`simulate_point`'s.
+    ``record(j, pairs, tags_a, tags_b)``, pairs and B streams one per step,
+    must not keep them: the loop holds one point's pipeline at a time.
     """
-    tables = np.zeros((2, 2, len(points)))
-    for k, (phase_a, phase_b) in enumerate(points):
+    cfg = steps[0]
+    if mode != "analytic" and any(_timing(step) != _timing(cfg) for step in steps):
+        raise ValueError("sweep steps may differ only in pump linewidth and path overlaps")
+    tables = np.zeros((len(steps), 2, 2, len(points)))
+    records = []
+    for j, (pa, pb) in enumerate(points):
+        umzis = [(replace(s.umzi_a, phase=float(pa)), replace(s.umzi_b, phase=float(pb))) for s in steps]
         if mode == "analytic":
-            cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
-            cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
-            tables[..., k] = expected_rates(cfg.source, cfg_a, cfg_b)
+            tables[..., j] = [expected_rates(step.source, *umzi) for step, umzi in zip(steps, umzis)]
             continue
-        pairs, tags_a, tags_b, hist = simulate_point(cfg, (*key, k), n_pairs, phase_a, phase_b)
-        tables[..., k] = hist.central
-        if on_point is not None:
-            on_point(k, pairs, tags_a, tags_b)
-        del pairs, tags_a, tags_b, hist  # before the next point draws its own
-    return tables
+        pairs = _sample([step.source for step in steps], n_pairs, cfg.seed, (*key, j))
+        tags_a, tags_b = _step_tags(pairs, umzis, cfg.detector, cfg.seed, (*key, j))
+        tables[..., j] = _central_counts(tags_a, tags_b, cfg.correlator)
+        if record is not None:
+            records.append(record(j, pairs, tags_a, tags_b))
+        del pairs, tags_a, tags_b  # before the next point draws its own
+    return tables, records
 
 
 def _rates(mode, tables, n_pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -271,28 +275,20 @@ def run_fringe_scan(cfg: RunConfig, mode: str = "analytic") -> ScanResult:
     """
     _check_mode(mode)
     scan = cfg.scan
-    return _fringe(cfg, mode, (rng_mod.KIND_FRINGE,), scan.n_points, scan.pairs_per_point)
+    return _fringe([cfg], mode, (rng_mod.KIND_FRINGE,), scan.n_points, scan.pairs_per_point)[0][0]
 
 
-def _fringe(cfg, mode, key, n_points, n_pairs, on_point=None) -> ScanResult:
-    """A fringe scan of ``n_points`` joint phases at ``n_pairs`` pairs each, on
-    :func:`_central_tables` with its key and hook."""
+def _fringe(steps, mode, key, n_points, n_pairs, record=None) -> tuple[list[ScanResult], list]:
+    """A fringe scan of each step config, ``n_points`` joint phases at
+    ``n_pairs`` pairs each, all on one :func:`_central_tables` with its key
+    and record; and the points' records."""
     theta = _joint_phase_grid(n_points)
-    psi = cfg.umzi_b.phase
+    psi = steps[0].umzi_b.phase
     points = [(th - psi, psi) for th in theta]
-    tables = _central_tables(cfg, mode, key, points, n_pairs, on_point)
-    fields, fit_warnings = _fit_curves(theta, *_rates(mode, tables, n_pairs))
-    return _stamped(
-        ScanResult,
-        cfg,
-        mode,
-        fit_warnings,
-        kind="fringe-scan",
-        x_label="joint_phase_rad",
-        x=theta,
-        pairs_per_point=n_pairs,
-        **fields,
-    )
+    tables, records = _central_tables(steps, mode, key, points, n_pairs, record)
+    fits = [_fit_curves(theta, *_rates(mode, table, n_pairs)) for table in tables]
+    scan = {"kind": "fringe-scan", "x_label": "joint_phase_rad", "x": theta, "pairs_per_point": n_pairs}
+    return [_stamped(ScanResult, c, mode, w, **scan, **f) for c, (f, w) in zip(steps, fits)], records
 
 
 def run_local_scan(cfg: RunConfig) -> ScanResult:
@@ -306,35 +302,22 @@ def run_local_scan(cfg: RunConfig) -> ScanResult:
     """
     theta = _joint_phase_grid(cfg.scan.n_points)
     n_pairs = cfg.scan.pairs_per_point
-    local = {n: np.zeros_like(theta) for n in ("local_a", "local_b", "singles_a5", "singles_b5")}
 
-    def read(k, pairs, tags_a, tags_b):  # the point's local intensities and singles
-        for side, umzi, detuning, tags in (
-            ("a", cfg.umzi_a, pairs.detuning_signal, tags_a),
-            ("b", cfg.umzi_b, pairs.detuning_idler, tags_b),
-        ):
-            angle = TWO_PI * (detuning * umzi.t_sl) + theta[k]
-            local[f"local_{side}"][k] = local_intensities(angle, umzi.gamma)[0].mean()
-            local[f"singles_{side}5"][k] = np.count_nonzero(tags.port == 5) / max(len(tags), 1)
+    def read(k, pairs, tags_a, tags_b):  # the point's local intensities, then its singles
+        sides = ((cfg.umzi_a, pairs[0].detuning_signal), (cfg.umzi_b, pairs[0].detuning_idler))
+        local = [local_intensities(TWO_PI * (f * u.t_sl) + theta[k], u.gamma)[0].mean() for u, f in sides]
+        return local + [np.count_nonzero(tags.port == 5) / max(len(tags), 1) for tags in (tags_a, *tags_b)]
 
     grid = [(th, th) for th in theta]
-    tables = _central_tables(cfg, "montecarlo", (rng_mod.KIND_LOCAL,), grid, n_pairs, on_point=read)
+    [table], records = _central_tables([cfg], "montecarlo", (rng_mod.KIND_LOCAL,), grid, n_pairs, read)
+    local = dict(zip(("local_a", "local_b", "singles_a5", "singles_b5"), np.array(records).T.copy()))
     curves = {name: (theta, y) for name, y in local.items()}
-    fields, fit_warnings = _fit_curves(2.0 * theta, *_rates("montecarlo", tables, n_pairs), curves)
-    fields["columns"].update(
-        local_i5_a=local["local_a"],
-        local_i5_b=local["local_b"],
-        singles_a5_fraction=local["singles_a5"],
-        singles_b5_fraction=local["singles_b5"],
-    )
+    fields, fit_warnings = _fit_curves(2.0 * theta, *_rates("montecarlo", table, n_pairs), curves)
+    columns = ("local_i5_a", "local_i5_b", "singles_a5_fraction", "singles_b5_fraction")
+    fields["columns"].update(zip(columns, local.values()))
     fits = fields["fits"]
-    extras = {
-        "visibility_local_a": fits["local_a"].visibility if "local_a" in fits else math.nan,
-        "visibility_local_b": fits["local_b"].visibility if "local_b" in fits else math.nan,
-        "visibility_singles_a": fits["singles_a5"].visibility if "singles_a5" in fits else math.nan,
-        "visibility_singles_b": fits["singles_b5"].visibility if "singles_b5" in fits else math.nan,
-        "visibility_nonlocal": fields.get("visibility", math.nan),
-    }
+    extras = {f"visibility_{n.rstrip('5')}": fits[n].visibility if n in fits else math.nan for n in local}
+    extras["visibility_nonlocal"] = fields.get("visibility", math.nan)
     return _stamped(
         ScanResult,
         cfg,
@@ -384,20 +367,22 @@ def run_crossover_sweep(
     )
 
 
-def _sweep(steps, mode, kind, n_points, n_pairs, on_point=None) -> tuple[np.ndarray, np.ndarray]:
-    """The fringe visibility of each step config and its error.
+def _sweep(steps, mode, kind, n_points, n_pairs, record=None) -> tuple[np.ndarray, np.ndarray, list]:
+    """The fringe visibility of each step config, its error, and the points'
+    records.
 
     analytic mode gives gamma_A gamma_B :func:`fringe_damping` with zero
     errors and draws nothing; montecarlo mode fits an ``n_points``-point
-    fringe scan per step, step k drawn from the stream ``(kind, k)`` and
-    passing its points' draws to ``on_point``.
+    fringe scan per step, point j of every step one pipeline drawn from
+    ``(kind, j)`` and read by ``record``: each step is distributed as its
+    own scan, but the steps share every draw, tag time and match.
     """
     if mode == "analytic":
         damped = [fringe_damping(step.source, step.umzi_a, step.umzi_b) for step in steps]
         vis = [fringe_visibility(d, step.umzi_a, step.umzi_b) for d, step in zip(damped, steps)]
-        return np.array(vis), np.zeros(len(steps))
-    scans = [_fringe(cfg, mode, (kind, k), n_points, n_pairs, on_point) for k, cfg in enumerate(steps)]
-    return np.array([s.visibility for s in scans]), np.array([s.visibility_err for s in scans])
+        return np.array(vis), np.zeros(len(steps)), []
+    scans, records = _fringe(steps, mode, (kind,), n_points, n_pairs, record)
+    return np.array([s.visibility for s in scans]), np.array([s.visibility_err for s in scans]), records
 
 
 def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
@@ -411,8 +396,8 @@ def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
     integer-picosecond grid, so step k is the config with ``umzi_b.gamma``
     times the envelope at offset k: nothing else in a fringe scan reads
     gamma_B.  Each step is a :func:`_sweep` step, montecarlo step k a
-    ``TAU_POINTS``-point fringe scan drawn from the stream ``(KIND_TAU, k)``;
-    ``envelope_analytic`` is the analytic sweep.
+    ``TAU_POINTS``-point fringe scan whose point j, drawn from ``(KIND_TAU,
+    j)``, all steps share; ``envelope_analytic`` is the analytic sweep.
     """
     _check_mode(mode)
     delta = cfg.source.delta
@@ -420,8 +405,8 @@ def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
     n_pairs = min(cfg.scan.pairs_per_point, 30_000)
     gammas = cfg.umzi_b.gamma * overlap_envelope(offsets, delta)
     steps = [replace(cfg, umzi_b=replace(cfg.umzi_b, gamma=float(g))) for g in gammas]
-    expected, _ = _sweep(steps, "analytic", rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
-    vis, err = _sweep(steps, mode, rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
+    expected, _, _ = _sweep(steps, "analytic", rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
+    vis, err, _ = _sweep(steps, mode, rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
     return _stamped(
         ScanResult,
         cfg,
@@ -448,12 +433,13 @@ def run_pump_sweep(
     gamma_A gamma_B times the pump jitter's closed-form characteristic function
     at the mean delay (t_A + t_B)/2, where the jitter enters the joint phase.
 
-    Step k is the config at linewidth k, a :func:`_sweep` step drawn from
-    ``(KIND_PUMP, k)``.  analytic mode reports :func:`expected_rates`'s law,
-    gamma_A gamma_B times :func:`fringe_damping`: ``cf_analytic`` times the
-    detuning spread's factor, 1 on equal delays, to rounding.  montecarlo mode
-    also reports ``cf_sampled``, the drawn jitters' empirical characteristic
-    function at that lag (on equal delays the fit's exact target).
+    Step k is the config at linewidth k, a :func:`_sweep` step whose point j
+    all steps share, drawn from ``(KIND_PUMP, j)``.  analytic mode reports
+    :func:`expected_rates`'s law, gamma_A gamma_B times :func:`fringe_damping`:
+    ``cf_analytic`` times the detuning spread's factor, 1 on equal delays, to
+    rounding.  montecarlo mode also reports ``cf_sampled``, the drawn jitters'
+    empirical characteristic function at that lag (on equal delays the fit's
+    exact target).
     """
     _check_mode(mode)
     lag = 0.5 * (cfg.umzi_a.t_sl + cfg.umzi_b.t_sl)
@@ -464,18 +450,15 @@ def run_pump_sweep(
     n_points = _count("n_points", n_points, cfg.scan.n_points, minimum=8)
     steps = [replace(cfg, source=replace(cfg.source, pump_linewidth=float(lw))) for lw in linewidths]
     cf_analytic = np.array([local_visibility_oracle(float(lw), lag) for lw in linewidths])
-    cf_sums = []  # per montecarlo step, its points' CFs summed in draw order
 
-    def pool(k, pairs, tags_a, tags_b):  # the pooled CF of the very pairs drawn
-        if k == 0:
-            cf_sums.append(0j)
-        cf_sums[-1] += sampled_cf(pairs.dp, lag)
+    def pool(j, pairs, tags_a, tags_b):  # each step's CF of the very jitters drawn
+        return [sampled_cf(step.dp, lag) for step in pairs]
 
-    vis, err = _sweep(steps, mode, rng_mod.KIND_PUMP, n_points, n_pairs, pool)
+    vis, err, records = _sweep(steps, mode, rng_mod.KIND_PUMP, n_points, n_pairs, pool)
     columns = {"visibility": vis, "visibility_err": err}
     columns["cf_analytic"] = fringe_visibility(cf_analytic, cfg.umzi_a, cfg.umzi_b)
     if mode == "montecarlo":  # analytic mode draws no pairs
-        cf_sampled = np.array([abs(total) for total in cf_sums]) / n_points
+        cf_sampled = np.abs(sum(np.array(records))) / n_points  # summed in point order
         columns["cf_sampled"] = fringe_visibility(cf_sampled, cfg.umzi_a, cfg.umzi_b)
     return _stamped(
         ScanResult,
@@ -499,7 +482,7 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic") -> ChshRun:
     settings = cfg.scan.chsh_settings
     n_pairs = cfg.scan.pairs_per_point
     combinations = chsh_combinations(settings)
-    tables = _central_tables(cfg, mode, (rng_mod.KIND_CHSH,), combinations.values(), n_pairs)
+    [tables], _ = _central_tables([cfg], mode, (rng_mod.KIND_CHSH,), combinations.values(), n_pairs)
     corr = {}
     var_sum = 0.0
     for k, name in enumerate(combinations):

@@ -170,7 +170,16 @@ def sample_pairs(
     is rejected before any int cast, naming the ``run_pairs`` pairs of its
     run (``n`` by default).
     """
-    u, [(df, dp)] = _draw([model], n, seed, stream, start)
+    return _sample([model], n, seed, stream, start, origin_ps, run_pairs)[0]
+
+
+def _sample(models, n, seed, stream, start=0, origin_ps=0, run_pairs=None) -> list[PairEnsemble]:
+    """:func:`sample_pairs` of each model, from one draw: the models scale the
+    same detuning quantiles, so each ensemble is bitwise its one-model call,
+    and share the emission times and pair delays of ``models[0]``, which
+    read only its ``delta`` and ``pair_rate``."""
+    u, detunings = _draw(models, n, seed, stream, start)
+    model = models[0]
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
         [eps] = _gaussians(u[:, 2], [1.0 / model.delta if model.delta > 0 else 0.0])
         gaps_ps = np.log(u[:, 3])
@@ -186,4 +195,4 @@ def sample_pairs(
     t0_ps = np.rint(gaps_ps, out=gaps_ps).astype(np.int64)
     t0_ps[:1] += origin_ps
     np.cumsum(t0_ps, out=t0_ps)
-    return PairEnsemble(df, dp, t0_ps, eps)
+    return [PairEnsemble(df, dp, t0_ps, eps) for df, dp in detunings]

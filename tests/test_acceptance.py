@@ -110,7 +110,7 @@ def test_criterion_4_coincidence_selection(cfg, phase_points):
     for per_pair, tags_a, tags_b, hist in phase_points:
         # per-pair cross-check: pairs with both tags inside the central window
         # must all be central-branch (no SL/LS leaks through post-selection)
-        branch, (_, t_a, kept_a), (_, t_b, kept_b) = per_pair
+        branch, _, (_, t_a, kept_a), (t_b, kept_b) = per_pair
         assert np.array_equal(np.sort(t_a[kept_a]), tags_a.time_ps)
         assert np.array_equal(np.sort(t_b[kept_b]), tags_b.time_ps)
         same_pair = kept_a & kept_b & (np.abs(t_a - t_b) <= w_ps)

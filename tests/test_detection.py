@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from franson import correlator, detection
 from franson.cli import main
+from franson.correlation import fringe_term
 from franson.detection import (
     DetectorModel,
     TagStream,
@@ -52,10 +53,21 @@ def clean_ensemble(n):
     return PairEnsemble(zeros, zeros, t0_ps, zeros)
 
 
+def detect(pairs, cfg_a, cfg_b, *args, **kwargs):
+    """The per-pair step of ``simulate_tags(pairs, cfg_a, cfg_b, *args,
+    **kwargs)``, the port-B choice included: the branch and each party's
+    (port, time_ps, kept), in pair order."""
+    branch, same, (port_a, t_a, kept_a), (t_b, kept_b) = detection._detect(
+        pairs, cfg_a, cfg_b, *args, **kwargs
+    )
+    port_b = detection._port_b(fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b), branch, same, port_a)
+    return branch, (port_a, t_a, kept_a), (port_b, t_b, kept_b)
+
+
 def per_pair(*args, **kwargs):
     """The per-pair step of ``simulate_tags(*args, **kwargs)``, every tag kept:
     (branch, port_a, port_b, tau = t_A - t_B), in pair order."""
-    branch, (port_a, t_a, kept_a), (port_b, t_b, kept_b) = detection._detect(*args, **kwargs)
+    branch, (port_a, t_a, kept_a), (port_b, t_b, kept_b) = detect(*args, **kwargs)
     assert kept_a.all() and kept_b.all()
     return branch, port_a, port_b, t_a - t_b
 
@@ -162,7 +174,7 @@ def test_packed_draws_are_fair_follow_the_efficiency_and_are_independent(eta):
     n = 2**20
     pairs = clean_ensemble(n)
     det = DetectorModel(jitter=0.0, efficiency=eta)
-    _, (port_a, t_a, keep_a), (_, t_b, keep_b) = detection._detect(
+    _, (port_a, t_a, keep_a), (_, t_b, keep_b) = detect(
         pairs, umzi(), umzi(), det, seed=14
     )
     draws = {
@@ -198,7 +210,7 @@ def test_efficiency_scales_singles_and_coincidences():
     sigma_singles = math.sqrt(n * eta * (1 - eta))
     assert abs(len(tags_a) - eta * n) < 3.0 * sigma_singles
     assert abs(len(tags_b) - eta * n) < 3.0 * sigma_singles
-    _, (_, _, kept_a), (_, _, kept_b) = detection._detect(pairs, umzi(), umzi(), det, seed=5)
+    _, (_, _, kept_a), (_, _, kept_b) = detect(pairs, umzi(), umzi(), det, seed=5)
     both = np.count_nonzero(kept_a & kept_b)
     sigma_coinc = math.sqrt(n * eta**2 * (1 - eta**2))
     assert abs(both - eta**2 * n) < 3.0 * sigma_coinc
@@ -218,7 +230,7 @@ def test_streams_are_time_sorted_and_deterministic():
 def test_simulate_tags_can_drop_tags():
     args = (clean_ensemble(400), umzi(), umzi(), DetectorModel(jitter=0.0, efficiency=0.4))
     tags_a, tags_b = simulate_tags(*args, seed=9)
-    _, (_, _, kept_a), (_, _, kept_b) = detection._detect(*args, seed=9)
+    _, (_, _, kept_a), (_, _, kept_b) = detect(*args, seed=9)
     assert (len(tags_a), len(tags_b)) == (kept_a.sum(), kept_b.sum())
     counts = kept_a.astype(int) + kept_b  # tags per pair
     assert set(counts.tolist()) == {0, 1, 2}
@@ -231,7 +243,7 @@ def test_simulated_streams_are_the_kept_tags_stably_sorted_by_time():
     n = 1_000
     pairs = PairEnsemble(np.zeros(n), np.zeros(n), np.full(n, 5_000), np.zeros(n))
     args = (pairs, umzi(), umzi(), DetectorModel(jitter=0.0, efficiency=0.7))
-    _, *parties = detection._detect(*args, seed=13)
+    _, *parties = detect(*args, seed=13)
     for stream, (port, time_ps, kept) in zip(simulate_tags(*args, seed=13), parties):
         assert np.unique(stream.time_ps).tolist() == [5_000, 5_000 + T_SL_PS]
         # the order of a sort by time, then by pair index

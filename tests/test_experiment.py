@@ -11,6 +11,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import franson as fr
 from franson import detection, experiment, source
@@ -191,13 +193,14 @@ def test_tau_decay_analytic_and_montecarlo():
 def test_tau_decay_offset_acts_only_through_the_envelope(config):
     # Displacing party B by tau and centring the window on the displaced peak
     # cancel on the integer-picosecond grid, so step k of the decay is a plain
-    # fringe scan with gamma_B times the overlap envelope of its offset.
+    # fringe scan with gamma_B times the overlap envelope of its offset, its
+    # point j drawn from (KIND_TAU, j) as every other step's is.
     cfg = fr.load_config(CONFIGS / config)
     cfg = replace(cfg, scan=replace(cfg.scan, pairs_per_point=3_000))
     decay = fr.run_tau_decay(cfg, mode="montecarlo")
     for k, env in enumerate(overlap_envelope(decay.x, cfg.source.delta)):
         step = replace(cfg, umzi_b=replace(cfg.umzi_b, gamma=cfg.umzi_b.gamma * float(env)))
-        scan = _fringe(step, "montecarlo", (KIND_TAU, k), TAU_POINTS, 3_000)
+        [scan], _ = _fringe([step], "montecarlo", (KIND_TAU,), TAU_POINTS, 3_000)
         assert decay.columns["visibility"][k] == scan.visibility
         assert decay.columns["visibility_err"][k] == scan.visibility_err
 
@@ -254,7 +257,8 @@ def test_analytic_pump_sweep_follows_the_fringe_law_at_unequal_delays():
 def test_pump_sweep_takes_the_pump_jitter_at_the_mean_delay():
     # dp shifts the joint phase by 2 pi dp (t_A + t_B)/2, so on unequal delays
     # the default grid, cf_analytic and cf_sampled take that lag, and the
-    # analytic visibility is cf_analytic times the detuning spread's factor
+    # analytic visibility is cf_analytic times the detuning spread's factor;
+    # every step's point j scales the jitter quantiles drawn at (KIND_PUMP, j)
     raw = ideal_config(n_points=8, pairs_per_point=500).to_dict()
     raw["source"]["delta"] = 1e11  # the L-L peak at t_A - t_B = 4 ps stays in the window
     raw["umzi_b"]["t_sl"] = 96e-12
@@ -274,7 +278,7 @@ def test_pump_sweep_takes_the_pump_jitter_at_the_mean_delay():
     mc = fr.run_pump_sweep(cfg, linewidths, mode="montecarlo", n_points=8, pairs_per_point=500)
     for k, lw in enumerate(linewidths):
         model = replace(cfg.source, pump_linewidth=lw)
-        draws = [sample_detunings([model], 500, cfg.seed, (KIND_PUMP, k, j))[0][1] for j in range(8)]
+        draws = [sample_detunings([model], 500, cfg.seed, (KIND_PUMP, j))[0][1] for j in range(8)]
         cf_sum = sum(sampled_cf(dp, lag) for dp in draws)
         assert mc.columns["cf_sampled"][k] == pytest.approx(gamma2 * abs(cf_sum) / 8, rel=1e-12)
     assert mc.columns["cf_sampled"][1] == pytest.approx(cf[2], abs=0.05)
@@ -536,18 +540,108 @@ def test_analytic_runners_draw_no_pairs_and_do_not_depend_on_the_seed(runner, co
     assert all(other == first for other in others)
 
 
+# Regimes of the shared point pipeline: unequal delays (at delta = 1e11 the
+# L-L peak at t_A - t_B = 4 ps stays in the window), lost photons and wide
+# jitter, and 1e10 pairs/s, where accidental matches join the central window.
+# The drawn steps carry their own pump linewidths.
+SHARED_REGIMES = {
+    "unequal_delays": {"source.delta": 1e11, "umzi_b.t_sl": 96e-12},
+    "lossy_jitter": {"detector.efficiency": 0.8, "detector.jitter": 5e-12},
+    "accidentals": {"source.pair_rate": 1e10},
+}
+SHARED_POINTS = [(0.0, 0.0), (1.1, -0.4), (math.pi, 2.5)]
+# a step's (pump linewidth, gamma_A, gamma_B): all that sweep steps may vary
+STEP_KNOBS = st.tuples(st.sampled_from([0.0, 1e9, 4e9]), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+def _regime(name, n_pairs):
+    raw = ideal_config(n_points=8, pairs_per_point=n_pairs).to_dict()
+    for key, value in SHARED_REGIMES[name].items():
+        section, field = key.split(".")
+        raw[section][field] = value
+    return fr.parse_config(json.dumps(raw))
+
+
+def _steps(cfg, knobs):
+    return [
+        replace(
+            cfg,
+            source=replace(cfg.source, pump_linewidth=lw),
+            umzi_a=replace(cfg.umzi_a, gamma=gamma_a),
+            umzi_b=replace(cfg.umzi_b, gamma=gamma_b),
+        )
+        for lw, gamma_a, gamma_b in knobs
+    ]
+
+
+@pytest.mark.parametrize("regime", SHARED_REGIMES)
+@settings(max_examples=6, deadline=None)
+@given(n_pairs=st.integers(1, 3_000), knobs=st.lists(STEP_KNOBS, min_size=1, max_size=4))
+def test_every_step_of_a_shared_point_counts_its_own_pipeline(regime, n_pairs, knobs):
+    # the steps share point j's draws, tag times and matches; each step's
+    # table is still bitwise that of the full pipeline run for it alone
+    steps = _steps(_regime(regime, n_pairs), knobs)
+    tables, _ = experiment._central_tables(steps, "montecarlo", (KIND_PUMP,), SHARED_POINTS, n_pairs)
+    assert tables.shape == (len(steps), 2, 2, len(SHARED_POINTS))
+    for s, step in enumerate(steps):
+        for j, (phase_a, phase_b) in enumerate(SHARED_POINTS):
+            hist = simulate_point(step, (KIND_PUMP, j), n_pairs, phase_a, phase_b)[3]
+            assert np.array_equal(tables[s, ..., j], hist.central), (s, j)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_pairs=st.integers(1, 2_000),
+    knobs=st.lists(STEP_KNOBS, min_size=2, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_adding_or_reordering_steps_moves_no_step(n_pairs, knobs, data):
+    cfg = _regime("lossy_jitter", n_pairs)
+    full, _ = experiment._central_tables(_steps(cfg, knobs), "montecarlo", (KIND_TAU,), SHARED_POINTS, n_pairs)
+    order = data.draw(st.permutations(range(len(knobs))))
+    some = order[: data.draw(st.integers(1, len(knobs)))]
+    part, _ = experiment._central_tables(
+        _steps(cfg, [knobs[k] for k in some]), "montecarlo", (KIND_TAU,), SHARED_POINTS, n_pairs
+    )
+    for i, k in enumerate(some):
+        assert np.array_equal(part[i], full[k])
+
+
+def test_a_pump_sweep_step_is_the_same_in_any_sweep():
+    # a linewidth's visibility and sampled CF do not depend on the others swept
+    cfg = ideal_config(n_points=8, pairs_per_point=1_000)
+    few = fr.run_pump_sweep(cfg, [0.0, 5e9], mode="montecarlo")
+    many = fr.run_pump_sweep(cfg, [0.0, 2e9, 5e9, 8e9], mode="montecarlo")
+    for name in ("visibility", "visibility_err", "cf_sampled"):
+        assert list(few.columns[name]) == [many.columns[name][0], many.columns[name][2]]
+
+
+@pytest.mark.parametrize(
+    "section, change",
+    [("source", {"delta": 2e12}), ("umzi_b", {"t_sl": 96e-12}), ("detector", {"efficiency": 0.5})],
+)
+def test_sweep_steps_that_change_tag_times_are_rejected(section, change):
+    # steps share every tag time, so a step may vary only what the fringe term reads
+    cfg = ideal_config(n_points=8, pairs_per_point=100)
+    other = replace(cfg, **{section: replace(getattr(cfg, section), **change)})
+    with pytest.raises(ValueError, match="^sweep steps may differ only in pump linewidth and path overlaps$"):
+        experiment._central_tables([cfg, other], "montecarlo", (KIND_PUMP,), SHARED_POINTS, 100)
+
+
 def test_pump_sweep_takes_its_points_from_the_scan_section(monkeypatch):
-    # without an n_points argument each linewidth is a cfg.scan.n_points scan
+    # without an n_points argument each linewidth is a cfg.scan.n_points scan,
+    # and the linewidths share each point's pipeline: one per point, not per step
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    real = experiment.simulate_point
-    monkeypatch.setattr(experiment, "simulate_point", counted)
+    real = experiment._step_tags
+    monkeypatch.setattr(experiment, "_step_tags", counted)
     fr.run_pump_sweep(ideal_config(n_points=8), linewidths=[0.0, 5e9], pairs_per_point=200)
-    assert len(calls) == 2 * 8
+    assert len(calls) == 8
+    assert all(len(pairs) == 2 for pairs, *_ in calls)
 
 
 @pytest.mark.parametrize(
@@ -562,19 +656,22 @@ def test_pump_sweep_takes_its_points_from_the_scan_section(monkeypatch):
 )
 def test_montecarlo_points_free_the_previous_points_pipeline(runner, monkeypatch):
     # when point k enters the pipeline, point k-1's pairs, tag streams and
-    # histogram are already gone: a scan holds one point's pipeline at a time
+    # tables, of every step, are already gone: a scan holds one point's
+    # pipeline at a time
     alive = []
 
-    def tracked(*args, **kwargs):
+    def tracked(pairs, *args, **kwargs):
         assert [ref() for ref in alive] == [None] * len(alive), "a previous point is still held"
-        out = real(*args, **kwargs)
-        alive.extend(weakref.ref(obj) for obj in out)
-        return out
+        tags_a, tags_b = real(pairs, *args, **kwargs)
+        assert len(pairs) == len(tags_b)
+        alive.extend(weakref.ref(obj) for obj in (*pairs, tags_a, *tags_b))
+        return tags_a, tags_b
 
-    real = experiment.simulate_point
-    monkeypatch.setattr(experiment, "simulate_point", tracked)
+    real = experiment._step_tags
+    monkeypatch.setattr(experiment, "_step_tags", tracked)
     runner(ideal_config(n_points=8, pairs_per_point=500))
-    assert len(alive) == 4 * (8 if runner is fr.run_local_scan else 16)
+    n_steps = 1 if runner is fr.run_local_scan else 2
+    assert len(alive) == 8 * (1 + 2 * n_steps)
 
 
 @pytest.mark.parametrize(

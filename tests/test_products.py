@@ -26,12 +26,12 @@ PRODUCT_PINS = {
     "ideal/local-scan/local-scan.json": "3c7640d289774bf5",
     "ideal/pump-sweep-analytic/pump-sweep.csv": "3baf6f048c4585fe",
     "ideal/pump-sweep-analytic/pump-sweep.json": "0427fd89d06d992b",
-    "ideal/pump-sweep-montecarlo/pump-sweep.csv": "533f5d839e8a9998",
-    "ideal/pump-sweep-montecarlo/pump-sweep.json": "5fcbd9e9d3a1cea4",
+    "ideal/pump-sweep-montecarlo/pump-sweep.csv": "648d78a47ce3dd9f",
+    "ideal/pump-sweep-montecarlo/pump-sweep.json": "84370ffe003805b9",
     "ideal/tau-decay-analytic/tau-decay.csv": "268ee3994139670b",
     "ideal/tau-decay-analytic/tau-decay.json": "72dd4a4e5ebcb73b",
-    "ideal/tau-decay-montecarlo/tau-decay.csv": "7cf0f2a8c67c98b5",
-    "ideal/tau-decay-montecarlo/tau-decay.json": "93333661520acc14",
+    "ideal/tau-decay-montecarlo/tau-decay.csv": "dacc4f865c31e80c",
+    "ideal/tau-decay-montecarlo/tau-decay.json": "71bf019265e67b16",
     "ideal/timetags/timetags.dat": "1fcec865a3215c4d",
     "pump_jitter/chsh-analytic/chsh.json": "b7a22b1404c6d84b",
     "pump_jitter/chsh-montecarlo/chsh.json": "9534ef22b4941786",
@@ -47,12 +47,12 @@ PRODUCT_PINS = {
     "pump_jitter/local-scan/local-scan.json": "820b7375d467c336",
     "pump_jitter/pump-sweep-analytic/pump-sweep.csv": "0eb9d583ccc87d04",
     "pump_jitter/pump-sweep-analytic/pump-sweep.json": "f15c50a65d24bc0b",
-    "pump_jitter/pump-sweep-montecarlo/pump-sweep.csv": "f46a9eac22f60329",
-    "pump_jitter/pump-sweep-montecarlo/pump-sweep.json": "d8da0a586e205a2e",
+    "pump_jitter/pump-sweep-montecarlo/pump-sweep.csv": "4691bb844f287499",
+    "pump_jitter/pump-sweep-montecarlo/pump-sweep.json": "faf93d4027990eff",
     "pump_jitter/tau-decay-analytic/tau-decay.csv": "c620c6c36fabb3e5",
     "pump_jitter/tau-decay-analytic/tau-decay.json": "3e119cb2e86d5fcf",
-    "pump_jitter/tau-decay-montecarlo/tau-decay.csv": "6a38400287a46e6d",
-    "pump_jitter/tau-decay-montecarlo/tau-decay.json": "57502df2e94faf2d",
+    "pump_jitter/tau-decay-montecarlo/tau-decay.csv": "ee9d26982293d4e2",
+    "pump_jitter/tau-decay-montecarlo/tau-decay.json": "eba20e69755621cf",
     "pump_jitter/timetags/timetags.dat": "87e6d11565a0157b",
 }
 
