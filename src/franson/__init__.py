@@ -12,9 +12,9 @@ and scripted experiment runners behind a CLI.
 __version__ = "0.1.0"
 
 from .config import RunConfig, config_hash, default_config, load_config, parse_config
-from .correlation import ChshResult, chsh_value, ensemble_fringe, joint_phase, overlap_envelope
+from .correlation import joint_phase, overlap_envelope
 from .correlator import CoincidenceHistogram, CorrelatorConfig, correlate
-from .detection import DetectorModel, TagStream, read_timetags, simulate_tags, write_timetags
+from .detection import DetectorModel, TagStream, read_timetags, simulate_tags
 from .errors import (
     ConfigError,
     FitError,
@@ -42,7 +42,6 @@ from .source import PairEnsemble, SpectralModel, sample_pairs
 
 __all__ = [
     "__version__",
-    "ChshResult",
     "ChshRun",
     "CoincidenceHistogram",
     "ConfigError",
@@ -57,11 +56,9 @@ __all__ = [
     "TagStream",
     "UmziConfig",
     "UndefinedCorrelationError",
-    "chsh_value",
     "config_hash",
     "correlate",
     "default_config",
-    "ensemble_fringe",
     "ensemble_local_fringe",
     "joint_phase",
     "load_config",
@@ -79,5 +76,4 @@ __all__ = [
     "run_tau_decay",
     "sample_pairs",
     "simulate_tags",
-    "write_timetags",
 ]

@@ -23,7 +23,7 @@ have a closed-form mean, :func:`expected_rates`, whose damping factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -87,14 +87,6 @@ def expected_rates(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig):
     return np.array([[same, diff], [diff, same]])
 
 
-@dataclass(frozen=True)
-class EnsembleFringe:
-    """Mean central-peak rates over a sampled ensemble."""
-
-    rates: np.ndarray  # (2, 2) port-pair means over (port_a, port_b); index 0 is port 5
-    stderr: np.ndarray  # (2, 2) standard errors of the means
-
-
 def ensemble_fringe(
     model: SpectralModel,
     cfg_a: UmziConfig,
@@ -102,8 +94,9 @@ def ensemble_fringe(
     n_pairs: int,
     seed: int = 0,
     stream=(0,),
-) -> EnsembleFringe:
-    """Average the central-peak rates over n_pairs sampled pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mean central-peak rates over n_pairs sampled pairs and their
+    standard errors, each (2, 2) over (port_a, port_b), index 0 port 5.
 
     The sampled estimator of :func:`expected_rates`, kept as its check and
     for the benchmark tracer (``perfbench/spans.py``), which binds it by name.
@@ -116,7 +109,7 @@ def ensemble_fringe(
     same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
     mean = np.array([same.mean(), diff.mean()])
     stderr = np.array([same.std(), diff.std()]) / math.sqrt(n_pairs)
-    return EnsembleFringe(np.array([mean, mean[::-1]]), np.array([stderr, stderr[::-1]]))
+    return np.array([mean, mean[::-1]]), np.array([stderr, stderr[::-1]])
 
 
 def correlation_coefficient(rates: np.ndarray) -> float:
@@ -128,13 +121,6 @@ def correlation_coefficient(rates: np.ndarray) -> float:
     return float((r[0, 0] + r[1, 1] - r[0, 1] - r[1, 0]) / total)
 
 
-@dataclass(frozen=True)
-class ChshResult:
-    s_value: float
-    correlations: dict[str, float]
-    settings: tuple[float, float, float, float]
-
-
 def chsh_value(
     model: SpectralModel,
     cfg_a: UmziConfig,
@@ -142,9 +128,10 @@ def chsh_value(
     settings: tuple[float, float, float, float],
     n_pairs: int = 10_000,
     seed: int = 0,
-) -> ChshResult:
+) -> float:
     """CHSH sum over four phase settings (a, a', b, b'), sampled with
-    :func:`ensemble_fringe` and kept for the same reasons.
+    :func:`ensemble_fringe` from ``(KIND_CHSH, k)`` for the k-th combination,
+    as ``run_chsh`` keys its points, and kept for the same reasons.
 
     S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')|; with the sum-phase fringe
     E(x, y) = V cos(x + y), the settings (0, pi/2, -pi/4, pi/4) reach 2*sqrt(2).
@@ -152,9 +139,9 @@ def chsh_value(
     corr = {}
     for k, (name, (pa, pb)) in enumerate(chsh_combinations(settings).items()):
         cfgs = replace(cfg_a, phase=pa), replace(cfg_b, phase=pb)
-        fringe = ensemble_fringe(model, *cfgs, n_pairs, seed=seed, stream=stream_for_setting(k))
-        corr[name] = correlation_coefficient(fringe.rates)
-    return ChshResult(s_value=chsh_sum(corr), correlations=corr, settings=tuple(settings))
+        rates, _ = ensemble_fringe(model, *cfgs, n_pairs, seed=seed, stream=(KIND_CHSH, k))
+        corr[name] = correlation_coefficient(rates)
+    return chsh_sum(corr)
 
 
 def chsh_combinations(settings) -> dict[str, tuple[float, float]]:
@@ -166,11 +153,6 @@ def chsh_combinations(settings) -> dict[str, tuple[float, float]]:
 def chsh_sum(corr: dict[str, float]) -> float:
     """S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')| over the named correlations."""
     return abs(corr["ab"] + corr["ab'"] + corr["a'b"] - corr["a'b'"])
-
-
-def stream_for_setting(k: int) -> tuple[int, int]:
-    """Key path of the k-th CHSH setting combination's pairs, in either mode."""
-    return (KIND_CHSH, k)
 
 
 def overlap_envelope(tau, delta: float):

@@ -291,7 +291,8 @@ def text_rows(columns, sep: int) -> np.ndarray:
 def write_timetags(
     path, stream_a: TagStream, stream_b: TagStream, seed: int, config_hash: str
 ) -> None:
-    """Dump both streams: :func:`write_timetag_chunks` of them as one chunk."""
+    """Dump both streams as one chunk of :func:`write_timetag_chunks`; kept
+    for the tests and for the benchmark tracer, which binds it by name."""
     write_timetag_chunks(path, [(stream_a, stream_b, None)], seed, config_hash)
 
 

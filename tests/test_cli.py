@@ -53,6 +53,30 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+PUBLIC_API = {
+    "__version__",
+    "ChshRun", "CoincidenceHistogram", "ConfigError", "CorrelatorConfig", "DetectorModel",
+    "FitError", "PairEnsemble", "RunConfig", "ScanResult", "SpectralModel", "StreamOrderError",
+    "TagStream", "UmziConfig", "UndefinedCorrelationError",
+    "config_hash", "correlate", "default_config", "ensemble_local_fringe", "joint_phase",
+    "load_config", "local_intensities", "local_visibility_oracle", "overlap_envelope",
+    "parse_config", "read_timetags", "regime_flags", "run_chsh", "run_crossover_sweep",
+    "run_fringe_scan", "run_local_scan", "run_pump_sweep", "run_tau_decay", "sample_pairs",
+    "simulate_tags",
+}
+
+
+def test_public_api_is_pinned():
+    # the sampled twins and the one-chunk writer are module functions kept for
+    # the tests and the benchmark tracer, not part of the package's surface
+    assert len(fr.__all__) == len(set(fr.__all__))
+    assert set(fr.__all__) == PUBLIC_API
+    for name in fr.__all__:
+        assert getattr(fr, name) is not None, name
+    for name in ("ChshResult", "chsh_value", "ensemble_fringe", "write_timetags"):
+        assert not hasattr(fr, name), name
+
+
 def test_missing_config_fails_with_nonzero_exit(tmp_path, capsys):
     rc = run(["fringe-scan", "--config", tmp_path / "nope.json", "--out", tmp_path])
     assert rc == 2

@@ -1,5 +1,6 @@
 """Config parsing, validation, defaults, hashing."""
 
+import itertools
 import json
 import math
 import re
@@ -8,14 +9,12 @@ from pathlib import Path
 import pytest
 
 import franson as fr
-from franson.config import ScanConfig, config_from_dict, default_config
-from franson.correlator import CorrelatorConfig
-from franson.detection import DetectorModel
+from franson.config import config_from_dict, default_config
 from franson.errors import ConfigError
-from franson.interferometer import UmziConfig, default_overlap
-from franson.source import SpectralModel
+from franson.interferometer import default_overlap
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIGS.parent / "README.md"
 
 
 def test_minimal_config_uses_defaults_and_flags_the_regime():
@@ -236,23 +235,35 @@ def test_correlator_side_offset_follows_the_interferometer_delay():
     assert cfg.correlator.side_offset_a == cfg.correlator.side_offset_b == 80e-12
 
 
+def readme_defaults() -> dict[str, str]:
+    """The README's configuration table: ``section.key`` -> its default as written."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| section.key | default | meaning |") + 2  # past the rule
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("| `"), lines[start:]):
+        keys, default = line.split(" | ")[:2]
+        for key in re.findall(r"`([^`]+)`", keys):
+            rows[key] = default.strip("` ")
+    return rows
+
+
 def test_default_config_matches_defaults_table():
     cfg = default_config()
-    gamma = default_overlap(UmziConfig().t_sl, SpectralModel().tau_ind)
-    # every section equals its dataclass built with only the derived fields
-    expected = {
-        "source": SpectralModel(),
-        "umzi_a": UmziConfig(gamma=gamma),
-        "umzi_b": UmziConfig(gamma=gamma),
-        "detector": DetectorModel(),
-        "correlator": CorrelatorConfig(side_offset_a=UmziConfig().t_sl, side_offset_b=UmziConfig().t_sl),
-        "scan": ScanConfig(),
-    }
-    assert set(expected) == set(cfg.to_dict()) - {"schema_version", "seed"}
-    for section, want in expected.items():
-        assert getattr(cfg, section) == want, section
-    assert cfg.detector.jitter == 2e-12
-    assert cfg.scan.pairs_per_point == 100_000
+    sections = {name: values for name, values in cfg.to_dict().items() if isinstance(values, dict)}
+    rows = readme_defaults()
+    keys = {f"{name}.{key}" for name, values in sections.items() for key in values}
+    assert set(rows) == keys | {"seed"}
+    for row, default in rows.items():
+        section, _, key = row.partition(".")
+        value = cfg.seed if row == "seed" else sections[section][key]
+        if default == "null":  # the overlap derived from the section's delay
+            assert key == "gamma", row
+            assert value == default_overlap(sections[section]["t_sl"], cfg.source.tau_ind), row
+        elif row == "scan.chsh_settings":
+            assert default == "(0, pi/2, -pi/4, pi/4)"
+            assert value == (0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
+        else:
+            assert value == float(default), row
 
 
 def test_config_hash_is_pinned():

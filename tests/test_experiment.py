@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 import franson as fr
 from franson import detection, experiment, source
 from franson.config import config_hash
-from franson.correlation import chsh_combinations, overlap_envelope, stream_for_setting
+from franson.correlation import chsh_combinations, overlap_envelope
 from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
 from franson.fitting import CosineFit, fit_cosine
 from franson.errors import FitError, UndefinedCorrelationError
 from franson.interferometer import sampled_cf
-from franson.rng import KIND_FRINGE, KIND_PUMP, KIND_TAU
+from franson.rng import KIND_CHSH, KIND_FRINGE, KIND_PUMP, KIND_TAU
 from franson.source import FWHM_TO_SIGMA, sample_detunings
 
 from conftest import chi2_quantile, ideal_config
@@ -306,7 +306,7 @@ def test_montecarlo_chsh_without_central_coincidences_names_the_setting(seed, ef
     empty = [
         name
         for k, (name, (pa, pb)) in enumerate(chsh_combinations(cfg.scan.chsh_settings).items())
-        if simulate_point(cfg, stream_for_setting(k), 1, pa, pb)[3].central.sum() == 0
+        if simulate_point(cfg, (KIND_CHSH, k), 1, pa, pb)[3].central.sum() == 0
     ]
     if not empty:
         assert efficiency == 1.0, "every setting counted its pair at 1% efficiency"
