@@ -15,12 +15,7 @@ from .config import RunConfig, config_hash, default_config, load_config, parse_c
 from .correlation import joint_phase, overlap_envelope
 from .correlator import CoincidenceHistogram, CorrelatorConfig, correlate
 from .detection import DetectorModel, TagStream, read_timetags, simulate_tags
-from .errors import (
-    ConfigError,
-    FitError,
-    StreamOrderError,
-    UndefinedCorrelationError,
-)
+from .errors import ConfigError, FitError, UndefinedCorrelationError
 from .experiment import (
     ChshRun,
     ScanResult,
@@ -52,7 +47,6 @@ __all__ = [
     "RunConfig",
     "ScanResult",
     "SpectralModel",
-    "StreamOrderError",
     "TagStream",
     "UmziConfig",
     "UndefinedCorrelationError",

@@ -110,17 +110,18 @@ def check_seed(seed, where: str = "seed") -> int:
     return seed
 
 
-def _check_type(where: str, value, kind) -> None:
-    """Reject a value that is not of its field's type: a bool or a string for
-    a number, a non-integer for an int, or a non-list for a tuple of numbers;
+def _typed(where: str, value, kind):
+    """``value`` as its field's type: a float field's number as a float (a JSON
+    integer, say), so equal configs hash equal, and a list as a tuple.
+
+    Rejects a value that is not of its field's type: a bool or a string for a
+    number, a non-integer for an int, or a non-list for a tuple of numbers;
     and a float field's number that is not a finite double (NaN, Infinity, an
     overflow such as 1e400, or an integer past the largest double)."""
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
-        for item in value:
-            _check_type(where, item, get_args(kind)[0])
-        return
+        return tuple(_typed(where, item, get_args(kind)[0]) for item in value)
     if kind in _NUMBER_KINDS:
         cls, noun = _NUMBER_KINDS[kind]
         if isinstance(value, bool) or not isinstance(value, cls):
@@ -132,18 +133,21 @@ def _check_type(where: str, value, kind) -> None:
                 finite = False
             if not finite:
                 raise ConfigError(f"{where} must be finite, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _section(section: str, data: dict) -> dict:
-    """The keys a config gives for one section, checked against its fields."""
+    """The keys a config gives for one section, checked against its fields,
+    each value :func:`_typed` (a null nullable one kept)."""
     given = data.get(section, {})
     if not isinstance(given, dict):
         raise ConfigError(f"config section {section!r} must be an object")
     _reject_unknown(section, given, set(_keys(SECTIONS[section])))
-    for key, value in given.items():
-        if not (value is None and key in _NULLABLE):
-            _check_type(f"{section}.{key}", value, _FIELD_TYPES[section][key])
-    return given
+    types = _FIELD_TYPES[section]
+    return {
+        key: value if value is None and key in _NULLABLE else _typed(f"{section}.{key}", value, types[key])
+        for key, value in given.items()
+    }
 
 
 def _build(section: str, given: dict, built: dict) -> tuple[object, list[str]]:
@@ -152,8 +156,6 @@ def _build(section: str, given: dict, built: dict) -> tuple[object, list[str]]:
     offsets from the interferometers built before the correlator, and a null
     or absent gamma from the validated t_sl and source.tau_ind."""
     kwargs = {key: value for key, value in given.items() if value is not None}
-    if "chsh_settings" in kwargs:
-        kwargs["chsh_settings"] = tuple(kwargs["chsh_settings"])
     if section == "correlator":
         kwargs.update(side_offset_a=built["umzi_a"].t_sl, side_offset_b=built["umzi_b"].t_sl)
     obj = SECTIONS[section](**kwargs)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import TagStream, text_rows
-from .errors import StreamOrderError
 from .source import MAX_TIME_PS, PS_PER_S, to_picoseconds
 
 HISTOGRAM_MAGIC = "# franson-histogram v1"
@@ -188,12 +187,6 @@ def sweep_matches(t_a: np.ndarray, t_b: np.ndarray, tau_lo: int, tau_hi: int):
             yield ia, ib
 
 
-def _require_sorted(stream: TagStream, name: str) -> None:
-    t = stream.time_ps
-    if np.any(t[1:] < t[:-1]):
-        raise StreamOrderError(f"stream {name} is not sorted by time")
-
-
 def _port_keys(port_a, port_b, ia, ib) -> np.ndarray:
     """Each match's port pair as its flat index 0 to 3 over (port_a - 5, port_b - 5)."""
     return 2 * port_a[ia] + port_b[ib] - 15  # uint8
@@ -223,9 +216,6 @@ def correlate(
     next batch, so no array holds one entry per match.
     """
     config_warnings = cfg.validate()
-    _require_sorted(stream_a, "A")
-    _require_sorted(stream_b, "B")
-
     w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = cfg._picoseconds()
 
     n_bins = _bin_count(tau_max_ps, bin_ps)

@@ -103,8 +103,9 @@ class TagStream:
 
     Public arrays, one entry per tag: ``port`` (uint8, 5 or 6) and
     ``time_ps`` (int64), sorted by time, stably, so tags of equal time keep
-    the order they were given in.  A time that the int64 cast would change
-    is rejected.
+    the order they were given in.  Both are read-only, so the order holds
+    wherever the stream goes and no reader checks it.  A time that the int64
+    cast would change is rejected.
     """
 
     def __init__(self, port, time_ps):
@@ -121,6 +122,7 @@ class TagStream:
         order = np.argsort(time_ps, kind="stable")
         self.port = port.astype(np.uint8, copy=False)[order]
         self.time_ps = time_ps[order]
+        self.port.flags.writeable = self.time_ps.flags.writeable = False
 
     def __len__(self) -> int:
         return self.time_ps.size
@@ -139,7 +141,7 @@ def _detect(pairs, cfg_a, cfg_b, det, seed, stream=(0,), start=0):
     and 25 that keep B's.  Above 1/2 the open-interval shift rounds the index
     up to even, which moves the five draws' joint law by at most 2**-26.
     """
-    u = item_uniforms(seed, (*stream, ROLE_DETECTION), len(pairs), 4, start=start)
+    u = item_uniforms(seed, (*stream, ROLE_DETECTION), len(pairs), start=start)
     jitter_a_ps = to_picoseconds(normal_quantile(u[:, 0]) * det.jitter)
     jitter_b_ps = to_picoseconds(normal_quantile(u[:, 1]) * det.jitter)
     bits = np.multiply(u[:, 3], 2.0**53, out=u[:, 3]).astype(np.uint64)

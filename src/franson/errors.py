@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Raised when a run configuration fails parsing or validation."""
 
 
-class StreamOrderError(ValueError):
-    """Raised when a time-tag stream handed to the correlator is not time-sorted."""
-
-
 class UndefinedCorrelationError(ArithmeticError):
     """Raised when a correlation coefficient is requested but no coincidences exist."""
 

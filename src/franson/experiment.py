@@ -13,11 +13,11 @@ points, which all rescale one draw keyed (run kind,).
 Scan sizes come from ``cfg.scan`` (analytic results report them as set);
 only the pump and crossover sweeps take theirs as arguments.  The runners
 share one skeleton: :func:`_central_tables`, the one point loop, gives the
-central tables of a list of phase points, :func:`_rates` turns them into
-rates and errors, :func:`_fit_curves` fits and packages the curves,
-:func:`_fringe` runs all three over a joint-phase grid, and :func:`_stamped`
-builds every result with its provenance and validates it.  A montecarlo sweep
-fits a fringe scan per step; an analytic one reports the closed form.
+central tables of a list of phase points, :func:`_fit_curves` turns them
+into rates with errors and fits them, :func:`_fringe` runs both over a
+joint-phase grid, and :func:`_stamped` builds every result with its
+provenance and validates it.  A montecarlo sweep fits a fringe scan per step;
+an analytic one reports the closed form.
 """
 
 from __future__ import annotations
@@ -224,22 +224,21 @@ def _central_tables(steps, mode, key, points, n_pairs, record=None) -> tuple[np.
     return tables, records
 
 
-def _rates(mode, tables, n_pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Central tables as rates per pair and their standard errors: analytic
-    rates are exact, and counts get Poisson errors floored at one count."""
-    if mode == "analytic":
-        return tables, np.zeros(tables.shape)
-    return tables / n_pairs, np.sqrt(np.maximum(tables, 1.0)) / n_pairs
-
-
-def _fit_curves(port_x, rates, stderr, curves=None) -> tuple[dict, list[str]]:
+def _fit_curves(port_x, mode, table, n_pairs, curves=None) -> tuple[dict, list[str]]:
     """Fit and package a scan's curves as ScanResult fields.
 
-    Fits each named (x, y) curve in ``curves``, then the four port-pair rate
-    curves against ``port_x`` weighted by their errors.  Returns the fields
-    (rate and stderr columns, fits, and the port-55 fit as the headline
-    visibility and phase) and one warning per fit that failed.
+    The central ``table`` of ``n_pairs`` pairs per point gives the rates per
+    pair and their standard errors: analytic rates are exact, and counts get
+    Poisson errors floored at one count.  Fits each named (x, y) curve in
+    ``curves``, then the four port-pair rate curves against ``port_x``
+    weighted by their errors.  Returns the fields (rate and stderr columns,
+    fits, and the port-55 fit as the headline visibility and phase) and one
+    warning per fit that failed.
     """
+    if mode == "analytic":
+        rates, stderr = table, np.zeros(table.shape)
+    else:
+        rates, stderr = table / n_pairs, np.sqrt(np.maximum(table, 1.0)) / n_pairs
     named = {name: (x, y, None) for name, (x, y) in (curves or {}).items()}
     columns = {}
     for pa, pb in PORT_PAIRS:
@@ -286,7 +285,7 @@ def _fringe(steps, mode, key, n_points, n_pairs, record=None) -> tuple[list[Scan
     psi = steps[0].umzi_b.phase
     points = [(th - psi, psi) for th in theta]
     tables, records = _central_tables(steps, mode, key, points, n_pairs, record)
-    fits = [_fit_curves(theta, *_rates(mode, table, n_pairs)) for table in tables]
+    fits = [_fit_curves(theta, mode, table, n_pairs) for table in tables]
     scan = {"kind": "fringe-scan", "x_label": "joint_phase_rad", "x": theta, "pairs_per_point": n_pairs}
     return [_stamped(ScanResult, c, mode, w, **scan, **f) for c, (f, w) in zip(steps, fits)], records
 
@@ -312,7 +311,7 @@ def run_local_scan(cfg: RunConfig) -> ScanResult:
     [table], records = _central_tables([cfg], "montecarlo", (rng_mod.KIND_LOCAL,), grid, n_pairs, read)
     local = dict(zip(("local_a", "local_b", "singles_a5", "singles_b5"), np.array(records).T.copy()))
     curves = {name: (theta, y) for name, y in local.items()}
-    fields, fit_warnings = _fit_curves(2.0 * theta, *_rates("montecarlo", table, n_pairs), curves)
+    fields, fit_warnings = _fit_curves(2.0 * theta, "montecarlo", table, n_pairs, curves)
     columns = ("local_i5_a", "local_i5_b", "singles_a5_fraction", "singles_b5_fraction")
     fields["columns"].update(zip(columns, local.values()))
     fits = fields["fits"]
@@ -367,22 +366,28 @@ def run_crossover_sweep(
     )
 
 
-def _sweep(steps, mode, kind, n_points, n_pairs, record=None) -> tuple[np.ndarray, np.ndarray, list]:
-    """The fringe visibility of each step config, its error, and the points'
-    records.
+def _sweep(steps, scan, mode, kind, n_points, n_pairs, record=None) -> tuple:
+    """The fringe visibility of each step config, its error, the warnings of
+    the steps' fits, and the points' records.
 
     analytic mode gives gamma_A gamma_B :func:`fringe_damping` with zero
     errors and draws nothing; montecarlo mode fits an ``n_points``-point
     fringe scan per step, point j of every step one pipeline drawn from
     ``(kind, j)`` and read by ``record``: each step is distributed as its
-    own scan, but the steps share every draw, tag time and match.
+    own scan, but the steps share every draw, tag time and match.  A fit
+    warning names its step by its value in ``scan["x"]``, one per step, after
+    ``scan["x_label"]``.
     """
     if mode == "analytic":
         damped = [fringe_damping(step.source, step.umzi_a, step.umzi_b) for step in steps]
         vis = [fringe_visibility(d, step.umzi_a, step.umzi_b) for d, step in zip(damped, steps)]
-        return np.array(vis), np.zeros(len(steps)), []
+        return np.array(vis), np.zeros(len(steps)), [], []
     scans, records = _fringe(steps, mode, (kind,), n_points, n_pairs, record)
-    return np.array([s.visibility for s in scans]), np.array([s.visibility_err for s in scans]), records
+    # a scan's own warnings follow its config's
+    fit_warnings = (s.warnings[len(step.warnings) :] for s, step in zip(scans, steps))
+    warnings = [f"{scan['x_label']} = {x:g}: {w}" for x, ws in zip(scan["x"], fit_warnings) for w in ws]
+    vis, err = np.array([s.visibility for s in scans]), np.array([s.visibility_err for s in scans])
+    return vis, err, warnings, records
 
 
 def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
@@ -405,15 +410,16 @@ def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
     n_pairs = min(cfg.scan.pairs_per_point, 30_000)
     gammas = cfg.umzi_b.gamma * overlap_envelope(offsets, delta)
     steps = [replace(cfg, umzi_b=replace(cfg.umzi_b, gamma=float(g))) for g in gammas]
-    expected, _, _ = _sweep(steps, "analytic", rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
-    vis, err, _ = _sweep(steps, mode, rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
+    scan = {"x_label": "tau_offset_s", "x": offsets}
+    expected, *_ = _sweep(steps, scan, "analytic", rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
+    vis, err, warnings, _ = _sweep(steps, scan, mode, rng_mod.KIND_TAU, TAU_POINTS, n_pairs)
     return _stamped(
         ScanResult,
         cfg,
         mode,
+        warnings,
         kind="tau-decay",
-        x_label="tau_offset_s",
-        x=offsets,
+        **scan,
         columns={"visibility": vis, "visibility_err": err, "envelope_analytic": expected},
         visibility=float(vis[0]),
         visibility_err=float(err[0]),
@@ -454,7 +460,8 @@ def run_pump_sweep(
     def pool(j, pairs, tags_a, tags_b):  # each step's CF of the very jitters drawn
         return [sampled_cf(step.dp, lag) for step in pairs]
 
-    vis, err, records = _sweep(steps, mode, rng_mod.KIND_PUMP, n_points, n_pairs, pool)
+    scan = {"x_label": "pump_linewidth_hz", "x": linewidths}
+    vis, err, warnings, records = _sweep(steps, scan, mode, rng_mod.KIND_PUMP, n_points, n_pairs, pool)
     columns = {"visibility": vis, "visibility_err": err}
     columns["cf_analytic"] = fringe_visibility(cf_analytic, cfg.umzi_a, cfg.umzi_b)
     if mode == "montecarlo":  # analytic mode draws no pairs
@@ -464,9 +471,9 @@ def run_pump_sweep(
         ScanResult,
         cfg,
         mode,
+        warnings,
         kind="pump-sweep",
-        x_label="pump_linewidth_hz",
-        x=linewidths,
+        **scan,
         columns=columns,
         visibility=float(vis[0]),
         visibility_err=float(err[0]),

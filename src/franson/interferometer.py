@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .source import SpectralModel, sample_detunings
+from .source import SpectralModel, _draw
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -105,8 +105,8 @@ def ensemble_local_fringe(
     detuning t_sl + phase)) is a cosine in the phase of amplitude gamma
     |sampled_cf(detunings, t_sl)|.
 
-    The models share the draws of :func:`sample_detunings`, so each value is
-    bitwise that of a one-model call.  They are drawn and summed
+    The models share the detuning draws of :func:`franson.source._draw`, so
+    each value is bitwise that of a one-model call.  They are drawn and summed
     ``ENSEMBLE_BLOCK`` pairs at a time, bitwise those of one ``n_pairs``
     call, and each sum is divided once by ``n_pairs``: only the summation
     order differs from ``sampled_cf``.
@@ -116,7 +116,7 @@ def ensemble_local_fringe(
     totals = [0j] * len(models)
     for lo in range(0, n_pairs, ENSEMBLE_BLOCK):
         n = min(ENSEMBLE_BLOCK, n_pairs - lo)
-        for m, (df, dp) in enumerate(sample_detunings(models, n, seed, stream=stream, start=lo)):
+        for m, (df, dp) in enumerate(_draw(models, n, seed, stream, lo)[1]):
             totals[m] += _phasor_sum(df + 0.5 * dp, cfg.t_sl)
     return [float(cfg.gamma * abs(total / n_pairs)) for total in totals]
 

@@ -2,7 +2,7 @@
 
 All randomness in the package flows through PCG64DXSM generators keyed by a
 seed and a path: a tuple of small non-negative integers naming the consumer,
-such as ``(KIND_FRINGE, point, ROLE_SOURCE)`` or ``(KIND_PUMP, k, j,
+such as ``(KIND_FRINGE, point, ROLE_SOURCE)`` or ``(KIND_PUMP, j,
 ROLE_DETECTION)``.  The seed is the ``SeedSequence`` entropy and the path its
 spawn key, so two different (seed, path) keys never share a stream: paths of
 different lengths stay apart (a trailing 0 is not padding), and seeds below
@@ -12,11 +12,11 @@ sampled sequence is a pure function of its key.  A sampler's ``stream`` is
 such a tuple, to which it appends its role; an int is not a path.
 
 Samplers that need per-item addressability draw a fixed block of
-``n_draws`` uniforms per item, a count that each caller states (the source
-draws 4 per pair, detection 4).  Each uniform takes one 64-bit output, and
-``advance`` jumps the generator by any number of outputs in O(log n) steps,
-so item ``j`` starts at output ``n_draws * j`` and ranges of items can be
-generated concurrently without generating their predecessors.
+``DRAWS_PER_ITEM`` = 4 uniforms per item: the source per pair, and detection
+per pair.  Each uniform takes one 64-bit output, and ``advance`` jumps the
+generator by any number of outputs in O(log n) steps, so item ``j`` starts at
+output ``4 j`` and ranges of items can be generated concurrently without
+generating their predecessors.
 Every draw lies strictly inside (0, 1), and :func:`normal_quantile` maps
 draws to standard normal deviates.
 """
@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
+
+# Uniforms drawn per item by item_uniforms.
+DRAWS_PER_ITEM = 4
 
 # Stream roles within one simulated scan point.
 ROLE_SOURCE = 0
@@ -50,16 +53,14 @@ BELOW_ONE = 1.0 - 2.0 ** -53
 MAX_ABS_NORMAL = 8.3
 
 
-def item_uniforms(seed: int, path: tuple, n_items: int, n_draws: int, start: int = 0) -> np.ndarray:
-    """(n_items, n_draws) uniforms on (0, 1) for items start..start+n_items.
+def item_uniforms(seed: int, path: tuple, n_items: int, start: int = 0) -> np.ndarray:
+    """(n_items, DRAWS_PER_ITEM) uniforms on (0, 1) for items start..start+n_items.
 
-    Row ``i`` depends only on the key, ``n_draws`` and ``start + i``, never on
-    ``n_items`` or on previous calls.
+    Row ``i`` depends only on the key and ``start + i``, never on ``n_items``
+    or on previous calls.
     """
     if n_items < 0 or start < 0:
         raise ValueError("n_items and start must be non-negative")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be positive, got {n_draws}")
     path = tuple(map(int, path))
     if not 0 <= int(seed) < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
@@ -67,8 +68,8 @@ def item_uniforms(seed: int, path: tuple, n_items: int, n_draws: int, start: int
         raise ValueError(f"stream path entries must lie in [0, 2**32), got {path}")
     bitgen = PCG64DXSM(SeedSequence(int(seed), spawn_key=path))
     if start:
-        bitgen.advance(n_draws * start)
-    return _open_unit_interval(Generator(bitgen).random(size=(n_items, n_draws)))
+        bitgen.advance(DRAWS_PER_ITEM * start)
+    return _open_unit_interval(Generator(bitgen).random(size=(n_items, DRAWS_PER_ITEM)))
 
 
 def _open_unit_interval(u: np.ndarray) -> np.ndarray:

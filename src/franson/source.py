@@ -13,10 +13,10 @@ detuning distribution has FWHM ``delta``; the pair relative delay has FWHM
 ``1 / delta`` (the pair correlation time set by the ensemble bandwidth).
 Times are int64 picoseconds from the emission time on, below ``MAX_TIME_PS``.
 
-:func:`sample_pairs` draws all four columns; :func:`sample_detunings` draws
-only df and dp, for any number of models from the same draws, for readers of
-the interference alone, such as the local visibility: emission times and
-pair delays matter only to coincidence timing.
+:func:`sample_pairs` draws all four columns on :func:`_draw`, which gives
+the detunings of any number of models from the same draws; readers of the
+interference alone, such as the local visibility, call it directly: emission
+times and pair delays matter only to coincidence timing.
 """
 
 from __future__ import annotations
@@ -129,10 +129,11 @@ def _draw(models: list[SpectralModel], n: int, seed: int, stream, start: int):
     """Pairs start .. start+n-1's (n, 4) uniform block and each model's (df, dp).
 
     Pair j takes item j's 4 uniforms (df, dp, eps, gap) of the stream keyed
-    by (seed, stream), so disjoint ranges can be drawn apart; the models share
-    them, and a detuning that overflows is rejected here, naming its model.
+    by (seed, stream), so disjoint ranges can be drawn apart.  The models
+    scale the same quantiles, so each is bitwise its one-model draw, and a
+    detuning that overflows is rejected here, naming its model.
     """
-    u = item_uniforms(seed, (*stream, ROLE_SOURCE), n, 4, start=start)
+    u = item_uniforms(seed, (*stream, ROLE_SOURCE), n, start=start)
     with np.errstate(over="ignore"):  # what overflows to inf is rejected below
         dfs = _gaussians(u[:, 0], [model.delta for model in models])
         dps = _gaussians(u[:, 1], [model.pump_linewidth for model in models])
@@ -140,15 +141,6 @@ def _draw(models: list[SpectralModel], n: int, seed: int, stream, start: int):
         if not (np.isfinite(df).all() and np.isfinite(dp).all()):
             raise ValueError(f"source.delta or source.pump_linewidth overflows a detuning: {model}")
     return u, list(zip(dfs, dps))
-
-
-def sample_detunings(
-    models: list[SpectralModel], n: int, seed: int, stream=(0,), start: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each model's (df, dp) of pairs start .. start+n-1, those of
-    :func:`sample_pairs` without their emission times and pair delays; the
-    models scale the same quantiles, so each is bitwise its one-model draw."""
-    return _draw(models, n, seed, stream, start)[1]
 
 
 def sample_pairs(

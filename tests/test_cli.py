@@ -56,7 +56,7 @@ def strict_json(path):
 PUBLIC_API = {
     "__version__",
     "ChshRun", "CoincidenceHistogram", "ConfigError", "CorrelatorConfig", "DetectorModel",
-    "FitError", "PairEnsemble", "RunConfig", "ScanResult", "SpectralModel", "StreamOrderError",
+    "FitError", "PairEnsemble", "RunConfig", "ScanResult", "SpectralModel",
     "TagStream", "UmziConfig", "UndefinedCorrelationError",
     "config_hash", "correlate", "default_config", "ensemble_local_fringe", "joint_phase",
     "load_config", "local_intensities", "local_visibility_oracle", "overlap_envelope",
@@ -73,7 +73,7 @@ def test_public_api_is_pinned():
     assert set(fr.__all__) == PUBLIC_API
     for name in fr.__all__:
         assert getattr(fr, name) is not None, name
-    for name in ("ChshResult", "chsh_value", "ensemble_fringe", "write_timetags"):
+    for name in ("ChshResult", "StreamOrderError", "chsh_value", "ensemble_fringe", "write_timetags"):
         assert not hasattr(fr, name), name
 
 

@@ -207,6 +207,20 @@ def test_integers_are_numbers_and_gamma_may_be_null():
     assert cfg.umzi_a.gamma == default_overlap(cfg.umzi_a.t_sl, cfg.source.tau_ind)
 
 
+def test_a_float_key_given_as_an_integer_hashes_as_its_float():
+    # JSON 1 and 1.0 give equal configs, so they must give one hash
+    ints = config_from_dict(
+        {"detector": {"efficiency": 1}, "source": {"pump_linewidth": 0}, "umzi_a": {"phase": 0}}
+    )
+    assert ints == default_config()
+    assert fr.config_hash(ints) == fr.config_hash(default_config()) == "70539f8cd119411e"
+    assert type(ints.detector.efficiency) is float and type(ints.umzi_a.phase) is float
+    phases = config_from_dict({"scan": {"chsh_settings": [0, 1, 2, 3]}}).scan.chsh_settings
+    assert phases == (0.0, 1.0, 2.0, 3.0) and all(type(x) is float for x in phases)
+    # an int key stays an int
+    assert type(config_from_dict({"scan": {"n_points": 9}}).scan.n_points) is int
+
+
 def test_schema_version_is_checked():
     with pytest.raises(ConfigError, match="schema_version"):
         fr.parse_config('{"schema_version": "99"}')

@@ -26,7 +26,7 @@ from franson.detection import (
     simulate_tags,
     write_timetag_chunks,
 )
-from franson.errors import ConfigError, StreamOrderError
+from franson.errors import ConfigError
 from franson.experiment import simulate_point
 from franson.rng import KIND_TIMETAGS
 from franson.interferometer import UmziConfig
@@ -213,6 +213,42 @@ def test_correlate_tallies_agree_with_brute_force_on_dense_streams(t_b, offsets,
     assert_equals_oracle(hist, oracle, len(tags_a))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    t_b=st.lists(st.integers(0, 300), min_size=0, max_size=30),
+    offsets=st.lists(
+        st.tuples(st.integers(0, 29), st.one_of(st.sampled_from(EDGE_TAUS), st.integers(-60, 60))),
+        min_size=0,
+        max_size=30,
+    ),
+    ports=st.lists(st.sampled_from([5, 6]), min_size=90, max_size=90),
+    batch=st.sampled_from([1, 2, 3, 7, 2**16]),
+    side_b_ps=st.sampled_from([100, 140]),
+)
+# duplicate B times, and A tags at them and on both central window edges
+@example(
+    t_b=[50, 50, 50, 60, 60],
+    offsets=[(0, 0), (1, 10), (2, -10), (3, 11), (4, -11), (3, 100), (0, -140)],
+    ports=[5, 6, 6] * 30,
+    batch=2,
+    side_b_ps=140,
+)
+def test_central_counts_are_correlates_central_tables(t_b, offsets, ports, batch, side_b_ps):
+    # two port columns on one set of B times, as the steps of a sweep give:
+    # one sweep of [-w, w] counts each B column as correlate counts it alone
+    t_a = [t_b[j % len(t_b)] + tau for j, tau in offsets] if t_b else []
+    tags_a = stream(t_a, ports[: len(t_a)])
+    streams_b = [stream(t_b, ports[30 * s : 30 * s + len(t_b)]) for s in (1, 2)]
+    cfg = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, side_offset_a=100e-12,
+                           side_offset_b=side_b_ps * 1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlator, "SWEEP_BATCH", batch)
+        tables = correlator._central_counts(tags_a, streams_b, cfg)
+    assert tables.shape == (2, 2, 2)
+    for table, tags_b in zip(tables, streams_b):
+        assert np.array_equal(table, correlate(tags_a, tags_b, cfg).central)
+
+
 def test_empty_streams_give_empty_histogram():
     hist = correlate(stream([]), stream([]), CFG)
     assert hist.counts.sum() == 0
@@ -243,12 +279,27 @@ def test_window_totals_are_window_sums_not_bin_sums():
     assert hist2.central.sum() == 0  # tau = -11 outside
 
 
-def test_unsorted_stream_is_a_hard_error():
-    bad = TagStream.__new__(TagStream)
-    bad.port = np.array([5, 5], dtype=np.uint8)
-    bad.time_ps = np.array([10, 5], dtype=np.int64)
-    with pytest.raises(StreamOrderError):
-        correlate(bad, stream([1, 2]), CFG)
+def test_tag_stream_columns_are_read_only(tmp_path):
+    # a stream is sorted once, when built, and no write in place can unsort it:
+    # the correlator, the central counter and the dump writer check no order
+    given_ports, given_times = np.array([5, 6, 5]), np.array([10, 5, 7], dtype=np.int64)
+    built = TagStream(given_ports, given_times)
+    pairs = sample_pairs(SpectralModel(), 200, seed=3)
+    simulated = simulate_tags(pairs, UmziConfig(), UmziConfig(), DetectorModel(), 3)
+    write_timetag_chunks(tmp_path / "tags.dat", [(*simulated, None)], 3, "0")
+    read = read_timetags(tmp_path / "tags.dat")[:2]
+    for tags in (built, *simulated, *read):
+        assert len(tags) > 0
+        for column in (tags.port, tags.time_ps):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+            with pytest.raises(ValueError, match="read-only"):
+                column += 0
+            with pytest.raises(ValueError, match="read-only"):
+                column.sort()
+    assert np.array_equal(built.time_ps, [5, 7, 10]) and np.array_equal(built.port, [6, 5, 5])
+    # the given arrays are not frozen
+    given_ports[0] = given_times[0] = 6
 
 
 def test_overlap_warning_flag():

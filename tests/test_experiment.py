@@ -23,7 +23,7 @@ from franson.fitting import CosineFit, fit_cosine
 from franson.errors import FitError, UndefinedCorrelationError
 from franson.interferometer import sampled_cf
 from franson.rng import KIND_CHSH, KIND_FRINGE, KIND_PUMP, KIND_TAU
-from franson.source import FWHM_TO_SIGMA, sample_detunings
+from franson.source import FWHM_TO_SIGMA, _draw
 
 from conftest import chi2_quantile, ideal_config
 
@@ -225,6 +225,26 @@ def test_analytic_tau_decay_is_the_envelope_times_the_analytic_fringe(config, t_
     assert not np.any(decay.columns["visibility_err"])
 
 
+def test_montecarlo_sweeps_report_each_steps_fit_warnings():
+    # at 2 pairs per point and 5% efficiency no step counts a coincidence:
+    # every step's fit fails, and the sweep says so, naming the step by its x
+    cfg = ideal_config(pairs_per_point=2)
+    cfg = replace(cfg, detector=replace(cfg.detector, efficiency=0.05), warnings=("a config warning",))
+    failed = "fit failed for port pair 55: fitted offset is zero; visibility undefined"
+    assert failed in fr.run_fringe_scan(cfg, "montecarlo").warnings
+    tau = fr.run_tau_decay(cfg, "montecarlo")
+    pump = fr.run_pump_sweep(cfg, mode="montecarlo", n_points=8, pairs_per_point=2)
+    for result in (tau, pump):
+        assert np.isnan(result.columns["visibility"]).all()
+        assert result.warnings[0] == "a config warning"
+        own = result.warnings[1:]
+        assert "a config warning" not in own and len(set(own)) == len(own)
+        for x in result.x:
+            assert f"{result.x_label} = {x:g}: {failed}" in own
+    # analytic sweeps fit nothing
+    assert fr.run_tau_decay(cfg, "analytic").warnings == ["a config warning"]
+
+
 def test_pump_sweep_degrades_with_linewidth():
     # the analytic sweep reports the closed form, on equal delays the cf_analytic
     # curve; no pairs are drawn, so there is no sampled characteristic function
@@ -278,7 +298,7 @@ def test_pump_sweep_takes_the_pump_jitter_at_the_mean_delay():
     mc = fr.run_pump_sweep(cfg, linewidths, mode="montecarlo", n_points=8, pairs_per_point=500)
     for k, lw in enumerate(linewidths):
         model = replace(cfg.source, pump_linewidth=lw)
-        draws = [sample_detunings([model], 500, cfg.seed, (KIND_PUMP, j))[0][1] for j in range(8)]
+        draws = [_draw([model], 500, cfg.seed, (KIND_PUMP, j), 0)[1][0][1] for j in range(8)]
         cf_sum = sum(sampled_cf(dp, lag) for dp in draws)
         assert mc.columns["cf_sampled"][k] == pytest.approx(gamma2 * abs(cf_sum) / 8, rel=1e-12)
     assert mc.columns["cf_sampled"][1] == pytest.approx(cf[2], abs=0.05)

@@ -19,7 +19,7 @@ from franson.interferometer import (
     local_visibility_oracle,
     regime_flags,
 )
-from franson.source import SpectralModel, sample_detunings, sample_pairs
+from franson.source import SpectralModel, _draw, sample_pairs
 
 from oracles import port_amplitudes
 
@@ -136,7 +136,7 @@ def test_blocked_local_fringe_matches_the_one_shot_mean(pump_linewidth, n_pairs)
     models = [replace(model_with(x), pump_linewidth=pump_linewidth) for x in SHARED_GRID]
     cfg = umzi(gamma=0.8)
     vis = ensemble_local_fringe(models, cfg, n_pairs=n_pairs, seed=11, stream=(2, 5))
-    draws = sample_detunings(models, n_pairs, 11, stream=(2, 5))
+    _, draws = _draw(models, n_pairs, 11, (2, 5), 0)
     assert len(vis) == len(draws) == len(models)
     for got, (df, dp) in zip(vis, draws):
         phasors = np.exp(1j * 2.0 * math.pi * (df + 0.5 * dp) * cfg.t_sl)
@@ -146,17 +146,14 @@ def test_blocked_local_fringe_matches_the_one_shot_mean(pump_linewidth, n_pairs)
 @pytest.mark.parametrize("pump_linewidth", [0.0, 2e9])
 @pytest.mark.parametrize("n_pairs", [B - 1, B, B + 1, 3 * B + 7])
 def test_each_model_of_a_shared_draw_is_its_one_model_call(pump_linewidth, n_pairs):
-    # the models share the draws: model k's visibility and detunings are
-    # bitwise those of the call that holds model k alone, so adding models
-    # moves no other model's value
+    # the models share the draws: model k's visibility is bitwise that of the
+    # call that holds model k alone, so adding models moves no other model's
+    # value (test_source checks the same of the detunings)
     models = [replace(model_with(x), pump_linewidth=pump_linewidth) for x in SHARED_GRID]
     cfg = umzi(gamma=0.9)
     shared = ensemble_local_fringe(models, cfg, n_pairs=n_pairs, seed=13, stream=(3,))
-    draws = sample_detunings(models, n_pairs, 13, stream=(3,))
     for k, model in enumerate(models):
         assert shared[k] == ensemble_local_fringe([model], cfg, n_pairs=n_pairs, seed=13, stream=(3,))[0]
-        [(df, dp)] = sample_detunings([model], n_pairs, 13, stream=(3,))
-        assert np.array_equal(draws[k][0], df) and np.array_equal(draws[k][1], dp)
 
 
 def test_local_fringe_memory_is_flat_in_the_pair_count():

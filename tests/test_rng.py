@@ -12,6 +12,7 @@ import pytest
 
 from franson.rng import (
     BELOW_ONE,
+    DRAWS_PER_ITEM,
     MAX_ABS_NORMAL,
     _open_unit_interval,
     item_uniforms,
@@ -51,32 +52,24 @@ def test_open_unit_interval_on_extreme_grid_values(grid, expected):
     assert 0.0 < u[0] < 1.0
 
 
-@pytest.mark.parametrize("n_draws", [4, 6, 8])
-def test_item_rows_are_addressed_by_index(n_draws):
+def test_item_rows_are_addressed_by_index():
     # row i of a range that starts at item k is row k + i of the whole
-    whole = item_uniforms(5, (2, 1), 40, n_draws)
-    assert whole.shape == (40, n_draws)
+    whole = item_uniforms(5, (2, 1), 40)
+    assert whole.shape == (40, DRAWS_PER_ITEM)
     for k in (1, 17, 39, 40):
-        assert np.array_equal(item_uniforms(5, (2, 1), 40 - k, n_draws, start=k), whole[k:])
+        assert np.array_equal(item_uniforms(5, (2, 1), 40 - k, start=k), whole[k:])
 
 
-@pytest.mark.parametrize("n_draws", [4, 8])
-def test_item_rows_are_addressed_by_index_far_into_the_stream(n_draws):
+def test_item_rows_are_addressed_by_index_far_into_the_stream():
     # advance jumps over 2**40 items without generating them
-    far = item_uniforms(5, (2, 1), 40, n_draws, start=2**40)
+    far = item_uniforms(5, (2, 1), 40, start=2**40)
     for k in (1, 17, 39):
-        assert np.array_equal(item_uniforms(5, (2, 1), 40 - k, n_draws, start=2**40 + k), far[k:])
-    assert not np.array_equal(far, item_uniforms(5, (2, 1), 40, n_draws))
-
-
-@pytest.mark.parametrize("n_draws", [0, -4])
-def test_draw_count_is_positive(n_draws):
-    with pytest.raises(ValueError, match=f"^n_draws must be positive, got {n_draws}$"):
-        item_uniforms(5, (2, 1), 3, n_draws)
+        assert np.array_equal(item_uniforms(5, (2, 1), 40 - k, start=2**40 + k), far[k:])
+    assert not np.array_equal(far, item_uniforms(5, (2, 1), 40))
 
 
 def test_quantile_matches_the_stdlib_on_random_draws():
-    p = item_uniforms(11, (3,), 20_000, 8).ravel()
+    p = item_uniforms(11, (3,), 40_000).ravel()
     assert_within_ulps(normal_quantile(p), stdlib_quantile(p))
 
 
@@ -137,7 +130,7 @@ def test_quantile_is_finite_and_bounded_at_the_extreme_draws():
 
 
 def test_quantile_of_a_strided_column_equals_that_of_its_copy():
-    u = item_uniforms(2, (9,), 5_000, 8)
+    u = item_uniforms(2, (9,), 5_000)
     assert np.array_equal(normal_quantile(u[:, 3]), normal_quantile(u[:, 3].copy()))
 
 

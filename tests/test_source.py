@@ -23,7 +23,7 @@ from franson.correlation import ensemble_fringe
 from franson.detection import DetectorModel, simulate_run, simulate_tags
 from franson.experiment import simulate_point
 from franson.interferometer import UmziConfig, ensemble_local_fringe
-from franson.source import PS_PER_S, SpectralModel, sample_detunings, sample_pairs
+from franson.source import PS_PER_S, SpectralModel, _draw, sample_pairs
 
 from oracles import pair_frequencies
 
@@ -122,7 +122,7 @@ def test_the_reach_check_runs_where_the_pairs_are_drawn():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=r"^source\.pair_rate = 0\.001 .* carry 2000 pairs'"):
             sample_pairs(make_model(pair_rate=1e-3), 2_000, seed=1)
-        [(df, dp)] = sample_detunings([make_model(pair_rate=1e-3)], 2_000, seed=1)
+        _, [(df, dp)] = _draw([make_model(pair_rate=1e-3)], 2_000, 1, (0,), 0)
         reachable = sample_pairs(make_model(), 2_000, seed=1)
         assert np.array_equal(df, reachable.df) and np.array_equal(dp, reachable.dp)
 
@@ -139,8 +139,22 @@ def test_pair_sequence_is_defined_by_index_not_batch(k, n_tail, seed):
         assert np.array_equal(getattr(full, name)[k:], getattr(tail, name))
     assert np.array_equal(full.t0_ps[k:], full.t0_ps[k - 1] + tail.t0_ps)
     # the detunings-only draw is the same draw
-    [(df, dp)] = sample_detunings([model], n_tail, seed=seed, start=k)
+    _, [(df, dp)] = _draw([model], n_tail, seed, (0,), k)
     assert np.array_equal(df, tail.df) and np.array_equal(dp, tail.dp)
+
+
+@pytest.mark.parametrize("start", [0, 1, 700])
+def test_a_shared_detuning_draw_is_each_models_own_and_a_range_its_rows_of_the_whole(start):
+    # the models scale the same quantiles: each is bitwise its one-model draw,
+    # and a range starting at pair k is rows k on of the whole draw
+    models = [make_model(), make_model(delta=2e12, pump_linewidth=1e9), make_model(pump_linewidth=3e9)]
+    u, whole = _draw(models, 1_000, 5, (4,), 0)
+    u_range, ranged = _draw(models, 1_000 - start, 5, (4,), start)
+    assert np.array_equal(u_range, u[start:])
+    for model, (df, dp), (df_range, dp_range) in zip(models, whole, ranged):
+        _, [(df_own, dp_own)] = _draw([model], 1_000, 5, (4,), 0)
+        assert np.array_equal(df, df_own) and np.array_equal(dp, dp_own)
+        assert np.array_equal(df_range, df[start:]) and np.array_equal(dp_range, dp[start:])
 
 
 def test_detunings_past_the_float_range_are_rejected_by_name():
@@ -153,7 +167,7 @@ def test_detunings_past_the_float_range_are_rejected_by_name():
             # in a shared draw each model is checked: the one that overflows is named
             wide = make_model(**overrides)
             with pytest.raises(ValueError, match=f"overflows a detuning: {re.escape(repr(wide))}$"):
-                sample_detunings([make_model(), wide], 2_000, seed=1)
+                _draw([make_model(), wide], 2_000, 1, (0,), 0)
 
 
 @pytest.mark.parametrize(
@@ -169,7 +183,7 @@ def test_detunings_past_the_float_range_are_rejected_by_name():
     ],
 )
 def test_distinct_stream_keys_draw_distinct_streams(path, other):
-    assert not np.array_equal(item_uniforms(9, path, 4, 4), item_uniforms(9, other, 4, 4))
+    assert not np.array_equal(item_uniforms(9, path, 4), item_uniforms(9, other, 4))
     model = make_model()
     a, b = sample_pairs(model, 4, seed=9, stream=path), sample_pairs(model, 4, seed=9, stream=other)
     assert not np.array_equal(a.df, b.df)
@@ -181,9 +195,9 @@ def test_stream_keys_are_tuples_of_bounded_width():
         sample_pairs(make_model(), 8, 3, stream=7)
     # entries of 2**32 and up would spill into the next word of the key
     with pytest.raises(ValueError, match="stream path"):
-        item_uniforms(0, (2**32 + 3,), 1, 4)
+        item_uniforms(0, (2**32 + 3,), 1)
     with pytest.raises(ValueError, match="seed"):
-        item_uniforms(2**128, (0,), 1, 4)
+        item_uniforms(2**128, (0,), 1)
 
 
 PARTIES = UmziConfig(), UmziConfig()
@@ -192,15 +206,15 @@ PARTIES = UmziConfig(), UmziConfig()
 @pytest.mark.parametrize(
     "draw",
     [
-        lambda key: sample_detunings([make_model(), make_model(delta=2e12)], 8, 3, stream=key),
-        lambda key: item_uniforms(3, key, 8, 4),
+        lambda key: _draw([make_model(), make_model(delta=2e12)], 8, 3, key, 0),
+        lambda key: item_uniforms(3, key, 8),
         lambda key: simulate_tags(sample_pairs(make_model(), 8, 3), *PARTIES, DetectorModel(), 3, stream=key),
         lambda key: next(simulate_run(make_model(), *PARTIES, DetectorModel(), 8, 3, stream=key)),
         lambda key: ensemble_fringe(make_model(), *PARTIES, 8, seed=3, stream=key),
         lambda key: ensemble_local_fringe([make_model(), make_model(delta=2e12)], UmziConfig(), 8, seed=3, stream=key),
         lambda key: simulate_point(config_from_dict({}), key, 8, 0.0, 0.0),
     ],
-    ids=["sample_detunings", "item_uniforms", "simulate_tags", "simulate_run", "ensemble_fringe",
+    ids=["_draw", "item_uniforms", "simulate_tags", "simulate_run", "ensemble_fringe",
          "ensemble_local_fringe", "simulate_point"],
 )
 def test_every_sampler_takes_its_key_as_a_tuple_only(draw):
