@@ -13,11 +13,11 @@ points, which all rescale one draw keyed (run kind,).
 Scan sizes come from ``cfg.scan`` (analytic results report them as set);
 only the pump and crossover sweeps take theirs as arguments.  The runners
 share one skeleton: :func:`_central_tables`, the one point loop, gives the
-central tables of a list of phase points, :func:`_fit_curves` turns them
-into rates with errors and fits them, :func:`_fringe` runs both over a
-joint-phase grid, and :func:`_stamped` builds every result with its
-provenance and validates it.  A montecarlo sweep fits a fringe scan per step;
-an analytic one reports the closed form.
+central tables of a list of phase points and each point's ``record(pairs,
+umzis, tags_a, tags_b)``; :func:`_fit_curves` (or CHSH's E) reduces the
+tables to the result's fields; and :func:`_stamped` builds the one result
+with its provenance and validates it.  A montecarlo sweep fits each step's
+tables as a fringe scan's; an analytic one reports the closed form.
 """
 
 from __future__ import annotations
@@ -81,11 +81,14 @@ class ScanResult:
     def validate(self) -> None:
         if np.any(np.diff(self.x) <= 0):
             raise AssertionError("scan grid must be strictly increasing")
-        if math.isfinite(self.visibility):
+        checks = [(self.visibility, self.visibility_err)]
+        if "visibility" in self.columns:
+            checks += zip(self.columns["visibility"], self.columns["visibility_err"])
+        for vis, err in checks:  # the headline, then each step of a sweep
             # fit tolerance: a few standard errors beyond the physical range
-            tol = 0.05 + 5.0 * (self.visibility_err if math.isfinite(self.visibility_err) else 0.0)
-            if not -tol <= self.visibility <= 1.0 + tol:
-                raise AssertionError(f"fitted visibility out of range: {self.visibility}")
+            tol = 0.05 + 5.0 * (err if math.isfinite(err) else 0.0)
+            if math.isfinite(vis) and not -tol <= vis <= 1.0 + tol:
+                raise AssertionError(f"fitted visibility out of range: {vis}")
 
     def to_csv_text(self) -> str:
         names = [self.x_label] + sorted(self.columns)
@@ -176,6 +179,12 @@ def _joint_phase_grid(n_points: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, n_points, endpoint=False)
 
 
+def _fringe_points(cfg: RunConfig, n_points: int) -> tuple[np.ndarray, list]:
+    """A fringe scan's joint phases theta and their points (theta - psi, psi), psi B's phase."""
+    theta, psi = _joint_phase_grid(n_points), cfg.umzi_b.phase
+    return theta, [(th - psi, psi) for th in theta]
+
+
 def simulate_point(cfg: RunConfig, stream, n_pairs: int, phase_a: float, phase_b: float):
     """Full source -> detection -> correlator pipeline for one scan point: its
     pairs, tag streams A and B, and histogram.  ``stream`` is the point's key
@@ -202,8 +211,8 @@ def _central_tables(steps, mode, key, points, n_pairs, record=None) -> tuple[np.
     overlaps: point j of all of them is one draw from ``(*key, j)``, one
     detection and one match sweep, and per step only its detunings, fringe
     term and B ports, each step's table its own :func:`simulate_point`'s.
-    ``record(j, pairs, tags_a, tags_b)``, pairs and B streams one per step,
-    must not keep them: the loop holds one point's pipeline at a time.
+    ``record(pairs, umzis, tags_a, tags_b)`` reads only point j (pairs,
+    ``(cfg_a, cfg_b)`` and B streams one per step) and must keep none of it.
     """
     cfg = steps[0]
     if mode != "analytic" and any(_timing(step) != _timing(cfg) for step in steps):
@@ -219,7 +228,7 @@ def _central_tables(steps, mode, key, points, n_pairs, record=None) -> tuple[np.
         tags_a, tags_b = _step_tags(pairs, umzis, cfg.detector, cfg.seed, (*key, j))
         tables[..., j] = _central_counts(tags_a, tags_b, cfg.correlator)
         if record is not None:
-            records.append(record(j, pairs, tags_a, tags_b))
+            records.append(record(pairs, umzis, tags_a, tags_b))
         del pairs, tags_a, tags_b  # before the next point draws its own
     return tables, records
 
@@ -273,21 +282,12 @@ def run_fringe_scan(cfg: RunConfig, mode: str = "analytic") -> ScanResult:
     window totals, point k drawing from the stream ``(KIND_FRINGE, k)``.
     """
     _check_mode(mode)
-    scan = cfg.scan
-    return _fringe([cfg], mode, (rng_mod.KIND_FRINGE,), scan.n_points, scan.pairs_per_point)[0][0]
-
-
-def _fringe(steps, mode, key, n_points, n_pairs, record=None) -> tuple[list[ScanResult], list]:
-    """A fringe scan of each step config, ``n_points`` joint phases at
-    ``n_pairs`` pairs each, all on one :func:`_central_tables` with its key
-    and record; and the points' records."""
-    theta = _joint_phase_grid(n_points)
-    psi = steps[0].umzi_b.phase
-    points = [(th - psi, psi) for th in theta]
-    tables, records = _central_tables(steps, mode, key, points, n_pairs, record)
-    fits = [_fit_curves(theta, mode, table, n_pairs) for table in tables]
+    n_pairs = cfg.scan.pairs_per_point
+    theta, points = _fringe_points(cfg, cfg.scan.n_points)
+    [table], _ = _central_tables([cfg], mode, (rng_mod.KIND_FRINGE,), points, n_pairs)
+    fields, warnings = _fit_curves(theta, mode, table, n_pairs)
     scan = {"kind": "fringe-scan", "x_label": "joint_phase_rad", "x": theta, "pairs_per_point": n_pairs}
-    return [_stamped(ScanResult, c, mode, w, **scan, **f) for c, (f, w) in zip(steps, fits)], records
+    return _stamped(ScanResult, cfg, mode, warnings, **scan, **fields)
 
 
 def run_local_scan(cfg: RunConfig) -> ScanResult:
@@ -302,9 +302,9 @@ def run_local_scan(cfg: RunConfig) -> ScanResult:
     theta = _joint_phase_grid(cfg.scan.n_points)
     n_pairs = cfg.scan.pairs_per_point
 
-    def read(k, pairs, tags_a, tags_b):  # the point's local intensities, then its singles
-        sides = ((cfg.umzi_a, pairs[0].detuning_signal), (cfg.umzi_b, pairs[0].detuning_idler))
-        local = [local_intensities(TWO_PI * (f * u.t_sl) + theta[k], u.gamma)[0].mean() for u, f in sides]
+    def read(pairs, umzis, tags_a, tags_b):  # the point's local intensities, then its singles
+        sides = zip(umzis[0], (pairs[0].detuning_signal, pairs[0].detuning_idler))
+        local = [local_intensities(TWO_PI * (f * u.t_sl) + u.phase, u.gamma)[0].mean() for u, f in sides]
         return local + [np.count_nonzero(tags.port == 5) / max(len(tags), 1) for tags in (tags_a, *tags_b)]
 
     grid = [(th, th) for th in theta]
@@ -371,23 +371,23 @@ def _sweep(steps, scan, mode, kind, n_points, n_pairs, record=None) -> tuple:
     the steps' fits, and the points' records.
 
     analytic mode gives gamma_A gamma_B :func:`fringe_damping` with zero
-    errors and draws nothing; montecarlo mode fits an ``n_points``-point
-    fringe scan per step, point j of every step one pipeline drawn from
-    ``(kind, j)`` and read by ``record``: each step is distributed as its
-    own scan, but the steps share every draw, tag time and match.  A fit
-    warning names its step by its value in ``scan["x"]``, one per step, after
-    ``scan["x_label"]``.
+    errors and draws nothing; montecarlo mode fits each step's tables over
+    ``n_points`` joint phases as a fringe scan's, point j of every step one
+    pipeline drawn from ``(kind, j)`` and read by ``record``: each step is
+    distributed as its own scan, but the steps share every draw, tag time and
+    match.  A fit warning names its step by its value in ``scan["x"]``, one
+    per step, after ``scan["x_label"]``.
     """
     if mode == "analytic":
         damped = [fringe_damping(step.source, step.umzi_a, step.umzi_b) for step in steps]
         vis = [fringe_visibility(d, step.umzi_a, step.umzi_b) for d, step in zip(damped, steps)]
         return np.array(vis), np.zeros(len(steps)), [], []
-    scans, records = _fringe(steps, mode, (kind,), n_points, n_pairs, record)
-    # a scan's own warnings follow its config's
-    fit_warnings = (s.warnings[len(step.warnings) :] for s, step in zip(scans, steps))
-    warnings = [f"{scan['x_label']} = {x:g}: {w}" for x, ws in zip(scan["x"], fit_warnings) for w in ws]
-    vis, err = np.array([s.visibility for s in scans]), np.array([s.visibility_err for s in scans])
-    return vis, err, warnings, records
+    theta, points = _fringe_points(steps[0], n_points)
+    tables, records = _central_tables(steps, mode, (kind,), points, n_pairs, record)
+    fits = [_fit_curves(theta, mode, table, n_pairs) for table in tables]
+    warnings = [f"{scan['x_label']} = {x:g}: {w}" for x, (_, ws) in zip(scan["x"], fits) for w in ws]
+    vis, err = ([f.get(name, math.nan) for f, _ in fits] for name in ("visibility", "visibility_err"))
+    return np.array(vis), np.array(err), warnings, records
 
 
 def run_tau_decay(cfg: RunConfig, mode: str = "montecarlo") -> ScanResult:
@@ -457,8 +457,8 @@ def run_pump_sweep(
     steps = [replace(cfg, source=replace(cfg.source, pump_linewidth=float(lw))) for lw in linewidths]
     cf_analytic = np.array([local_visibility_oracle(float(lw), lag) for lw in linewidths])
 
-    def pool(j, pairs, tags_a, tags_b):  # each step's CF of the very jitters drawn
-        return [sampled_cf(step.dp, lag) for step in pairs]
+    def pool(pairs, umzis, tags_a, tags_b):  # each step's CF of the very jitters drawn
+        return [sampled_cf(s.dp, 0.5 * (u_a.t_sl + u_b.t_sl)) for s, (u_a, u_b) in zip(pairs, umzis)]
 
     scan = {"x_label": "pump_linewidth_hz", "x": linewidths}
     vis, err, warnings, records = _sweep(steps, scan, mode, rng_mod.KIND_PUMP, n_points, n_pairs, pool)

@@ -18,7 +18,7 @@ import franson as fr
 from franson import detection, experiment, source
 from franson.config import config_hash
 from franson.correlation import chsh_combinations, overlap_envelope
-from franson.experiment import TAU_POINTS, _fringe, simulate_point, wrap_phase
+from franson.experiment import TAU_POINTS, ScanResult, _sweep, simulate_point, wrap_phase
 from franson.fitting import CosineFit, fit_cosine
 from franson.errors import FitError, UndefinedCorrelationError
 from franson.interferometer import sampled_cf
@@ -192,17 +192,44 @@ def test_tau_decay_analytic_and_montecarlo():
 @pytest.mark.parametrize("config", ["ideal.json", "pump_jitter.json"])
 def test_tau_decay_offset_acts_only_through_the_envelope(config):
     # Displacing party B by tau and centring the window on the displaced peak
-    # cancel on the integer-picosecond grid, so step k of the decay is a plain
-    # fringe scan with gamma_B times the overlap envelope of its offset, its
-    # point j drawn from (KIND_TAU, j) as every other step's is.
+    # cancel on the integer-picosecond grid, so step k of the decay is a
+    # one-step sweep of the config with gamma_B times the overlap envelope of
+    # its offset, its point j drawn from (KIND_TAU, j) as every other step's is.
     cfg = fr.load_config(CONFIGS / config)
     cfg = replace(cfg, scan=replace(cfg.scan, pairs_per_point=3_000))
     decay = fr.run_tau_decay(cfg, mode="montecarlo")
     for k, env in enumerate(overlap_envelope(decay.x, cfg.source.delta)):
         step = replace(cfg, umzi_b=replace(cfg.umzi_b, gamma=cfg.umzi_b.gamma * float(env)))
-        [scan], _ = _fringe([step], "montecarlo", (KIND_TAU,), TAU_POINTS, 3_000)
-        assert decay.columns["visibility"][k] == scan.visibility
-        assert decay.columns["visibility_err"][k] == scan.visibility_err
+        scan = {"x_label": decay.x_label, "x": decay.x[k : k + 1]}
+        [vis], [err], _, _ = _sweep([step], scan, "montecarlo", KIND_TAU, TAU_POINTS, 3_000)
+        assert decay.columns["visibility"][k] == vis
+        assert decay.columns["visibility_err"][k] == err
+
+
+@pytest.mark.parametrize(
+    "visibility, column, message",
+    [
+        (0.9, [0.9, 1.5, math.nan], "fitted visibility out of range: 1.5"),
+        (1.5, [0.9, 0.5, 0.1], "fitted visibility out of range: 1.5"),
+        (0.9, [math.nan, math.nan, 0.1], None),
+    ],
+    ids=["sweep_step", "headline", "nan_steps"],
+)
+def test_validate_checks_the_headline_and_every_sweep_step(visibility, column, message):
+    # each step of a sweep's visibility column is range-checked as the headline is
+    result = ScanResult(
+        kind="tau-decay",
+        x_label="tau_offset_s",
+        x=np.arange(3.0),
+        columns={"visibility": np.array(column), "visibility_err": np.full(3, 0.01)},
+        visibility=visibility,
+        visibility_err=0.01,
+    )
+    if message is None:
+        result.validate()
+    else:
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            result.validate()
 
 
 @pytest.mark.parametrize(
