@@ -59,7 +59,7 @@ TIMETAG_MAGIC = "# franson-timetags v1"
 
 # Bytes of the dump's record text, the party byte of each stream position,
 # and the powers of ten that count digits.
-_NEWLINE, _SPACE, _HASH, _MINUS, _ZERO, _A, _B = b"\n #-0AB"
+_NEWLINE, _SPACE, _MINUS, _ZERO, _A, _B = b"\n -0AB"
 _PARTIES = np.array([_A, _B], dtype=np.uint8)
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
@@ -72,8 +72,8 @@ READ_BLOCK = 2**20
 # most 24 and the writer's header lines at most 46.
 _MAX_LINE = 64
 
-# The bound on a dumped time's magnitude: a tag sums three terms, each below
-# MAX_TIME_PS, so every tag lies below it.
+# The bound on a tag time's magnitude, which every TagStream holds: a
+# simulated tag sums three terms, each below MAX_TIME_PS, so it lies below it.
 _MAX_DUMP_TIME = 4 * MAX_TIME_PS
 
 
@@ -105,7 +105,9 @@ class TagStream:
     ``time_ps`` (int64), sorted by time, stably, so tags of equal time keep
     the order they were given in.  Both are read-only, so the order holds
     wherever the stream goes and no reader checks it.  A time that the int64
-    cast would change is rejected.
+    cast would change is rejected, and so is one of magnitude 2**62 or more,
+    which a dump could not hold and a correlator delay could take out of
+    int64.
     """
 
     def __init__(self, port, time_ps):
@@ -122,6 +124,9 @@ class TagStream:
         order = np.argsort(time_ps, kind="stable")
         self.port = port.astype(np.uint8, copy=False)[order]
         self.time_ps = time_ps[order]
+        for t in self.time_ps[[0, -1]].tolist() if order.size else ():
+            if abs(t) >= _MAX_DUMP_TIME:
+                raise ValueError(f"|time_ps| must be below 2**62, got {t}")
         self.port.flags.writeable = self.time_ps.flags.writeable = False
 
     def __len__(self) -> int:
@@ -381,10 +386,12 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     of these, or that holds more than 64 bytes before its newline, fails with
     ``path:line``.
 
-    After the magic line, the file is read ``READ_BLOCK`` bytes at a time,
-    each block's unfinished last line carried into the next, and the whole
-    lines are parsed as arrays with one entry per line.  The carried line
-    fails once it passes 64 bytes, so memory is bounded by the block size.
+    After the magic line, the header lines are read one at a time, at most
+    65 bytes each; the first line that is not a whole ``#`` line starts the
+    records.  They are read ``READ_BLOCK`` bytes at a time, each block's
+    unfinished last line carried into the next, and the whole lines are
+    parsed as arrays with one entry per line.  The carried line fails once it
+    passes 64 bytes, so memory is bounded by the block size.
     """
     header: dict[str, str] = {}
     # (port, time_ps) per block, for each party
@@ -393,55 +400,56 @@ def read_timetags(path) -> tuple[TagStream, TagStream, dict[str, str]]:
     with open(path, "rb") as fh:
         if (first := fh.read(len(magic)).decode("ascii", "replace")) != magic:
             raise ValueError(f"{path}:1: not a time-tag dump: bad magic line {first!r}, not {magic!r}")
-        # rest: the unfinished line, and line its number; head: the header while open
-        line, rest, head = 2, b"", header
-        while block := fh.read(READ_BLOCK):
-            rest += block
+        line = 2  # the number of the line that starts rest, the bytes carried
+        while (rest := fh.readline(_MAX_LINE + 1)).startswith(b"#") and rest.endswith(b"\n"):
+            key, eq, value = rest[1:-1].decode("ascii", "replace").partition("=")
+            if eq:
+                header[key.strip()] = value.strip()
+            line += 1
+        while True:
             if whole := rest.rfind(b"\n") + 1:
-                n_lines, n_head = _parse_lines(path, rest[:whole], line, head, parts)
-                line, rest = line + n_lines, rest[whole:]
-                head = head if n_head == n_lines else None
+                line += _parse_lines(path, rest[:whole], line, parts)
+                rest = rest[whole:]
             if len(rest) > _MAX_LINE:
                 raise ValueError(f"{path}:{line}: {_record_problem(rest)}")
+            if not (block := fh.read(READ_BLOCK)):
+                break
+            rest += block
     if rest:
         raise ValueError(f"{path}:{line}: the file ends inside this line, before its newline")
     streams = [TagStream(*(np.concatenate(c) for c in zip(*parts.pop(code)))) for code in (_A, _B)]
     return *streams, header
 
 
-def _parse_lines(path, data: bytes, first_line: int, header, parts: dict) -> tuple[int, int]:
-    """Parse ``data``, whole lines of which the first is line ``first_line``
-    of ``path``.  While ``header`` is open (not None), leading ``#`` lines
-    fill it; every other line is a record, and goes into its party's
-    ``parts``.  Returns the numbers of lines and of header lines."""
+def _parse_lines(path, data: bytes, first_line: int, parts: dict) -> int:
+    """Parse ``data``, whole record lines of which the first is line
+    ``first_line`` of ``path``, into their parties' ``parts``.  Returns the
+    number of lines."""
     # Lines as (start, end) byte offsets without the newline.
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _NEWLINE)
     starts = np.concatenate([[0], ends[:-1] + 1])
-    lengths = ends - starts
-    n_head = 0 if header is None else int(np.argmin(np.append(buf[starts] == _HASH, False)))
-    rec_start, rec_len = starts[n_head:], lengths[n_head:]
     last = len(data) - 1
 
-    def at(offset):  # one byte per record line, clipped at the end of the data
-        return buf[np.minimum(rec_start + offset, last)]
+    def at(offset):  # one byte per line, clipped at the end of the data
+        return buf[np.minimum(starts + offset, last)]
 
     party = at(0)
     port = at(2) - _ZERO
     neg = at(4) == _MINUS
-    n_digits = rec_len - 4 - neg
+    n_digits = ends - starts - 4 - neg
     ok = (
         ((party == _A) | (party == _B))
         & (at(1) == _SPACE)
         & ((port == 5) | (port == 6))
         & (at(3) == _SPACE)
         & (n_digits >= 1)
-        & (n_digits <= 19)
+        & (n_digits <= 19)  # so no line over 64 bytes passes
     )
     # Horner over the digit runs, left to right: pass j reads the j-th digit
     # of every record whose run is longer than j.  19 digits fit in uint64.
-    first_digit = rec_start + 4 + neg
-    magnitude = np.zeros(rec_start.size, dtype=np.uint64)
+    first_digit = starts + 4 + neg
+    magnitude = np.zeros(starts.size, dtype=np.uint64)
     for j in range(int(np.max(n_digits, where=ok, initial=0))):
         live = ok & (n_digits > j)
         digit = np.where(live, buf[np.minimum(first_digit + j, last)] - _ZERO, 0)
@@ -451,17 +459,10 @@ def _parse_lines(path, data: bytes, first_line: int, header, parts: dict) -> tup
     time_ps = magnitude.astype(np.int64)
     np.negative(time_ps, out=time_ps, where=neg)
 
-    bad = lengths > _MAX_LINE
-    bad[n_head:] |= ~ok
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise ValueError(f"{path}:{first_line + i}: {_record_problem(data[starts[i] : ends[i]])}")
-    for i in range(n_head):
-        key, eq, value = data[starts[i] + 1 : ends[i]].decode("ascii", "replace").partition("=")
-        if eq:
-            header[key.strip()] = value.strip()
-
     for code, blocks in parts.items():
         mine = party == code
         blocks.append((port[mine], time_ps[mine]))
-    return ends.size, n_head
+    return ends.size

@@ -44,13 +44,9 @@ def fit_cosine(x, y, sigma=None) -> CosineFit:
         else:
             # zero-error points get the smallest observed error as weight floor
             sigma = np.maximum(sigma, np.min(sigma[sigma > 0]))
-    if sigma is not None:
-        w = 1.0 / sigma
-        a_mat = design * w[:, None]
-        b_vec = y * w
-    else:
-        a_mat = design
-        b_vec = y
+    w = np.ones_like(x) if sigma is None else 1.0 / sigma  # unit weights are exact
+    a_mat = design * w[:, None]
+    b_vec = y * w
     gram = a_mat.T @ a_mat
     try:
         coef = np.linalg.solve(gram, a_mat.T @ b_vec)

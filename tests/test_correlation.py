@@ -20,7 +20,7 @@ from franson.correlation import (
 )
 from franson.errors import UndefinedCorrelationError
 from franson.interferometer import UmziConfig
-from franson.source import SpectralModel, sample_pairs
+from franson.source import SpectralModel, _draw, sample_pairs
 
 from oracles import PORTS, joint_amplitude, outcome_table
 
@@ -45,9 +45,10 @@ def one_pair_rates(df, dp, cfg_a, cfg_b):
 
 def sampled_rates(mdl, cfg_a, cfg_b, n_pairs, seed):
     """The mean of :func:`one_pair_rates` over ``n_pairs`` pairs drawn from
-    ``sample_pairs``'s default stream, and its standard errors."""
-    pairs = sample_pairs(mdl, n_pairs, seed)
-    fringe = fringe_term(pairs.df, pairs.dp, cfg_a, cfg_b)
+    ``sample_pairs``'s default stream, and its standard errors.  Only the
+    detunings are drawn: ``_draw``'s are those of ``sample_pairs``."""
+    _, [(df, dp)] = _draw([mdl], n_pairs, seed, (0,), 0)
+    fringe = fringe_term(df, dp, cfg_a, cfg_b)
     same, diff = 0.125 * (1.0 + fringe), 0.125 * (1.0 - fringe)
     mean, stderr = [same.mean(), diff.mean()], np.array([same.std(), diff.std()]) / math.sqrt(n_pairs)
     return np.array([mean, mean[::-1]]), np.array([stderr, stderr[::-1]])

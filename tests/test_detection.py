@@ -396,7 +396,15 @@ def test_tag_streams_reject_times_the_int64_cast_would_change(times, bad):
     message = f"^time_ps must be integer picoseconds, got {re.escape(bad)}$"
     with pytest.raises(ValueError, match=message):
         TagStream([5, 6], times)
-    assert TagStream([5, 6], [2.0, -(2.0**62)]).time_ps.tolist() == [-(2**62), 2]
+    assert TagStream([5, 6], [2.0, -(2.0**61)]).time_ps.tolist() == [-(2**61), 2]
+
+
+@pytest.mark.parametrize("time_ps", [2**62, -(2**62), -(2**63) + 3])
+def test_tag_streams_reject_times_a_dump_could_not_hold(time_ps):
+    # a tag at 2**62 would be written to a dump its reader refuses, and tags
+    # near -2**63 would wrap the correlator's window bound and lose matches
+    with pytest.raises(ValueError, match=rf"^\|time_ps\| must be below 2\*\*62, got {time_ps}$"):
+        hand_stream([5, 6], [0, time_ps])
 
 
 @pytest.mark.parametrize("ports, times", [([5, 6, 5], [1, 2]), ([5], [3, 1, 2])])
@@ -578,8 +586,8 @@ def test_blocked_reads_equal_the_one_shot_parse(tmp_path_factory, records, chunk
 def test_every_block_edge_reads_like_the_one_shot_parse(tmp_path, monkeypatch):
     # every cut, for the writer's grammar and each line outside it: a blank
     # line, a '#' line after the first record, a line over 64 bytes (its
-    # newline not counted), a last line without its newline, and the magic
-    # line's own cases
+    # newline not counted), a last line without its newline, a header line's
+    # or the first record's included, and the magic line's own cases
     path = tmp_path / "tags.dat"
     magic = "# franson-timetags v1\n"
     long_record = "B 6 " + "1" * 70
@@ -604,6 +612,8 @@ def test_every_block_edge_reads_like_the_one_shot_parse(tmp_path, monkeypatch):
         magic + "A 5 1000\nA 7 5\n" + long_record + "\n": f"{path}:3: port must be 5 or 6, got '7'",
         magic + "A 5 1000\nB 6 12": f"{path}:3: the file ends inside this line, before its newline",
         magic + "A 5 1000\nB 6": f"{path}:3: the file ends inside this line, before its newline",
+        magic + "# run=7": f"{path}:2: the file ends inside this line, before its newline",
+        magic + "# run=7\nA 5 1": f"{path}:3: the file ends inside this line, before its newline",
         magic[:-1]: None,
         "# franson-timetags v2\nA 5 1\n": None,
         "not a dump": None,
