@@ -28,9 +28,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from .interferometer import LN2, TWO_PI, UmziConfig
+from .interferometer import LN2, TWO_PI, UmziConfig, local_visibility_oracle
 from .rng import KIND_CHSH
-from .source import FWHM_TO_SIGMA, SpectralModel, sample_pairs
+from .source import SpectralModel, sample_pairs
 
 
 def joint_phase(df, dp, cfg_a: UmziConfig, cfg_b: UmziConfig):
@@ -70,13 +70,12 @@ def fringe_damping(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig) -
     """The ensemble's damping of the mean fringe term.
 
     The joint phase is theta + 2 pi [df (t_A - t_B) + dp (t_A + t_B)/2], theta =
-    phase_a + phase_b, with df and dp independent Gaussians of standard
-    deviations sigma_f = delta * FWHM_TO_SIGMA and sigma_p = pump_linewidth *
-    FWHM_TO_SIGMA, so the mean fringe term is V cos(theta) times this damping,
-    exp(-2 pi^2 [sigma_f^2 (t_A - t_B)^2 + sigma_p^2 ((t_A + t_B)/2)^2])."""
-    spread_f = model.delta * FWHM_TO_SIGMA * (cfg_a.t_sl - cfg_b.t_sl)
-    spread_p = model.pump_linewidth * FWHM_TO_SIGMA * 0.5 * (cfg_a.t_sl + cfg_b.t_sl)
-    return math.exp(-2.0 * math.pi**2 * (spread_f**2 + spread_p**2))
+    phase_a + phase_b, with df and dp independent Gaussians of FWHM delta and
+    pump_linewidth, so the mean fringe term is V cos(theta) times the product
+    of their characteristic functions, :func:`local_visibility_oracle`, at
+    lags t_A - t_B and (t_A + t_B)/2."""
+    detuning = local_visibility_oracle(model.delta, cfg_a.t_sl - cfg_b.t_sl)
+    return detuning * local_visibility_oracle(model.pump_linewidth, 0.5 * (cfg_a.t_sl + cfg_b.t_sl))
 
 
 def expected_rates(model: SpectralModel, cfg_a: UmziConfig, cfg_b: UmziConfig):

@@ -38,13 +38,13 @@ from .correlation import (
     fringe_visibility,
     overlap_envelope,
 )
-from .correlator import _central_counts, correlate
-from .detection import _step_tags, simulate_tags
+from .correlator import _central_counts
+from .detection import _step_tags
 from .errors import FitError, UndefinedCorrelationError
 from .fitting import CosineFit, fit_cosine
 from .interferometer import ensemble_local_fringe, local_intensities, local_visibility_oracle
 from .interferometer import TWO_PI, sampled_cf
-from .source import _sample, sample_pairs
+from .source import _sample
 
 PORT_PAIRS = ((5, 5), (5, 6), (6, 5), (6, 6))
 
@@ -185,17 +185,6 @@ def _fringe_points(cfg: RunConfig, n_points: int) -> tuple[np.ndarray, list]:
     return theta, [(th - psi, psi) for th in theta]
 
 
-def simulate_point(cfg: RunConfig, stream, n_pairs: int, phase_a: float, phase_b: float):
-    """Full source -> detection -> correlator pipeline for one scan point: its
-    pairs, tag streams A and B, and histogram.  ``stream`` is the point's key
-    path; source and detection draw from its two role substreams."""
-    cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
-    cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
-    pairs = sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
-    tags_a, tags_b = simulate_tags(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=stream)
-    return pairs, tags_a, tags_b, correlate(tags_a, tags_b, cfg.correlator)
-
-
 def _timing(cfg: RunConfig) -> RunConfig:
     """``cfg`` without what only the fringe term reads: pump linewidth and path overlaps."""
     umzis = {name: replace(getattr(cfg, name), gamma=1.0) for name in ("umzi_a", "umzi_b")}
@@ -210,7 +199,8 @@ def _central_tables(steps, mode, key, points, n_pairs, record=None) -> tuple[np.
     nothing.  montecarlo steps may differ only in pump linewidth and path
     overlaps: point j of all of them is one draw from ``(*key, j)``, one
     detection and one match sweep, and per step only its detunings, fringe
-    term and B ports, each step's table its own :func:`simulate_point`'s.
+    term and B ports, each step's table that of the tests' reference
+    pipeline, ``conftest.simulate_point``.
     ``record(pairs, umzis, tags_a, tags_b)`` reads only point j (pairs,
     ``(cfg_a, cfg_b)`` and B streams one per step) and must keep none of it.
     """
@@ -442,8 +432,8 @@ def run_pump_sweep(
     Step k is the config at linewidth k, a :func:`_sweep` step whose point j
     all steps share, drawn from ``(KIND_PUMP, j)``.  analytic mode reports
     :func:`expected_rates`'s law, gamma_A gamma_B times :func:`fringe_damping`:
-    ``cf_analytic`` times the detuning spread's factor, 1 on equal delays, to
-    rounding.  montecarlo mode also reports ``cf_sampled``, the drawn jitters'
+    ``cf_analytic`` times the detuning spread's factor, 1 on equal delays.
+    montecarlo mode also reports ``cf_sampled``, the drawn jitters'
     empirical characteristic function at that lag (on equal delays the fit's
     exact target).
     """

@@ -39,9 +39,11 @@ ENSEMBLE_BLOCK = 2**13
 def default_overlap(t_sl: float, tau_ind: float) -> float:
     """Path overlap <S|L> of a photon of coherence time tau_ind delayed by t_sl.
 
-    Past 64 coherence times the overlap is 0.0 (the exp underflows from 33 on),
-    so the ratio is capped there rather than squared into an OverflowError."""
-    return math.exp(-(min(abs(t_sl / tau_ind), 64.0) ** 2) * LN2)
+    The exp underflows to 0.0 from 33 coherence times on; a ratio whose square
+    passes the float range squares to inf (a product, not ``**``, which would
+    raise OverflowError) and also gives 0.0."""
+    ratio = t_sl / tau_ind
+    return math.exp(-(ratio * ratio) * LN2)
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,8 @@ def local_visibility_oracle(delta: float, t_sl: float) -> float:
     """Closed-form |characteristic function| of a Gaussian detuning ensemble.
 
     For detunings with FWHM delta, the local fringe washes out as
-    exp(-(pi * delta * t_sl)**2 / (4 ln 2)).
+    exp(-(pi * delta * t_sl)**2 / (4 ln 2)).  This is the package's one
+    statement of that law; a square past the float range gives exp(-inf) = 0.0.
     """
-    return math.exp(-((math.pi * delta * t_sl) ** 2) / (4.0 * LN2))
+    spread = math.pi * delta * t_sl
+    return math.exp(-(spread * spread) / (4.0 * LN2))

@@ -1,6 +1,8 @@
-"""Shared helpers: the configuration used across the suite, and statistical bounds."""
+"""Shared helpers: the configuration used across the suite, the reference
+tag pipeline of one scan point, and statistical bounds."""
 
 import math
+from dataclasses import replace
 from statistics import NormalDist
 
 import franson as fr
@@ -21,6 +23,18 @@ def ideal_config(seed: int = 1, n_points: int = 16, pairs_per_point: int = 20_00
         """
         % (seed, n_points, pairs_per_point)
     )
+
+
+def simulate_point(cfg: fr.RunConfig, stream, n_pairs: int, phase_a: float, phase_b: float):
+    """Full source -> detection -> correlator pipeline for one scan point, in
+    the three public calls: its pairs, tag streams A and B, and histogram.
+    ``stream`` is the point's key path; source and detection draw from its
+    two role substreams."""
+    cfg_a = replace(cfg.umzi_a, phase=float(phase_a))
+    cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
+    pairs = fr.sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
+    tags_a, tags_b = fr.simulate_tags(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=stream)
+    return pairs, tags_a, tags_b, fr.correlate(tags_a, tags_b, cfg.correlator)
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:

@@ -17,11 +17,10 @@ import franson as fr
 from franson.correlation import fringe_term
 from franson.correlator import sweep_matches
 from franson.detection import _detect
-from franson.experiment import simulate_point
 from franson.interferometer import local_intensities
 from franson.source import sample_pairs
 
-from conftest import ideal_config
+from conftest import ideal_config, simulate_point
 
 ACCEPT_SEED = 20260810
 

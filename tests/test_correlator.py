@@ -27,11 +27,11 @@ from franson.detection import (
     write_timetag_chunks,
 )
 from franson.errors import ConfigError
-from franson.experiment import simulate_point
 from franson.rng import KIND_TIMETAGS
 from franson.interferometer import UmziConfig
 from franson.source import SpectralModel, sample_pairs
 
+from conftest import simulate_point
 from oracles import window_totals
 
 

@@ -18,14 +18,14 @@ import franson as fr
 from franson import detection, experiment, source
 from franson.config import config_hash
 from franson.correlation import chsh_combinations, overlap_envelope
-from franson.experiment import TAU_POINTS, ScanResult, _sweep, simulate_point, wrap_phase
+from franson.experiment import TAU_POINTS, ScanResult, _sweep, wrap_phase
 from franson.fitting import CosineFit, fit_cosine
 from franson.errors import FitError, UndefinedCorrelationError
 from franson.interferometer import sampled_cf
 from franson.rng import KIND_CHSH, KIND_FRINGE, KIND_PUMP, KIND_TAU
 from franson.source import FWHM_TO_SIGMA, _draw
 
-from conftest import chi2_quantile, ideal_config
+from conftest import chi2_quantile, ideal_config, simulate_point
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -285,6 +285,51 @@ def test_pump_sweep_degrades_with_linewidth():
     assert "cf_sampled" not in res.columns
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    linewidths=st.lists(st.floats(0.0, 2e10), min_size=1, max_size=6, unique=True),
+    t_sl=st.floats(1e-12, 1e-9),
+)
+def test_analytic_pump_sweep_is_its_closed_form_bit_for_bit_on_equal_delays(linewidths, t_sl):
+    # fringe_damping is the pump jitter's characteristic function times the
+    # detuning spread's, which is exactly 1.0 at lag t_A - t_B = 0
+    cfg = ideal_config(n_points=8, pairs_per_point=100)
+    cfg = replace(cfg, umzi_a=replace(cfg.umzi_a, t_sl=t_sl), umzi_b=replace(cfg.umzi_b, t_sl=t_sl))
+    res = fr.run_pump_sweep(cfg, sorted(linewidths), mode="analytic")
+    assert np.array_equal(res.columns["visibility"], res.columns["cf_analytic"])
+
+
+HUGE_PUMP = {"source": {"pump_linewidth": 1e200}, "scan": {"n_points": 8, "pairs_per_point": 200}}
+HUGE_DELTA = {
+    "source": {"delta": 1e200, "tau_ind": 1.0},
+    "umzi_b": {"t_sl": 2e-10},
+    "correlator": {"tau_max": 4e-10},
+    "scan": {"n_points": 8, "pairs_per_point": 200},
+}
+
+
+@pytest.mark.parametrize(
+    "raw, read",
+    [
+        (HUGE_PUMP, lambda cfg: fr.run_fringe_scan(cfg, mode="analytic").visibility),
+        (HUGE_DELTA, lambda cfg: fr.run_fringe_scan(cfg, mode="analytic").visibility),
+        (HUGE_PUMP, lambda cfg: fr.run_chsh(cfg, mode="analytic").s_value),
+        (HUGE_DELTA, lambda cfg: fr.run_chsh(cfg, mode="analytic").s_value),
+        (HUGE_PUMP, lambda cfg: fr.run_tau_decay(cfg, mode="analytic").visibility),
+        (HUGE_DELTA, lambda cfg: fr.run_tau_decay(cfg, mode="analytic").visibility),
+        (HUGE_PUMP, lambda cfg: fr.run_crossover_sweep(cfg).columns["visibility_oracle"].max()),
+        (HUGE_PUMP, lambda cfg: fr.run_pump_sweep(cfg, [0.0, 1e200]).columns["cf_analytic"][1]),
+        (HUGE_PUMP, lambda cfg: fr.run_pump_sweep(cfg, [0.0, 1e200], mode="analytic").columns["visibility"][1]),
+    ],
+    ids=["fringe-pump", "fringe-delta", "chsh-pump", "chsh-delta", "tau-pump", "tau-delta",
+         "crossover-pump", "pump-sweep-cf", "pump-sweep-analytic"],
+)
+def test_closed_forms_reach_zero_where_the_square_overflows(raw, read):
+    # accepted configs whose pi * FWHM * lag squares past the float range: the
+    # Gaussian characteristic function is exp(-inf) = 0.0, not an OverflowError
+    assert read(fr.parse_config(json.dumps(raw))) == 0.0
+
+
 def test_analytic_pump_sweep_follows_the_fringe_law_at_unequal_delays():
     # with t_sl^A != t_sl^B the detuning spread damps the fringe as well, and
     # the pump jitter acts at the mean delay: each step is the analytic fringe
@@ -443,14 +488,6 @@ def test_scan_points_draw_from_tuple_keys():
         for a, pa in enumerate((5, 6)):
             for b, pb in enumerate((5, 6)):
                 assert res.columns[f"rate_{pa}{pb}"][k] == hist.central[a, b] / 500
-
-
-def test_simulate_point_returns_the_whole_pipeline():
-    cfg = ideal_config(pairs_per_point=2_000)
-    pairs, tags_a, tags_b, hist = simulate_point(cfg, stream=(0,), n_pairs=2_000, phase_a=0.0, phase_b=0.0)
-    assert len(pairs) == 2_000
-    assert len(tags_a) == 2_000  # efficiency 1
-    assert hist.central.sum() > 0
 
 
 def test_scan_results_embed_provenance():

@@ -18,10 +18,8 @@ from franson.rng import (
     ROLE_SOURCE,
     item_uniforms,
 )
-from franson.config import config_from_dict
 from franson.correlation import ensemble_fringe
 from franson.detection import DetectorModel, simulate_run, simulate_tags
-from franson.experiment import simulate_point
 from franson.interferometer import UmziConfig, ensemble_local_fringe
 from franson.source import PS_PER_S, SpectralModel, _draw, sample_pairs
 
@@ -212,10 +210,9 @@ PARTIES = UmziConfig(), UmziConfig()
         lambda key: next(simulate_run(make_model(), *PARTIES, DetectorModel(), 8, 3, stream=key)),
         lambda key: ensemble_fringe(make_model(), *PARTIES, 8, seed=3, stream=key),
         lambda key: ensemble_local_fringe([make_model(), make_model(delta=2e12)], UmziConfig(), 8, seed=3, stream=key),
-        lambda key: simulate_point(config_from_dict({}), key, 8, 0.0, 0.0),
     ],
     ids=["_draw", "item_uniforms", "simulate_tags", "simulate_run", "ensemble_fringe",
-         "ensemble_local_fringe", "simulate_point"],
+         "ensemble_local_fringe"],
 )
 def test_every_sampler_takes_its_key_as_a_tuple_only(draw):
     # (7,) is a key path; the int 7 is converted nowhere and fails at once
