@@ -24,6 +24,7 @@ from .config import RunConfig, check_seed, config_hash, load_config
 from .correlator import correlate, write_histogram_csv
 from .detection import read_timetags, simulate_run, write_timetag_chunks
 from .experiment import (
+    MODES,
     ScanResult,
     run_chsh,
     run_crossover_sweep,
@@ -147,9 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--debug", action="store_true", help="on error, raise with the full traceback"
         )
         if mode_choice:
-            p.add_argument(
-                "--mode", choices=["analytic", "montecarlo"], default="montecarlo"
-            )
+            p.add_argument("--mode", choices=MODES, default="montecarlo")
         p.set_defaults(func=func)
         return p
 

@@ -3,9 +3,9 @@
 Configs are JSON with one object per module section.  The section
 dataclasses are the schema: their fields are the keys and their defaults are
 the defaults.  Unknown keys are rejected by name; every numeric invariant of
-the domain types is checked at parse time and regime warnings (critical delay
-condition, narrowband assumption) are collected into ``RunConfig.warnings``
-for output metadata.
+the domain types is checked at parse time.  ``RunConfig.warnings`` (the
+narrowband assumption, the critical delay conditions, unequal delays) and
+``RunConfig.flags`` are read off the sections, for the products and stderr.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .correlator import CorrelatorConfig
 from .detection import DetectorModel
 from .errors import ConfigError
-from .interferometer import UmziConfig, default_overlap, regime_flags
+from .interferometer import INCOHERENT_ENSEMBLE_MIN, UmziConfig, default_overlap, regime_flags
 from .source import SpectralModel
 
 SCHEMA_VERSION = "1"
@@ -52,6 +52,8 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's six sections and its seed; its warnings and flags are read off them."""
+
     source: SpectralModel
     umzi_a: UmziConfig
     umzi_b: UmziConfig
@@ -59,8 +61,31 @@ class RunConfig:
     correlator: CorrelatorConfig
     scan: ScanConfig
     seed: int = 0
-    warnings: tuple[str, ...] = field(default=(), compare=False)
-    flags: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def flags(self) -> dict:
+        """Each party's :func:`regime_flags`."""
+        return {"A": regime_flags(self.umzi_a, self.source), "B": regime_flags(self.umzi_b, self.source)}
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The sections' own warnings in ``SECTIONS`` order, then each party's
+        unmet regime condition, then unequal delays."""
+        found = [w for section in SECTIONS for w in getattr(self, section).validate()]
+        src, t_sl = self.source, {"A": self.umzi_a.t_sl, "B": self.umzi_b.t_sl}
+        for party, f in self.flags.items():
+            unmet = f"critical UMZI condition not satisfied at party {party}:"
+            if not f["incoherent_ensemble"]:
+                product = f"delta * t_sl = {src.delta * t_sl[party]:g} <= {INCOHERENT_ENSEMBLE_MIN:g}"
+                found.append(f"{unmet} {product} (local intensities will not be uniform)")
+            if not f["individually_coherent"]:
+                coherence = f"individual coherence time {src.tau_ind:g} s"
+                found.append(f"{unmet} t_sl = {t_sl[party]:g} s is not small against the {coherence}")
+        if t_sl["A"] != t_sl["B"]:
+            found.append(
+                "interferometer delays differ between parties; the joint fringe is no longer detuning-immune"
+            )
+        return tuple(found)
 
     def to_dict(self) -> dict:
         out = {"schema_version": SCHEMA_VERSION, "seed": self.seed}
@@ -150,20 +175,20 @@ def _section(section: str, data: dict) -> dict:
     }
 
 
-def _build(section: str, given: dict, built: dict) -> tuple[object, list[str]]:
-    """One section's dataclass from its given keys, validated, and its
-    warnings.  Derived fields are filled only from validated values: the side
-    offsets from the interferometers built before the correlator, and a null
-    or absent gamma from the validated t_sl and source.tau_ind."""
+def _build(section: str, given: dict, built: dict) -> object:
+    """One section's dataclass from its given keys, validated.  Derived fields
+    are filled only from validated values: the side offsets from the
+    interferometers built before the correlator, and a null or absent gamma
+    from the validated t_sl and source.tau_ind."""
     kwargs = {key: value for key, value in given.items() if value is not None}
     if section == "correlator":
         kwargs.update(side_offset_a=built["umzi_a"].t_sl, side_offset_b=built["umzi_b"].t_sl)
     obj = SECTIONS[section](**kwargs)
-    warnings = obj.validate()
+    obj.validate()
     if isinstance(obj, UmziConfig) and "gamma" not in kwargs:
         # the overlap of a photon delayed by t_sl
         obj = replace(obj, gamma=default_overlap(obj.t_sl, built["source"].tau_ind))
-    return obj, warnings
+    return obj
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -183,41 +208,16 @@ def config_from_dict(data: dict) -> RunConfig:
     seed = check_seed(data.get("seed", 0))
 
     built: dict = {}
-    warnings: list[str] = []
     for section in SECTIONS:
         given = _section(section, data)
         try:
-            built[section], found = _build(section, given, built)
+            built[section] = _build(section, given, built)
         except (TypeError, ValueError) as exc:
             message = str(exc)
             if not message.startswith(f"{section}."):
                 message = f"{section}.{message}"
             raise ConfigError(message) from exc
-        warnings += found
-
-    src = built["source"]
-    umzis = {"A": built["umzi_a"], "B": built["umzi_b"]}
-    flags = {party: regime_flags(umzi, src) for party, umzi in umzis.items()}
-    for party, f in flags.items():
-        if not f["incoherent_ensemble"]:
-            warnings.append(
-                f"critical UMZI condition not satisfied at party {party}: "
-                f"delta * t_sl = {src.delta * umzis[party].t_sl:g} <= 10 "
-                "(local intensities will not be uniform)"
-            )
-        if not f["individually_coherent"]:
-            warnings.append(
-                f"critical UMZI condition not satisfied at party {party}: "
-                f"t_sl = {umzis[party].t_sl:g} s is not small against the "
-                f"individual coherence time {src.tau_ind:g} s"
-            )
-    if umzis["A"].t_sl != umzis["B"].t_sl:
-        warnings.append(
-            "interferometer delays differ between parties; the joint fringe "
-            "is no longer detuning-immune"
-        )
-
-    return RunConfig(**built, seed=seed, warnings=tuple(warnings), flags=flags)
+    return RunConfig(**built, seed=seed)
 
 
 def parse_config(text: str) -> RunConfig:

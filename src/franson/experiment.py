@@ -47,6 +47,7 @@ from .interferometer import TWO_PI, sampled_cf
 from .source import _sample
 
 PORT_PAIRS = ((5, 5), (5, 6), (6, 5), (6, 6))
+MODES = ("analytic", "montecarlo")
 
 # tau-decay: the imposed offsets in units of 1/delta, and the joint-phase
 # points of each Monte Carlo step's fringe scan
@@ -504,5 +505,5 @@ def run_chsh(cfg: RunConfig, mode: str = "analytic") -> ChshRun:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in ("analytic", "montecarlo"):
-        raise ValueError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")

@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import franson as fr
-from franson.config import config_from_dict, default_config
+from franson.config import SECTIONS, config_from_dict, default_config
 from franson.errors import ConfigError
 from franson.interferometer import default_overlap
 
@@ -69,6 +70,28 @@ def test_unsatisfied_critical_condition_becomes_a_warning():
 def test_mismatched_delays_warn():
     cfg = fr.parse_config('{"umzi_b": {"t_sl": 90e-12}}')
     assert any("delays differ" in w for w in cfg.warnings)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("umzi_b", "t_sl", 90e-12), ("source", "delta", 5e10)],  # unequal delays; delta * t_sl = 5
+)
+def test_a_replaced_config_reports_the_warnings_and_flags_of_its_sections(section, key, value):
+    cfg = fr.load_config(CONFIGS / "ideal.json")
+    cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
+    reparsed = fr.parse_config(json.dumps(cfg.to_dict()))
+    assert cfg.warnings == reparsed.warnings != ()
+    assert cfg.flags == reparsed.flags
+    assert any("delays differ" in w for w in cfg.warnings) == (key == "t_sl")
+    assert all(cfg.flags[party]["incoherent_ensemble"] for party in "AB") == (key == "t_sl")
+    assert list(cfg.warnings) == fr.run_fringe_scan(cfg, "analytic").warnings
+
+
+def test_run_config_fields_are_its_sections_and_seed():
+    cfg = fr.parse_config("{}")
+    assert {f.name for f in fields(fr.RunConfig)} == {*SECTIONS, "seed"}
+    with pytest.raises(TypeError):
+        replace(cfg, warnings=())
 
 
 def test_seed_must_be_a_non_negative_integer():

@@ -255,21 +255,24 @@ def test_analytic_tau_decay_is_the_envelope_times_the_analytic_fringe(config, t_
 def test_montecarlo_sweeps_report_each_steps_fit_warnings():
     # at 2 pairs per point and 5% efficiency no step counts a coincidence:
     # every step's fit fails, and the sweep says so, naming the step by its x
+    # f0 enters no draw: at 5e13 Hz it only plants the narrowband warning
     cfg = ideal_config(pairs_per_point=2)
-    cfg = replace(cfg, detector=replace(cfg.detector, efficiency=0.05), warnings=("a config warning",))
+    cfg = replace(cfg, source=replace(cfg.source, f0=5e13), detector=replace(cfg.detector, efficiency=0.05))
+    [planted] = cfg.warnings
+    assert "narrowband assumption" in planted
     failed = "fit failed for port pair 55: fitted offset is zero; visibility undefined"
     assert failed in fr.run_fringe_scan(cfg, "montecarlo").warnings
     tau = fr.run_tau_decay(cfg, "montecarlo")
     pump = fr.run_pump_sweep(cfg, mode="montecarlo", n_points=8, pairs_per_point=2)
     for result in (tau, pump):
         assert np.isnan(result.columns["visibility"]).all()
-        assert result.warnings[0] == "a config warning"
+        assert result.warnings[0] == planted
         own = result.warnings[1:]
-        assert "a config warning" not in own and len(set(own)) == len(own)
+        assert planted not in own and len(set(own)) == len(own)
         for x in result.x:
             assert f"{result.x_label} = {x:g}: {failed}" in own
     # analytic sweeps fit nothing
-    assert fr.run_tau_decay(cfg, "analytic").warnings == ["a config warning"]
+    assert fr.run_tau_decay(cfg, "analytic").warnings == [planted]
 
 
 def test_pump_sweep_degrades_with_linewidth():
