@@ -106,7 +106,7 @@ def _cmd_correlate(args) -> RunConfig:
                 file=sys.stderr,
             )
     # hist.warnings are the correlator's config warnings, which _load printed
-    hist = correlate(tags_a, tags_b, cfg.correlator)
+    hist = correlate(tags_a, tags_b, cfg.correlator, (cfg.umzi_a.t_sl, cfg.umzi_b.t_sl))
     write_histogram_csv(hist, args.out / "histogram.csv", cfg.seed, cfg_hash)
     _write_json(
         args.out / "correlate.json",

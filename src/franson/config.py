@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .correlator import CorrelatorConfig
+from .correlator import CorrelatorConfig, _check_sides
 from .detection import DetectorModel
 from .errors import ConfigError
 from .interferometer import INCOHERENT_ENSEMBLE_MIN, UmziConfig, default_overlap, regime_flags
@@ -62,6 +62,13 @@ class RunConfig:
     scan: ScanConfig
     seed: int = 0
 
+    def __post_init__(self):
+        # the parser's correlator checks, so a replaced config passes them too
+        try:
+            _check_sides(self.correlator, (self.umzi_a.t_sl, self.umzi_b.t_sl))
+        except ValueError as exc:
+            raise _located("correlator", exc) from exc
+
     @property
     def flags(self) -> dict:
         """Each party's :func:`regime_flags`."""
@@ -69,10 +76,11 @@ class RunConfig:
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        """The sections' own warnings in ``SECTIONS`` order, then each party's
-        unmet regime condition, then unequal delays."""
-        found = [w for section in SECTIONS for w in getattr(self, section).validate()]
+        """The sections' own warnings in ``SECTIONS`` order and the peak-window
+        overlap, then each party's unmet regime condition, then unequal delays."""
         src, t_sl = self.source, {"A": self.umzi_a.t_sl, "B": self.umzi_b.t_sl}
+        found = [w for section in SECTIONS for w in getattr(self, section).validate()]
+        found += _check_sides(self.correlator, (t_sl["A"], t_sl["B"]))
         for party, f in self.flags.items():
             unmet = f"critical UMZI condition not satisfied at party {party}:"
             if not f["incoherent_ensemble"]:
@@ -91,13 +99,12 @@ class RunConfig:
         out = {"schema_version": SCHEMA_VERSION, "seed": self.seed}
         for section in SECTIONS:
             obj = getattr(self, section)
-            out[section] = {name: getattr(obj, name) for name in _keys(type(obj))}
+            out[section] = {f.name: getattr(obj, f.name) for f in fields(obj)}
         return out
 
 
 # Each config section and the dataclass it builds, in the order they are built
-# and validated: a section's derived fields are filled from sections before
-# it.  The dataclass defaults are the config defaults.
+# and validated (a defaulted gamma reads the source); their defaults are the config's.
 SECTIONS = {
     "source": SpectralModel,
     "umzi_a": UmziConfig,
@@ -108,16 +115,10 @@ SECTIONS = {
 }
 # The type of each field of each section, resolved once.
 _FIELD_TYPES = {section: get_type_hints(cls) for section, cls in SECTIONS.items()}
-# Fields derived from other sections, never read from a config.
-DERIVED = ("side_offset_a", "side_offset_b")
 # Fields a config may set to null to get their derived default.
 _NULLABLE = ("gamma",)
 # What each numeric field type accepts; never a bool, though bool is an int.
 _NUMBER_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
-
-
-def _keys(cls) -> list[str]:
-    return [f.name for f in fields(cls) if f.name not in DERIVED]
 
 
 def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
@@ -167,7 +168,7 @@ def _section(section: str, data: dict) -> dict:
     given = data.get(section, {})
     if not isinstance(given, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    _reject_unknown(section, given, set(_keys(SECTIONS[section])))
+    _reject_unknown(section, given, {f.name for f in fields(SECTIONS[section])})
     types = _FIELD_TYPES[section]
     return {
         key: value if value is None and key in _NULLABLE else _typed(f"{section}.{key}", value, types[key])
@@ -176,13 +177,10 @@ def _section(section: str, data: dict) -> dict:
 
 
 def _build(section: str, given: dict, built: dict) -> object:
-    """One section's dataclass from its given keys, validated.  Derived fields
-    are filled only from validated values: the side offsets from the
-    interferometers built before the correlator, and a null or absent gamma
-    from the validated t_sl and source.tau_ind."""
+    """One section's dataclass from its given keys, validated.  A null or
+    absent gamma is filled only from validated values: the section's t_sl and
+    source.tau_ind."""
     kwargs = {key: value for key, value in given.items() if value is not None}
-    if section == "correlator":
-        kwargs.update(side_offset_a=built["umzi_a"].t_sl, side_offset_b=built["umzi_b"].t_sl)
     obj = SECTIONS[section](**kwargs)
     obj.validate()
     if isinstance(obj, UmziConfig) and "gamma" not in kwargs:
@@ -213,11 +211,16 @@ def config_from_dict(data: dict) -> RunConfig:
         try:
             built[section] = _build(section, given, built)
         except (TypeError, ValueError) as exc:
-            message = str(exc)
-            if not message.startswith(f"{section}."):
-                message = f"{section}.{message}"
-            raise ConfigError(message) from exc
+            raise _located(section, exc) from exc
     return RunConfig(**built, seed=seed)
+
+
+def _located(section: str, exc: Exception) -> ConfigError:
+    """A section's fault as a ConfigError whose text starts ``section.``."""
+    message = str(exc)
+    if not message.startswith(f"{section}."):
+        message = f"{section}.{message}"
+    return ConfigError(message)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -4,8 +4,8 @@ Every tag of stream A is paired with the stream-B tags inside ``+-tau_max``
 of it (two binary searches per A tag give its run of B tags), the delays
 ``tau = t_A - t_B`` are binned, and they are classified into the central
 peak (|tau| <= w, the window is centred at tau = 0) and the two side peaks:
-LS at tau = +t_sl^A (``side_offset_a``) and SL at tau = -t_sl^B
-(``side_offset_b``), each within w.  The A tags are taken a block at a
+LS at tau = +t_sl^A and SL at tau = -t_sl^B, each within w, where t_sl^A
+and t_sl^B are the interferometer delays.  The A tags are taken a block at a
 time; a block's matches form one list, run after run, and the list is
 binned and tallied a slice at a time.  This holds O(SWEEP_BATCH) memory
 whatever the number of tags and matches, and does O(N_A log N_B + matches)
@@ -41,72 +41,67 @@ CSV_CHUNK = 2**14
 @dataclass(frozen=True)
 class CorrelatorConfig:
     """window: coincidence half-width w (s); bin_width, tau_max: histogram
-    geometry (s); side_offset_a, side_offset_b: distances (s) of the LS peak
-    above and the SL peak below tau = 0, normally the interferometer delays
-    t_sl^A and t_sl^B."""
+    geometry (s).  The side peaks sit at the interferometer delays, which
+    :func:`correlate` takes beside this config."""
 
     window: float = 10e-12
     bin_width: float = 2e-12
     tau_max: float = 200e-12
-    side_offset_a: float = 100e-12
-    side_offset_b: float = 100e-12
 
     def validate(self) -> list[str]:
-        if not self.window > 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
-        if not self.bin_width > 0:
-            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        for name in ("side_offset_a", "side_offset_b"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        # tau_max, checked below to exceed both side offsets, bounds them too
         for name in ("window", "bin_width", "tau_max"):
-            if not getattr(self, name) * PS_PER_S < MAX_TIME_PS:
-                raise ValueError(f"{name} must be below 2**60 ps, got {getattr(self, name)}")
-        farthest = max(self.side_offset_a, self.side_offset_b)
-        if self.tau_max < farthest + 5 * self.bin_width:
-            raise ValueError(
-                "tau_max must cover both side peaks: need tau_max >= "
-                f"max(side_offset_a, side_offset_b) + 5*bin_width, got {self.tau_max} < "
-                f"{farthest + 5 * self.bin_width}"
-            )
-        w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = self._picoseconds()
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+            if not value * PS_PER_S < MAX_TIME_PS:
+                raise ValueError(f"{name} must be below 2**60 ps, got {value}")
+        w_ps, bin_ps, tau_max_ps = self._picoseconds()
         for name, ps in (("window", w_ps), ("bin_width", bin_ps)):
             if ps < 1:
                 raise ValueError(f"{name} must be at least 1 ps, got {getattr(self, name)}")
-        if tau_max_ps < (reach_ps := max(side_a_ps, side_b_ps) + w_ps):
-            raise ValueError(
-                "tau_max must cover both side windows: need tau_max >= max(side_offset_a, "
-                f"side_offset_b) + window = {reach_ps} ps, got {tau_max_ps} ps"
-            )
         n_bins = _bin_count(tau_max_ps, bin_ps)
         if n_bins > MAX_BINS:
             raise ValueError(
                 "correlator.tau_max and correlator.bin_width give 2 * tau_max / bin_width = "
                 f"{n_bins} histogram bins, more than the limit of 2**22 = {MAX_BINS}"
             )
-        if _windows_overlap(w_ps, side_a_ps, side_b_ps):
-            return [
-                f"window w = {w_ps} ps >= min(side_offset_a, side_offset_b)/2 = "
-                f"{min(side_a_ps, side_b_ps) / 2:g} ps: peak windows overlap"
-            ]
         return []
 
-    def _picoseconds(self) -> tuple[int, int, int, int, int]:
-        """window, bin_width, tau_max, side_offset_a and side_offset_b in whole picoseconds."""
-        times = (self.window, self.bin_width, self.tau_max, self.side_offset_a, self.side_offset_b)
-        return tuple(int(ps) for ps in to_picoseconds(times))
+    def _picoseconds(self, *t_sl: float) -> tuple[int, ...]:
+        """window, bin_width, tau_max and then each delay of ``t_sl`` in whole picoseconds."""
+        return tuple(int(ps) for ps in to_picoseconds((self.window, self.bin_width, self.tau_max, *t_sl)))
+
+
+def _check_sides(cfg: CorrelatorConfig, t_sl: tuple[float, float]) -> list[str]:
+    """Validate ``cfg`` and that ``tau_max`` covers the farther side peak, at a
+    delay of ``t_sl = (t_sl_a, t_sl_b)`` (s), plus 5 bins and plus its window.
+    Returns the overlap warning when the central window [-w, w] shares a delay
+    with the nearer side window [s - w, s + w]: 2w >= s in whole picoseconds."""
+    cfg.validate()
+    farthest = max(t_sl)
+    if cfg.tau_max < farthest + 5 * cfg.bin_width:
+        raise ValueError(
+            "tau_max must cover both side peaks: need tau_max >= "
+            f"max(side_offset_a, side_offset_b) + 5*bin_width, got {cfg.tau_max} < "
+            f"{farthest + 5 * cfg.bin_width}"
+        )
+    w_ps, _, tau_max_ps, side_a_ps, side_b_ps = cfg._picoseconds(*t_sl)
+    if tau_max_ps < (reach_ps := max(side_a_ps, side_b_ps) + w_ps):
+        raise ValueError(
+            "tau_max must cover both side windows: need tau_max >= max(side_offset_a, "
+            f"side_offset_b) + window = {reach_ps} ps, got {tau_max_ps} ps"
+        )
+    if 2 * w_ps >= min(side_a_ps, side_b_ps):
+        return [
+            f"window w = {w_ps} ps >= min(side_offset_a, side_offset_b)/2 = "
+            f"{min(side_a_ps, side_b_ps) / 2:g} ps: peak windows overlap"
+        ]
+    return []
 
 
 def _bin_count(tau_max_ps: int, bin_ps: int) -> int:
     """Bins of width bin_ps that cover [-tau_max, tau_max]."""
     return -((-2 * tau_max_ps) // bin_ps)
-
-
-def _windows_overlap(w_ps: int, side_a_ps: int, side_b_ps: int) -> bool:
-    """Whether the central window [-w, w] shares a delay with the nearer side
-    window [s - w, s + w]: 2w >= s on the integer picoseconds the windows use."""
-    return 2 * w_ps >= min(side_a_ps, side_b_ps)
 
 
 @dataclass
@@ -206,17 +201,17 @@ def _central_counts(stream_a: TagStream, streams_b, cfg: CorrelatorConfig) -> np
 
 
 def correlate(
-    stream_a: TagStream, stream_b: TagStream, cfg: CorrelatorConfig
+    stream_a: TagStream, stream_b: TagStream, cfg: CorrelatorConfig, t_sl: tuple[float, float]
 ) -> CoincidenceHistogram:
     """Build the coincidence histogram of tau = t_A - t_B.
 
-    The central peak is looked for at tau = 0, side_plus (LS) at
-    +side_offset_a and side_minus (SL) at -side_offset_b.  The matches of
+    The central peak is looked for at tau = 0, side_plus (LS) at +t_sl_a and
+    side_minus (SL) at -t_sl_b, the delays ``t_sl`` (s).  The matches of
     each batch of :func:`sweep_matches` are binned and tallied before the
     next batch, so no array holds one entry per match.
     """
-    config_warnings = cfg.validate()
-    w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = cfg._picoseconds()
+    config_warnings = _check_sides(cfg, t_sl)
+    w_ps, bin_ps, tau_max_ps, side_a_ps, side_b_ps = cfg._picoseconds(*t_sl)
 
     n_bins = _bin_count(tau_max_ps, bin_ps)
     counts = np.zeros(4 * n_bins, dtype=np.int64)
@@ -251,7 +246,7 @@ def correlate(
         side_minus=side_minus.reshape(2, 2),
         n_matches=n_matches,
         n_comparisons=len(stream_a) + n_matches,
-        overlap_warning=_windows_overlap(w_ps, side_a_ps, side_b_ps),
+        overlap_warning=bool(config_warnings),
         warnings=config_warnings,
     )
 

@@ -34,7 +34,8 @@ def simulate_point(cfg: fr.RunConfig, stream, n_pairs: int, phase_a: float, phas
     cfg_b = replace(cfg.umzi_b, phase=float(phase_b))
     pairs = fr.sample_pairs(cfg.source, n_pairs, cfg.seed, stream=stream)
     tags_a, tags_b = fr.simulate_tags(pairs, cfg_a, cfg_b, cfg.detector, cfg.seed, stream=stream)
-    return pairs, tags_a, tags_b, fr.correlate(tags_a, tags_b, cfg.correlator)
+    hist = fr.correlate(tags_a, tags_b, cfg.correlator, (cfg.umzi_a.t_sl, cfg.umzi_b.t_sl))
+    return pairs, tags_a, tags_b, hist
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:

@@ -256,7 +256,7 @@ def test_timetags_then_correlate_matches_the_in_memory_pipeline(config_path, tmp
     tags_a, tags_b = simulate_tags(
         pairs, cfg.umzi_a, cfg.umzi_b, cfg.detector, cfg.seed, stream=(KIND_TIMETAGS,)
     )
-    expected = correlate(tags_a, tags_b, cfg.correlator)
+    expected = correlate(tags_a, tags_b, cfg.correlator, (cfg.umzi_a.t_sl, cfg.umzi_b.t_sl))
 
     payload = json.loads((tmp_path / "correlate.json").read_text())
     assert payload["n_matches"] == expected.n_matches

@@ -8,14 +8,19 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import franson as fr
 from franson.config import SECTIONS, config_from_dict, default_config
 from franson.errors import ConfigError
 from franson.interferometer import default_overlap
 
+from conftest import simulate_point
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 README = CONFIGS.parent / "README.md"
+IDEAL = fr.load_config(CONFIGS / "ideal.json")
 
 
 def test_minimal_config_uses_defaults_and_flags_the_regime():
@@ -85,6 +90,46 @@ def test_a_replaced_config_reports_the_warnings_and_flags_of_its_sections(sectio
     assert any("delays differ" in w for w in cfg.warnings) == (key == "t_sl")
     assert all(cfg.flags[party]["incoherent_ensemble"] for party in "AB") == (key == "t_sl")
     assert list(cfg.warnings) == fr.run_fringe_scan(cfg, "analytic").warnings
+
+
+# tenths of a picosecond, so draws fall on both sides of each rounded bound
+TENTHS_PS = st.integers(5, 3_000).map(lambda tenths: tenths * 1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_sl=st.tuples(TENTHS_PS, TENTHS_PS), window=TENTHS_PS, tau_max=TENTHS_PS)
+# a delay past tau_max - 5 bins: the parser refuses it
+@example(t_sl=(100e-12, 200e-12), window=10e-12, tau_max=200e-12)
+# an SL peak at 140 ps, inside the default reach
+@example(t_sl=(100e-12, 140e-12), window=10e-12, tau_max=200e-12)
+# 129.4 ps is 129 ps, short of the 130 ps side window; 129.6 ps reaches it
+@example(t_sl=(100e-12, 100e-12), window=30e-12, tau_max=129.4e-12)
+@example(t_sl=(100e-12, 100e-12), window=30e-12, tau_max=129.6e-12)
+# 2w = 100 ps reaches the nearer side peak: the windows overlap
+@example(t_sl=(100e-12, 140e-12), window=50e-12, tau_max=200e-12)
+def test_a_replaced_config_is_checked_and_warns_as_the_parser_does(t_sl, window, tau_max):
+    # the side peaks sit at the delays: replacing a delay or the correlator
+    # raises exactly when parsing the same dict does, with the same message
+    edits = {
+        "umzi_a": {"t_sl": t_sl[0]},
+        "umzi_b": {"t_sl": t_sl[1]},
+        "correlator": {"window": window, "tau_max": tau_max},
+    }
+    data = IDEAL.to_dict()
+    for section, keys in edits.items():
+        data[section] = {**data[section], **keys}
+    sections = {section: replace(getattr(IDEAL, section), **keys) for section, keys in edits.items()}
+    try:
+        config_from_dict(data)
+    except ConfigError as refused:
+        with pytest.raises(ConfigError) as err:
+            replace(IDEAL, **sections)
+        assert str(err.value) == str(refused)
+        return
+    cfg = replace(IDEAL, **sections)
+    reparsed = config_from_dict(cfg.to_dict())
+    assert reparsed == cfg
+    assert reparsed.warnings == cfg.warnings
 
 
 def test_run_config_fields_are_its_sections_and_seed():
@@ -184,8 +229,8 @@ def test_jitter_draws_must_fit_the_picosecond_grid():
     ],
 )
 def test_range_errors_name_their_section_key(section, key, value):
-    # a section is validated before any later one derives a field from it, so
-    # a delay of party A is reported as umzi_a.t_sl, not as a side offset
+    # a section is validated before the correlator's reach to the side peaks
+    # at the delays, so a delay of party A is reported as umzi_a.t_sl
     with pytest.raises(ConfigError) as err:
         config_from_dict({section: {key: value}})
     message = str(err.value)
@@ -204,7 +249,8 @@ def test_a_bad_tau_ind_fails_before_the_overlap_is_derived(tau_ind, umzi, tmp_pa
 
 
 def test_the_derived_overlap_of_a_far_delay_is_zero():
-    # past 64 coherence times the overlap is 0.0, not an OverflowError
+    # a delay of 1e290 coherence times squares past the float range: the
+    # overlap is exp(-inf) = 0.0, not an OverflowError
     cfg = config_from_dict({"source": {"delta": 1e300, "tau_ind": 1e-300}})
     assert cfg.umzi_a.gamma == cfg.umzi_b.gamma == 0.0
     assert default_overlap(1e-10, 1e-300) == 0.0
@@ -269,7 +315,8 @@ def test_config_hash_ignores_seed_but_not_physics():
 
 def test_correlator_side_offset_follows_the_interferometer_delay():
     cfg = fr.parse_config('{"umzi_a": {"t_sl": 80e-12}, "umzi_b": {"t_sl": 80e-12}}')
-    assert cfg.correlator.side_offset_a == cfg.correlator.side_offset_b == 80e-12
+    hist = simulate_point(cfg, (0,), 1_000, 0.0, 0.0)[3]
+    assert hist.side_offset_a_ps == hist.side_offset_b_ps == 80
 
 
 def readme_defaults() -> dict[str, str]:

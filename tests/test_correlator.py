@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,9 @@ from conftest import simulate_point
 from oracles import window_totals
 
 
-SIDES = {"side_offset_a": 100e-12, "side_offset_b": 100e-12}
-CFG = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
+# the interferometer delays (t_sl^A, t_sl^B), where the side peaks sit
+SIDES = (100e-12, 100e-12)
+CFG = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12)
 
 
 def stream(times_ps, ports=None):
@@ -166,14 +168,8 @@ def test_correlate_tallies_agree_with_brute_force(t_b, offsets, ports, bin_ps, c
     tags_a = stream(t_a, ports[: len(t_a)])
     tags_b = stream(t_b, ports[25 : 25 + len(t_b)])
     shifted_b = stream([t + center_ps for t in t_b], ports[25 : 25 + len(t_b)])
-    cfg = CorrelatorConfig(
-        window=10e-12,
-        bin_width=bin_ps * 1e-12,
-        tau_max=200e-12,
-        side_offset_a=100e-12,
-        side_offset_b=side_b_ps * 1e-12,
-    )
-    hist = correlate(tags_a, shifted_b, cfg)
+    cfg = CorrelatorConfig(window=10e-12, bin_width=bin_ps * 1e-12, tau_max=200e-12)
+    hist = correlate(tags_a, shifted_b, cfg, (100e-12, side_b_ps * 1e-12))
     oracle = brute_force_histogram(tags_a, tags_b, 10, bin_ps, 200, 100, side_b_ps, center_ps)
     assert_equals_oracle(hist, oracle, len(tags_a))
 
@@ -208,7 +204,7 @@ def test_correlate_tallies_agree_with_brute_force_on_dense_streams(t_b, offsets,
     tags_b = stream(t_b, ports[20 : 20 + len(t_b)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(correlator, "SWEEP_BATCH", batch)
-        hist = correlate(tags_a, tags_b, CFG)
+        hist = correlate(tags_a, tags_b, CFG, SIDES)
     oracle = brute_force_histogram(tags_a, tags_b, 10, 2, 200, 100, 100, 0)
     assert_equals_oracle(hist, oracle, len(tags_a))
 
@@ -239,18 +235,16 @@ def test_central_counts_are_correlates_central_tables(t_b, offsets, ports, batch
     t_a = [t_b[j % len(t_b)] + tau for j, tau in offsets] if t_b else []
     tags_a = stream(t_a, ports[: len(t_a)])
     streams_b = [stream(t_b, ports[30 * s : 30 * s + len(t_b)]) for s in (1, 2)]
-    cfg = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, side_offset_a=100e-12,
-                           side_offset_b=side_b_ps * 1e-12)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(correlator, "SWEEP_BATCH", batch)
-        tables = correlator._central_counts(tags_a, streams_b, cfg)
+        tables = correlator._central_counts(tags_a, streams_b, CFG)
     assert tables.shape == (2, 2, 2)
     for table, tags_b in zip(tables, streams_b):
-        assert np.array_equal(table, correlate(tags_a, tags_b, cfg).central)
+        assert np.array_equal(table, correlate(tags_a, tags_b, CFG, (100e-12, side_b_ps * 1e-12)).central)
 
 
 def test_empty_streams_give_empty_histogram():
-    hist = correlate(stream([]), stream([]), CFG)
+    hist = correlate(stream([]), stream([]), CFG, SIDES)
     assert hist.counts.sum() == 0
     assert hist.central.sum() == 0
     assert hist.n_matches == 0
@@ -262,7 +256,7 @@ def test_known_delays_land_in_their_windows():
     t_b = [1_000, 2_100, 3_000, 4_000]
     ports_a = [5, 5, 6, 6]
     ports_b = [5, 6, 5, 6]
-    hist = correlate(stream(t_a, ports_a), stream(t_b, ports_b), CFG)
+    hist = correlate(stream(t_a, ports_a), stream(t_b, ports_b), CFG, SIDES)
     assert hist.n_matches == 4
     assert hist.central[0, 0] == 1  # (5,5) at tau 0
     assert hist.side_minus[0, 1] == 1  # (5,6) at tau -100
@@ -273,9 +267,9 @@ def test_known_delays_land_in_their_windows():
 
 
 def test_window_totals_are_window_sums_not_bin_sums():
-    hist = correlate(stream([1000]), stream([1009]), CFG)
+    hist = correlate(stream([1000]), stream([1009]), CFG, SIDES)
     assert hist.central[0, 0] == 1  # tau = -9 inside w = 10
-    hist2 = correlate(stream([1000]), stream([1011]), CFG)
+    hist2 = correlate(stream([1000]), stream([1011]), CFG, SIDES)
     assert hist2.central.sum() == 0  # tau = -11 outside
 
 
@@ -303,29 +297,30 @@ def test_tag_stream_columns_are_read_only(tmp_path):
 
 
 def test_overlap_warning_flag():
-    wide = CorrelatorConfig(window=60e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
-    hist = correlate(stream([100]), stream([105]), wide)
+    wide = CorrelatorConfig(window=60e-12, bin_width=2e-12, tau_max=200e-12)
+    hist = correlate(stream([100]), stream([105]), wide, SIDES)
     assert hist.overlap_warning
     assert any("overlap" in w for w in hist.warnings)
-    assert not correlate(stream([100]), stream([105]), CFG).overlap_warning
+    assert not correlate(stream([100]), stream([105]), CFG, SIDES).overlap_warning
     # the rule holds on the rounded picoseconds the windows use: 49.6 ps is a
     # 50 ps window, so [-50, 50] and the LS window [50, 150] share tau = 50
     for window, overlaps in ((49.6e-12, True), (49.4e-12, False)):
-        cfg = CorrelatorConfig(window=window, bin_width=2e-12, tau_max=200e-12, **SIDES)
-        hist = correlate(stream([100]), stream([105]), cfg)
+        cfg = CorrelatorConfig(window=window, bin_width=2e-12, tau_max=200e-12)
+        hist = correlate(stream([100]), stream([105]), cfg, SIDES)
         assert hist.overlap_warning is overlaps
         assert any("overlap" in w for w in hist.warnings) is overlaps
 
 
 def test_validation_requires_room_for_side_peaks():
+    check_sides = correlator._check_sides
     with pytest.raises(ValueError, match="tau_max"):
-        CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=50e-12, **SIDES).validate()
+        check_sides(CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=50e-12), SIDES)
     # the farther side peak sets the bound, and the nearer one the overlap warning
-    unequal = {"window": 10e-12, "bin_width": 2e-12, "side_offset_a": 100e-12}
+    unequal = {"window": 10e-12, "bin_width": 2e-12}
     with pytest.raises(ValueError, match="both side peaks"):
-        CorrelatorConfig(tau_max=150e-12, side_offset_b=145e-12, **unequal).validate()
-    assert CorrelatorConfig(tau_max=160e-12, side_offset_b=145e-12, **unequal).validate() == []
-    assert CorrelatorConfig(tau_max=160e-12, side_offset_b=15e-12, **unequal).validate()
+        check_sides(CorrelatorConfig(tau_max=150e-12, **unequal), (100e-12, 145e-12))
+    assert check_sides(CorrelatorConfig(tau_max=160e-12, **unequal), (100e-12, 145e-12)) == []
+    assert check_sides(CorrelatorConfig(tau_max=160e-12, **unequal), (100e-12, 15e-12))
     with pytest.raises(ConfigError, match="tau_max"):
         parse_config('{"umzi_b": {"t_sl": 195e-12}}')
 
@@ -333,23 +328,24 @@ def test_validation_requires_room_for_side_peaks():
 def test_tau_max_must_reach_past_the_farther_side_window():
     # correlate finds matches only within +-tau_max, so a side window past it
     # would lose counts unseen: all three pairs lie in the LS window [70, 130] ps
-    short = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=112e-12, **SIDES)
+    short = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=112e-12)
+    assert short.validate() == []
     with pytest.raises(ValueError, match=r"^tau_max must cover both side windows: .* = 130 ps"):
-        short.validate()
+        correlator._check_sides(short, SIDES)
     with pytest.raises(ConfigError, match=r"^correlator\.tau_max must cover both side windows"):
         config_from_dict({"correlator": {"window": 30e-12, "tau_max": 112e-12}})
-    reach = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=130e-12, **SIDES)
-    assert reach.validate() == []
-    hist = correlate(stream([95, 10_125, 20_105]), stream([0, 10_000, 20_000]), reach)
+    reach = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=130e-12)
+    assert correlator._check_sides(reach, SIDES) == []
+    hist = correlate(stream([95, 10_125, 20_105]), stream([0, 10_000, 20_000]), reach, SIDES)
     assert hist.side_plus.sum() == hist.n_matches == 3
     # compared on the whole picoseconds the windows use: 129.6 ps is 130 ps
     for tau_max, ok in ((129.6e-12, True), (129.4e-12, False)):
-        cfg = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=tau_max, **SIDES)
+        cfg = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=tau_max)
         if ok:
-            assert cfg.validate() == []
+            assert correlator._check_sides(cfg, SIDES) == []
         else:
             with pytest.raises(ValueError, match="tau_max"):
-                cfg.validate()
+                correlator._check_sides(cfg, SIDES)
 
 
 @pytest.mark.parametrize("side_a_ps, side_b_ps", [(100, 140), (140, 100)], ids=["b-farther", "a-farther"])
@@ -358,35 +354,34 @@ def test_tau_max_bound_follows_the_farther_side_window(side_a_ps, side_b_ps, sho
     # the bound is the farther side offset + w, whichever party's it is, on the
     # whole picoseconds the windows use: 0.4 ps short rounds onto it, 0.6 ps not
     reach_ps = max(side_a_ps, side_b_ps) + 30
-    cfg = CorrelatorConfig(
-        window=30e-12,
-        bin_width=2e-12,
-        tau_max=(reach_ps - short_ps) * 1e-12,
-        side_offset_a=side_a_ps * 1e-12,
-        side_offset_b=side_b_ps * 1e-12,
-    )
+    cfg = CorrelatorConfig(window=30e-12, bin_width=2e-12, tau_max=(reach_ps - short_ps) * 1e-12)
+    sides = (side_a_ps * 1e-12, side_b_ps * 1e-12)
     if short_ps > 0.5:
         with pytest.raises(ValueError, match=rf"^tau_max must cover both side windows: .* = {reach_ps} ps"):
-            cfg.validate()
+            correlator._check_sides(cfg, sides)
         return
-    assert cfg.validate() == []
+    assert correlator._check_sides(cfg, sides) == []
     # a pair on the far edge of each side window, LS at +(t_A + w) and SL at
     # -(t_B + w), is matched and counted in its window
     edge_a, edge_b = side_a_ps + 30, side_b_ps + 30
-    hist = correlate(stream([10_000 + edge_a, 20_000]), stream([10_000, 20_000 + edge_b]), cfg)
+    hist = correlate(stream([10_000 + edge_a, 20_000]), stream([10_000, 20_000 + edge_b]), cfg, sides)
     assert hist.side_plus.sum() == hist.side_minus.sum() == 1
     assert hist.n_matches == 2
 
 def test_side_peaks_sit_at_each_partys_delay():
     # SL lands at tau = -t_sl^B and LS at +t_sl^A: with unequal delays each
-    # side window still holds a quarter of the pairs
-    cfg = parse_config('{"seed": 4, "umzi_b": {"t_sl": 140e-12}, "detector": {"jitter": 0.0}}')
+    # side window still holds a quarter of the pairs, whether the delay was
+    # parsed or replaced into a parsed config
+    parsed = parse_config('{"seed": 4, "umzi_b": {"t_sl": 140e-12}, "detector": {"jitter": 0.0}}')
+    equal = parse_config('{"seed": 4, "detector": {"jitter": 0.0}}')
+    replaced = replace(equal, umzi_b=replace(equal.umzi_b, t_sl=140e-12))
     n = 50_000
-    _, _, _, hist = simulate_point(cfg, (0,), n, 0.0, 0.0)
-    assert (hist.side_offset_a_ps, hist.side_offset_b_ps) == (100, 140)
     sigma = math.sqrt(n * 0.25 * 0.75)
-    assert abs(hist.side_plus.sum() - n / 4) <= 4.0 * sigma
-    assert abs(hist.side_minus.sum() - n / 4) <= 4.0 * sigma
+    for cfg in (parsed, replaced):
+        _, _, _, hist = simulate_point(cfg, (0,), n, 0.0, 0.0)
+        assert (hist.side_offset_a_ps, hist.side_offset_b_ps) == (100, 140)
+        assert abs(hist.side_plus.sum() - n / 4) <= 4.0 * sigma
+        assert abs(hist.side_minus.sum() - n / 4) <= 4.0 * sigma
 
 
 def _simulated_streams(n=30_000, seed=2, jitter=2e-12):
@@ -402,18 +397,18 @@ def test_counts_are_monotone_in_the_window():
     tags_a, tags_b = _simulated_streams()
     totals = []
     for w in (2e-12, 5e-12, 10e-12, 20e-12, 40e-12):
-        cfg = CorrelatorConfig(window=w, bin_width=2e-12, tau_max=200e-12, **SIDES)
-        totals.append(correlate(tags_a, tags_b, cfg).central.sum())
+        cfg = CorrelatorConfig(window=w, bin_width=2e-12, tau_max=200e-12)
+        totals.append(correlate(tags_a, tags_b, cfg, SIDES).central.sum())
     assert all(a <= b for a, b in zip(totals, totals[1:]))
 
 
 def test_vanishing_window_starves_the_central_peak():
     # with heavy jitter, shrinking w empties the central window
     tags_a, tags_b = _simulated_streams(n=20_000, jitter=20e-12)
-    wide = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
-    narrow = CorrelatorConfig(window=1e-12, bin_width=2e-12, tau_max=200e-12, **SIDES)
-    n_wide = correlate(tags_a, tags_b, wide).central.sum()
-    n_narrow = correlate(tags_a, tags_b, narrow).central.sum()
+    wide = CorrelatorConfig(window=10e-12, bin_width=2e-12, tau_max=200e-12)
+    narrow = CorrelatorConfig(window=1e-12, bin_width=2e-12, tau_max=200e-12)
+    n_wide = correlate(tags_a, tags_b, wide, SIDES).central.sum()
+    n_narrow = correlate(tags_a, tags_b, narrow, SIDES).central.sum()
     assert n_narrow < 0.2 * n_wide
 
 
@@ -423,15 +418,15 @@ def test_candidate_comparisons_stay_linear():
     t_a = np.sort(rng.integers(0, 50_000, 20_000)).astype(np.int64)
     t_b = np.sort(rng.integers(0, 50_000, 20_000)).astype(np.int64)
     matches = sum(ia.size for ia, _ in sweep_matches(t_a, t_b, -200, 200))
-    hist = correlate(stream(t_a), stream(t_b), CFG)
+    hist = correlate(stream(t_a), stream(t_b), CFG, SIDES)
     assert hist.n_matches == matches
     assert hist.n_comparisons == t_a.size + matches <= len(t_a) + len(t_b) + hist.n_matches
 
 
 def test_determinism():
     tags_a, tags_b = _simulated_streams(n=10_000)
-    h1 = correlate(tags_a, tags_b, CFG)
-    h2 = correlate(tags_a, tags_b, CFG)
+    h1 = correlate(tags_a, tags_b, CFG, SIDES)
+    h2 = correlate(tags_a, tags_b, CFG, SIDES)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.n_comparisons == h2.n_comparisons
 
@@ -441,17 +436,17 @@ def test_off_center_window():
     # window; taking d off the B stream brings it back
     t_a = [1_000, 2_000, 3_100]
     t_b = [1_050, 2_050, 3_050]
-    delayed = correlate(stream(t_a), stream(t_b), CFG)
+    delayed = correlate(stream(t_a), stream(t_b), CFG, SIDES)
     assert delayed.n_matches == 3  # tau = -50 twice, +50 once
     assert delayed.central.sum() + delayed.side_plus.sum() + delayed.side_minus.sum() == 0
-    hist = correlate(stream(t_a), stream([t - 50 for t in t_b]), CFG)
+    hist = correlate(stream(t_a), stream([t - 50 for t in t_b]), CFG, SIDES)
     assert hist.central.sum() == 2  # tau = 0 twice
     assert hist.side_plus.sum() == 1  # tau = +100 = side_offset_a
 
 
 def test_peak_counts_and_fraction():
     tags_a, tags_b = _simulated_streams(n=30_000)
-    hist = correlate(tags_a, tags_b, CFG)
+    hist = correlate(tags_a, tags_b, CFG, SIDES)
     central = hist.central.sum()
     assert hist.central_fraction == central / (central + hist.side_plus.sum() + hist.side_minus.sum())
     assert 0.45 < hist.central_fraction < 0.55
@@ -459,7 +454,7 @@ def test_peak_counts_and_fraction():
 
 def test_histogram_csv_format(tmp_path):
     tags_a, tags_b = _simulated_streams(n=5_000)
-    hist = correlate(tags_a, tags_b, CFG)
+    hist = correlate(tags_a, tags_b, CFG, SIDES)
     path = tmp_path / "hist.csv"
     write_histogram_csv(hist, path, seed=2, config_hash="beef")
     lines = path.read_text().splitlines()
@@ -495,7 +490,7 @@ def test_correlate_memory_does_not_grow_with_matches():
         near = tags_a.time_ps[rng.integers(0, n, m)] + rng.integers(-190, 191, m)
         partners = tags_a.time_ps + rng.integers(-5, 6, n)
         tags_b = stream(np.sort(np.concatenate([partners, near])))
-        hist, peak = _traced(correlate, tags_a, tags_b, CFG)
+        hist, peak = _traced(correlate, tags_a, tags_b, CFG, SIDES)
         assert hist.n_matches >= 0.9 * k * n
         return peak
 
@@ -505,7 +500,7 @@ def test_correlate_memory_does_not_grow_with_matches():
 @pytest.mark.parametrize("chunk", [1, 3, 2**14])
 def test_histogram_csv_bytes_equal_the_row_by_row_rendering(tmp_path, monkeypatch, chunk):
     # counts of every width from 1 to 19 digits, over bins below, at and above tau = 0
-    hist = correlate(stream([1000]), stream([1000]), CFG)
+    hist = correlate(stream([1000]), stream([1000]), CFG, SIDES)
     rng = np.random.default_rng(3)
     shape = hist.counts.shape
     hist.counts = rng.integers(0, 2**63 - 1, shape) // 10 ** rng.integers(0, 19, shape)
@@ -555,7 +550,7 @@ def test_dumped_run_window_totals_follow_the_closed_form(tmp_path, variant, seed
     dump = tmp_path / "timetags.dat"
     write_timetag_chunks(dump, chunks, seed, "c0ffee")
     tags_a, tags_b, _ = read_timetags(dump)
-    hist = correlate(tags_a, tags_b, cfg.correlator)
+    hist = correlate(tags_a, tags_b, cfg.correlator, (cfg.umzi_a.t_sl, cfg.umzi_b.t_sl))
     for name, expected in window_totals(raw, n_pairs).items():
         pulls = (getattr(hist, name) - expected) / np.sqrt(expected)
         assert np.all(np.abs(pulls) <= 4.0), (name, pulls)

@@ -297,7 +297,9 @@ def test_analytic_pump_sweep_is_its_closed_form_bit_for_bit_on_equal_delays(line
     # fringe_damping is the pump jitter's characteristic function times the
     # detuning spread's, which is exactly 1.0 at lag t_A - t_B = 0
     cfg = ideal_config(n_points=8, pairs_per_point=100)
-    cfg = replace(cfg, umzi_a=replace(cfg.umzi_a, t_sl=t_sl), umzi_b=replace(cfg.umzi_b, t_sl=t_sl))
+    # tau_max reaches the side windows at +-t_sl, as every built config must
+    umzis = {name: replace(getattr(cfg, name), t_sl=t_sl) for name in ("umzi_a", "umzi_b")}
+    cfg = replace(cfg, correlator=replace(cfg.correlator, tau_max=t_sl + 20e-12), **umzis)
     res = fr.run_pump_sweep(cfg, sorted(linewidths), mode="analytic")
     assert np.array_equal(res.columns["visibility"], res.columns["cf_analytic"])
 
