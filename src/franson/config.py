@@ -1,11 +1,13 @@
-"""Run configuration: parsing, validation, defaults and hashing.
+"""Run configuration: parsing, defaults and hashing.
 
 Configs are JSON with one object per module section.  The section
 dataclasses are the schema: their fields are the keys and their defaults are
-the defaults.  Unknown keys are rejected by name; every numeric invariant of
-the domain types is checked at parse time.  ``RunConfig.warnings`` (the
-narrowband assumption, the critical delay conditions, unequal delays) and
-``RunConfig.flags`` are read off the sections, for the products and stderr.
+the defaults.  Unknown keys are rejected by name.  Each section checks its
+own ranges when it is built, and ``RunConfig`` the checks that join two
+values, so a config built by the parser or by ``replace`` is checked alike.
+``RunConfig.warnings`` (the narrowband assumption, the critical delay
+conditions, unequal delays) and ``RunConfig.flags`` are read off the
+sections, for the products and stderr.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ class ScanConfig:
         math.pi / 4,
     )
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         if self.n_points < 8:
             raise ValueError(f"scan.n_points must be >= 8, got {self.n_points}")
         if self.pairs_per_point < 1:
             raise ValueError(f"scan.pairs_per_point must be >= 1, got {self.pairs_per_point}")
         if len(self.chsh_settings) != 4:
             raise ValueError("scan.chsh_settings must hold exactly 4 phases")
-        return []
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,13 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the parser's correlator checks, so a replaced config passes them too
+        # the checks that join two values; each section has checked its own
+        src = self.source
+        if src.tau_ind * src.delta < 1.0:
+            raise ConfigError(
+                "source.tau_ind * delta must be >= 1 (individual coherence cannot be "
+                f"shorter than the ensemble coherence), got {src.tau_ind * src.delta:g}"
+            )
         try:
             _check_sides(self.correlator, (self.umzi_a.t_sl, self.umzi_b.t_sl))
         except ValueError as exc:
@@ -76,10 +83,15 @@ class RunConfig:
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        """The sections' own warnings in ``SECTIONS`` order and the peak-window
-        overlap, then each party's unmet regime condition, then unequal delays."""
+        """The narrowband assumption and the peak-window overlap, then each
+        party's unmet regime condition, then unequal delays."""
         src, t_sl = self.source, {"A": self.umzi_a.t_sl, "B": self.umzi_b.t_sl}
-        found = [w for section in SECTIONS for w in getattr(self, section).validate()]
+        found = []
+        if src.delta >= 0.01 * src.f0:
+            found.append(
+                f"delta = {src.delta:g} Hz is not small against f0 = {src.f0:g} Hz "
+                "(narrowband assumption delta < 0.01*f0 violated)"
+            )
         found += _check_sides(self.correlator, (t_sl["A"], t_sl["B"]))
         for party, f in self.flags.items():
             unmet = f"critical UMZI condition not satisfied at party {party}:"
@@ -103,8 +115,9 @@ class RunConfig:
         return out
 
 
-# Each config section and the dataclass it builds, in the order they are built
-# and validated (a defaulted gamma reads the source); their defaults are the config's.
+# Each config section and the dataclass it builds, in the order the parser
+# builds them, each checking itself (a defaulted gamma reads the source); their
+# defaults are the config's.
 SECTIONS = {
     "source": SpectralModel,
     "umzi_a": UmziConfig,
@@ -177,12 +190,11 @@ def _section(section: str, data: dict) -> dict:
 
 
 def _build(section: str, given: dict, built: dict) -> object:
-    """One section's dataclass from its given keys, validated.  A null or
-    absent gamma is filled only from validated values: the section's t_sl and
-    source.tau_ind."""
+    """One section's dataclass from its given keys, which checks itself.  A
+    null or absent gamma is filled only from checked values: the section's
+    t_sl and source.tau_ind."""
     kwargs = {key: value for key, value in given.items() if value is not None}
     obj = SECTIONS[section](**kwargs)
-    obj.validate()
     if isinstance(obj, UmziConfig) and "gamma" not in kwargs:
         # the overlap of a photon delayed by t_sl
         obj = replace(obj, gamma=default_overlap(obj.t_sl, built["source"].tau_ind))
@@ -190,11 +202,12 @@ def _build(section: str, given: dict, built: dict) -> object:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build and validate a RunConfig from a plain dict (defaults applied).
+    """Build a RunConfig from a plain dict (defaults applied).
 
-    Sections are built in ``SECTIONS`` order, each validated before the next,
-    so the first fault reported is the first in that order; every range error
-    names its ``section.key``."""
+    Sections are built in ``SECTIONS`` order, each checking itself before the
+    next is built, and then ``RunConfig`` checks source.tau_ind * delta and
+    the correlator's reach to the side peaks; so the first fault reported is
+    the first in that order, and every range error names its ``section.key``."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown("", data, {"schema_version", "seed", *SECTIONS})

@@ -48,7 +48,7 @@ class CorrelatorConfig:
     bin_width: float = 2e-12
     tau_max: float = 200e-12
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         for name in ("window", "bin_width", "tau_max"):
             value = getattr(self, name)
             if not value > 0:
@@ -65,7 +65,6 @@ class CorrelatorConfig:
                 "correlator.tau_max and correlator.bin_width give 2 * tau_max / bin_width = "
                 f"{n_bins} histogram bins, more than the limit of 2**22 = {MAX_BINS}"
             )
-        return []
 
     def _picoseconds(self, *t_sl: float) -> tuple[int, ...]:
         """window, bin_width, tau_max and then each delay of ``t_sl`` in whole picoseconds."""
@@ -73,11 +72,10 @@ class CorrelatorConfig:
 
 
 def _check_sides(cfg: CorrelatorConfig, t_sl: tuple[float, float]) -> list[str]:
-    """Validate ``cfg`` and that ``tau_max`` covers the farther side peak, at a
+    """Check that ``cfg``'s ``tau_max`` covers the farther side peak, at a
     delay of ``t_sl = (t_sl_a, t_sl_b)`` (s), plus 5 bins and plus its window.
     Returns the overlap warning when the central window [-w, w] shares a delay
     with the nearer side window [s - w, s + w]: 2w >= s in whole picoseconds."""
-    cfg.validate()
     farthest = max(t_sl)
     if cfg.tau_max < farthest + 5 * cfg.bin_width:
         raise ValueError(
@@ -191,7 +189,6 @@ def _central_counts(stream_a: TagStream, streams_b, cfg: CorrelatorConfig) -> np
     """:func:`correlate`'s ``central`` table of stream A against each of
     ``streams_b``, stacked (n, 2, 2).  The B streams share their times (one
     detection, a port column each), so one sweep finds the matches in [-w, w]."""
-    cfg.validate()
     w_ps = cfg._picoseconds()[0]
     tables = np.zeros((len(streams_b), 4), dtype=np.int64)
     for ia, ib in sweep_matches(stream_a.time_ps, streams_b[0].time_ps, -w_ps, w_ps):

@@ -84,7 +84,7 @@ class DetectorModel:
     jitter: float = 2e-12
     efficiency: float = 1.0
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if not self.jitter * MAX_ABS_NORMAL * PS_PER_S < MAX_TIME_PS:
@@ -94,7 +94,6 @@ class DetectorModel:
             )
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        return []
 
 
 class TagStream:

@@ -16,7 +16,7 @@ share one skeleton: :func:`_central_tables`, the one point loop, gives the
 central tables of a list of phase points and each point's ``record(pairs,
 umzis, tags_a, tags_b)``; :func:`_fit_curves` (or CHSH's E) reduces the
 tables to the result's fields; and :func:`_stamped` builds the one result
-with its provenance and validates it.  A montecarlo sweep fits each step's
+with its provenance, which checks itself.  A montecarlo sweep fits each step's
 tables as a fringe scan's; an analytic one reports the closed form.
 """
 
@@ -79,7 +79,7 @@ class ScanResult:
     pairs_per_point: int = 0
     warnings: list[str] = field(default_factory=list)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if np.any(np.diff(self.x) <= 0):
             raise AssertionError("scan grid must be strictly increasing")
         checks = [(self.visibility, self.visibility_err)]
@@ -125,7 +125,7 @@ class ChshRun:
     pairs_per_setting: int
     warnings: list[str] = field(default_factory=list)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # |E| <= 1 for every setting pair bounds S by 4 in any theory
         for name, e_val in self.correlations.items():
             if not abs(e_val) <= 1.0 + 1e-12:
@@ -136,21 +136,19 @@ class ChshRun:
 
 
 def _stamped(cls, cfg: RunConfig, mode: str, warnings=(), **fields):
-    """Build a ScanResult or ChshRun with its provenance and validate it.
+    """A ScanResult or ChshRun with its provenance.
 
     The provenance is the seed, the config hash, the mode, and the config's
     warnings ahead of the run's own; ``fields`` carries the rest, the pair
     count included.
     """
-    result = cls(
+    return cls(
         seed=cfg.seed,
         config_hash=config_hash(cfg),
         mode=mode,
         warnings=[*cfg.warnings, *warnings],
         **fields,
     )
-    result.validate()
-    return result
 
 
 def _count(name: str, value: int | None, default: int, minimum: int = 1) -> int:

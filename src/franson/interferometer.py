@@ -60,14 +60,13 @@ class UmziConfig:
     phase: float = 0.0
     gamma: float = 1.0
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         if not self.t_sl > 0:
             raise ValueError(f"t_sl must be > 0, got {self.t_sl}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
-        return []
 
 
 def regime_flags(cfg: UmziConfig, model: SpectralModel) -> dict[str, bool]:

@@ -118,18 +118,63 @@ def test_a_replaced_config_is_checked_and_warns_as_the_parser_does(t_sl, window,
     data = IDEAL.to_dict()
     for section, keys in edits.items():
         data[section] = {**data[section], **keys}
-    sections = {section: replace(getattr(IDEAL, section), **keys) for section, keys in edits.items()}
+
+    def replaced():
+        sections = {section: replace(getattr(IDEAL, section), **keys) for section, keys in edits.items()}
+        return replace(IDEAL, **sections)
+
     try:
         config_from_dict(data)
     except ConfigError as refused:
-        with pytest.raises(ConfigError) as err:
-            replace(IDEAL, **sections)
-        assert str(err.value) == str(refused)
+        with pytest.raises(ValueError) as err:
+            replaced()
+        # the correlator's own check fails at its replace, unlocated; the reach is RunConfig's
+        located = str(err.value) if err.type is ConfigError else f"correlator.{err.value}"
+        assert located == str(refused)
         return
-    cfg = replace(IDEAL, **sections)
+    cfg = replaced()
     reparsed = config_from_dict(cfg.to_dict())
     assert reparsed == cfg
     assert reparsed.warnings == cfg.warnings
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("umzi_b", "t_sl", -1e-10),
+        ("source", "pair_rate", 0.0),
+        ("detector", "efficiency", 0.0),
+        ("correlator", "bin_width", 0.1e-12),
+        ("scan", "n_points", 4),
+    ],
+)
+def test_a_bad_section_fails_when_it_is_built_or_replaced(section, key, value):
+    # a section checks itself, so building or replacing it fails at once with
+    # the parser's text, less the section that only the parser knows
+    data = IDEAL.to_dict()
+    data[section] = {**data[section], key: value}
+    with pytest.raises(ConfigError) as refused:
+        config_from_dict(data)
+    builds = (
+        lambda: replace(getattr(IDEAL, section), **{key: value}),
+        lambda: SECTIONS[section](**{key: value}),
+    )
+    for build in builds:
+        with pytest.raises(ValueError) as err:
+            build()
+        message = str(err.value)
+        located = message if message.startswith(f"{section}.") else f"{section}.{message}"
+        assert located == str(refused.value)
+
+
+def test_a_source_shorter_than_its_ensemble_coherence_fails_as_a_run_config():
+    data = IDEAL.to_dict()
+    data["source"] = {**data["source"], "tau_ind": 1e-13}
+    with pytest.raises(ConfigError, match=r"^source\.tau_ind \* delta must be >= 1") as refused:
+        config_from_dict(data)
+    with pytest.raises(ConfigError) as err:
+        replace(IDEAL, source=replace(IDEAL.source, tau_ind=1e-13))
+    assert str(err.value) == str(refused.value)
 
 
 def test_run_config_fields_are_its_sections_and_seed():
@@ -229,7 +274,7 @@ def test_jitter_draws_must_fit_the_picosecond_grid():
     ],
 )
 def test_range_errors_name_their_section_key(section, key, value):
-    # a section is validated before the correlator's reach to the side peaks
+    # a section checks itself before the correlator's reach to the side peaks
     # at the delays, so a delay of party A is reported as umzi_a.t_sl
     with pytest.raises(ConfigError) as err:
         config_from_dict({section: {key: value}})

@@ -727,9 +727,9 @@ def check_corrupt_record(tmp_path_factory, records, bad_at, corruption, char, wh
 
 def test_detector_validation():
     with pytest.raises(ValueError, match="efficiency"):
-        DetectorModel(jitter=0.0, efficiency=0.0).validate()
+        DetectorModel(jitter=0.0, efficiency=0.0)
     with pytest.raises(ValueError, match="jitter"):
-        DetectorModel(jitter=-1e-12, efficiency=1.0).validate()
+        DetectorModel(jitter=-1e-12, efficiency=1.0)
 
 
 def test_to_picoseconds_rounds_to_grid():

@@ -163,6 +163,17 @@ def test_crossover_oracle_carries_the_pump_jitter():
     assert res.columns["visibility_oracle"][0] == pytest.approx(cfg.umzi_a.gamma * pump, abs=1e-3)
 
 
+def test_crossover_runs_where_its_grid_breaks_tau_ind_delta():
+    # the sweep rescales delta to x / t_sl and never reads tau_ind: at
+    # tau_ind = 5 ns the first point has tau_ind * delta = 0.5, which only a
+    # run config refuses, and the rescaled models are no run config
+    cfg = fr.load_config(CONFIGS / "ideal.json")
+    cfg = replace(cfg, source=replace(cfg.source, tau_ind=5e-9))
+    res = fr.run_crossover_sweep(cfg)  # 50,000 pairs, the size the 0.02 bound is set for
+    assert cfg.source.tau_ind * res.x[0] / cfg.umzi_a.t_sl < 1.0
+    assert res.extras["max_abs_deviation"] <= 0.02
+
+
 def test_crossover_points_share_one_draw():
     # every point rescales the same draws: adding grid points moves no
     # existing point, and a point's value is that of a one-point sweep
@@ -216,20 +227,23 @@ def test_tau_decay_offset_acts_only_through_the_envelope(config):
     ids=["sweep_step", "headline", "nan_steps"],
 )
 def test_validate_checks_the_headline_and_every_sweep_step(visibility, column, message):
-    # each step of a sweep's visibility column is range-checked as the headline is
-    result = ScanResult(
-        kind="tau-decay",
-        x_label="tau_offset_s",
-        x=np.arange(3.0),
-        columns={"visibility": np.array(column), "visibility_err": np.full(3, 0.01)},
-        visibility=visibility,
-        visibility_err=0.01,
-    )
+    # each step of a sweep's visibility column is range-checked as the headline
+    # is, when the result is built
+    def build():
+        return ScanResult(
+            kind="tau-decay",
+            x_label="tau_offset_s",
+            x=np.arange(3.0),
+            columns={"visibility": np.array(column), "visibility_err": np.full(3, 0.01)},
+            visibility=visibility,
+            visibility_err=0.01,
+        )
+
     if message is None:
-        result.validate()
+        build()
     else:
         with pytest.raises(AssertionError, match=re.escape(message)):
-            result.validate()
+            build()
 
 
 @pytest.mark.parametrize(

@@ -232,7 +232,7 @@ def test_default_overlap_decays_with_delay():
 )
 def test_umzi_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        umzi(**kwargs).validate()
+        umzi(**kwargs)
 
 
 def test_transfer_rejects_non_finite_detuning():

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from franson.rng import (
     ROLE_SOURCE,
     item_uniforms,
 )
+from franson.config import default_config
 from franson.correlation import ensemble_fringe
 from franson.detection import DetectorModel, simulate_run, simulate_tags
 from franson.interferometer import UmziConfig, ensemble_local_fringe
@@ -32,16 +34,6 @@ def make_model(**overrides) -> SpectralModel:
     kwargs = dict(f0=3.7e14, delta=1e12, pump_linewidth=0.0, tau_ind=10e-9, pair_rate=1e6)
     kwargs.update(overrides)
     return SpectralModel(**kwargs)
-
-
-def test_degenerate_widths_collapse_to_exact_zeros():
-    # delta -> 0 limit: every sampled pair sits exactly at the center frequency.
-    # (Validation rejects delta == 0; the sampler itself handles the limit.)
-    model = make_model(delta=0.0, pump_linewidth=0.0)
-    pairs = sample_pairs(model, 500, seed=3)
-    assert np.all(pairs.df == 0.0)
-    assert np.all(pairs.dp == 0.0)
-    assert np.all(pairs.eps == 0.0)
 
 
 def test_pair_sum_frequency_is_bit_exact_without_pump_jitter():
@@ -233,16 +225,17 @@ def test_every_sampler_takes_its_key_as_a_tuple_only(draw):
     ],
 )
 def test_model_validation_rejects_bad_fields(field, value, message):
-    model = make_model(**{field: value})
     with pytest.raises(ValueError, match=message):
-        model.validate()
+        make_model(**{field: value})
 
 
 def test_model_validation_rejects_short_individual_coherence():
+    # the model alone builds (a sweep rescales its delta); a run config refuses it
+    short = make_model(tau_ind=1e-13)
     with pytest.raises(ValueError, match="tau_ind"):
-        make_model(tau_ind=1e-13).validate()
+        replace(default_config(), source=short)
 
 
 def test_model_validation_warns_on_wideband_source():
-    warnings = make_model(delta=1e13, f0=1e14).validate()
+    warnings = replace(default_config(), source=make_model(delta=1e13, f0=1e14)).warnings
     assert any("0.01" in w or "narrowband" in w for w in warnings)
